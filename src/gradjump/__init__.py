@@ -54,7 +54,6 @@ from .interchange import (
     InterchangeParams,
     QuadratureConfig,
     classify_region,
-    cutoffs,
     d_path,
     d_path_isotropic,
     field,

@@ -165,9 +165,18 @@ class RunConfig:
 
     def h_grid(self) -> np.ndarray:
         raw = _require(self.data, "h_grid", "sweep config")
-        grid = np.asarray(raw, dtype=float).reshape(-1)
+        try:
+            grid = np.asarray(raw, dtype=float).reshape(-1)
+        except (TypeError, ValueError):
+            raise ConfigError("h_grid must be a list of numbers") from None
         if grid.size < 4:
             raise ConfigError("h_grid needs at least 4 points")
+        if not np.all(np.isfinite(grid)):
+            raise ConfigError("h_grid entries must be finite")
+        if np.any((grid <= 0.0) | (grid >= 1.0)):
+            raise ConfigError("h_grid entries must lie in (0, 1)")
+        if np.any(np.diff(grid) >= 0.0):
+            raise ConfigError("h_grid must be strictly decreasing")
         return grid
 
     def interchange_params(self) -> InterchangeParams:

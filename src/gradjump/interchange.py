@@ -90,17 +90,6 @@ class InterchangeParams:
         return replace(self, t=t)
 
 
-def cutoffs(h: float, s: float) -> tuple[float, float, float]:
-    """Values (phi(s), rho(s), zeta_h(s)) of the three cutoff profiles at s."""
-    if not 0.0 < h < 1.0:
-        raise ValueError("h must lie in (0, 1)")
-    phi = float(np.clip(1.0 - s, 0.0, 1.0))
-    rho = float(np.clip(s, 0.0, 1.0))
-    sh = np.sqrt(h)
-    zeta = float(np.clip((1.0 - s) / sh, 0.0, 1.0))
-    return phi, rho, zeta
-
-
 def _plus_parts(s_n, s_nu, r, h):
     """Scalar value and frame gradient pieces of the unmirrored (+) term.
 
@@ -122,25 +111,41 @@ def _plus_parts(s_n, s_nu, r, h):
     return val, g_n, g_nu, c_r
 
 
-def classify_codes(coords: np.ndarray, h: float) -> np.ndarray:
-    """Vectorized region classification of frame coordinates (s_n, s_nu, ...).
+def _mirrored_gradient(coords: np.ndarray, r: np.ndarray, h: float):
+    """Scalar profile and frame gradient of the mirrored field at radii r = |coords|.
 
-    Codes index into REGION_NAMES.  The four named regions partition the
-    support of the field gradient (up to sets of measure zero): R+- carry
-    the exact gradient flips, Q the O(sqrt(h)) tangential ramps, Q' the
-    O(1) corner overlaps.
+    Both terms of the mirror pair come from _plus_parts.  The gradient is
+    odd and the profile even under z -> -z, bitwise: negating the frame
+    coordinates swaps the two terms, so the result at -coords is
+    (scalar, -g) without a second evaluation.
     """
-    coords = np.atleast_2d(np.asarray(coords, dtype=float))
-    sh = np.sqrt(h)
     s_n = coords[:, 0]
     s_nu = coords[:, 1]
-    r = np.linalg.norm(coords, axis=1)
+    val_p, gn_p, gnu_p, cr_p = _plus_parts(s_n, s_nu, r, h)
+    val_m, gn_m, gnu_m, cr_m = _plus_parts(-s_n, -s_nu, r, h)
+
+    scalar = val_p + val_m
+    g = np.zeros_like(coords)
+    g[:, 0] = gn_p - gn_m
+    g[:, 1] = gnu_p - gnu_m
+    radial = np.divide(cr_p + cr_m, r, out=np.zeros_like(r), where=r > 0.0)
+    g += radial[:, None] * coords
+    return scalar, g
+
+
+def _region_codes(s_n: np.ndarray, s_nu: np.ndarray, r: np.ndarray, h: float) -> np.ndarray:
+    """Region codes from the frame coordinates s_n, s_nu and the radius r.
+
+    Under z -> -z, R_plus and R_minus (codes 1 and 2) swap and the other
+    codes stay, exactly.
+    """
+    sh = np.sqrt(h)
     inside = r < 1.0
     core = inside & (r < 1.0 - sh)
     ring = inside & (r >= 1.0 - sh)
     prod = s_nu * s_n
 
-    codes = np.zeros(coords.shape[0], dtype=np.int8)
+    codes = np.zeros(s_n.shape[0], dtype=np.int8)
     r_plus = (s_nu > sh) & (s_n > 0.0) & (s_n < h) & core
     r_minus = (s_nu < -sh) & (s_n < 0.0) & (s_n > -h) & core
     q = (ring & (prod < 0.0)) | ((np.abs(s_nu) < sh) & (prod < 0.0) & core)
@@ -152,6 +157,18 @@ def classify_codes(coords: np.ndarray, h: float) -> np.ndarray:
     codes[q] = 3
     codes[q_prime] = 4
     return codes
+
+
+def classify_codes(coords: np.ndarray, h: float) -> np.ndarray:
+    """Vectorized region classification of frame coordinates (s_n, s_nu, ...).
+
+    Codes index into REGION_NAMES.  The four named regions partition the
+    support of the field gradient (up to sets of measure zero): R+- carry
+    the exact gradient flips, Q the O(sqrt(h)) tangential ramps, Q' the
+    O(1) corner overlaps.
+    """
+    coords = np.atleast_2d(np.asarray(coords, dtype=float))
+    return _region_codes(coords[:, 0], coords[:, 1], np.linalg.norm(coords, axis=1), h)
 
 
 class InterchangeField:
@@ -190,21 +207,7 @@ class InterchangeField:
         is returned in frame components (shape (N, d)).
         """
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
-        h = self.h
-        s_n = coords[:, 0]
-        s_nu = coords[:, 1]
-        r = np.linalg.norm(coords, axis=1)
-        val_p, gn_p, gnu_p, cr_p = _plus_parts(s_n, s_nu, r, h)
-        val_m, gn_m, gnu_m, cr_m = _plus_parts(-s_n, -s_nu, r, h)
-
-        scalar = val_p + val_m
-        g = np.zeros_like(coords)
-        g[:, 0] = gn_p - gn_m
-        g[:, 1] = gnu_p - gnu_m
-        radial = cr_p + cr_m
-        nz = r > 0.0
-        g[nz] += (radial[nz] / r[nz])[:, None] * coords[nz]
-        return scalar, g
+        return _mirrored_gradient(coords, np.linalg.norm(coords, axis=1), self.h)
 
     def value_gradient(self, z):
         """Field value (R^m) and gradient (m x d matrix) at a world point."""

@@ -10,6 +10,13 @@ the whole ball, an |z.n| <= h slab, an |z.nu| <= sqrt(h) strip, their corner
 overlap, and the |z| >= 1 - sqrt(h) shell.  Mirrored (antithetic) pairs
 cancel the leading fluctuations.
 
+Each pair (z, -z) is evaluated in one pass that rests on two exact mirror
+identities of the field: the frame gradient is odd, g(-z) = -g(z) bit for
+bit, and the regions of -z are those of z with R_plus and R_minus swapped.
+So the radius, the gradient, the region codes and the mixture pdf
+(q(-z) = q(z)) are computed once per pair; only the energy is evaluated on
+both sides, with the world-space step negated for the mirror point.
+
 Each stratum draws either scrambled Sobol points (default; several
 independent scrambles give an unbiased estimate with an honest error bar)
 or plain pseudo-random points, from streams keyed by (seed, stratum id,
@@ -33,7 +40,8 @@ from .interchange import (
     InterchangeField,
     InterchangeParams,
     QuadratureConfig,
-    classify_codes,
+    _mirrored_gradient,
+    _region_codes,
 )
 from .jumps import InterfacePair, interchange_force
 from .tensors import frobenius, unit_ball_volume
@@ -81,12 +89,18 @@ class _BoxStratum:
         self.name = name
         self.hw = half_widths
         self.measure = float(np.prod(2.0 * half_widths))
+        # every sampled point lies in [-1, 1]^d, so full-width axes never reject
+        self.narrowed = [(k, w) for k, w in enumerate(half_widths) if w < 1.0]
 
     def map_unit(self, u: np.ndarray) -> np.ndarray:
         return (2.0 * u - 1.0) * self.hw
 
-    def contains(self, coords: np.ndarray) -> np.ndarray:
-        return np.all(np.abs(coords) <= self.hw, axis=1)
+    def contains(self, coords: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Membership of sampled points (inside [-1, 1]^d) with radii r."""
+        inside = np.ones(coords.shape[0], dtype=bool)
+        for k, w in self.narrowed:
+            inside &= np.abs(coords[:, k]) <= w
+        return inside
 
 
 class _BallStratum:
@@ -111,8 +125,8 @@ class _BallStratum:
             )
         return radius[:, None] * direction
 
-    def contains(self, coords: np.ndarray) -> np.ndarray:
-        r = np.linalg.norm(coords, axis=1)
+    def contains(self, coords: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Membership of points with radii r = |coords|."""
         return (r >= self.r_lo) & (r <= 1.0)
 
 
@@ -162,11 +176,13 @@ class VariationResult:
         }
 
 
-def _mixture_pass(fld: InterchangeField, quad: QuadratureConfig, residual_fn):
+def _mixture_pass(fld: InterchangeField, quad: QuadratureConfig, integrand):
     """One antithetic mixture-sampling sweep over all strata.
 
-    Returns (means, errors, n_evals) for the residual integrand followed by
-    the four region indicators.
+    ``integrand(coords, g)`` returns the pair (f(z), f(-z)) of residual
+    values for frame coordinates z with frame gradient g; the gradient at
+    -z is exactly -g.  Returns (means, errors, n_evals) for the residual
+    followed by the four region indicators.
     """
     h = fld.h
     d = fld.pair.d
@@ -174,22 +190,32 @@ def _mixture_pass(fld: InterchangeField, quad: QuadratureConfig, residual_fn):
     per_scramble = [_pairs_per_scramble(b) for b in budgets]
     pair_counts = np.array([N_SCRAMBLES * p for p in per_scramble], dtype=float)
     weights = pair_counts / pair_counts.sum()
-
-    def mixture_pdf(coords: np.ndarray) -> np.ndarray:
-        q = np.zeros(coords.shape[0])
-        for stratum, c in zip(strata, weights):
-            q += (c / stratum.measure) * stratum.contains(coords)
-        return q
-
     n_out = 1 + len(REGION_KEYS)
 
-    def outputs(coords: np.ndarray) -> np.ndarray:
+    def pair_values(coords: np.ndarray) -> np.ndarray:
+        """0.5 (f(z) + f(-z)) / q(z) of every output, one pass per pair (z, -z).
+
+        The radius, gradient, region codes and mixture pdf are computed at z
+        only: |-z| = |z|, g(-z) = -g(z), the regions of -z are those of z with
+        R_plus and R_minus swapped, and q(-z) = q(z).
+        """
+        r = np.linalg.norm(coords, axis=1)
+        q = np.zeros(coords.shape[0])
+        for stratum, c in zip(strata, weights):
+            q += (c / stratum.measure) * stratum.contains(coords, r)
         out = np.zeros((coords.shape[0], n_out))
-        if residual_fn is not None:
-            out[:, 0] = residual_fn(coords)
-        codes = classify_codes(coords, h)
-        for j in range(len(REGION_KEYS)):
-            out[:, 1 + j] = codes == j + 1
+        if integrand is not None:
+            _, g = _mirrored_gradient(coords, r, h)
+            f_z, f_mirror = integrand(coords, g)
+            out[:, 0] = f_z + f_mirror
+        codes = _region_codes(coords[:, 0], coords[:, 1], r, h)
+        flips = (codes == 1) | (codes == 2)
+        out[:, 1] = flips  # R_plus at z or at -z
+        out[:, 2] = flips
+        out[:, 3] = 2.0 * (codes == 3)
+        out[:, 4] = 2.0 * (codes == 4)
+        out *= 0.5
+        out /= q[:, None]
         return out
 
     total_mean = np.zeros(n_out)
@@ -204,10 +230,7 @@ def _mixture_pass(fld: InterchangeField, quad: QuadratureConfig, residual_fn):
                 seq = np.random.SeedSequence(entropy=quad.seed, spawn_key=(sid, j))
                 rng = np.random.Generator(np.random.PCG64(seq))
                 u = qmc.Sobol(d, scramble=True, seed=rng).random(pairs)
-                coords = stratum.map_unit(u)
-                q = mixture_pdf(coords)  # mirror-symmetric: q(-z) = q(z)
-                vals = 0.5 * (outputs(coords) + outputs(-coords)) / q[:, None]
-                scramble_means[j] = vals.mean(axis=0)
+                scramble_means[j] = pair_values(stratum.map_unit(u)).mean(axis=0)
                 n_evals += 2 * pairs
             total_mean += c * scramble_means.mean(axis=0)
             total_var += c * c * scramble_means.var(axis=0, ddof=1) / N_SCRAMBLES
@@ -216,9 +239,7 @@ def _mixture_pass(fld: InterchangeField, quad: QuadratureConfig, residual_fn):
             n_pairs = N_SCRAMBLES * pairs
             seq = np.random.SeedSequence(entropy=quad.seed, spawn_key=(sid, 0))
             rng = np.random.Generator(np.random.PCG64(seq))
-            coords = stratum.map_unit(rng.random((n_pairs, d)))
-            q = mixture_pdf(coords)
-            vals = 0.5 * (outputs(coords) + outputs(-coords)) / q[:, None]
+            vals = pair_values(stratum.map_unit(rng.random((n_pairs, d))))
             n_evals += 2 * n_pairs
             total_mean += c * vals.mean(axis=0)
             if n_pairs > 1:
@@ -239,6 +260,35 @@ def estimate_region_measures(pair: InterfacePair, params: InterchangeParams) -> 
     return {k: (float(mean[1 + j]), float(err[1 + j])) for j, k in enumerate(REGION_KEYS)}
 
 
+def _excess_integrand(model, pair, fld, t, p_plus, p_minus):
+    """Pointwise excess W(Fbar + t grad Phi) - W(Fbar) - t (P(Fbar), grad Phi)
+    at z and -z from the frame gradient g at z.
+
+    Returns ``excess(coords, g) -> (f(z), f(-z))``.  The mirror point sits on
+    the other side of the interface (s_n < 0 means -z is on the + side) and
+    its gradient is -g, so the world step is negated, not recomputed.
+    """
+    a = pair.a
+    # index 1 selects the + side, 0 the - side
+    bases = np.stack([pair.fm, pair.fp])
+    wbars = np.array([model.value(pair.fm), model.value(pair.fp)])
+    # frame components of P^T a for the (P(Fbar), grad Phi) pairing
+    cvecs = np.stack([fld.frame @ (p_minus.T @ a), fld.frame @ (p_plus.T @ a)])
+
+    def excess(coords: np.ndarray, g: np.ndarray):
+        s_n = coords[:, 0]
+        step = t * a[None, :, None] * (g @ fld.frame)[:, None, :]
+        out = []
+        for sign, plus_side in ((1.0, s_n > 0.0), (-1.0, s_n < 0.0)):
+            side = plus_side.astype(np.intp)
+            vals = model.value_many(bases.take(side, axis=0) + sign * step)
+            lin = (sign * t) * np.einsum("nd,nd->n", cvecs.take(side, axis=0), g)
+            out.append(vals - wbars.take(side) - lin)
+        return out
+
+    return excess
+
+
 def energy_increment(
     model: EnergyModel, pair: InterfacePair, params: InterchangeParams
 ) -> VariationResult:
@@ -251,31 +301,14 @@ def energy_increment(
     """
     fld = InterchangeField(pair, params)
     h, t = params.h, params.t
-    a = pair.a
-
-    w_plus = model.value(pair.fp)
-    w_minus = model.value(pair.fm)
     p_plus = model.gradient(pair.fp)
     p_minus = model.gradient(pair.fm)
-    # frame components of P^T a for the (P(Fbar), grad Phi) pairing
-    c_plus = fld.frame @ (p_plus.T @ a)
-    c_minus = fld.frame @ (p_minus.T @ a)
-    frak_n = frobenius(p_plus - p_minus, np.outer(a, pair.n))
+    frak_n = frobenius(p_plus - p_minus, np.outer(pair.a, pair.n))
     ff_exact = -frak_n * h * interface_profile(h, pair.d)
 
-    def residual(coords: np.ndarray) -> np.ndarray:
-        _, g_frame = fld.scalar_gradient(coords)
-        plus_side = coords[:, 0] > 0.0
-        g_world = g_frame @ fld.frame
-        base = np.where(plus_side[:, None, None], pair.fp, pair.fm)
-        perturbed = base + t * a[None, :, None] * g_world[:, None, :]
-        vals = model.value_many(perturbed)
-        wbar = np.where(plus_side, w_plus, w_minus)
-        cvec = np.where(plus_side[:, None], c_plus, c_minus)
-        lin = t * np.einsum("nd,nd->n", cvec, g_frame)
-        return vals - wbar - lin
-
-    mean, err, n_evals = _mixture_pass(fld, params.quad, residual)
+    mean, err, n_evals = _mixture_pass(
+        fld, params.quad, _excess_integrand(model, pair, fld, t, p_plus, p_minus)
+    )
     delta_e = t * ff_exact + float(mean[0])
     mc_error = float(err[0])
     if params.quad.max_error is not None and mc_error > params.quad.max_error:
@@ -301,6 +334,7 @@ class SweepResult:
     rate_error: float
     chi2_red: float
     fit_order: int
+    n_evals: int  # integrand evaluations over the whole grid
 
     def rows(self):
         return list(zip(self.h_grid, self.values, self.errors))
@@ -318,6 +352,7 @@ class SweepResult:
             "rate_error": self.rate_error,
             "chi2_red": self.chi2_red,
             "fit_order": self.fit_order,
+            "n_evals": self.n_evals,
         }
 
 
@@ -397,10 +432,12 @@ def limit_sweep(
 
     values = np.empty_like(h_grid)
     errors = np.empty_like(h_grid)
+    n_evals = 0
     for i, h in enumerate(h_grid):
         res = energy_increment(model, pair, params.with_h(float(h)))
         values[i] = res.delta_e / h
         errors[i] = res.mc_error / h
+        n_evals += res.n_evals
     scale = 1.0 + float(np.max(np.abs(values)))
     sigma = np.maximum(errors, 1e-14 * scale)
 
@@ -426,7 +463,7 @@ def limit_sweep(
 
     return SweepResult(
         h_grid, values, errors, limit, limit_error,
-        float(coef[1]), float(coef[2]), rate, rate_error, chi2_red, order,
+        float(coef[1]), float(coef[2]), rate, rate_error, chi2_red, order, n_evals,
     )
 
 

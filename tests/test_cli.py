@@ -120,6 +120,28 @@ class TestSweepH:
         code, _, _ = run(capsys, "sweep-h", "--config", cfg)
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ([0.0125, 0.025, 0.05, 0.1], "strictly decreasing"),
+            ([0.1, 0.05, float("nan"), 0.0125], "finite"),
+            ([0.1, 0.05, 0.025, float("inf")], "finite"),
+            ([1.5, 0.05, 0.025, 0.0125], "(0, 1)"),
+            ([0.1, 0.05, 0.025, -0.0125], "(0, 1)"),
+            (["a", 0.05, 0.025, 0.0125], "list of numbers"),
+        ],
+    )
+    def test_bad_grid_is_config_error(self, tmp_path, capsys, grid, message):
+        payload = self.payload()
+        payload["h_grid"] = grid
+        cfg = write_config(tmp_path, payload)
+        code, stdout, err = run(capsys, "sweep-h", "--config", cfg)
+        assert code == 2
+        assert stdout == ""
+        lines = err.splitlines()
+        assert len(lines) == 1
+        assert message in json.loads(lines[0])["error"]
+
 
 class TestPathDt:
     def test_isotropic_closed_form(self, tmp_path, capsys):

@@ -3,33 +3,38 @@ import pytest
 from scipy import integrate
 
 import gradjump as gj
-from gradjump.interchange import InterchangeField, classify_codes
+from gradjump.interchange import InterchangeField, _plus_parts, classify_codes
 
 from conftest import small_quad
 
 
+def plus_value(h, s_n, s_nu, r):
+    """Scalar value of the + term at one frame point, divided by h."""
+    val, _, _, _ = _plus_parts(np.array([s_n]), np.array([s_nu]), np.array([r]), h)
+    return val[0] / h
+
+
 class TestCutoffs:
+    # each profile is read off the + term with the other two saturated at 1:
+    # s_n <= 0 for phi, s_nu >= sqrt(h) for rho, r <= 1 - sqrt(h) for zeta
     def test_slab_profile(self):
-        phi, _, _ = gj.cutoffs(0.04, -1.0)
-        assert phi == 1.0
-        assert gj.cutoffs(0.04, 0.5)[0] == 0.5
-        assert gj.cutoffs(0.04, 2.0)[0] == 0.0
+        h = 0.04
+        assert plus_value(h, -h, 1.0, 0.0) == 1.0
+        assert plus_value(h, 0.5 * h, 1.0, 0.0) == 0.5
+        assert plus_value(h, 2.0 * h, 1.0, 0.0) == 0.0
 
     def test_radial_profile_endpoints(self):
         for h in (0.04, 0.25, 0.9):
-            _, _, z0 = gj.cutoffs(h, 0.0)
-            _, _, z1 = gj.cutoffs(h, 1.0)
-            assert z0 == 1.0 and z1 == 0.0
-            assert gj.cutoffs(h, 1.0 - np.sqrt(h))[2] == pytest.approx(1.0)
+            assert plus_value(h, -h, 1.0, 0.0) == 1.0
+            assert plus_value(h, -h, 1.0, 1.0) == 0.0
+            assert plus_value(h, -h, 1.0, 1.0 - np.sqrt(h)) == pytest.approx(1.0)
 
     def test_tangent_ramp_linear(self):
-        assert gj.cutoffs(0.04, 0.5)[1] == 0.5
-        assert gj.cutoffs(0.04, -0.2)[1] == 0.0
-        assert gj.cutoffs(0.04, 1.3)[1] == 1.0
-
-    def test_h_validated(self):
-        with pytest.raises(ValueError):
-            gj.cutoffs(1.5, 0.0)
+        h = 0.04
+        sh = np.sqrt(h)
+        assert plus_value(h, -h, 0.5 * sh, 0.0) == 0.5
+        assert plus_value(h, -h, -0.2 * sh, 0.0) == 0.0
+        assert plus_value(h, -h, 1.3 * sh, 0.0) == 1.0
 
 
 class TestParams:
@@ -182,6 +187,44 @@ class TestRegions:
         measures = gj.estimate_region_measures(eq_pair, params)
         est, err = measures["R_plus"]
         assert est == pytest.approx(exact, abs=max(5 * err, 1e-4))
+
+
+def mirror_test_points(h, d, rng):
+    """Random frame points plus points on the kink sets of the cutoffs:
+    s_n in {0, +-h}, s_nu = +-sqrt(h) and r = 1 - sqrt(h)."""
+    sh = np.sqrt(h)
+    random = rng.uniform(-1.0, 1.0, size=(20000, d))
+    on_slab = rng.uniform(-1.0, 1.0, size=(300, d))
+    on_slab[:, 0] = rng.choice([0.0, h, -h], size=300)
+    on_strip = rng.uniform(-1.0, 1.0, size=(200, d))
+    on_strip[:, 1] = rng.choice([sh, -sh], size=200)
+    corners = np.zeros((6, d))
+    corners[:, 0] = [0.0, h, -h, h, -h, 0.0]
+    corners[:, 1] = [sh, sh, -sh, -sh, sh, 0.0]
+    on_sphere = np.vstack([np.eye(d), -np.eye(d)]) * (1.0 - sh)
+    return np.vstack([random, on_slab, on_strip, corners, on_sphere])
+
+
+class TestMirrorIdentities:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_gradient_odd_profile_even(self, rng, d):
+        h = 0.04
+        pair = gj.InterfacePair.from_jump(np.zeros((1, d)), [1.0], np.eye(d)[0])
+        fld = InterchangeField(pair, gj.InterchangeParams(h=h))
+        coords = mirror_test_points(h, d, rng)
+        scalar, g = fld.scalar_gradient(coords)
+        scalar_m, g_m = fld.scalar_gradient(-coords)
+        assert np.array_equal(scalar_m, scalar)
+        assert np.array_equal(g_m, -g)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_regions_swap_r_plus_and_r_minus(self, rng, d):
+        h = 0.04
+        coords = mirror_test_points(h, d, rng)
+        codes = classify_codes(coords, h)
+        assert set(codes.tolist()) == {0, 1, 2, 3, 4}
+        swap = np.array([0, 2, 1, 3, 4], dtype=codes.dtype)
+        assert np.array_equal(classify_codes(-coords, h), swap[codes])
 
 
 class TestDPath:

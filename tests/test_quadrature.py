@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 from scipy import integrate
+from scipy.stats import qmc
 
 import gradjump as gj
-from gradjump.interchange import InterchangeField
+from gradjump import quadrature
+from gradjump.interchange import InterchangeField, classify_codes
 from gradjump.quadrature import _mixture_pass, interface_profile
 
 from conftest import small_quad
@@ -36,6 +38,146 @@ class TestInterfaceProfile:
         assert interface_profile(1e-8, 3) == pytest.approx(np.pi, abs=1e-3)
 
 
+def reference_residual(model, pair, fld, t):
+    """Pointwise excess at one point set, gradient evaluated there."""
+    a = pair.a
+    w_plus, w_minus = model.value(pair.fp), model.value(pair.fm)
+    c_plus = fld.frame @ (model.gradient(pair.fp).T @ a)
+    c_minus = fld.frame @ (model.gradient(pair.fm).T @ a)
+
+    def residual(coords):
+        _, g_frame = fld.scalar_gradient(coords)
+        plus_side = coords[:, 0] > 0.0
+        g_world = g_frame @ fld.frame
+        base = np.where(plus_side[:, None, None], pair.fp, pair.fm)
+        vals = model.value_many(base + t * a[None, :, None] * g_world[:, None, :])
+        wbar = np.where(plus_side, w_plus, w_minus)
+        cvec = np.where(plus_side[:, None], c_plus, c_minus)
+        return vals - wbar - t * np.einsum("nd,nd->n", cvec, g_frame)
+
+    return residual
+
+
+def reference_mixture_pass(fld, quad, residual_fn):
+    """The two-evaluation estimator: every output is computed at z and at -z
+    separately and each pair contributes 0.5 (out(z) + out(-z)) / q(z)."""
+    h, d = fld.h, fld.pair.d
+    n_scr = quadrature.N_SCRAMBLES
+    strata, budgets = quadrature._build_strata(h, d, quad)
+    per_scramble = [quadrature._pairs_per_scramble(b) for b in budgets]
+    weights = np.array([n_scr * p for p in per_scramble], dtype=float)
+    weights /= weights.sum()
+
+    def mixture_pdf(coords):
+        r = np.linalg.norm(coords, axis=1)
+        q = np.zeros(coords.shape[0])
+        for stratum, c in zip(strata, weights):
+            if stratum.name in ("bulk", "shell"):
+                inside = (r >= stratum.r_lo) & (r <= 1.0)
+            else:
+                inside = np.all(np.abs(coords) <= stratum.hw, axis=1)
+            q += (c / stratum.measure) * inside
+        return q
+
+    def outputs(coords):
+        out = np.zeros((coords.shape[0], 5))
+        if residual_fn is not None:
+            out[:, 0] = residual_fn(coords)
+        codes = classify_codes(coords, h)
+        for j in range(4):
+            out[:, 1 + j] = codes == j + 1
+        return out
+
+    def pair_values(coords):
+        return 0.5 * (outputs(coords) + outputs(-coords)) / mixture_pdf(coords)[:, None]
+
+    def stream(sid, j):
+        seq = np.random.SeedSequence(entropy=quad.seed, spawn_key=(sid, j))
+        return np.random.Generator(np.random.PCG64(seq))
+
+    mean, var, n_evals = np.zeros(5), np.zeros(5), 0
+    for stratum, pairs, c in zip(strata, per_scramble, weights):
+        sid = quadrature._STRATUM_IDS[stratum.name]
+        if quad.sampler == "rqmc":
+            means = np.array([
+                pair_values(stratum.map_unit(
+                    qmc.Sobol(d, scramble=True, seed=stream(sid, j)).random(pairs)
+                )).mean(axis=0)
+                for j in range(n_scr)
+            ])
+            mean += c * means.mean(axis=0)
+            var += c * c * means.var(axis=0, ddof=1) / n_scr
+            n_evals += 2 * pairs * n_scr
+        else:
+            n_pairs = n_scr * pairs
+            vals = pair_values(stratum.map_unit(stream(sid, 0).random((n_pairs, d))))
+            mean += c * vals.mean(axis=0)
+            var += c * c * vals.var(axis=0, ddof=1) / n_pairs
+            n_evals += 2 * n_pairs
+    return mean, np.sqrt(var), n_evals
+
+
+class TestFusedPass:
+    """The one-pass-per-pair estimator reproduces the two-evaluation one bit for bit."""
+
+    @staticmethod
+    def case(d, sampler="rqmc"):
+        if d == 2:
+            model = gj.AntiplaneDoubleWell(gj.AntiplaneParams(2.0, 1.0, 0.0, 1.0))
+            pair = gj.InterfacePair.from_gradients([[1.0, 0.0]], [[2.2, 0.0]])
+            t = 1.0
+        else:
+            model = gj.IsotropicThetaEnergy(
+                gj.IsotropicParams(d=3, mu=1.0, f_coeffs=(1.0, 0.0, -2.0, 0.0, 1.0))
+            )
+            pair = gj.InterfacePair.from_jump(0.1 * np.eye(3), [0.5, 0.2, 0.1], [1.0, 0.0, 0.0])
+            t = 0.7
+        params = gj.InterchangeParams(h=0.05, t=t, quad=small_quad(seed=5, sampler=sampler))
+        fld = InterchangeField(pair, params)
+        p_plus, p_minus = model.gradient(pair.fp), model.gradient(pair.fm)
+        integrand = quadrature._excess_integrand(model, pair, fld, t, p_plus, p_minus)
+        return model, pair, params, fld, integrand
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_integrand_pair_matches_pointwise_reference(self, rng, d):
+        model, pair, params, fld, integrand = self.case(d)
+        coords = rng.uniform(-1.0, 1.0, size=(3000, d))
+        # include the interface s_n = 0, which belongs to neither side's "+"
+        coords[:1000, 0] = rng.choice([0.0, params.h, -params.h], size=1000)
+        _, g = fld.scalar_gradient(coords)
+        f_z, f_mirror = integrand(coords, g)
+        residual = reference_residual(model, pair, fld, params.t)
+        assert np.array_equal(f_z, residual(coords))
+        assert np.array_equal(f_mirror, residual(-coords))
+
+    @pytest.mark.parametrize("sampler", ["rqmc", "mc"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_two_evaluation_reference(self, d, sampler):
+        model, pair, params, fld, integrand = self.case(d, sampler)
+        h, t = params.h, params.t
+        p_plus, p_minus = model.gradient(pair.fp), model.gradient(pair.fm)
+
+        mean, err, n = _mixture_pass(fld, params.quad, integrand)
+        ref_mean, ref_err, ref_n = reference_mixture_pass(
+            fld, params.quad, reference_residual(model, pair, fld, t)
+        )
+        assert np.array_equal(mean, ref_mean)
+        assert np.array_equal(err, ref_err)
+        assert n == ref_n
+
+        # energy_increment adds the exact interface term to the same mean
+        res = gj.energy_increment(model, pair, params)
+        frak_n = gj.frobenius(p_plus - p_minus, np.outer(pair.a, pair.n))
+        ff_exact = -frak_n * h * interface_profile(h, d)
+        assert res.delta_e == t * ff_exact + float(ref_mean[0])
+        assert res.mc_error == float(ref_err[0])
+
+        # region measures alone (no integrand), as estimate_region_measures uses
+        mean, err, _ = _mixture_pass(fld, params.quad, None)
+        ref_mean, ref_err, _ = reference_mixture_pass(fld, params.quad, None)
+        assert np.array_equal(mean, ref_mean) and np.array_equal(err, ref_err)
+
+
 class TestEnergyIncrement:
     def test_against_divergence_identity(self, antiplane, noneq_pair):
         # the interface-linear integrand alone must integrate to the exact
@@ -48,10 +190,11 @@ class TestEnergyIncrement:
         c_plus = fld.frame @ (pp.T @ noneq_pair.a)
         c_minus = fld.frame @ (pm.T @ noneq_pair.a)
 
-        def linear_term(coords):
-            _, g = fld.scalar_gradient(coords)
-            cvec = np.where(coords[:, 0:1] > 0, c_plus, c_minus)
-            return np.einsum("nd,nd->n", cvec, g)
+        def linear_term(coords, g):
+            return [
+                np.einsum("nd,nd->n", np.where(side, c_plus, c_minus), sign * g)
+                for sign, side in ((1.0, coords[:, 0:1] > 0), (-1.0, coords[:, 0:1] < 0))
+            ]
 
         mean, err, _ = _mixture_pass(fld, params.quad, linear_term)
         frak_n = gj.interchange_force(antiplane, noneq_pair)
@@ -69,10 +212,11 @@ class TestEnergyIncrement:
         c_plus = fld.frame @ (model.gradient(pair.fp).T @ pair.a)
         c_minus = fld.frame @ (model.gradient(pair.fm).T @ pair.a)
 
-        def linear_term(coords):
-            _, g = fld.scalar_gradient(coords)
-            cvec = np.where(coords[:, 0:1] > 0, c_plus, c_minus)
-            return np.einsum("nd,nd->n", cvec, g)
+        def linear_term(coords, g):
+            return [
+                np.einsum("nd,nd->n", np.where(side, c_plus, c_minus), sign * g)
+                for sign, side in ((1.0, coords[:, 0:1] > 0), (-1.0, coords[:, 0:1] < 0))
+            ]
 
         mean, err, _ = _mixture_pass(fld, params.quad, linear_term)
         exact = -gj.interchange_force(model, pair) * h * interface_profile(h, 3)
@@ -230,4 +374,6 @@ class TestLimitSweep:
         rows = sweep.rows()
         assert len(rows) == 4 and rows[0][0] == 0.1
         d = sweep.to_dict()
-        assert set(d) >= {"limit", "limit_error", "rate", "chi2_red", "fit_order"}
+        assert set(d) >= {"limit", "limit_error", "rate", "chi2_red", "fit_order", "n_evals"}
+        per_h = gj.energy_increment(antiplane, noneq_pair, params).n_evals
+        assert d["n_evals"] == sweep.n_evals == 4 * per_h
