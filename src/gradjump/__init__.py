@@ -15,8 +15,6 @@ from .energies import (
     QuadraticEnergy,
     TabulatedEnergy,
     model_from_config,
-    piola,
-    weierstrass_excess,
 )
 from .envelopes import (
     AffineFormulaReport,

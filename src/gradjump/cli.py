@@ -65,6 +65,23 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
+def _json_text(payload) -> str:
+    """Strict JSON: raises ValueError on a NaN or an infinity."""
+    return json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n"
+
+
+def _render(fmt: str, summary, artifacts):
+    """Texts of the artifact files and of stdout, all rendered before any is written."""
+    files = [
+        (name, _json_text(payload) if kind == "json" else _csv_text(*payload))
+        for name, kind, payload in artifacts
+    ]
+    tables = [payload for _, kind, payload in artifacts if kind == "csv"]
+    if fmt == "csv" and tables:
+        return files, _csv_text(*tables[0])
+    return files, _json_text(summary)
+
+
 # -- commands -----------------------------------------------------------------
 
 
@@ -136,7 +153,7 @@ def cmd_path_dt(cfg: RunConfig):
 def cmd_envelope(cfg: RunConfig):
     model = cfg.model()
     pair = cfg.pair()
-    grid_size = int(cfg.data.get("grid_size", 201))
+    grid_size = cfg.grid_size()
     tol = float(cfg.data.get("tol", 1e-10))
     ts = np.linspace(0.0, 1.0, grid_size)
     curve = rank_one_restriction(model, pair, ts)
@@ -174,7 +191,7 @@ def cmd_antiplane(cfg: RunConfig):
     w_vals = model.value_many(fs)
     qw_vals = analysis.qw_radial(rs)
 
-    n_mech = int(cfg.data.get("mechanisms", 16))
+    n_mech = cfg.mechanisms()
     gaps = []
     for angle in np.linspace(0.0, 2.0 * np.pi, n_mech, endpoint=False):
         pair = mechanism_pair(analysis, [np.cos(angle), np.sin(angle)])
@@ -271,31 +288,21 @@ def main(argv=None) -> int:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
 
-    summary = _jsonable(summary)
+    try:
+        files, stdout = _render(args.format, summary, artifacts)
+    except ValueError as exc:
+        # a NaN or an infinity never ships as "valid" JSON
+        print(json.dumps({"error": f"non-finite value in output: {exc}"}), file=sys.stderr)
+        return 1
+
     if args.out is not None:
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        for name, kind, payload in artifacts:
-            target = outdir / name
-            if kind == "json":
-                target.write_text(
-                    json.dumps(_jsonable(payload), indent=2) + "\n", encoding="utf-8"
-                )
-            else:
-                header, rows = payload
-                # newline="" keeps the CRLF row terminators verbatim
-                with target.open("w", encoding="utf-8", newline="") as fh:
-                    fh.write(_csv_text(header, rows))
-
-    if args.format == "csv":
-        tables = [p for _, kind, p in artifacts if kind == "csv"]
-        if tables:
-            header, rows = tables[0]
-            sys.stdout.write(_csv_text(header, rows))
-        else:
-            print(json.dumps(summary, indent=2))
-    else:
-        print(json.dumps(summary, indent=2))
+        for name, text in files:
+            # newline="" keeps the CRLF row terminators of the CSV tables verbatim
+            with (outdir / name).open("w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+    sys.stdout.write(stdout)
     return code
 
 

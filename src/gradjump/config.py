@@ -195,10 +195,31 @@ class RunConfig:
         raw = self.data.get("t_grid")
         if raw is None:
             return np.linspace(0.0, 1.0, 101)
-        grid = np.asarray(raw, dtype=float).reshape(-1)
+        try:
+            grid = np.asarray(raw, dtype=float).reshape(-1)
+        except (TypeError, ValueError):
+            raise ConfigError("t_grid must be a list of numbers") from None
         if grid.size == 0:
             raise ConfigError("t_grid is empty")
+        if not np.all(np.isfinite(grid)):
+            raise ConfigError("t_grid entries must be finite")
+        if np.any((grid < 0.0) | (grid > 1.0)):
+            raise ConfigError("t_grid entries must lie in [0, 1]")
         return grid
+
+    def _count(self, key: str, default: int, minimum: int) -> int:
+        raw = self.data.get(key, default)
+        if isinstance(raw, bool) or not isinstance(raw, int) or raw < minimum:
+            raise ConfigError(f"{key} must be an integer >= {minimum}")
+        return raw
+
+    def grid_size(self) -> int:
+        """Points of the envelope's t grid; the hull needs at least three."""
+        return self._count("grid_size", 201, 3)
+
+    def mechanisms(self) -> int:
+        """Number of plastic mechanisms the antiplane command samples."""
+        return self._count("mechanisms", 16, 1)
 
     def isotropic(self):
         raw = self.data.get("isotropic")

@@ -82,16 +82,6 @@ class EnergyModel:
         return as_matrix(f, self.m, self.d)
 
 
-def weierstrass_excess(model: EnergyModel, f, h) -> float:
-    """Excess of ``model`` at F with increment H (zero iff H = 0 to first order)."""
-    return model.excess(f, h)
-
-
-def piola(model: EnergyModel, f) -> np.ndarray:
-    """Stress W_F(F); raises NonsmoothPointError on a branch tie."""
-    return model.gradient(f)
-
-
 class QuadraticEnergy(EnergyModel):
     """W(F) = mu/2 |F|^2 (convex reference model)."""
 
@@ -151,8 +141,11 @@ class MinQuadraticsEnergy(EnergyModel):
     def value_many(self, fs: np.ndarray) -> np.ndarray:
         fs = np.asarray(fs, dtype=float)
         s = np.sum(fs * fs, axis=(-2, -1))
-        vals = 0.5 * np.multiply.outer(s, self._mus) + self._ws
-        return np.min(vals, axis=-1)
+        # fold np.minimum over the branches: np.min over a short trailing axis is slow
+        vals = 0.5 * (s * self._mus[0]) + self._ws[0]
+        for mu, w in zip(self._mus[1:], self._ws[1:]):
+            vals = np.minimum(vals, 0.5 * (s * mu) + w)
+        return vals
 
     def analytic_gradient(self, f) -> np.ndarray:
         f = self._check(f)

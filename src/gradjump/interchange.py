@@ -86,9 +86,6 @@ class InterchangeParams:
     def with_h(self, h: float) -> "InterchangeParams":
         return replace(self, h=h)
 
-    def with_t(self, t: float) -> "InterchangeParams":
-        return replace(self, t=t)
-
 
 def _plus_parts(s_n, s_nu, r, h):
     """Scalar value and frame gradient pieces of the unmirrored (+) term.

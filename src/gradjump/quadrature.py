@@ -13,15 +13,20 @@ cancel the leading fluctuations.
 Each pair (z, -z) is evaluated in one pass that rests on two exact mirror
 identities of the field: the frame gradient is odd, g(-z) = -g(z) bit for
 bit, and the regions of -z are those of z with R_plus and R_minus swapped.
-So the radius, the gradient, the region codes and the mixture pdf
-(q(-z) = q(z)) are computed once per pair; only the energy is evaluated on
-both sides, with the world-space step negated for the mirror point.
+So the radius, the gradient and the mixture pdf (q(-z) = q(z)) are
+computed once per pair; only the energy is evaluated on both sides, with
+the world-space step negated for the mirror point.  The energy pass
+evaluates the pdf and the energy only on the rows where the field moves
+(g != 0).  That is exact because the excess integrand vanishes where
+g = 0: its step t a (x) g and its linear term are then both zero.  Region
+codes are computed only by ``estimate_region_measures``, which draws the
+same points from the same streams.
 
-Each stratum draws either scrambled Sobol points (default; several
-independent scrambles give an unbiased estimate with an honest error bar)
-or plain pseudo-random points, from streams keyed by (seed, stratum id,
-scramble id).  Totals are reproducible bit for bit regardless of
-evaluation order.
+Each stratum draws N_SCRAMBLES batches, either scrambled Sobol points
+(default; the independent scrambles give an unbiased estimate with an
+honest error bar) or consecutive blocks of one pseudo-random stream, from
+streams keyed by (seed, stratum id, scramble id).  Totals are reproducible
+bit for bit regardless of evaluation order.
 """
 
 from __future__ import annotations
@@ -154,11 +159,10 @@ def _pairs_per_scramble(budget_evals: int) -> int:
 
 @dataclass(frozen=True)
 class VariationResult:
-    """Monte Carlo estimate of the energy increment with region bookkeeping."""
+    """Monte Carlo estimate of the energy increment."""
 
     delta_e: float
     mc_error: float
-    region_measures: dict
     h: float
     t: float
     n_evals: int
@@ -170,94 +174,156 @@ class VariationResult:
             "h": self.h,
             "t": self.t,
             "n_evals": self.n_evals,
-            "region_measures": {
-                k: {"estimate": v[0], "error": v[1]} for k, v in self.region_measures.items()
-            },
         }
 
 
-def _mixture_pass(fld: InterchangeField, quad: QuadratureConfig, integrand):
-    """One antithetic mixture-sampling sweep over all strata.
+def _radius(coords: np.ndarray) -> np.ndarray:
+    """Row norms |z|, bitwise equal to np.linalg.norm(coords, axis=1) for d = 2, 3.
 
-    ``integrand(coords, g)`` returns the pair (f(z), f(-z)) of residual
-    values for frame coordinates z with frame gradient g; the gradient at
-    -z is exactly -g.  Returns (means, errors, n_evals) for the residual
-    followed by the four region indicators.
+    Summing the squared columns in order is what the norm's reduction does
+    for so few columns, without its strided inner loop.
     """
-    h = fld.h
+    sq = coords[:, 0] * coords[:, 0]
+    for k in range(1, coords.shape[1]):
+        sq += coords[:, k] * coords[:, k]
+    return np.sqrt(sq)
+
+
+def _row_sum(vals: np.ndarray) -> np.ndarray:
+    """Sum over axis 0, adding the rows in order.
+
+    np.sum adds a 1-D array pairwise but the rows of a 2-D array in order.
+    Summing in row order for both keeps an estimate's bits independent of
+    how many outputs its pass returns, and equal to those of the earlier
+    pass that reduced the residual and the region indicators together.
+    """
+    return np.cumsum(vals, axis=0)[-1]
+
+
+def _mean_var(vals: np.ndarray):
+    """Row-order mean and unbiased variance over axis 0, as np.mean/np.var
+    compute them for the rows of a 2-D array."""
+    n = vals.shape[0]
+    mean = _row_sum(vals) / n
+    dev = vals - mean
+    return mean, _row_sum(dev * dev) / (n - 1)
+
+
+def _stream(seed: int, sid: int, j: int) -> np.random.Generator:
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(sid, j))
+    return np.random.Generator(np.random.PCG64(seq))
+
+
+def _stratified_estimate(fld: InterchangeField, quad: QuadratureConfig, pair_estimates):
+    """Antithetic mixture sampling over all strata.
+
+    ``pair_estimates(coords, pdf)`` returns 0.5 (f(z) + f(-z)) / q(z) for
+    each drawn pair (z, -z), as an (N,) or (N, k) array; ``pdf(coords, r)``
+    is the mixture density q at points with radii r, and q(-z) = q(z).
+    Each stratum is drawn in N_SCRAMBLES batches of power-of-two pairs.
+    With rqmc every batch is an independent Sobol scramble and the error
+    bar is the spread of the batch means; with mc the batches continue one
+    pseudo-random stream and the error bar is the classical per-pair one.
+    Returns (means, errors, n_evals), n_evals counting two per pair.
+    """
     d = fld.pair.d
-    strata, budgets = _build_strata(h, d, quad)
+    strata, budgets = _build_strata(fld.h, d, quad)
     per_scramble = [_pairs_per_scramble(b) for b in budgets]
     pair_counts = np.array([N_SCRAMBLES * p for p in per_scramble], dtype=float)
     weights = pair_counts / pair_counts.sum()
-    n_out = 1 + len(REGION_KEYS)
 
-    def pair_values(coords: np.ndarray) -> np.ndarray:
-        """0.5 (f(z) + f(-z)) / q(z) of every output, one pass per pair (z, -z).
-
-        The radius, gradient, region codes and mixture pdf are computed at z
-        only: |-z| = |z|, g(-z) = -g(z), the regions of -z are those of z with
-        R_plus and R_minus swapped, and q(-z) = q(z).
-        """
-        r = np.linalg.norm(coords, axis=1)
+    def pdf(coords: np.ndarray, r: np.ndarray) -> np.ndarray:
         q = np.zeros(coords.shape[0])
         for stratum, c in zip(strata, weights):
             q += (c / stratum.measure) * stratum.contains(coords, r)
-        out = np.zeros((coords.shape[0], n_out))
-        if integrand is not None:
-            _, g = _mirrored_gradient(coords, r, h)
-            f_z, f_mirror = integrand(coords, g)
-            out[:, 0] = f_z + f_mirror
-        codes = _region_codes(coords[:, 0], coords[:, 1], r, h)
-        flips = (codes == 1) | (codes == 2)
-        out[:, 1] = flips  # R_plus at z or at -z
-        out[:, 2] = flips
-        out[:, 3] = 2.0 * (codes == 3)
-        out[:, 4] = 2.0 * (codes == 4)
-        out *= 0.5
-        out /= q[:, None]
-        return out
+        return q
 
-    total_mean = np.zeros(n_out)
-    total_var = np.zeros(n_out)
+    rqmc = quad.sampler == "rqmc"
+    total_mean = total_var = 0.0
     n_evals = 0
     for stratum, pairs, c in zip(strata, per_scramble, weights):
         sid = _STRATUM_IDS[stratum.name]
-        if quad.sampler == "rqmc":
-            # several independent scrambles; the error bar is their spread
-            scramble_means = np.zeros((N_SCRAMBLES, n_out))
-            for j in range(N_SCRAMBLES):
-                seq = np.random.SeedSequence(entropy=quad.seed, spawn_key=(sid, j))
-                rng = np.random.Generator(np.random.PCG64(seq))
-                u = qmc.Sobol(d, scramble=True, seed=rng).random(pairs)
-                scramble_means[j] = pair_values(stratum.map_unit(u)).mean(axis=0)
-                n_evals += 2 * pairs
-            total_mean += c * scramble_means.mean(axis=0)
-            total_var += c * c * scramble_means.var(axis=0, ddof=1) / N_SCRAMBLES
+        mc_stream = None if rqmc else _stream(quad.seed, sid, 0)
+        batches = []
+        for j in range(N_SCRAMBLES):
+            if rqmc:
+                u = qmc.Sobol(d, scramble=True, seed=_stream(quad.seed, sid, j)).random(pairs)
+            else:
+                u = mc_stream.random((pairs, d))
+            vals = pair_estimates(stratum.map_unit(u), pdf)
+            # rqmc keeps only each scramble's mean, mc every per-pair value
+            batches.append(_row_sum(vals) / pairs if rqmc else vals)
+        n_evals += 2 * N_SCRAMBLES * pairs
+        if rqmc:
+            mean, var = _mean_var(np.array(batches))
+            total_var += c * c * var / N_SCRAMBLES
         else:
-            # plain pseudo-random: classical per-sample variance
-            n_pairs = N_SCRAMBLES * pairs
-            seq = np.random.SeedSequence(entropy=quad.seed, spawn_key=(sid, 0))
-            rng = np.random.Generator(np.random.PCG64(seq))
-            vals = pair_values(stratum.map_unit(rng.random((n_pairs, d))))
-            n_evals += 2 * n_pairs
-            total_mean += c * vals.mean(axis=0)
-            if n_pairs > 1:
-                total_var += c * c * vals.var(axis=0, ddof=1) / n_pairs
+            mean, var = _mean_var(np.concatenate(batches))
+            total_var += c * c * var / (N_SCRAMBLES * pairs)
+        total_mean += c * mean
     return total_mean, np.sqrt(total_var), n_evals
+
+
+def _mixture_pass(fld: InterchangeField, quad: QuadratureConfig, integrand):
+    """The energy pass: the sampled integral of a residual over the ball.
+
+    ``integrand(coords, g)`` returns the pair (f(z), f(-z)) of residual
+    values for frame coordinates z with frame gradient g; the gradient at
+    -z is exactly -g.  Contract: the integrand vanishes wherever g = 0.
+    The excess integrand meets it exactly, since its step t a (x) g and its
+    linear term are then both zero.  So the integrand and the mixture pdf
+    are evaluated only on the rows where the field moves (g != 0), and
+    every other pair contributes an exact zero.  Returns
+    (mean, error, n_evals); n_evals counts every sampled point.
+    """
+    h, d = fld.h, fld.pair.d
+
+    def pair_estimates(coords: np.ndarray, pdf) -> np.ndarray:
+        r = _radius(coords)
+        _, g = _mirrored_gradient(coords, r, h)
+        moved = g[:, 0] != 0.0
+        for k in range(1, d):
+            moved |= g[:, k] != 0.0
+        # take() gathers rows several times faster than fancy indexing
+        rows = np.flatnonzero(moved)
+        z = coords.take(rows, axis=0)
+        f_z, f_mirror = integrand(z, g.take(rows, axis=0))
+        out = np.zeros(coords.shape[0])
+        out[rows] = 0.5 * (f_z + f_mirror) / pdf(z, r.take(rows))
+        return out
+
+    mean, err, n_evals = _stratified_estimate(fld, quad, pair_estimates)
+    return float(mean), float(err), n_evals
 
 
 def estimate_region_measures(pair: InterfacePair, params: InterchangeParams) -> dict:
     """Monte Carlo measures of the four gradient-support regions.
 
-    Uses the same mixture sampler as the energy increment; with
-    stratification=() and sampler="mc" this degenerates to plain uniform
-    sampling over the ball, the right oracle for leading-order checks
-    whose error bars must dominate the O(h^{3/2}) corrections.
+    Draws the same points from the same streams as the energy increment;
+    with stratification=() and sampler="mc" this degenerates to plain
+    uniform sampling over the ball, the right oracle for leading-order
+    checks whose error bars must dominate the O(h^{3/2}) corrections.
     """
     fld = InterchangeField(pair, params)
-    mean, err, _ = _mixture_pass(fld, params.quad, None)
-    return {k: (float(mean[1 + j]), float(err[1 + j])) for j, k in enumerate(REGION_KEYS)}
+    h = params.h
+
+    def pair_estimates(coords: np.ndarray, pdf) -> np.ndarray:
+        """Region indicators of z and -z: the regions of -z are those of z
+        with R_plus and R_minus swapped."""
+        r = _radius(coords)
+        codes = _region_codes(coords[:, 0], coords[:, 1], r, h)
+        flips = (codes == 1) | (codes == 2)
+        out = np.empty((coords.shape[0], len(REGION_KEYS)))
+        out[:, 0] = flips  # R_plus at z or at -z
+        out[:, 1] = flips
+        out[:, 2] = 2.0 * (codes == 3)
+        out[:, 3] = 2.0 * (codes == 4)
+        out *= 0.5
+        out /= pdf(coords, r)[:, None]
+        return out
+
+    mean, err, _ = _stratified_estimate(fld, params.quad, pair_estimates)
+    return {k: (float(mean[j]), float(err[j])) for j, k in enumerate(REGION_KEYS)}
 
 
 def _excess_integrand(model, pair, fld, t, p_plus, p_minus):
@@ -306,17 +372,15 @@ def energy_increment(
     frak_n = frobenius(p_plus - p_minus, np.outer(pair.a, pair.n))
     ff_exact = -frak_n * h * interface_profile(h, pair.d)
 
-    mean, err, n_evals = _mixture_pass(
+    mean, mc_error, n_evals = _mixture_pass(
         fld, params.quad, _excess_integrand(model, pair, fld, t, p_plus, p_minus)
     )
-    delta_e = t * ff_exact + float(mean[0])
-    mc_error = float(err[0])
+    delta_e = t * ff_exact + mean
     if params.quad.max_error is not None and mc_error > params.quad.max_error:
         raise QuadratureError(
             f"mc_error {mc_error:.3e} exceeds cap {params.quad.max_error:.3e}"
         )
-    measures = {k: (float(mean[1 + j]), float(err[1 + j])) for j, k in enumerate(REGION_KEYS)}
-    return VariationResult(delta_e, mc_error, measures, h, t, n_evals)
+    return VariationResult(delta_e, mc_error, h, t, n_evals)
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def error_line(err: str) -> str:
+    """The message of the single JSON error line a failed command prints."""
+    lines = err.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])["error"]
+
+
 class TestCheck:
     def test_equilibrium_pair_passes(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"model": MODEL, "pair": EQ_PAIR})
@@ -192,6 +199,45 @@ class TestPathDt:
         assert code == 2
         assert "not both" in err
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            (["NaN", 2.0], "finite"),
+            ([0.0, float("inf")], "finite"),
+            ([0.0, 0.5, 2.0], "[0, 1]"),
+            ([-0.1, 0.5], "[0, 1]"),
+            (["a", 0.5], "list of numbers"),
+        ],
+    )
+    def test_bad_t_grid_is_config_error(self, tmp_path, capsys, grid, message):
+        payload = {"model": MODEL, "pair": EQ_PAIR, "t_grid": grid}
+        cfg = write_config(tmp_path, payload)
+        code, stdout, err = run(capsys, "path-dt", "--config", cfg)
+        assert code == 2
+        assert stdout == ""
+        assert message in error_line(err)
+
+    def test_non_finite_output_is_analysis_failure(self, tmp_path, capsys):
+        # f overflows to inf on both wells, so D(t) = inf - inf is NaN
+        payload = {
+            "isotropic": {
+                "d": 1,
+                "mu": 0.0,
+                "f_coeffs": [0.0, 0.0, 1e308],
+                "theta_plus": 10.0,
+                "theta_minus": -10.0,
+            },
+            "t_grid": [0.0, 0.5, 1.0],
+        }
+        cfg = write_config(tmp_path, payload)
+        out = tmp_path / "o"
+        with np.errstate(all="ignore"):
+            code, stdout, err = run(capsys, "path-dt", "--config", cfg, "--out", str(out))
+        assert code == 1
+        assert stdout == ""
+        assert "non-finite" in error_line(err)
+        assert not out.exists()
+
 
 class TestEnvelope:
     def test_equilibrium_segment(self, tmp_path, capsys):
@@ -207,6 +253,14 @@ class TestEnvelope:
         assert lines[0] == "t,W,hull"
         t, w, hull = (float(x) for x in lines[1 + 100].split(","))
         assert t == pytest.approx(0.5) and hull == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("size", [2, 0, "many", 20.5])
+    def test_bad_grid_size_is_config_error(self, tmp_path, capsys, size):
+        cfg = write_config(tmp_path, {"model": MODEL, "pair": EQ_PAIR, "grid_size": size})
+        code, stdout, err = run(capsys, "envelope", "--config", cfg)
+        assert code == 2
+        assert stdout == ""
+        assert "grid_size" in error_line(err)
 
 
 class TestAntiplane:
@@ -246,6 +300,14 @@ class TestAntiplane:
         code, _, err = run(capsys, "antiplane", "--config", cfg)
         assert code == 1
         assert "sign condition" in err
+
+    @pytest.mark.parametrize("count", [0, -3, "16"])
+    def test_bad_mechanisms_is_config_error(self, tmp_path, capsys, count):
+        cfg = write_config(tmp_path, {"params": REF_PARAMS, "mechanisms": count})
+        code, stdout, err = run(capsys, "antiplane", "--config", cfg)
+        assert code == 2
+        assert stdout == ""
+        assert "mechanisms" in error_line(err)
 
 
 class TestScan:

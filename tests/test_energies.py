@@ -72,9 +72,10 @@ class TestExcess:
         # crossing from the bottom of one well to the other costs nothing extra
         assert antiplane.excess([[1.0, 0.0]], [[1.0, 0.0]]) == pytest.approx(0.0)
 
-    def test_module_function(self, antiplane):
-        val = gj.weierstrass_excess(antiplane, [[0.5, 0.0]], [[0.1, 0.0]])
-        assert val == pytest.approx(antiplane.excess([[0.5, 0.0]], [[0.1, 0.0]]))
+    def test_single_branch_increment(self, antiplane):
+        # F and F + H both lie on the mu = 2 branch: the excess is mu/2 |H|^2
+        val = antiplane.excess([[0.5, 0.0]], [[0.1, 0.0]])
+        assert val == pytest.approx(0.5 * 2.0 * 0.1**2)
 
 
 class TestIsotropic:
@@ -132,6 +133,21 @@ class TestValueMany:
             np.testing.assert_allclose(
                 model.value_many(fs), [model.value(f) for f in fs], atol=1e-13
             )
+
+    @pytest.mark.parametrize(
+        "branches",
+        [[(2.0, 0.0)], [(2.0, 0.0), (1.0, 1.0)], [(3.0, -0.5), (2.0, 0.0), (1.0, 1.0)]],
+    )
+    def test_branch_fold_matches_min_formula(self, rng, branches):
+        model = gj.MinQuadraticsEnergy(1, 2, branches)
+        fs = rng.normal(size=(2000, 1, 2)) * 2.0
+        # |F|^2 = 2 ties the branches (2, 0) and (1, 1) exactly: both give 2
+        fs[:100] = [[1.0, 1.0]]
+        fs[100:200] = [[-1.0, 1.0]]
+        s = np.sum(fs * fs, axis=(-2, -1))
+        ref = np.min(0.5 * np.multiply.outer(s, model._mus) + model._ws, axis=-1)
+        assert np.array_equal(model.value_many(fs), ref)
+        assert model.value_many(fs[0]) == ref[0]
 
 
 class TestBoundedBelow:
