@@ -51,10 +51,8 @@ from .interchange import (
     InterchangeField,
     InterchangeParams,
     QuadratureConfig,
-    classify_region,
     d_path,
     d_path_isotropic,
-    field,
 )
 from .jumps import (
     InterfacePair,

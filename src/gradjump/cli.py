@@ -154,7 +154,7 @@ def cmd_envelope(cfg: RunConfig):
     model = cfg.model()
     pair = cfg.pair()
     grid_size = cfg.grid_size()
-    tol = float(cfg.data.get("tol", 1e-10))
+    tol = cfg.envelope_tol()
     ts = np.linspace(0.0, 1.0, grid_size)
     curve = rank_one_restriction(model, pair, ts)
     report = check_affine_formula(model, pair, tol, grid_size)
@@ -227,7 +227,7 @@ def cmd_antiplane(cfg: RunConfig):
 
 def cmd_scan(cfg: RunConfig):
     model = cfg.model()
-    points = cfg.scan_points()
+    points = cfg.scan_points((model.m, model.d))
     resolution, radii = cfg.scan_command_settings()
     results = []
     any_unstable = False

@@ -8,6 +8,7 @@ Matrices are row-major arrays of arrays, vectors are flat arrays.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -42,6 +43,29 @@ def _check_keys(cfg: dict, allowed: set, ctx: str):
     unknown = set(cfg) - allowed
     if unknown:
         raise ConfigError(f"unknown keys in {ctx}: {sorted(unknown)}")
+
+
+def _count(raw: dict, key: str, default, minimum: int) -> int:
+    """A JSON integer >= minimum (not a bool, a float or a numeric string)."""
+    value = raw.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+        raise ConfigError(f"{key} must be an integer >= {minimum}")
+    return value
+
+
+def _number(raw: dict, key: str, default, minimum: float, strict: bool) -> float:
+    """A finite JSON number >= minimum, or > minimum when ``strict``."""
+    value = raw.get(key, default)
+    ok = not isinstance(value, bool) and isinstance(value, (int, float))
+    if ok:
+        try:
+            value = float(value)
+        except OverflowError:  # an integer literal beyond the float range
+            value = math.inf
+        ok = math.isfinite(value) and (value > minimum if strict else value >= minimum)
+    if not ok:
+        raise ConfigError(f"{key} must be a finite number {'>' if strict else '>='} {minimum:g}")
+    return value
 
 
 def load_json(path) -> dict:
@@ -135,32 +159,41 @@ class RunConfig:
     def tolerances(self) -> tuple[float, float]:
         raw = self.data.get("tolerances", {})
         _check_keys(raw, {"tol_abs", "tol_rel"}, "tolerances")
-        return float(raw.get("tol_abs", 1e-9)), float(raw.get("tol_rel", 1e-9))
+        return (
+            _number(raw, "tol_abs", 1e-9, 0.0, strict=False),
+            _number(raw, "tol_rel", 1e-9, 0.0, strict=False),
+        )
+
+    def envelope_tol(self) -> float:
+        """Tolerance of the envelope's affine-formula check."""
+        return _number(self.data, "tol", 1e-10, 0.0, strict=True)
 
     def scan_settings(self) -> tuple:
         raw = self.data.get("scan", {})
         _check_keys(raw, {"resolution", "radii"}, "scan settings")
-        return int(raw.get("resolution", 32)), self._radii(raw.get("radii"))
+        return _count(raw, "resolution", 32, 2), self._radii(raw.get("radii"))
 
     def scan_command_settings(self) -> tuple:
-        return int(self.data.get("resolution", 32)), self._radii(self.data.get("radii"))
+        return _count(self.data, "resolution", 32, 2), self._radii(self.data.get("radii"))
 
     def _radii(self, raw):
         if raw is None:
             return None
         if isinstance(raw, dict):
             _check_keys(raw, {"lo", "hi", "num"}, "radii")
-            lo = float(_require(raw, "lo", "radii"))
-            hi = float(_require(raw, "hi", "radii"))
-            num = int(_require(raw, "num", "radii"))
-            if num < 1 or lo <= 0 or hi < lo:
-                raise ConfigError("radii must satisfy 0 < lo <= hi, num >= 1")
-            return np.geomspace(lo, hi, num)
-        radii = np.asarray(raw, dtype=float).reshape(-1)
+            for key in ("lo", "hi", "num"):
+                _require(raw, key, "radii")
+            lo = _number(raw, "lo", None, 0.0, strict=True)
+            hi = _number(raw, "hi", None, lo, strict=False)
+            return np.geomspace(lo, hi, _count(raw, "num", None, 1))
+        try:
+            radii = np.asarray(raw, dtype=float).reshape(-1)
+        except (TypeError, ValueError):
+            raise ConfigError("radii must be a list of numbers") from None
         if radii.size == 0:
             raise ConfigError("radii grid is empty")
-        if np.any(radii <= 0.0):
-            raise ConfigError("radii must be positive")
+        if not np.all(np.isfinite(radii)) or np.any(radii <= 0.0):
+            raise ConfigError("radii must be finite and positive")
         return radii
 
     def h_grid(self) -> np.ndarray:
@@ -207,19 +240,13 @@ class RunConfig:
             raise ConfigError("t_grid entries must lie in [0, 1]")
         return grid
 
-    def _count(self, key: str, default: int, minimum: int) -> int:
-        raw = self.data.get(key, default)
-        if isinstance(raw, bool) or not isinstance(raw, int) or raw < minimum:
-            raise ConfigError(f"{key} must be an integer >= {minimum}")
-        return raw
-
     def grid_size(self) -> int:
         """Points of the envelope's t grid; the hull needs at least three."""
-        return self._count("grid_size", 201, 3)
+        return _count(self.data, "grid_size", 201, 3)
 
     def mechanisms(self) -> int:
         """Number of plastic mechanisms the antiplane command samples."""
-        return self._count("mechanisms", 16, 1)
+        return _count(self.data, "mechanisms", 16, 1)
 
     def isotropic(self):
         raw = self.data.get("isotropic")
@@ -271,8 +298,22 @@ class RunConfig:
             raise ConfigError("path is empty")
         return path
 
-    def scan_points(self) -> list:
+    def scan_points(self, shape: tuple) -> list:
+        """The scan's points, each a finite matrix of the model's shape (m, d)."""
         raw = _require(self.data, "points", "scan config")
         if not isinstance(raw, list) or not raw:
             raise ConfigError("points must be a nonempty list of matrices")
-        return [np.atleast_2d(np.asarray(p, dtype=float)) for p in raw]
+        points = []
+        for i, p in enumerate(raw):
+            try:
+                point = np.atleast_2d(np.asarray(p, dtype=float))
+            except (TypeError, ValueError):
+                raise ConfigError(f"point {i} is not a matrix of numbers") from None
+            if point.shape != shape:
+                raise ConfigError(
+                    f"point {i} has shape {point.shape}, the model needs {shape}"
+                )
+            if not np.all(np.isfinite(point)):
+                raise ConfigError(f"point {i} has non-finite entries")
+            points.append(point)
+        return points

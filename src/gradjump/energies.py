@@ -4,16 +4,30 @@ The built-in kinds are a single isotropic quadratic, a minimum of isotropic
 quadratic branches (multi-well), an isotropic model f(tr F) + mu |dev sym F|^2,
 and a tabulated energy for exploratory use.  Analytic gradients are provided
 where available; a central-difference fallback covers the rest.
+
+The estimator and the Weierstrass scan only ever evaluate W along rank-one
+lines F + s a (x) G.  ``EnergyModel.rank_one_excess`` serves both: its
+base-class body forms the (N, m, d) stacks and calls ``value_many`` (the
+only path for the tabulated kind and for user subclasses, and the test
+reference).  The quadratic, min-of-quadratics and isotropic kinds override
+it with closed forms in p = a.G, (F^T a).G and |G|^2, since
+
+    |F + s a (x) G|^2 = |F|^2 + 2 s (F^T a).G + s^2 |a|^2 |G|^2,
+    tr(a (x) G) = a.G,
+    |dev sym(a (x) G)|^2 = |a|^2 |G|^2 / 2 + (a.G)^2 (1/2 - 1/d).
+
+Each closed form is exactly 0 where G = 0, as the stack form is.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigError, DimensionError, EmptyBinodalError, NonsmoothPointError
-from .tensors import as_matrix, frobenius
+from .tensors import as_matrix, frobenius, row_sq_norms
 
 #: default central-difference step
 FD_STEP = 1e-5
@@ -31,6 +45,30 @@ def fd_gradient(value_fn, f: np.ndarray, step: float = FD_STEP) -> np.ndarray:
         bump[idx] = step
         grad[idx] = (value_fn(f + bump) - value_fn(f - bump)) / (2.0 * step)
     return grad
+
+
+def _per_row(table: np.ndarray, index):
+    """Entries of a per-base table for each row: table[index], or the only
+    entry when index is None (a single base)."""
+    return table[0] if index is None else table.take(index, axis=0)
+
+
+def _dot_rows(g: np.ndarray, vecs: np.ndarray, index) -> np.ndarray:
+    """Row dot products g_i . vecs[index_i] for a (K, d) table of vectors.
+
+    Column by column, so each row's value does not depend on the rows
+    evaluated with it.
+    """
+    out = g[:, 0] * _per_row(vecs[:, 0], index)
+    for k in range(1, g.shape[1]):
+        out += g[:, k] * _per_row(vecs[:, k], index)
+    return out
+
+
+def _stacks(bases, stresses):
+    """The (K, m, d) float stacks of a rank-one kernel's bases and stresses."""
+    bases = np.asarray(bases, dtype=float)
+    return bases, np.asarray(stresses, dtype=float).reshape(bases.shape)
 
 
 class EnergyModel:
@@ -78,6 +116,32 @@ class EnergyModel:
         h = self._check(h)
         return self.value(f + h) - self.value(f) - frobenius(self.gradient(f), h)
 
+    def rank_one_excess(self, bases, stresses):
+        """Kernel for the excess of W along rank-one lines from a few bases.
+
+        ``bases`` is a (K, m, d) stack of gradients F_k and ``stresses`` the
+        (K, m, d) stresses P_k used in the linear term (normally
+        ``gradient(F_k)``).  Returns ``excess(a, g, s, index=None)``, which
+        for N world vectors g_i (an (N, d) array) gives
+
+            W(F_k + s a (x) g_i) - W(F_k) - s (P_k, a (x) g_i),  k = index[i],
+
+        with every row on base 0 when index is None.  This body forms the
+        (N, m, d) stacks and calls ``value_many``; kinds with a closed form
+        override it.
+        """
+        bases, stresses = _stacks(bases, stresses)
+        wbars = np.array([self.value(f) for f in bases])
+
+        def excess(a, g, s, index=None):
+            a = np.asarray(a, dtype=float)
+            step = (s * a)[None, :, None] * g[:, None, :]
+            vals = self.value_many(_per_row(bases, index) + step)
+            lin = s * _dot_rows(g, np.einsum("kmd,m->kd", stresses, a), index)
+            return vals - _per_row(wbars, index) - lin
+
+        return excess
+
     def _check(self, f) -> np.ndarray:
         return as_matrix(f, self.m, self.d)
 
@@ -103,6 +167,21 @@ class QuadraticEnergy(EnergyModel):
 
     def analytic_gradient(self, f) -> np.ndarray:
         return self.mu * self._check(f)
+
+    def rank_one_excess(self, bases, stresses):
+        """Closed form mu s^2 |a|^2 |g|^2 / 2, plus s ((mu F - P)^T a).g when
+        the given stress P is not the exact one (a finite-difference mode)."""
+        bases, stresses = _stacks(bases, stresses)
+        drift = self.mu * bases - stresses
+
+        def excess(a, g, s, index=None):
+            a = np.asarray(a, dtype=float)
+            out = (0.5 * self.mu * s * s * float(a @ a)) * row_sq_norms(g)
+            if np.any(drift):
+                out += s * _dot_rows(g, np.einsum("kmd,m->kd", drift, a), index)
+            return out
+
+        return excess
 
 
 class MinQuadraticsEnergy(EnergyModel):
@@ -146,6 +225,34 @@ class MinQuadraticsEnergy(EnergyModel):
         for mu, w in zip(self._mus[1:], self._ws[1:]):
             vals = np.minimum(vals, 0.5 * (s * mu) + w)
         return vals
+
+    def rank_one_excess(self, bases, stresses):
+        """Closed form over the branches b, with e_b = W_b(F) - W(F) >= 0:
+
+            min_b ( e_b + s ((mu_b F - P)^T a).g + mu_b s^2 |a|^2 |g|^2 / 2 ).
+
+        On a base's active branch e_b = 0 and, for the analytic stress
+        P = mu_b F, the linear term vanishes bit for bit, so g = 0 gives
+        exactly 0 and no cancellation is left in the increment.
+        """
+        bases, stresses = _stacks(bases, stresses)
+        bvals = np.stack([self.branch_values(f) for f in bases])  # (K, branches)
+        offsets = bvals - bvals.min(axis=1, keepdims=True)
+        drifts = self._mus[None, :, None, None] * bases[:, None] - stresses[:, None]
+
+        def excess(a, g, s, index=None):
+            a = np.asarray(a, dtype=float)
+            lin = np.einsum("kbmd,m->kbd", drifts, a)
+            quad = (0.5 * s * s * float(a @ a)) * row_sq_norms(g)
+            out = None
+            for b, mu in enumerate(self._mus):
+                val = _per_row(offsets[:, b], index) + mu * quad
+                if np.any(lin[:, b]):
+                    val += s * _dot_rows(g, lin[:, b], index)
+                out = val if out is None else np.minimum(out, val)
+            return out
+
+        return excess
 
     def analytic_gradient(self, f) -> np.ndarray:
         f = self._check(f)
@@ -233,6 +340,16 @@ class IsotropicParams:
         dcoef = np.polynomial.polynomial.polyder(self.f_coeffs)
         return np.polynomial.polynomial.polyval(theta, dcoef)
 
+    def taylor(self, theta: float) -> np.ndarray:
+        """Coefficients c_j = f^(j)(theta) / j! of f(theta + x) = sum_j c_j x^j."""
+        poly = np.polynomial.polynomial
+        return np.array(
+            [
+                float(poly.polyval(theta, poly.polyder(self.f_coeffs, j))) / math.factorial(j)
+                for j in range(len(self.f_coeffs))
+            ]
+        )
+
 
 class IsotropicThetaEnergy(EnergyModel):
     """W(F) = f(tr F) + mu |sym F - (tr F / d) I|^2 on square gradients.
@@ -269,6 +386,40 @@ class IsotropicThetaEnergy(EnergyModel):
         f = self._check(f)
         theta, dev = self._theta_dev(f)
         return float(self.params.f_prime(theta)) * np.eye(self.d) + 2.0 * self.params.mu * dev
+
+    def rank_one_excess(self, bases, stresses):
+        """Closed form in p = a.g and |g|^2, with x = s p:
+
+            f(theta + x) - f(theta) - f'(theta) x
+              + mu s^2 (|a|^2 |g|^2 / 2 + p^2 (1/2 - 1/d)),
+
+        the first line summed as x^2 (c_2 + x (c_3 + ...)) from the Taylor
+        coefficients c_j of f at each base's theta, which is exact for a
+        polynomial and free of the cancellation of the difference.  A given
+        stress P other than the exact one adds s ((P_exact - P)^T a).g.
+        """
+        bases, stresses = _stacks(bases, stresses)
+        mu, d = self.params.mu, self.d
+        # Taylor coefficients of f from the quadratic term up, one row per base
+        tails = np.stack([self.params.taylor(np.trace(f))[2:] for f in bases])
+        drift = np.stack([self.analytic_gradient(f) for f in bases]) - stresses
+
+        def excess(a, g, s, index=None):
+            a = np.asarray(a, dtype=float)
+            p = _dot_rows(g, a[None, :], None)
+            x = s * p
+            out = (0.5 * mu * s * s * float(a @ a)) * row_sq_norms(g)
+            out += (mu * s * s * (0.5 - 1.0 / d)) * (p * p)
+            if tails.shape[1]:
+                poly = _per_row(tails[:, -1], index)
+                for j in range(tails.shape[1] - 2, -1, -1):
+                    poly = poly * x + _per_row(tails[:, j], index)
+                out += (x * x) * poly
+            if np.any(drift):
+                out += s * _dot_rows(g, np.einsum("kmd,m->kd", drift, a), index)
+            return out
+
+        return excess
 
 
 class TabulatedEnergy(EnergyModel):

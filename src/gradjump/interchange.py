@@ -9,8 +9,11 @@ and |z| (nu a unit tangent), mirrored through the origin:
 
 with phi = 1 below the slab, 1 - s across it, 0 above; rho and zeta_h are
 linear ramps (only their endpoint values matter for the h -> 0 limits, the
-linear choice keeps gradients piecewise constant).  Everything here is exact
-pointwise kinematics; the Monte Carlo integration lives in ``quadrature``.
+linear choice keeps gradients piecewise constant).  Since rho vanishes for
+negative arguments, at most one term of the mirror pair is nonzero, so the
+gradient is one evaluation of the + term at the sign-folded point
+sign(z.nu) (z.n, z.nu).  Everything here is exact pointwise kinematics; the
+Monte Carlo integration lives in ``quadrature``.
 """
 
 from __future__ import annotations
@@ -108,26 +111,26 @@ def _plus_parts(s_n, s_nu, r, h):
     return val, g_n, g_nu, c_r
 
 
-def _mirrored_gradient(coords: np.ndarray, r: np.ndarray, h: float):
-    """Scalar profile and frame gradient of the mirrored field at radii r = |coords|.
+def _mirrored_gradient(coords: np.ndarray, r: np.ndarray, h: float) -> np.ndarray:
+    """Frame gradient of the mirrored field at radii r = |coords|, by a sign fold.
 
-    Both terms of the mirror pair come from _plus_parts.  The gradient is
-    odd and the profile even under z -> -z, bitwise: negating the frame
-    coordinates swaps the two terms, so the result at -coords is
-    (scalar, -g) without a second evaluation.
+    rho(s_nu) and rho(-s_nu) have disjoint supports, so of the two terms of
+    the mirror pair only the one with sigma s_nu > 0, sigma = sign(s_nu),
+    can be nonzero, and the gradient is sigma times the + term's tangential
+    pieces (its radial piece is even) at the folded point sigma (s_n, s_nu).
+    So _plus_parts runs once, and the result equals the two-term sum.  The
+    gradient is odd under z -> -z, bitwise: the fold maps z and -z to the
+    same point and only sigma changes sign.
     """
     s_n = coords[:, 0]
     s_nu = coords[:, 1]
-    val_p, gn_p, gnu_p, cr_p = _plus_parts(s_n, s_nu, r, h)
-    val_m, gn_m, gnu_m, cr_m = _plus_parts(-s_n, -s_nu, r, h)
-
-    scalar = val_p + val_m
-    g = np.zeros_like(coords)
-    g[:, 0] = gn_p - gn_m
-    g[:, 1] = gnu_p - gnu_m
-    radial = np.divide(cr_p + cr_m, r, out=np.zeros_like(r), where=r > 0.0)
-    g += radial[:, None] * coords
-    return scalar, g
+    sigma = np.sign(s_nu)
+    _, g_n, g_nu, c_r = _plus_parts(sigma * s_n, sigma * s_nu, r, h)
+    radial = np.divide(c_r, r, out=np.zeros_like(r), where=r > 0.0)
+    g = radial[:, None] * coords
+    g[:, 0] += sigma * g_n
+    g[:, 1] += sigma * g_nu
+    return g
 
 
 def _region_codes(s_n: np.ndarray, s_nu: np.ndarray, r: np.ndarray, h: float) -> np.ndarray:
@@ -204,7 +207,11 @@ class InterchangeField:
         is returned in frame components (shape (N, d)).
         """
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
-        return _mirrored_gradient(coords, np.linalg.norm(coords, axis=1), self.h)
+        r = np.linalg.norm(coords, axis=1)
+        s_n, s_nu = coords[:, 0], coords[:, 1]
+        # the profile is the + term plus its mirror image
+        scalar = _plus_parts(s_n, s_nu, r, self.h)[0] + _plus_parts(-s_n, -s_nu, r, self.h)[0]
+        return scalar, _mirrored_gradient(coords, r, self.h)
 
     def value_gradient(self, z):
         """Field value (R^m) and gradient (m x d matrix) at a world point."""
@@ -217,16 +224,6 @@ class InterchangeField:
 
     def classify(self, z) -> str:
         return REGION_NAMES[int(classify_codes(self.to_frame(z), self.h)[0])]
-
-
-def field(pair: InterfacePair, params: InterchangeParams, z):
-    """Field value and gradient at a point of the unit ball (world frame)."""
-    return InterchangeField(pair, params).value_gradient(z)
-
-
-def classify_region(pair: InterfacePair, params: InterchangeParams, z) -> str:
-    """Region label of a point: R_plus | R_minus | Q | Q_prime | support_complement."""
-    return InterchangeField(pair, params).classify(z)
 
 
 # -- interpolation landscape -------------------------------------------------

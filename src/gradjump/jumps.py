@@ -4,7 +4,10 @@ Given an energy W and a pair (F+, F-) with F+ - F- = a (x) n, this module
 computes the Maxwell driving force p* = [W] - ({P}, [F]), the interchange
 driving force N = ([P], [F]), the traction and roughening residuals [P] n
 and [P]^T a, a grid scan of the excess over rank-one increments, and the
-bundled pass/fail diagnostics.
+bundled pass/fail diagnostics.  The scan evaluates the excess through the
+model's rank-one kernel ``EnergyModel.rank_one_excess`` (a closed form for
+the quadratic, min-of-quadratics and isotropic kinds, the (N, m, d) stack
+form otherwise), one batch of directions and radii per direction u.
 """
 
 from __future__ import annotations
@@ -194,20 +197,16 @@ def weierstrass_scan(
         raise ValueError("radii must be positive")
     us = sphere_grid(model.m, resolution)
     vs = sphere_grid(model.d, resolution)
-    w0 = model.value(f)
-    p0 = model.gradient(f)
+    excess = model.rank_one_excess(f[None], model.gradient(f)[None])
+    # row j * len(radii) + k holds radii[k] * vs[j]; one batch per u
+    world = (radii[None, :, None] * vs[:, None, :]).reshape(-1, model.d)
 
     best = (np.inf, 0, 0, 0)
     for iu, u in enumerate(us):
-        # H[j, k] = radii[k] * u (x) vs[j], evaluated in one batch
-        uv = u[:, None] * vs[:, None, :]  # (Nv, m, d)
-        h = radii[None, :, None, None] * uv[:, None, :, :]
-        vals = model.value_many(f[None, None] + h) - w0 - np.einsum(
-            "md,jkmd->jk", p0, h
-        )
-        j, k = np.unravel_index(int(np.argmin(vals)), vals.shape)
-        if vals[j, k] < best[0]:
-            best = (float(vals[j, k]), iu, int(j), int(k))
+        vals = excess(u, world, 1.0)
+        i = int(np.argmin(vals))
+        if vals[i] < best[0]:
+            best = (float(vals[i]), iu, i // radii.size, i % radii.size)
     val, iu, j, k = best
     return ScanResult(val, us[iu], vs[j], float(radii[k]))
 

@@ -18,9 +18,15 @@ computed once per pair; only the energy is evaluated on both sides, with
 the world-space step negated for the mirror point.  The energy pass
 evaluates the pdf and the energy only on the rows where the field moves
 (g != 0).  That is exact because the excess integrand vanishes where
-g = 0: its step t a (x) g and its linear term are then both zero.  Region
-codes are computed only by ``estimate_region_measures``, which draws the
-same points from the same streams.
+g = 0: its step t a (x) g and its linear term are then both zero.  The
+gradient comes from one evaluation of the + term at sign-folded
+coordinates (``interchange._mirrored_gradient``), and the excess from the
+model's rank-one kernel ``EnergyModel.rank_one_excess``, a closed form in
+a.G, (F^T a).G and |G|^2 for the quadratic, min-of-quadratics and
+isotropic kinds and the (N, m, d) stack form for the rest; each is exactly
+0 where g = 0.  Region codes are computed only by
+``estimate_region_measures``, which draws the same points from the same
+streams.
 
 Each stratum draws N_SCRAMBLES batches, either scrambled Sobol points
 (default; the independent scrambles give an unbiased estimate with an
@@ -49,7 +55,7 @@ from .interchange import (
     _region_codes,
 )
 from .jumps import InterfacePair, interchange_force
-from .tensors import frobenius, unit_ball_volume
+from .tensors import frobenius, row_sq_norms, unit_ball_volume
 
 REGION_KEYS = ("R_plus", "R_minus", "Q", "Q_prime")
 
@@ -178,15 +184,8 @@ class VariationResult:
 
 
 def _radius(coords: np.ndarray) -> np.ndarray:
-    """Row norms |z|, bitwise equal to np.linalg.norm(coords, axis=1) for d = 2, 3.
-
-    Summing the squared columns in order is what the norm's reduction does
-    for so few columns, without its strided inner loop.
-    """
-    sq = coords[:, 0] * coords[:, 0]
-    for k in range(1, coords.shape[1]):
-        sq += coords[:, k] * coords[:, k]
-    return np.sqrt(sq)
+    """Row norms |z|, bitwise equal to np.linalg.norm(coords, axis=1) for d = 2, 3."""
+    return np.sqrt(row_sq_norms(coords))
 
 
 def _row_sum(vals: np.ndarray) -> np.ndarray:
@@ -280,7 +279,7 @@ def _mixture_pass(fld: InterchangeField, quad: QuadratureConfig, integrand):
 
     def pair_estimates(coords: np.ndarray, pdf) -> np.ndarray:
         r = _radius(coords)
-        _, g = _mirrored_gradient(coords, r, h)
+        g = _mirrored_gradient(coords, r, h)
         moved = g[:, 0] != 0.0
         for k in range(1, d):
             moved |= g[:, k] != 0.0
@@ -330,27 +329,22 @@ def _excess_integrand(model, pair, fld, t, p_plus, p_minus):
     """Pointwise excess W(Fbar + t grad Phi) - W(Fbar) - t (P(Fbar), grad Phi)
     at z and -z from the frame gradient g at z.
 
-    Returns ``excess(coords, g) -> (f(z), f(-z))``.  The mirror point sits on
-    the other side of the interface (s_n < 0 means -z is on the + side) and
-    its gradient is -g, so the world step is negated, not recomputed.
+    Returns ``excess(coords, g) -> (f(z), f(-z))``.  grad Phi = a (x) G with
+    the world vector G = frame^T g, so both values come from the model's
+    rank-one kernel on the bases (F-, F+).  The mirror point sits on the
+    other side of the interface (s_n < 0 means -z is on the + side) and its
+    gradient is -g, so its step is negated, not recomputed.
     """
-    a = pair.a
     # index 1 selects the + side, 0 the - side
-    bases = np.stack([pair.fm, pair.fp])
-    wbars = np.array([model.value(pair.fm), model.value(pair.fp)])
-    # frame components of P^T a for the (P(Fbar), grad Phi) pairing
-    cvecs = np.stack([fld.frame @ (p_minus.T @ a), fld.frame @ (p_plus.T @ a)])
+    kernel = model.rank_one_excess(np.stack([pair.fm, pair.fp]), np.stack([p_minus, p_plus]))
 
     def excess(coords: np.ndarray, g: np.ndarray):
         s_n = coords[:, 0]
-        step = t * a[None, :, None] * (g @ fld.frame)[:, None, :]
-        out = []
-        for sign, plus_side in ((1.0, s_n > 0.0), (-1.0, s_n < 0.0)):
-            side = plus_side.astype(np.intp)
-            vals = model.value_many(bases.take(side, axis=0) + sign * step)
-            lin = (sign * t) * np.einsum("nd,nd->n", cvecs.take(side, axis=0), g)
-            out.append(vals - wbars.take(side) - lin)
-        return out
+        world = g @ fld.frame
+        return [
+            kernel(pair.a, world, sign * t, plus_side.astype(np.intp))
+            for sign, plus_side in ((1.0, s_n > 0.0), (-1.0, s_n < 0.0))
+        ]
 
     return excess
 

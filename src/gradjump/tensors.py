@@ -57,6 +57,19 @@ def outer(u, v) -> np.ndarray:
     return np.outer(as_vector(u), as_vector(v))
 
 
+def row_sq_norms(x: np.ndarray) -> np.ndarray:
+    """Squared row norms |x_i|^2 of an (N, k) array, summed column by column.
+
+    For so few columns this is what np.linalg.norm's reduction adds, in the
+    same order, without its strided inner loop; each row's value does not
+    depend on the rows evaluated with it.
+    """
+    out = x[:, 0] * x[:, 0]
+    for k in range(1, x.shape[1]):
+        out += x[:, k] * x[:, k]
+    return out
+
+
 def _fix_sign(a: np.ndarray, n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Flip (a, n) jointly so the first nonzero component of n is positive."""
     for comp in n:

@@ -338,6 +338,68 @@ class TestScan:
         assert code == 2
 
 
+class TestNumericFrontDoor:
+    """Malformed numbers give exit 2 and one JSON error line naming the key."""
+
+    @staticmethod
+    def rejected(tmp_path, capsys, command, payload, key):
+        cfg = write_config(tmp_path, payload)
+        code, stdout, err = run(capsys, command, "--config", cfg)
+        assert code == 2
+        assert stdout == ""
+        assert key in error_line(err)
+
+    @pytest.mark.parametrize("tol", ["abc", 0, -1e-10, float("nan"), float("inf"), True, None])
+    def test_envelope_tol(self, tmp_path, capsys, tol):
+        payload = {"model": MODEL, "pair": EQ_PAIR, "tol": tol}
+        self.rejected(tmp_path, capsys, "envelope", payload, "tol")
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("tol_abs", "x"), ("tol_abs", -1.0), ("tol_abs", float("nan")),
+         ("tol_rel", "1e-9"), ("tol_rel", float("inf")), ("tol_rel", False)],
+    )
+    def test_check_tolerances(self, tmp_path, capsys, key, value):
+        payload = {"model": MODEL, "pair": EQ_PAIR, "tolerances": {key: value}}
+        self.rejected(tmp_path, capsys, "check", payload, key)
+
+    @pytest.mark.parametrize("resolution", [0, -3, 1, True, "abc", 2.5, None])
+    def test_check_scan_resolution(self, tmp_path, capsys, resolution):
+        payload = {"model": MODEL, "pair": EQ_PAIR, "scan": {"resolution": resolution}}
+        self.rejected(tmp_path, capsys, "check", payload, "resolution")
+
+    @pytest.mark.parametrize("resolution", [0, -3, 1, True, "abc", 2.5])
+    def test_scan_resolution(self, tmp_path, capsys, resolution):
+        payload = {"model": MODEL, "points": [[[0.5, 0.0]]], "resolution": resolution}
+        self.rejected(tmp_path, capsys, "scan", payload, "resolution")
+
+    @pytest.mark.parametrize(
+        "radii, key",
+        [
+            ({"lo": "abc", "hi": 1.0, "num": 5}, "lo"),
+            ({"lo": float("nan"), "hi": 1.0, "num": 5}, "lo"),
+            ({"lo": 0.1, "hi": float("inf"), "num": 5}, "hi"),
+            ({"lo": 0.1, "hi": 1.0, "num": 2.5}, "num"),
+            ({"lo": 0.1, "hi": 1.0, "num": True}, "num"),
+            (["a", 1.0], "radii"),
+            ([0.5, float("nan")], "radii"),
+        ],
+    )
+    def test_radii(self, tmp_path, capsys, radii, key):
+        payload = {"model": MODEL, "points": [[[0.5, 0.0]]], "radii": radii}
+        self.rejected(tmp_path, capsys, "scan", payload, key)
+        check = {"model": MODEL, "pair": EQ_PAIR, "scan": {"radii": radii}}
+        self.rejected(tmp_path, capsys, "check", check, key)
+
+    @pytest.mark.parametrize(
+        "point", [[[0.5, 0.0, 1.0]], [[0.5], [0.0]], [[0.5], [0.0, 1.0]], [["a", 0.0]],
+                  [[float("nan"), 0.0]]],
+    )
+    def test_scan_point_shape(self, tmp_path, capsys, point):
+        payload = {"model": MODEL, "points": [[[0.5, 0.0]], point]}
+        self.rejected(tmp_path, capsys, "scan", payload, "point 1")
+
+
 class TestRunConfig:
     def test_round_trip(self):
         cfg = RunConfig("check", {"model": MODEL, "pair": EQ_PAIR, "seed": 7})

@@ -150,6 +150,80 @@ class TestValueMany:
         assert model.value_many(fs[0]) == ref[0]
 
 
+#: kinds with a closed-form rank-one kernel, each checked against the stack form
+CLOSED_FORMS = {
+    "quadratic-1x2": lambda: gj.QuadraticEnergy(1, 2, mu=1.3),
+    "quadratic-2x3": lambda: gj.QuadraticEnergy(2, 3, mu=0.7),
+    "min_of_quadratics-1x2": lambda: gj.MinQuadraticsEnergy(1, 2, [(2.0, 0.0), (1.0, 1.0)]),
+    "min_of_quadratics-2x3": lambda: gj.MinQuadraticsEnergy(
+        2, 3, [(3.0, -0.5), (2.0, 0.0), (1.0, 1.0)]
+    ),
+    "isotropic-2": lambda: gj.IsotropicThetaEnergy(gj.IsotropicParams(2, 1.0, (1, 0, -2, 0, 1))),
+    "isotropic-3": lambda: gj.IsotropicThetaEnergy(
+        gj.IsotropicParams(3, 0.8, (0.5, -1.0, -2.0, 0.3, 1.0))
+    ),
+}
+
+
+class TestRankOneExcess:
+    """Closed-form kernels against the base-class (N, m, d) stack form.
+
+    The arithmetic differs, so they agree to a tolerance fixed from float64
+    eps; where the increment vanishes both are exactly zero.  Bases of
+    moderate size keep the stack form's own cancellation, about eps |W(F)|,
+    well inside that tolerance.
+    """
+
+    @staticmethod
+    def kernels(model, bases, stress_error=None):
+        stresses = np.stack([model.gradient(f) for f in bases])
+        if stress_error is not None:
+            stresses += stress_error  # as a finite-difference stress would be
+        stack = gj.EnergyModel.rank_one_excess(model, bases, stresses)
+        return model.rank_one_excess(bases, stresses), stack
+
+    @pytest.mark.parametrize("inexact_stress", [False, True])
+    @pytest.mark.parametrize("kind", CLOSED_FORMS)
+    def test_closed_form_matches_stack_form(self, rng, kind, inexact_stress):
+        model = CLOSED_FORMS[kind]()
+        assert type(model).rank_one_excess is not gj.EnergyModel.rank_one_excess
+        bases = 0.5 * rng.normal(size=(3, model.m, model.d))
+        error = 0.1 * rng.normal(size=bases.shape) if inexact_stress else None
+        kernel, stack = self.kernels(model, bases, error)
+        for _ in range(4):
+            a = rng.normal(size=model.m)
+            g = rng.normal(size=(500, model.d))
+            s = rng.uniform(-1.5, 1.5)
+            index = rng.integers(0, 3, size=500)
+            np.testing.assert_allclose(
+                kernel(a, g, s, index), stack(a, g, s, index), rtol=1e-12, atol=1e-12
+            )
+            np.testing.assert_allclose(kernel(a, g, s), stack(a, g, s), rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("kind", CLOSED_FORMS)
+    def test_exact_zero_where_g_vanishes(self, rng, kind):
+        model = CLOSED_FORMS[kind]()
+        bases = rng.normal(size=(2, model.m, model.d))
+        kernel, _ = self.kernels(model, bases)
+        g = np.zeros((60, model.d))
+        g[::2, 0] = -0.0
+        g[::3, -1] = -0.0
+        index = rng.integers(0, 2, size=60)
+        for s in (0.7, -1.3):
+            a = rng.normal(size=model.m)
+            assert np.all(kernel(a, g, s, index) == 0.0)
+            assert np.all(kernel(a, g, s) == 0.0)
+
+    def test_branch_switch_is_seen(self):
+        # from the stiff well at |F| = 1 a step to |F| = 3 ends on the soft well
+        model = gj.MinQuadraticsEnergy(1, 2, [(2.0, 0.0), (1.0, 1.0)])
+        base = np.array([[[1.0, 0.0]]])
+        kernel = model.rank_one_excess(base, [model.gradient(base[0])])
+        val = kernel([1.0], np.array([[2.0, 0.0]]), 1.0)
+        assert val[0] == pytest.approx(model.excess(base[0], [[2.0, 0.0]]), abs=1e-14)
+        assert val[0] == pytest.approx(5.5 - 1.0 - 4.0)
+
+
 class TestBoundedBelow:
     def test_values_finite_and_above_well_floor(self, antiplane, rng):
         fs = rng.normal(size=(500, 1, 2)) * 3.0

@@ -3,7 +3,12 @@ import pytest
 from scipy import integrate
 
 import gradjump as gj
-from gradjump.interchange import InterchangeField, _plus_parts, classify_codes
+from gradjump.interchange import (
+    InterchangeField,
+    _mirrored_gradient,
+    _plus_parts,
+    classify_codes,
+)
 
 from conftest import small_quad
 
@@ -67,24 +72,24 @@ class TestField:
         # all three cutoffs saturate for the + term; the mirror term vanishes
         pair = gj.InterfacePair.from_jump(np.zeros((1, 2)), [1.0], [0.0, 1.0])
         params = gj.InterchangeParams(h=0.04, nu=[1.0, 0.0])
-        value, _ = gj.field(pair, params, [0.5, -0.01])
+        value, _ = InterchangeField(pair, params).value_gradient([0.5, -0.01])
         np.testing.assert_allclose(value, 0.04 * pair.a, atol=1e-15)
 
     def test_compact_support(self, eq_pair, rng):
-        params = gj.InterchangeParams(h=0.09)
+        fld = InterchangeField(eq_pair, gj.InterchangeParams(h=0.09))
         for _ in range(50):
             z = rng.normal(size=2)
             z = z / np.linalg.norm(z) * rng.uniform(1.0, 2.0)
-            value, gradient = gj.field(eq_pair, params, z)
+            value, gradient = fld.value_gradient(z)
             assert np.all(value == 0.0)
             assert np.all(gradient == 0.0)
 
     def test_gradient_flip_on_slab_regions(self, eq_pair):
-        params = gj.InterchangeParams(h=0.01)
+        fld = InterchangeField(eq_pair, gj.InterchangeParams(h=0.01))
         # n = (1, 0), nu = (0, 1): R+ needs z.nu > sqrt(h), 0 < z.n < h
-        _, grad_plus = gj.field(eq_pair, params, [0.005, 0.5])
+        _, grad_plus = fld.value_gradient([0.005, 0.5])
         np.testing.assert_allclose(grad_plus, -eq_pair.jump, atol=1e-14)
-        _, grad_minus = gj.field(eq_pair, params, [-0.005, -0.5])
+        _, grad_minus = fld.value_gradient([-0.005, -0.5])
         np.testing.assert_allclose(grad_minus, eq_pair.jump, atol=1e-14)
 
     def test_value_bound(self, eq_pair, rng):
@@ -125,15 +130,15 @@ class TestField:
 
 class TestRegions:
     def test_named_examples(self, eq_pair):
-        params = gj.InterchangeParams(h=0.01)
+        fld = InterchangeField(eq_pair, gj.InterchangeParams(h=0.01))
         # frame: n = (1,0), nu = (0,1); points given in world coordinates
-        assert gj.classify_region(eq_pair, params, [0.005, 0.5]) == "R_plus"
-        assert gj.classify_region(eq_pair, params, [-0.005, -0.5]) == "R_minus"
+        assert fld.classify([0.005, 0.5]) == "R_plus"
+        assert fld.classify([-0.005, -0.5]) == "R_minus"
         # core strip with opposite signs, and the outer ring with opposite signs
-        assert gj.classify_region(eq_pair, params, [-0.5, 0.05]) == "Q"
-        assert gj.classify_region(eq_pair, params, [-0.65, 0.65]) == "Q"
-        assert gj.classify_region(eq_pair, params, [0.005, 0.05]) == "Q_prime"
-        assert gj.classify_region(eq_pair, params, [0.5, 0.5]) == "support_complement"
+        assert fld.classify([-0.5, 0.05]) == "Q"
+        assert fld.classify([-0.65, 0.65]) == "Q"
+        assert fld.classify([0.005, 0.05]) == "Q_prime"
+        assert fld.classify([0.5, 0.5]) == "support_complement"
 
     def test_regions_pairwise_disjoint(self, rng):
         h = 0.04
@@ -191,18 +196,32 @@ class TestRegions:
 
 def mirror_test_points(h, d, rng):
     """Random frame points plus points on the kink sets of the cutoffs:
-    s_n in {0, +-h}, s_nu = +-sqrt(h) and r = 1 - sqrt(h)."""
+    s_n in {0, +-h}, s_nu in {0, +-sqrt(h)}, r = 1 - sqrt(h) and r = 0."""
     sh = np.sqrt(h)
     random = rng.uniform(-1.0, 1.0, size=(20000, d))
     on_slab = rng.uniform(-1.0, 1.0, size=(300, d))
     on_slab[:, 0] = rng.choice([0.0, h, -h], size=300)
-    on_strip = rng.uniform(-1.0, 1.0, size=(200, d))
-    on_strip[:, 1] = rng.choice([sh, -sh], size=200)
-    corners = np.zeros((6, d))
-    corners[:, 0] = [0.0, h, -h, h, -h, 0.0]
-    corners[:, 1] = [sh, sh, -sh, -sh, sh, 0.0]
+    on_strip = rng.uniform(-1.0, 1.0, size=(300, d))
+    on_strip[:, 1] = rng.choice([sh, -sh, 0.0], size=300)
+    corners = np.zeros((7, d))
+    corners[:, 0] = [0.0, h, -h, h, -h, 0.0, h]
+    corners[:, 1] = [sh, sh, -sh, -sh, sh, 0.0, 0.0]
     on_sphere = np.vstack([np.eye(d), -np.eye(d)]) * (1.0 - sh)
-    return np.vstack([random, on_slab, on_strip, corners, on_sphere])
+    tilted = rng.normal(size=(200, d))
+    tilted *= (1.0 - sh) / np.linalg.norm(tilted, axis=1)[:, None]
+    return np.vstack([random, on_slab, on_strip, corners, on_sphere, tilted, np.zeros((1, d))])
+
+
+def two_term_gradient(coords, r, h):
+    """The mirrored gradient as the sum of the + term and its mirror image."""
+    s_n, s_nu = coords[:, 0], coords[:, 1]
+    _, gn_p, gnu_p, cr_p = _plus_parts(s_n, s_nu, r, h)
+    _, gn_m, gnu_m, cr_m = _plus_parts(-s_n, -s_nu, r, h)
+    g = np.zeros_like(coords)
+    g[:, 0] = gn_p - gn_m
+    g[:, 1] = gnu_p - gnu_m
+    radial = np.divide(cr_p + cr_m, r, out=np.zeros_like(r), where=r > 0.0)
+    return g + radial[:, None] * coords
 
 
 class TestMirrorIdentities:
@@ -216,6 +235,14 @@ class TestMirrorIdentities:
         scalar_m, g_m = fld.scalar_gradient(-coords)
         assert np.array_equal(scalar_m, scalar)
         assert np.array_equal(g_m, -g)
+
+    @pytest.mark.parametrize("h", [0.1, 0.05, 0.0125])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_folded_gradient_is_two_term_sum(self, rng, d, h):
+        # rho(s_nu) and rho(-s_nu) have disjoint supports: one term is always 0
+        coords = mirror_test_points(h, d, rng)
+        r = np.linalg.norm(coords, axis=1)
+        assert np.array_equal(_mirrored_gradient(coords, r, h), two_term_gradient(coords, r, h))
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_regions_swap_r_plus_and_r_minus(self, rng, d):

@@ -39,7 +39,8 @@ class TestInterfaceProfile:
 
 
 def reference_residual(model, pair, fld, t):
-    """Pointwise excess at one point set, gradient evaluated there."""
+    """Pointwise excess at one point set, gradient evaluated there, from the
+    (N, m, d) stacks and value_many."""
     a = pair.a
     w_plus, w_minus = model.value(pair.fp), model.value(pair.fm)
     c_plus = fld.frame @ (model.gradient(pair.fp).T @ a)
@@ -54,6 +55,16 @@ def reference_residual(model, pair, fld, t):
         wbar = np.where(plus_side, w_plus, w_minus)
         cvec = np.where(plus_side[:, None], c_plus, c_minus)
         return vals - wbar - t * np.einsum("nd,nd->n", cvec, g_frame)
+
+    return residual
+
+
+def pointwise_residual(fld, integrand):
+    """The estimator's integrand at one point set, gradient evaluated there."""
+
+    def residual(coords):
+        _, g = fld.scalar_gradient(coords)
+        return integrand(coords, g)[0]
 
     return residual
 
@@ -146,9 +157,12 @@ class TestFusedPass:
         coords[:1000, 0] = rng.choice([0.0, params.h, -params.h], size=1000)
         _, g = fld.scalar_gradient(coords)
         f_z, f_mirror = integrand(coords, g)
+        # the mirror value is the integrand at -z with gradient -g, bit for bit
+        assert np.array_equal(f_mirror, integrand(-coords, -g)[0])
+        # the closed-form kernel against the stack form, to a tolerance fixed from eps
         residual = reference_residual(model, pair, fld, params.t)
-        assert np.array_equal(f_z, residual(coords))
-        assert np.array_equal(f_mirror, residual(-coords))
+        np.testing.assert_allclose(f_z, residual(coords), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(f_mirror, residual(-coords), rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("sampler", ["rqmc", "mc"])
     @pytest.mark.parametrize("d", [2, 3])
@@ -160,7 +174,7 @@ class TestFusedPass:
         # the pass evaluates only the rows where g != 0, the reference every row
         mean, err, n = _mixture_pass(fld, params.quad, integrand)
         ref_mean, ref_err, ref_n = reference_mixture_pass(
-            fld, params.quad, reference_residual(model, pair, fld, t)
+            fld, params.quad, pointwise_residual(fld, integrand)
         )
         assert mean == ref_mean[0]
         assert err == ref_err[0]
@@ -278,6 +292,44 @@ class TestEnergyIncrement:
         inside = np.linalg.norm(grid, axis=1) < 1.0
         brute = float(np.sum((vals - wbar)[inside])) * (2.0 / n) ** 2
         assert res.delta_e == pytest.approx(brute, abs=5 * res.mc_error + 5e-4)
+
+    @pytest.mark.parametrize("kind", ["quadratic", "isotropic"])
+    def test_fd_stress_matches_stack_form(self, monkeypatch, kind):
+        # with finite-difference stresses the closed forms add s ((P_exact - P)^T a).g
+        if kind == "quadratic":
+            model = gj.QuadraticEnergy(1, 2, mu=1.0, fd_step=1e-2)
+            pair = gj.InterfacePair.from_jump([[0.4, -0.2]], [1.0], [1.0, 0.0])
+        else:
+            iso = gj.IsotropicParams(d=3, mu=1.0, f_coeffs=(1.0, 0.0, -2.0, 0.0, 1.0))
+            model = gj.IsotropicThetaEnergy(iso, fd_step=5e-2)
+            pair = gj.InterfacePair.from_jump(0.1 * np.eye(3), [0.5, 0.2, 0.1], [1.0, 0.0, 0.0])
+        params = gj.InterchangeParams(h=0.05, t=0.7, quad=small_quad(seed=13))
+        res = gj.energy_increment(model, pair, params)
+        monkeypatch.setattr(type(model), "rank_one_excess", gj.EnergyModel.rank_one_excess)
+        ref = gj.energy_increment(model, pair, params)
+        assert res.delta_e == pytest.approx(ref.delta_e, rel=1e-9, abs=1e-9)
+        assert res.mc_error == pytest.approx(ref.mc_error, rel=1e-9, abs=1e-9)
+        if kind == "isotropic":
+            # the quartic's third derivative makes the central differences
+            # inexact, so the correction moves the result well beyond 1e-9
+            monkeypatch.undo()
+            analytic = gj.energy_increment(gj.IsotropicThetaEnergy(iso), pair, params)
+            assert abs(analytic.delta_e - res.delta_e) > 1e-7
+
+    def test_tabulated_model_runs_on_stack_form(self):
+        # a tabulated mu/2 |F|^2 has no closed-form kernel: the stack form serves it
+        axis = np.linspace(-4.0, 4.0, 801)
+        table = gj.TabulatedEnergy(1, 2, [axis, axis], 0.5 * np.add.outer(axis**2, axis**2))
+        assert type(table).rank_one_excess is gj.EnergyModel.rank_one_excess
+        quadratic = gj.QuadraticEnergy(1, 2, mu=1.0)
+        pair = gj.InterfacePair.from_jump([[0.4, -0.2]], [1.0], [1.0, 0.0])
+        params = gj.InterchangeParams(h=0.05, quad=small_quad(seed=3))
+        res = gj.energy_increment(table, pair, params)
+        ref = gj.energy_increment(quadratic, pair, params)
+        # linear interpolation of the quadratic errs by at most step^2 / 8 per point
+        assert res.delta_e == pytest.approx(ref.delta_e, rel=1e-3)
+        scan = gj.weierstrass_scan(table, [[0.3, 0.1]], [0.5, 1.0, 2.0], resolution=8)
+        assert scan.min_value == pytest.approx(0.5 * 0.5**2, abs=1e-4)
 
     def test_zero_jump_gives_zero(self, antiplane):
         pair = gj.InterfacePair(
