@@ -13,9 +13,8 @@ from .energies import (
     IsotropicThetaEnergy,
     MinQuadraticsEnergy,
     QuadraticEnergy,
-    TabulatedEnergy,
-    model_from_config,
 )
+from .config import model_from_config
 from .envelopes import (
     AffineFormulaReport,
     AntiplaneAnalysis,

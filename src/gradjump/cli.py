@@ -87,7 +87,7 @@ def _render(fmt: str, summary, artifacts):
 
 def cmd_check(cfg: RunConfig):
     model = cfg.model()
-    pair = cfg.pair()
+    pair = cfg.pair(model)
     tol_abs, tol_rel = cfg.tolerances()
     resolution, radii = cfg.scan_settings()
     diag = diagnose(model, pair, tol_abs, tol_rel, radii, resolution)
@@ -98,8 +98,8 @@ def cmd_check(cfg: RunConfig):
 
 def cmd_sweep_h(cfg: RunConfig):
     model = cfg.model()
-    pair = cfg.pair()
-    params = cfg.interchange_params()
+    pair = cfg.pair(model)
+    params = cfg.interchange_params(pair)
     sweep = limit_sweep(model, pair, params, cfg.h_grid())
     target = interchange_limit_target(model, pair) * params.t
     summary = sweep.to_dict()
@@ -125,13 +125,12 @@ def cmd_sweep_h(cfg: RunConfig):
 def cmd_path_dt(cfg: RunConfig):
     ts = cfg.t_grid()
     iso = cfg.isotropic()
-    if iso is not None and ("model" in cfg.data or "pair" in cfg.data):
-        raise ConfigError("give either 'isotropic' or 'model'+'pair', not both")
     if iso is not None:
         params, theta_plus, theta_minus = iso
         values = d_path_isotropic(params, theta_plus, theta_minus, ts)
     else:
-        values = d_path(cfg.model(), cfg.pair(), ts)
+        model = cfg.model()
+        values = d_path(model, cfg.pair(model), ts)
     rows = list(zip(ts, values))
     summary = {
         "n_points": len(rows),
@@ -152,7 +151,7 @@ def cmd_path_dt(cfg: RunConfig):
 
 def cmd_envelope(cfg: RunConfig):
     model = cfg.model()
-    pair = cfg.pair()
+    pair = cfg.pair(model)
     grid_size = cfg.grid_size()
     tol = cfg.envelope_tol()
     ts = np.linspace(0.0, 1.0, grid_size)
@@ -228,7 +227,7 @@ def cmd_antiplane(cfg: RunConfig):
 def cmd_scan(cfg: RunConfig):
     model = cfg.model()
     points = cfg.scan_points((model.m, model.d))
-    resolution, radii = cfg.scan_command_settings()
+    resolution, radii = cfg.scan_settings()
     results = []
     any_unstable = False
     for point in points:

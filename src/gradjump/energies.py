@@ -1,16 +1,16 @@
 """Energy densities W(F) on m x d gradients with values and stress gradients.
 
 The built-in kinds are a single isotropic quadratic, a minimum of isotropic
-quadratic branches (multi-well), an isotropic model f(tr F) + mu |dev sym F|^2,
-and a tabulated energy for exploratory use.  Analytic gradients are provided
-where available; a central-difference fallback covers the rest.
+quadratic branches (multi-well) and an isotropic model
+f(tr F) + mu |dev sym F|^2.  Analytic gradients are provided where
+available; a central-difference fallback covers the rest.
 
 The estimator and the Weierstrass scan only ever evaluate W along rank-one
 lines F + s a (x) G.  ``EnergyModel.rank_one_excess`` serves both: its
 base-class body forms the (N, m, d) stacks and calls ``value_many`` (the
-only path for the tabulated kind and for user subclasses, and the test
-reference).  The quadratic, min-of-quadratics and isotropic kinds override
-it with closed forms in p = a.G, (F^T a).G and |G|^2, since
+path for user subclasses, and the test reference).  The quadratic,
+min-of-quadratics and isotropic kinds override it with closed forms in
+p = a.G, (F^T a).G and |G|^2, since
 
     |F + s a (x) G|^2 = |F|^2 + 2 s (F^T a).G + s^2 |a|^2 |G|^2,
     tr(a (x) G) = a.G,
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, DimensionError, EmptyBinodalError, NonsmoothPointError
+from .errors import DimensionError, EmptyBinodalError, NonsmoothPointError
 from .tensors import as_matrix, frobenius, row_sq_norms
 
 #: default central-difference step
@@ -420,110 +420,3 @@ class IsotropicThetaEnergy(EnergyModel):
             return out
 
         return excess
-
-
-class TabulatedEnergy(EnergyModel):
-    """Linearly interpolated energy on a rectilinear grid of entries.
-
-    Exploratory only: limited to m*d <= 2 and excluded from acceptance
-    checks, since interpolation error would pollute the sharp limits.
-    Gradients always use central differences.
-    """
-
-    kind = "custom_tabulated"
-
-    def __init__(self, m: int, d: int, axes, values, fd_step: float | None = None):
-        super().__init__(m, d, fd_step)
-        if self.m * self.d > 2:
-            raise DimensionError("custom_tabulated supports at most 2 entries")
-        from scipy.interpolate import RegularGridInterpolator
-
-        axes = [np.asarray(ax, dtype=float) for ax in axes]
-        values = np.asarray(values, dtype=float)
-        if len(axes) != self.m * self.d:
-            raise DimensionError("one grid axis per matrix entry required")
-        self._interp = RegularGridInterpolator(axes, values, method="linear")
-        self.fd_step = fd_step or FD_STEP
-
-    def value(self, f) -> float:
-        f = self._check(f)
-        return float(self._interp(f.reshape(1, -1))[0])
-
-    def value_many(self, fs: np.ndarray) -> np.ndarray:
-        fs = np.asarray(fs, dtype=float)
-        lead = fs.shape[:-2]
-        return self._interp(fs.reshape(-1, self.m * self.d)).reshape(lead)
-
-
-# -- JSON config ------------------------------------------------------------
-
-_KIND_KEYS = {
-    "quadratic": {"mu"},
-    "min_of_quadratics": {"branches"},
-    "antiplane_double_well": {"mu_plus", "mu_minus", "w_plus", "w_minus"},
-    "isotropic_theta_model": {"mu", "f_coeffs"},
-    "custom_tabulated": {"axes", "values"},
-}
-
-
-def _reject_unknown(d: dict, allowed: set, ctx: str):
-    unknown = set(d) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {ctx}: {sorted(unknown)}")
-
-
-def model_from_config(cfg: dict) -> EnergyModel:
-    """Build an energy model from its JSON description.
-
-    Expected shape::
-
-        {"kind": "...", "m": 1, "d": 2, "params": {...},
-         "gradient_mode": "analytic" | {"fd_step": 1e-5}}
-    """
-    if not isinstance(cfg, dict):
-        raise ConfigError("model config must be an object")
-    _reject_unknown(cfg, {"kind", "m", "d", "params", "gradient_mode"}, "model")
-    try:
-        kind = cfg["kind"]
-    except KeyError:
-        raise ConfigError("model config requires a 'kind'") from None
-    if kind not in _KIND_KEYS:
-        raise ConfigError(f"unknown model kind {kind!r}")
-    params = cfg.get("params", {})
-    if not isinstance(params, dict):
-        raise ConfigError("model params must be an object")
-    _reject_unknown(params, _KIND_KEYS[kind], f"{kind} params")
-
-    mode = cfg.get("gradient_mode", "analytic")
-    if mode == "analytic":
-        fd_step = None
-    elif isinstance(mode, dict) and set(mode) == {"fd_step"}:
-        fd_step = float(mode["fd_step"])
-        if fd_step <= 0.0:
-            raise ConfigError("fd_step must be positive")
-    else:
-        raise ConfigError("gradient_mode must be 'analytic' or {'fd_step': ...}")
-
-    m = int(cfg.get("m", 1))
-    d = int(cfg.get("d", 2))
-    try:
-        if kind == "quadratic":
-            return QuadraticEnergy(m, d, float(params.get("mu", 1.0)), fd_step)
-        if kind == "min_of_quadratics":
-            return MinQuadraticsEnergy(m, d, params["branches"], fd_step)
-        if kind == "antiplane_double_well":
-            ap = AntiplaneParams(
-                float(params["mu_plus"]),
-                float(params["mu_minus"]),
-                float(params["w_plus"]),
-                float(params["w_minus"]),
-            )
-            return AntiplaneDoubleWell(ap, d, fd_step)
-        if kind == "isotropic_theta_model":
-            ip = IsotropicParams(d, float(params["mu"]), tuple(params["f_coeffs"]))
-            return IsotropicThetaEnergy(ip, fd_step)
-        return TabulatedEnergy(m, d, params["axes"], params["values"], fd_step)
-    except KeyError as exc:
-        raise ConfigError(f"missing required parameter {exc} for kind {kind!r}") from None
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad model parameters: {exc}") from None

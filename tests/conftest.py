@@ -30,6 +30,18 @@ def quadratic():
     return gj.QuadraticEnergy(1, 2, mu=1.0)
 
 
+class ValueOnlyQuadratic(gj.EnergyModel):
+    """W(F) = |F|^2 / 2 through value() alone, so that every other method is
+    the base class's: the value_many loop, the central-difference gradient
+    and the stack-form rank_one_excess."""
+
+    kind = "value_only_quadratic"
+
+    def value(self, f) -> float:
+        f = self._check(f)
+        return 0.5 * float(np.sum(f * f))
+
+
 def small_quad(seed=0, bulk=2048, slab=8192, sampler="rqmc"):
     return gj.QuadratureConfig(
         seed=seed, samples_bulk=bulk, samples_slab=slab, sampler=sampler

@@ -15,6 +15,19 @@ EQ_PAIR = {"f_plus": [[1.0, 0.0]], "f_minus": [[2.0, 0.0]]}
 NONEQ_PAIR = {"f_plus": [[1.0, 0.0]], "f_minus": [[2.2, 0.0]]}
 
 SMALL_QUAD = {"samples_bulk": 2048, "samples_slab": 8192}
+SWEEP = {
+    "model": MODEL,
+    "pair": NONEQ_PAIR,
+    "h_grid": [0.1, 0.05, 0.025, 0.0125],
+    "quadrature": SMALL_QUAD,
+}
+ISOTROPIC = {
+    "d": 1,
+    "mu": 0.0,
+    "f_coeffs": [1, 0, -2, 0, 1],
+    "theta_plus": 1.0,
+    "theta_minus": -1.0,
+}
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -342,9 +355,9 @@ class TestNumericFrontDoor:
     """Malformed numbers give exit 2 and one JSON error line naming the key."""
 
     @staticmethod
-    def rejected(tmp_path, capsys, command, payload, key):
+    def rejected(tmp_path, capsys, command, payload, key, *argv):
         cfg = write_config(tmp_path, payload)
-        code, stdout, err = run(capsys, command, "--config", cfg)
+        code, stdout, err = run(capsys, command, "--config", cfg, *argv)
         assert code == 2
         assert stdout == ""
         assert key in error_line(err)
@@ -399,13 +412,90 @@ class TestNumericFrontDoor:
         payload = {"model": MODEL, "points": [[[0.5, 0.0]], point]}
         self.rejected(tmp_path, capsys, "scan", payload, "point 1")
 
+    @pytest.mark.parametrize(
+        "command, payload, key",
+        [
+            ("sweep-h", {**SWEEP, "seed": -1}, "seed"),
+            ("sweep-h", {**SWEEP, "seed": 1.5}, "seed"),
+            ("sweep-h", {**SWEEP, "t": [1]}, "t"),
+            ("sweep-h", {**SWEEP, "quadrature": {**SMALL_QUAD, "max_error": "x"}}, "max_error"),
+            ("sweep-h", {**SWEEP, "quadrature": {**SMALL_QUAD, "stratification": [["slab"]]}},
+             "stratification"),
+            ("sweep-h", {**SWEEP, "quadrature": {**SMALL_QUAD, "samples_bulk": 2048.9}},
+             "samples_bulk"),
+            ("check", {"model": MODEL, "pair": {**EQ_PAIR, "tol": "abc"}}, "tol"),
+            ("check", {"model": MODEL, "pair": {**EQ_PAIR, "tol": float("nan")}}, "tol"),
+            ("check", {"model": {**MODEL, "m": "x"}, "pair": EQ_PAIR}, "m"),
+            ("check", {"model": {**MODEL, "m": 2}, "pair": EQ_PAIR}, "m"),
+            ("check", {"model": {**MODEL, "d": 4}, "pair": EQ_PAIR}, "d"),
+            ("check", {"model": {**MODEL, "gradient_mode": {"fd_step": "x"}}, "pair": EQ_PAIR},
+             "fd_step"),
+            ("check",
+             {"model": {**MODEL, "gradient_mode": {"fd_step": float("nan")}}, "pair": EQ_PAIR},
+             "fd_step"),
+            ("path-dt", {"isotropic": {**ISOTROPIC, "theta_plus": "x"}}, "theta_plus"),
+            # nested deeper than numpy iterates (32 dimensions)
+            ("path-dt", {"isotropic": ISOTROPIC, "t_grid": json.loads("[" * 40 + "0.5" + "]" * 40)},
+             "t_grid"),
+            ("antiplane", {"params": {**REF_PARAMS, "mu_plus": [2.0]}}, "mu_plus"),
+            ("antiplane", {"params": REF_PARAMS, "envelope": {"r_max": "x"}}, "r_max"),
+            ("antiplane", {"params": REF_PARAMS, "envelope": {"num": 3.7}}, "num"),
+            ("antiplane", {"params": REF_PARAMS, "path": [[["a", 0.0]]]}, "path"),
+            ("antiplane", {"params": REF_PARAMS, "path": 5}, "path"),
+        ],
+    )
+    def test_malformed_value(self, tmp_path, capsys, command, payload, key):
+        self.rejected(tmp_path, capsys, command, payload, key)
+
+    def test_negative_seed_flag(self, tmp_path, capsys):
+        self.rejected(tmp_path, capsys, "sweep-h", SWEEP, "seed", "--seed", "-1")
+
+    @pytest.mark.parametrize(
+        "command, payload, key",
+        [
+            # a d = 3 model with a 1 x 2 pair
+            ("check", {"model": {"kind": "quadratic", "m": 1, "d": 3}, "pair": EQ_PAIR},
+             "f_minus"),
+            # nu of length 3 in d = 2
+            ("sweep-h", {**SWEEP, "nu": [0.0, 1.0, 0.0]}, "nu"),
+            # nu not a unit vector, or not orthogonal to the normal
+            ("sweep-h", {**SWEEP, "nu": [0.0, 2.0]}, "nu"),
+            ("sweep-h", {**SWEEP, "nu": [1.0, 0.0]}, "nu"),
+            # the interchange field needs d = 2 or 3
+            ("sweep-h", {**SWEEP, "model": {"kind": "quadratic", "d": 1},
+                         "pair": {"f_plus": [[1.0]], "f_minus": [[2.0]]}}, "d = 2 or 3"),
+            # a path entry of two rows
+            ("antiplane", {"params": REF_PARAMS, "path": [[[0.5, 0.0], [1.0, 0.0]]]}, "path"),
+        ],
+    )
+    def test_shape_mismatch(self, tmp_path, capsys, command, payload, key):
+        self.rejected(tmp_path, capsys, command, payload, key)
+
+    @pytest.mark.parametrize(
+        "command, payload, key",
+        [
+            ("sweep-h", {**SWEEP, "quadrature": {**SMALL_QUAD, "samples_bulk": 2**24 + 1}},
+             "samples_bulk"),
+            ("sweep-h", {**SWEEP, "quadrature": {**SMALL_QUAD, "samples_slab": 2**24 + 1}},
+             "samples_slab"),
+            ("check", {"model": MODEL, "pair": EQ_PAIR, "scan": {"resolution": 257}},
+             "resolution"),
+            ("scan", {"model": MODEL, "points": [[[0.5, 0.0]]], "resolution": 257},
+             "resolution"),
+            ("envelope", {"model": MODEL, "pair": EQ_PAIR, "grid_size": 2**20 + 1}, "grid_size"),
+            ("antiplane", {"params": REF_PARAMS, "envelope": {"num": 2**20 + 1}}, "num"),
+            ("antiplane", {"params": REF_PARAMS, "mechanisms": 2**20 + 1}, "mechanisms"),
+            ("scan",
+             {"model": MODEL, "points": [[[0.5, 0.0]]],
+              "radii": {"lo": 0.1, "hi": 1.0, "num": 2**20 + 1}},
+             "num"),
+        ],
+    )
+    def test_count_above_cap(self, tmp_path, capsys, command, payload, key):
+        self.rejected(tmp_path, capsys, command, payload, key)
+
 
 class TestRunConfig:
-    def test_round_trip(self):
-        cfg = RunConfig("check", {"model": MODEL, "pair": EQ_PAIR, "seed": 7})
-        again = RunConfig.from_dict(cfg.to_dict())
-        assert again == cfg
-
     def test_unknown_command(self):
         with pytest.raises(gj.ConfigError):
             RunConfig("frobnicate", {})
@@ -415,5 +505,5 @@ class TestRunConfig:
             "check",
             {"model": MODEL, "pair": {"f_minus": [[2.0, 0.0]], "a": [-1.0], "n": [1.0, 0.0]}},
         )
-        pair = cfg.pair()
+        pair = cfg.pair(cfg.model())
         np.testing.assert_allclose(pair.fp, [[1.0, 0.0]])

@@ -232,22 +232,6 @@ class TestBoundedBelow:
         assert np.min(vals) >= min(antiplane._ws) - 1e-12
 
 
-class TestTabulated:
-    def test_reproduces_linear_function(self):
-        xs = np.linspace(-2, 2, 41)
-        ys = np.linspace(-2, 2, 41)
-        vals = 2.0 * xs[:, None] + 3.0 * ys[None, :]
-        model = gj.TabulatedEnergy(1, 2, [xs, ys], vals)
-        assert model.value([[0.3, -0.7]]) == pytest.approx(2 * 0.3 - 3 * 0.7)
-        np.testing.assert_allclose(
-            model.gradient([[0.3, -0.7]]), [[2.0, 3.0]], atol=1e-8
-        )
-
-    def test_too_many_entries(self):
-        with pytest.raises(gj.DimensionError):
-            gj.TabulatedEnergy(2, 2, [np.arange(3)] * 4, np.zeros((3, 3, 3, 3)))
-
-
 class TestModelFromConfig:
     def test_antiplane(self):
         model = gj.model_from_config(
@@ -270,12 +254,6 @@ class TestModelFromConfig:
                 "m": 2,
                 "d": 2,
                 "params": {"mu": 1.0, "f_coeffs": [1, 0, -2, 0, 1]},
-            },
-            {
-                "kind": "custom_tabulated",
-                "m": 1,
-                "d": 1,
-                "params": {"axes": [[-1.0, 0.0, 1.0]], "values": [1.0, 0.0, 1.0]},
             },
         ]
         for cfg in configs:
