@@ -2,8 +2,8 @@
 
 Subcommands: check | sweep-h | path-dt | envelope | antiplane | scan.
 Exit codes: 0 pass, 1 analysis-level failure (failed verdict, instability
-found, nonconvergence), 2 config error.  All randomness is seeded, so
-rerunning a command reproduces its outputs byte for byte.
+found, nonconvergence), 2 config, usage or --out error.  All randomness is
+seeded, so rerunning a command reproduces its outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .envelopes import (
     directional_derivative,
     loading_program,
     mechanism_pair,
-    rank_one_restriction,
     tangency_gap,
     yield_plane,
 )
@@ -153,10 +152,8 @@ def cmd_envelope(cfg: RunConfig):
     model = cfg.model()
     pair = cfg.pair(model)
     grid_size = cfg.grid_size()
-    tol = cfg.envelope_tol()
-    ts = np.linspace(0.0, 1.0, grid_size)
-    curve = rank_one_restriction(model, pair, ts)
-    report = check_affine_formula(model, pair, tol, grid_size)
+    report = check_affine_formula(model, pair, cfg.envelope_tol(), grid_size)
+    curve = report.curve
     summary = {
         "affine_segments": [list(seg) for seg in curve.affine_segments],
         "max_hull_gap": curve.max_hull_gap(),
@@ -170,7 +167,7 @@ def cmd_envelope(cfg: RunConfig):
         "slope_at_0": directional_derivative(model, pair, at=0),
         "slope_at_1": directional_derivative(model, pair, at=1),
     }
-    rows = list(zip(ts, curve.w_values, curve.hull_values))
+    rows = list(zip(curve.t_grid, curve.w_values, curve.hull_values))
     return (
         0,
         summary,
@@ -254,8 +251,15 @@ _DISPATCH = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors end as config errors; add_subparsers builds the subparsers from this class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gradjump",
         description="Interface stability diagnostics for gradient discontinuities.",
     )
@@ -265,7 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name)
         cmd.add_argument("--config", required=True, help="path to the JSON run config")
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
-        cmd.add_argument("--out", default=None, help="directory for JSON/CSV artifacts")
+        cmd.add_argument("--out", type=Path, default=None, help="directory for JSON/CSV artifacts")
         cmd.add_argument(
             "--format",
             choices=("json", "csv"),
@@ -276,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = RunConfig.from_file(args.command, args.config).with_seed(args.seed)
         code, summary, artifacts = _DISPATCH[args.command](cfg)
     except ConfigError as exc:
@@ -295,12 +299,15 @@ def main(argv=None) -> int:
         return 1
 
     if args.out is not None:
-        outdir = Path(args.out)
-        outdir.mkdir(parents=True, exist_ok=True)
-        for name, text in files:
-            # newline="" keeps the CRLF row terminators of the CSV tables verbatim
-            with (outdir / name).open("w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+            for name, text in files:
+                # newline="" keeps the CRLF row terminators of the CSV tables verbatim
+                with (args.out / name).open("w", encoding="utf-8", newline="") as fh:
+                    fh.write(text)
+        except OSError as exc:
+            print(json.dumps({"error": f"cannot write artifacts: {exc}"}), file=sys.stderr)
+            return 2
     sys.stdout.write(stdout)
     return code
 

@@ -210,10 +210,6 @@ class MinQuadraticsEnergy(EnergyModel):
         s = float(np.sum(f * f))
         return 0.5 * self._mus * s + self._ws
 
-    def active_branch(self, f) -> int:
-        """Index of the minimizing branch (lowest index wins a tie)."""
-        return int(np.argmin(self.branch_values(f)))
-
     def value(self, f) -> float:
         return float(np.min(self.branch_values(f)))
 

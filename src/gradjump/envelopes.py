@@ -88,6 +88,11 @@ def _affine_runs(t: np.ndarray, vidx: np.ndarray, y: np.ndarray) -> tuple:
     return tuple(runs)
 
 
+def _restricted_energy(model: EnergyModel, pair: InterfacePair, t: np.ndarray) -> np.ndarray:
+    segment = t[:, None, None] * pair.fp[None] + (1.0 - t)[:, None, None] * pair.fm[None]
+    return model.value_many(segment)
+
+
 def rank_one_restriction(model: EnergyModel, pair: InterfacePair, t_grid) -> EnvelopeCurve:
     """Evaluate W along t F+ + (1-t) F- and convexify the sampled graph."""
     t = np.asarray(t_grid, dtype=float).reshape(-1)
@@ -95,8 +100,7 @@ def rank_one_restriction(model: EnergyModel, pair: InterfacePair, t_grid) -> Env
         raise ValueError("t_grid needs at least 3 points")
     if np.any(np.diff(t) <= 0.0):
         raise ValueError("t_grid must be strictly increasing")
-    segment = t[:, None, None] * pair.fp[None] + (1.0 - t)[:, None, None] * pair.fm[None]
-    w = model.value_many(segment)
+    w = _restricted_energy(model, pair, t)
     vidx, hull = lower_convex_hull(t, w)
     return EnvelopeCurve(t, w, hull, _affine_runs(t, vidx, w))
 
@@ -111,25 +115,23 @@ def directional_derivative(
 ) -> float:
     """One-sided slope of the convexified restriction at t = 0 or t = 1.
 
-    Difference quotients of the hull are Richardson-extrapolated under
-    grid doubling until two successive extrapolants agree to ``rtol``.
-    For a marginally stable endpoint the value equals the pairing of the
-    endpoint stress with the jump.
+    On a grid the hull's first edge has the least chord slope from t = 0,
+    min_j (W_j - W_0) / t_j, and its last the greatest into t = 1,
+    max_j (W_N - W_j) / (1 - t_j); these are Richardson-extrapolated under
+    grid doubling until two successive extrapolants agree to ``rtol``.  At a
+    marginally stable endpoint the value is the endpoint stress paired with the jump.
     """
     if at not in (0, 1):
         raise ValueError("at must be 0 or 1")
     prev_q = None
     prev_rich = None
     for level in range(max_levels):
-        npts = base_points * 2**level + 1
-        t = np.linspace(0.0, 1.0, npts)
-        curve = rank_one_restriction(model, pair, t)
-        delta = 1.0 / (npts - 1)
-        hull = curve.hull_values
+        t = np.linspace(0.0, 1.0, base_points * 2**level + 1)
+        w = _restricted_energy(model, pair, t)
         if at == 0:
-            quotient = (hull[1] - hull[0]) / delta
+            quotient = np.min((w[1:] - w[0]) / t[1:])
         else:
-            quotient = (hull[-1] - hull[-2]) / delta
+            quotient = np.max((w[-1] - w[:-1]) / (1.0 - t[:-1]))
         if prev_q is not None:
             rich = 2.0 * quotient - prev_q
             if prev_rich is not None and abs(rich - prev_rich) <= rtol * (1.0 + abs(rich)):
@@ -141,13 +143,14 @@ def directional_derivative(
 
 @dataclass(frozen=True)
 class AffineFormulaReport:
-    """Deviation of the hull from the affine interpolation of well energies."""
+    """Deviation of the hull (of ``curve``) from the affine interpolation of well energies."""
 
     max_deviation: float
     tol: float
     passed: bool
     p_star: float
     frak_n: float
+    curve: EnvelopeCurve
 
 
 def check_affine_formula(
@@ -169,6 +172,7 @@ def check_affine_formula(
         passed=dev <= tol,
         p_star=maxwell_force(model, pair),
         frak_n=interchange_force(model, pair),
+        curve=curve,
     )
 
 
@@ -203,10 +207,6 @@ class AntiplaneAnalysis:
         outer_ = 0.5 * self.mu_outer * r**2 + self.w_outer
         middle = self.sigma_star * r + self.offset
         return np.where(r <= self.eps_plus, inner, np.where(r >= self.eps_minus, outer_, middle))
-
-    def qw(self, f) -> float:
-        f = as_matrix(f, 1)
-        return float(self.qw_radial(np.linalg.norm(f)))
 
     def in_binodal(self, r: float) -> bool:
         return self.eps_plus <= r <= self.eps_minus
@@ -397,7 +397,7 @@ def loading_program(analysis: AntiplaneAnalysis, path) -> list:
         r = float(np.linalg.norm(f))
         on_yield = analysis.in_binodal(r)
         if on_yield:
-            theta = (r - analysis.eps_minus) / (analysis.eps_plus - analysis.eps_minus)
+            theta = laminate_from_macro(analysis, f).theta
         else:
             theta = 1.0 if r < analysis.eps_plus else 0.0
         steps.append(

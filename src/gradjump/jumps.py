@@ -12,7 +12,6 @@ form otherwise), one batch of directions and radii per direction u.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -263,9 +262,6 @@ class JumpDiagnostics:
                 "all_ok": self.all_ok,
             },
         }
-
-    def to_json(self, **kwargs) -> str:
-        return json.dumps(self.to_dict(), **kwargs)
 
 
 def diagnose(

@@ -495,6 +495,50 @@ class TestNumericFrontDoor:
         self.rejected(tmp_path, capsys, command, payload, key)
 
 
+class TestUsageErrors:
+    """Usage and --out errors give exit 2, one JSON error line and no artifacts."""
+
+    @staticmethod
+    def rejected(capsys, argv, key):
+        code, stdout, err = run(capsys, *argv)
+        assert code == 2
+        assert stdout == ""
+        assert key in error_line(err)
+
+    @pytest.mark.parametrize(
+        "argv, key",
+        [
+            (["check", "--config", "{cfg}", "--seed", "abc"], "--seed"),
+            (["check", "--config", "{cfg}", "--format", "xml"], "--format"),
+            (["check", "--config", "{cfg}", "--bogus"], "--bogus"),
+            (["frobnicate", "--config", "{cfg}"], "frobnicate"),
+            (["check"], "--config"),
+        ],
+    )
+    def test_argparse_error(self, tmp_path, capsys, argv, key):
+        cfg = write_config(tmp_path, {"model": MODEL, "pair": EQ_PAIR})
+        out = tmp_path / "artifacts"
+        argv = [arg.format(cfg=cfg) for arg in argv] + ["--out", str(out)]
+        self.rejected(capsys, argv, key)
+        assert not out.exists()
+
+    def test_out_is_a_file(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"model": MODEL, "pair": EQ_PAIR})
+        target = tmp_path / "taken"
+        target.write_text("keep")
+        self.rejected(capsys, ["check", "--config", cfg, "--out", str(target)], "taken")
+        assert target.read_text() == "keep"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
+
+    def test_artifact_path_is_a_directory(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {"model": MODEL, "pair": EQ_PAIR})
+        out = tmp_path / "artifacts"
+        (out / "check.json").mkdir(parents=True)
+        self.rejected(capsys, ["check", "--config", cfg, "--out", str(out)], "check.json")
+        assert [p.name for p in out.iterdir()] == ["check.json"]
+        assert not any((out / "check.json").iterdir())
+
+
 class TestRunConfig:
     def test_unknown_command(self):
         with pytest.raises(gj.ConfigError):

@@ -13,10 +13,6 @@ class TestAntiplaneValues:
         assert antiplane.value([[2.0, 0.0]]) == pytest.approx(3.0)
         assert antiplane.value([[2.2, 0.0]]) == pytest.approx(3.42)
 
-    def test_active_branch(self, antiplane):
-        assert antiplane.active_branch([[1.0, 0.0]]) == 0
-        assert antiplane.active_branch([[2.0, 0.0]]) == 1
-
     def test_min_over_branches(self, antiplane, rng):
         for _ in range(50):
             f = rng.normal(size=(1, 2)) * 2.0

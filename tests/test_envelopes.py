@@ -76,7 +76,51 @@ class TestRankOneRestriction:
                 assert np.max(np.abs(gap)) <= 1e-10 * (1 + np.abs(chord).max())
 
 
+def hull_slope_reference(model, pair, at, rtol=1e-7, base_points=64, max_levels=14):
+    """The endpoint slope read off the full lower hull at every level, with
+    the same Richardson loop as directional_derivative."""
+    prev_q = prev_rich = None
+    for level in range(max_levels):
+        npts = base_points * 2**level + 1
+        hull = gj.rank_one_restriction(model, pair, np.linspace(0.0, 1.0, npts)).hull_values
+        delta = 1.0 / (npts - 1)
+        quotient = (hull[1] - hull[0]) / delta if at == 0 else (hull[-1] - hull[-2]) / delta
+        if prev_q is not None:
+            rich = 2.0 * quotient - prev_q
+            if prev_rich is not None and abs(rich - prev_rich) <= rtol * (1.0 + abs(rich)):
+                return float(rich)
+            prev_rich = rich
+        prev_q = quotient
+    raise gj.NonconvergenceError("hull slope did not converge under grid refinement")
+
+
+def quadratic_case(rng):
+    model = gj.QuadraticEnergy(1, 2, mu=1.4)
+    return model, gj.InterfacePair.from_jump(rng.normal(size=(1, 2)), [0.8], [0.6, 0.8])
+
+
 class TestDirectionalDerivative:
+    def test_matches_hull_reference(self, antiplane, eq_pair, rng):
+        # the hull's first edge is the smallest chord slope from t = 0 (the
+        # largest into t = 1), so the chord reduction reproduces the hull
+        # quotients up to rounding
+        cases = [quadratic_case(rng), (antiplane, eq_pair)]
+        cases += [(antiplane, random_antiplane_pair(rng)) for _ in range(25)]
+        for model, pair in cases:
+            for at in (0, 1):
+                assert gj.directional_derivative(model, pair, at) == pytest.approx(
+                    hull_slope_reference(model, pair, at), rel=1e-9
+                )
+
+    def test_huge_jump_still_fails_at_one(self, antiplane):
+        # |F-| = 2**20 + 1: the two-phase stretch 1 <= |F| <= 2 spans 2**-20 of
+        # the segment at t = 1, finer than the finest grid (2**-19), so the
+        # slopes there never settle; the smooth end t = 0 gives (P-, [F]) exactly
+        pair = gj.InterfacePair.from_gradients([[1.0, 0.0]], [[2.0**20 + 1, 0.0]])
+        assert gj.directional_derivative(antiplane, pair, at=0) == -(2.0**20 + 1) * 2.0**20
+        with pytest.raises(gj.NonconvergenceError):
+            gj.directional_derivative(antiplane, pair, at=1)
+
     def test_equilibrium_slopes(self, antiplane, eq_pair):
         d0 = gj.directional_derivative(antiplane, eq_pair, at=0)
         d1 = gj.directional_derivative(antiplane, eq_pair, at=1)
@@ -86,8 +130,7 @@ class TestDirectionalDerivative:
         assert d1 - d0 == pytest.approx(0.0, abs=1e-6)
 
     def test_quadratic_matches_analytic_slope(self, rng):
-        model = gj.QuadraticEnergy(1, 2, mu=1.4)
-        pair = gj.InterfacePair.from_jump(rng.normal(size=(1, 2)), [0.8], [0.6, 0.8])
+        model, pair = quadratic_case(rng)
         d0 = gj.directional_derivative(model, pair, at=0)
         d1 = gj.directional_derivative(model, pair, at=1)
         assert d0 == pytest.approx(
@@ -135,8 +178,8 @@ class TestAntiplaneAnalyze:
         assert analysis.qw_radial(1.5) == pytest.approx(2.0)  # 2|F| - 1
 
     def test_envelope_continuity(self, analysis, antiplane):
-        assert analysis.qw([[1.0, 0.0]]) == pytest.approx(antiplane.value([[1.0, 0.0]]))
-        assert analysis.qw([[2.0, 0.0]]) == pytest.approx(antiplane.value([[2.0, 0.0]]))
+        assert analysis.qw_radial(1.0) == pytest.approx(antiplane.value([[1.0, 0.0]]))
+        assert analysis.qw_radial(2.0) == pytest.approx(antiplane.value([[2.0, 0.0]]))
 
     def test_phase_swap_symmetry(self, analysis):
         swapped = gj.antiplane_analyze(
@@ -205,7 +248,7 @@ class TestLaminate:
             angle = rng.uniform(0, 2 * np.pi)
             f0 = r * np.array([[np.cos(angle), np.sin(angle)]])
             state = gj.laminate_from_macro(analysis, f0)
-            assert state.energy == pytest.approx(analysis.qw(f0), abs=1e-12)
+            assert state.energy == pytest.approx(analysis.qw_radial(r), abs=1e-12)
             np.testing.assert_allclose(
                 state.theta * state.fp + (1 - state.theta) * state.fm, f0, atol=1e-12
             )

@@ -237,7 +237,7 @@ class TestDiagnose:
 
     def test_json_round_trip(self, antiplane, eq_pair):
         diag = gj.diagnose(antiplane, eq_pair)
-        parsed = json.loads(diag.to_json())
+        parsed = json.loads(json.dumps(diag.to_dict()))
         assert parsed["verdicts"]["all_ok"] is True
         assert parsed["tolerances"]["tol_abs"] == diag.tol_abs
         assert parsed["p_star"] == diag.p_star
