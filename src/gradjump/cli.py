@@ -13,6 +13,7 @@ import csv
 import io
 import json
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -69,16 +70,17 @@ def _json_text(payload) -> str:
     return json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n"
 
 
-def _render(fmt: str, summary, artifacts):
-    """Texts of the artifact files and of stdout, all rendered before any is written."""
-    files = [
-        (name, _json_text(payload) if kind == "json" else _csv_text(*payload))
-        for name, kind, payload in artifacts
-    ]
-    tables = [payload for _, kind, payload in artifacts if kind == "csv"]
-    if fmt == "csv" and tables:
-        return files, _csv_text(*tables[0])
-    return files, _json_text(summary)
+def _render(command: str, fmt: str, summary, tables):
+    """Texts of the artifact files and of stdout, all rendered before any is written.
+
+    The summary is the JSON artifact, named after the command; each
+    ``(csv_name, header, rows)`` table is a CSV artifact.  Under ``csv`` stdout
+    is the first table, if the command has one.
+    """
+    summary_text = _json_text(summary)
+    files = [(name, _csv_text(header, rows)) for name, header, rows in tables]
+    stdout = files[0][1] if fmt == "csv" and files else summary_text
+    return files + [(f"{command.replace('-', '_')}.json", summary_text)], stdout
 
 
 # -- commands -----------------------------------------------------------------
@@ -90,9 +92,7 @@ def cmd_check(cfg: RunConfig):
     tol_abs, tol_rel = cfg.tolerances()
     resolution, radii = cfg.scan_settings()
     diag = diagnose(model, pair, tol_abs, tol_rel, radii, resolution)
-    summary = diag.to_dict()
-    code = 0 if diag.all_ok else 1
-    return code, summary, [("check.json", "json", summary)]
+    return (0 if diag.all_ok else 1), diag.to_dict(), []
 
 
 def cmd_sweep_h(cfg: RunConfig):
@@ -110,26 +110,21 @@ def cmd_sweep_h(cfg: RunConfig):
             "t": params.t,
         }
     )
-    rows = [(h, v, e) for h, v, e in sweep.rows()]
-    return (
-        0,
-        summary,
-        [
-            ("sweep_h.csv", "csv", (("h", "dE_over_h", "mc_error"), rows)),
-            ("sweep_h.json", "json", summary),
-        ],
-    )
+    return 0, summary, [("sweep_h.csv", ("h", "dE_over_h", "mc_error"), sweep.rows())]
 
 
 def cmd_path_dt(cfg: RunConfig):
     ts = cfg.t_grid()
     iso = cfg.isotropic()
-    if iso is not None:
-        params, theta_plus, theta_minus = iso
-        values = d_path_isotropic(params, theta_plus, theta_minus, ts)
-    else:
-        model = cfg.model()
-        values = d_path(model, cfg.pair(model), ts)
+    # a violated compatibility condition is a warning: record it in the summary
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", UserWarning)
+        if iso is not None:
+            params, theta_plus, theta_minus = iso
+            values = d_path_isotropic(params, theta_plus, theta_minus, ts)
+        else:
+            model = cfg.model()
+            values = d_path(model, cfg.pair(model), ts)
     rows = list(zip(ts, values))
     summary = {
         "n_points": len(rows),
@@ -137,15 +132,9 @@ def cmd_path_dt(cfg: RunConfig):
         "d_last": float(values[-1]),
         "d_max": float(np.max(values)),
         "t_argmax": float(ts[int(np.argmax(values))]),
+        "warnings": [str(w.message) for w in caught],
     }
-    return (
-        0,
-        summary,
-        [
-            ("path_dt.csv", "csv", (("t", "D"), rows)),
-            ("path_dt.json", "json", summary),
-        ],
-    )
+    return 0, summary, [("path_dt.csv", ("t", "D"), rows)]
 
 
 def cmd_envelope(cfg: RunConfig):
@@ -168,14 +157,7 @@ def cmd_envelope(cfg: RunConfig):
         "slope_at_1": directional_derivative(model, pair, at=1),
     }
     rows = list(zip(curve.t_grid, curve.w_values, curve.hull_values))
-    return (
-        0,
-        summary,
-        [
-            ("envelope.csv", "csv", (("t", "W", "hull"), rows)),
-            ("envelope.json", "json", summary),
-        ],
-    )
+    return 0, summary, [("envelope.csv", ("t", "W", "hull"), rows)]
 
 
 def cmd_antiplane(cfg: RunConfig):
@@ -195,14 +177,7 @@ def cmd_antiplane(cfg: RunConfig):
     summary = dict(analysis.to_dict())
     summary.update({"n_mechanisms": n_mech, "max_tangency_gap": float(np.max(gaps))})
 
-    artifacts = [
-        (
-            "antiplane_envelope.csv",
-            "csv",
-            (("f_norm", "W", "QW"), list(zip(rs, w_vals, qw_vals))),
-        ),
-        ("antiplane.json", "json", summary),
-    ]
+    tables = [("antiplane_envelope.csv", ("f_norm", "W", "QW"), list(zip(rs, w_vals, qw_vals)))]
     path = cfg.path()
     if path is not None:
         steps = loading_program(analysis, path)
@@ -210,15 +185,11 @@ def cmd_antiplane(cfg: RunConfig):
             (s.index, s.f_norm, s.theta, s.p_total[0, 0], s.p_total[0, 1], int(s.on_yield))
             for s in steps
         ]
-        artifacts.append(
-            (
-                "antiplane_loading.csv",
-                "csv",
-                (("step", "f_norm", "theta", "p_x", "p_y", "on_yield"), rows),
-            )
+        tables.append(
+            ("antiplane_loading.csv", ("step", "f_norm", "theta", "p_x", "p_y", "on_yield"), rows)
         )
         summary["n_path_steps"] = len(rows)
-    return 0, summary, artifacts
+    return 0, summary, tables
 
 
 def cmd_scan(cfg: RunConfig):
@@ -238,7 +209,7 @@ def cmd_scan(cfg: RunConfig):
             {"point": point.tolist(), "stable": stable, **scan.to_dict()}
         )
     summary = {"n_points": len(results), "all_stable": not any_unstable, "results": results}
-    return (1 if any_unstable else 0), summary, [("scan.json", "json", summary)]
+    return (1 if any_unstable else 0), summary, []
 
 
 _DISPATCH = {
@@ -283,7 +254,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cfg = RunConfig.from_file(args.command, args.config).with_seed(args.seed)
-        code, summary, artifacts = _DISPATCH[args.command](cfg)
+        code, summary, tables = _DISPATCH[args.command](cfg)
     except ConfigError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
@@ -292,7 +263,7 @@ def main(argv=None) -> int:
         return 1
 
     try:
-        files, stdout = _render(args.format, summary, artifacts)
+        files, stdout = _render(args.command, args.format, summary, tables)
     except ValueError as exc:
         # a NaN or an infinity never ships as "valid" JSON
         print(json.dumps({"error": f"non-finite value in output: {exc}"}), file=sys.stderr)
@@ -301,6 +272,11 @@ def main(argv=None) -> int:
     if args.out is not None:
         try:
             args.out.mkdir(parents=True, exist_ok=True)
+            # refuse before writing anything, so a failed run leaves no partial set
+            for name, _ in files:
+                target = args.out / name
+                if target.exists() and not target.is_file():
+                    raise FileExistsError(f"{target} exists and is not a regular file")
             for name, text in files:
                 # newline="" keeps the CRLF row terminators of the CSV tables verbatim
                 with (args.out / name).open("w", encoding="utf-8", newline="") as fh:

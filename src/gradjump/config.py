@@ -161,20 +161,13 @@ def model_from_config(cfg) -> EnergyModel:
 
     Expected shape::
 
-        {"kind": "...", "m": 1, "d": 2, "params": {...},
-         "gradient_mode": "analytic" | {"fd_step": 1e-5}}
+        {"kind": "...", "m": 1, "d": 2, "params": {...}}
     """
-    raw = _check_keys(cfg, "model", {"kind", "m", "d", "params", "gradient_mode"}, ("kind",))
+    raw = _check_keys(cfg, "model", {"kind", "m", "d", "params"}, ("kind",))
     kind = raw["kind"]
     if not isinstance(kind, str) or kind not in _KIND_KEYS:
         raise ConfigError(f"unknown model kind {kind!r}")
     params = _check_keys(raw.get("params", {}), f"{kind} params", *_KIND_KEYS[kind])
-
-    mode = raw.get("gradient_mode", "analytic")
-    fd_step = None
-    if mode != "analytic":
-        _check_keys(mode, "gradient_mode other than 'analytic'", {"fd_step"}, ("fd_step",))
-        fd_step = _number(mode, "fd_step", None, 0.0, strict=True)
 
     d = _count(raw, "d", 2, 1, 3)
     fixed_m = {"antiplane_double_well": 1, "isotropic_theta_model": d}.get(kind)
@@ -183,12 +176,12 @@ def model_from_config(cfg) -> EnergyModel:
         raise ConfigError(f"kind {kind!r} with d = {d} needs m = {fixed_m}, got m = {m}")
     with _parsing("model parameters"):
         if kind == "quadratic":
-            return QuadraticEnergy(m, d, _number(params, "mu", 1.0, 0.0, strict=True), fd_step)
+            return QuadraticEnergy(m, d, _number(params, "mu", 1.0, 0.0, strict=True))
         if kind == "min_of_quadratics":
-            return MinQuadraticsEnergy(m, d, _floats(params, "branches", None, (None, 2)), fd_step)
+            return MinQuadraticsEnergy(m, d, _floats(params, "branches", None, (None, 2)))
         if kind == "antiplane_double_well":
-            return AntiplaneDoubleWell(_antiplane_params(params), d, fd_step)
-        return IsotropicThetaEnergy(_isotropic_params(params, d), fd_step)
+            return AntiplaneDoubleWell(_antiplane_params(params), d)
+        return IsotropicThetaEnergy(_isotropic_params(params, d))
 
 
 def load_json(path) -> dict:

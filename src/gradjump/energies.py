@@ -1,16 +1,17 @@
 """Energy densities W(F) on m x d gradients with values and stress gradients.
 
-The built-in kinds are a single isotropic quadratic, a minimum of isotropic
-quadratic branches (multi-well) and an isotropic model
-f(tr F) + mu |dev sym F|^2.  Analytic gradients are provided where
-available; a central-difference fallback covers the rest.
+The built-in kinds are a minimum of isotropic quadratic branches
+(multi-well), the single isotropic quadratic as its one-branch case, and an
+isotropic model f(tr F) + mu |dev sym F|^2.  Each has one closed-form
+stress ``gradient``; central differences serve only subclasses that define
+``value()`` alone.
 
 The estimator and the Weierstrass scan only ever evaluate W along rank-one
 lines F + s a (x) G.  ``EnergyModel.rank_one_excess`` serves both: its
 base-class body forms the (N, m, d) stacks and calls ``value_many`` (the
-path for user subclasses, and the test reference).  The quadratic,
-min-of-quadratics and isotropic kinds override it with closed forms in
-p = a.G, (F^T a).G and |G|^2, since
+path for user subclasses, and the test reference).  The min-of-quadratics
+and isotropic kinds override it with closed forms in p = a.G, (F^T a).G and
+|G|^2, since
 
     |F + s a (x) G|^2 = |F|^2 + 2 s (F^T a).G + s^2 |a|^2 |G|^2,
     tr(a (x) G) = a.G,
@@ -65,23 +66,16 @@ def _dot_rows(g: np.ndarray, vecs: np.ndarray, index) -> np.ndarray:
     return out
 
 
-def _stacks(bases, stresses):
-    """The (K, m, d) float stacks of a rank-one kernel's bases and stresses."""
-    bases = np.asarray(bases, dtype=float)
-    return bases, np.asarray(stresses, dtype=float).reshape(bases.shape)
-
-
 class EnergyModel:
     """Base class: subclasses set kind/m/d and implement value()."""
 
     kind = "abstract"
 
-    def __init__(self, m: int, d: int, fd_step: float | None = None):
+    def __init__(self, m: int, d: int):
         if m < 1 or d < 1:
             raise DimensionError("m and d must be at least 1")
         self.m = int(m)
         self.d = int(d)
-        self.fd_step = fd_step  # None means analytic where available
 
     # -- values ------------------------------------------------------------
 
@@ -97,18 +91,10 @@ class EnergyModel:
 
     # -- gradients -----------------------------------------------------------
 
-    def analytic_gradient(self, f) -> np.ndarray | None:
-        """Return W_F(F) or None when no closed form exists."""
-        return None
-
     def gradient(self, f) -> np.ndarray:
-        """First Piola stress W_F(F); falls back to central differences."""
-        f = self._check(f)
-        if self.fd_step is None:
-            g = self.analytic_gradient(f)
-            if g is not None:
-                return g
-        return fd_gradient(self.value, f, self.fd_step or FD_STEP)
+        """First Piola stress W_F(F) by central differences of ``value``;
+        kinds with a closed form override it."""
+        return fd_gradient(self.value, self._check(f))
 
     def excess(self, f, h) -> float:
         """Pointwise excess W(F+H) - W(F) - (W_F(F), H)."""
@@ -116,13 +102,12 @@ class EnergyModel:
         h = self._check(h)
         return self.value(f + h) - self.value(f) - frobenius(self.gradient(f), h)
 
-    def rank_one_excess(self, bases, stresses):
+    def rank_one_excess(self, bases):
         """Kernel for the excess of W along rank-one lines from a few bases.
 
-        ``bases`` is a (K, m, d) stack of gradients F_k and ``stresses`` the
-        (K, m, d) stresses P_k used in the linear term (normally
-        ``gradient(F_k)``).  Returns ``excess(a, g, s, index=None)``, which
-        for N world vectors g_i (an (N, d) array) gives
+        ``bases`` is a (K, m, d) stack of gradients F_k, with stresses
+        P_k = ``gradient(F_k)``.  Returns ``excess(a, g, s, index=None)``,
+        which for N world vectors g_i (an (N, d) array) gives
 
             W(F_k + s a (x) g_i) - W(F_k) - s (P_k, a (x) g_i),  k = index[i],
 
@@ -130,8 +115,9 @@ class EnergyModel:
         (N, m, d) stacks and calls ``value_many``; kinds with a closed form
         override it.
         """
-        bases, stresses = _stacks(bases, stresses)
+        bases = np.asarray(bases, dtype=float)
         wbars = np.array([self.value(f) for f in bases])
+        stresses = np.stack([self.gradient(f) for f in bases])
 
         def excess(a, g, s, index=None):
             a = np.asarray(a, dtype=float)
@@ -146,44 +132,6 @@ class EnergyModel:
         return as_matrix(f, self.m, self.d)
 
 
-class QuadraticEnergy(EnergyModel):
-    """W(F) = mu/2 |F|^2 (convex reference model)."""
-
-    kind = "quadratic"
-
-    def __init__(self, m: int, d: int, mu: float = 1.0, fd_step: float | None = None):
-        super().__init__(m, d, fd_step)
-        if mu <= 0.0:
-            raise ValueError("mu must be positive")
-        self.mu = float(mu)
-
-    def value(self, f) -> float:
-        f = self._check(f)
-        return 0.5 * self.mu * float(np.sum(f * f))
-
-    def value_many(self, fs: np.ndarray) -> np.ndarray:
-        fs = np.asarray(fs, dtype=float)
-        return 0.5 * self.mu * np.sum(fs * fs, axis=(-2, -1))
-
-    def analytic_gradient(self, f) -> np.ndarray:
-        return self.mu * self._check(f)
-
-    def rank_one_excess(self, bases, stresses):
-        """Closed form mu s^2 |a|^2 |g|^2 / 2, plus s ((mu F - P)^T a).g when
-        the given stress P is not the exact one (a finite-difference mode)."""
-        bases, stresses = _stacks(bases, stresses)
-        drift = self.mu * bases - stresses
-
-        def excess(a, g, s, index=None):
-            a = np.asarray(a, dtype=float)
-            out = (0.5 * self.mu * s * s * float(a @ a)) * row_sq_norms(g)
-            if np.any(drift):
-                out += s * _dot_rows(g, np.einsum("kmd,m->kd", drift, a), index)
-            return out
-
-        return excess
-
-
 class MinQuadraticsEnergy(EnergyModel):
     """W(F) = min_k ( mu_k/2 |F|^2 + w_k ), the multi-well prototype.
 
@@ -194,8 +142,8 @@ class MinQuadraticsEnergy(EnergyModel):
 
     kind = "min_of_quadratics"
 
-    def __init__(self, m: int, d: int, branches, fd_step: float | None = None):
-        super().__init__(m, d, fd_step)
+    def __init__(self, m: int, d: int, branches):
+        super().__init__(m, d)
         br = [(float(mu), float(w)) for mu, w in branches]
         if len(br) < 1:
             raise ValueError("need at least one branch")
@@ -222,23 +170,25 @@ class MinQuadraticsEnergy(EnergyModel):
             vals = np.minimum(vals, 0.5 * (s * mu) + w)
         return vals
 
-    def rank_one_excess(self, bases, stresses):
+    def rank_one_excess(self, bases):
         """Closed form over the branches b, with e_b = W_b(F) - W(F) >= 0:
 
             min_b ( e_b + s ((mu_b F - P)^T a).g + mu_b s^2 |a|^2 |g|^2 / 2 ).
 
-        On a base's active branch e_b = 0 and, for the analytic stress
-        P = mu_b F, the linear term vanishes bit for bit, so g = 0 gives
-        exactly 0 and no cancellation is left in the increment.
+        On a base's active branch e_b = 0 and P = mu_b F, so the linear term
+        vanishes bit for bit, g = 0 gives exactly 0 and no cancellation is
+        left in the increment.  A branch whose linear term vanishes for
+        every base skips it.
         """
-        bases, stresses = _stacks(bases, stresses)
+        bases = np.asarray(bases, dtype=float)
         bvals = np.stack([self.branch_values(f) for f in bases])  # (K, branches)
         offsets = bvals - bvals.min(axis=1, keepdims=True)
-        drifts = self._mus[None, :, None, None] * bases[:, None] - stresses[:, None]
+        stresses = np.stack([self.gradient(f) for f in bases])
+        slopes = self._mus[None, :, None, None] * bases[:, None] - stresses[:, None]
 
         def excess(a, g, s, index=None):
             a = np.asarray(a, dtype=float)
-            lin = np.einsum("kbmd,m->kbd", drifts, a)
+            lin = np.einsum("kbmd,m->kbd", slopes, a)
             quad = (0.5 * s * s * float(a @ a)) * row_sq_norms(g)
             out = None
             for b, mu in enumerate(self._mus):
@@ -250,7 +200,7 @@ class MinQuadraticsEnergy(EnergyModel):
 
         return excess
 
-    def analytic_gradient(self, f) -> np.ndarray:
+    def gradient(self, f) -> np.ndarray:
         f = self._check(f)
         vals = self.branch_values(f)
         order = np.argsort(vals)
@@ -266,6 +216,19 @@ class MinQuadraticsEnergy(EnergyModel):
                     branch_gradients=[self._mus[k] * f for k in tied],
                 )
         return self._mus[best] * f
+
+
+class QuadraticEnergy(MinQuadraticsEnergy):
+    """W(F) = mu/2 |F|^2 (convex reference model), the one-branch (mu, 0)
+    minimum of quadratics."""
+
+    kind = "quadratic"
+
+    def __init__(self, m: int, d: int, mu: float = 1.0):
+        if mu <= 0.0:
+            raise ValueError("mu must be positive")
+        super().__init__(m, d, [(mu, 0.0)])
+        self.mu = float(mu)
 
 
 @dataclass(frozen=True)
@@ -304,12 +267,9 @@ class AntiplaneDoubleWell(MinQuadraticsEnergy):
 
     kind = "antiplane_double_well"
 
-    def __init__(self, params: AntiplaneParams, d: int = 2, fd_step: float | None = None):
+    def __init__(self, params: AntiplaneParams, d: int = 2):
         super().__init__(
-            1,
-            d,
-            [(params.mu_plus, params.w_plus), (params.mu_minus, params.w_minus)],
-            fd_step,
+            1, d, [(params.mu_plus, params.w_plus), (params.mu_minus, params.w_minus)]
         )
         self.params = params
 
@@ -355,8 +315,8 @@ class IsotropicThetaEnergy(EnergyModel):
 
     kind = "isotropic_theta_model"
 
-    def __init__(self, params: IsotropicParams, fd_step: float | None = None):
-        super().__init__(params.d, params.d, fd_step)
+    def __init__(self, params: IsotropicParams):
+        super().__init__(params.d, params.d)
         self.params = params
 
     def _theta_dev(self, f: np.ndarray):
@@ -378,12 +338,12 @@ class IsotropicThetaEnergy(EnergyModel):
         dev = sym - (theta[..., None, None] / self.d) * eye
         return self.params.f(theta) + self.params.mu * np.sum(dev * dev, axis=(-2, -1))
 
-    def analytic_gradient(self, f) -> np.ndarray:
+    def gradient(self, f) -> np.ndarray:
         f = self._check(f)
         theta, dev = self._theta_dev(f)
         return float(self.params.f_prime(theta)) * np.eye(self.d) + 2.0 * self.params.mu * dev
 
-    def rank_one_excess(self, bases, stresses):
+    def rank_one_excess(self, bases):
         """Closed form in p = a.g and |g|^2, with x = s p:
 
             f(theta + x) - f(theta) - f'(theta) x
@@ -391,14 +351,11 @@ class IsotropicThetaEnergy(EnergyModel):
 
         the first line summed as x^2 (c_2 + x (c_3 + ...)) from the Taylor
         coefficients c_j of f at each base's theta, which is exact for a
-        polynomial and free of the cancellation of the difference.  A given
-        stress P other than the exact one adds s ((P_exact - P)^T a).g.
+        polynomial and free of the cancellation of the difference.
         """
-        bases, stresses = _stacks(bases, stresses)
         mu, d = self.params.mu, self.d
         # Taylor coefficients of f from the quadratic term up, one row per base
         tails = np.stack([self.params.taylor(np.trace(f))[2:] for f in bases])
-        drift = np.stack([self.analytic_gradient(f) for f in bases]) - stresses
 
         def excess(a, g, s, index=None):
             a = np.asarray(a, dtype=float)
@@ -411,8 +368,6 @@ class IsotropicThetaEnergy(EnergyModel):
                 for j in range(tails.shape[1] - 2, -1, -1):
                     poly = poly * x + _per_row(tails[:, j], index)
                 out += (x * x) * poly
-            if np.any(drift):
-                out += s * _dot_rows(g, np.einsum("kmd,m->kd", drift, a), index)
             return out
 
         return excess

@@ -196,7 +196,7 @@ def weierstrass_scan(
         raise ValueError("radii must be positive")
     us = sphere_grid(model.m, resolution)
     vs = sphere_grid(model.d, resolution)
-    excess = model.rank_one_excess(f[None], model.gradient(f)[None])
+    excess = model.rank_one_excess(f[None])
     # row j * len(radii) + k holds radii[k] * vs[j]; one batch per u
     world = (radii[None, :, None] * vs[:, None, :]).reshape(-1, model.d)
 

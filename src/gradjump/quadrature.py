@@ -325,7 +325,7 @@ def estimate_region_measures(pair: InterfacePair, params: InterchangeParams) -> 
     return {k: (float(mean[j]), float(err[j])) for j, k in enumerate(REGION_KEYS)}
 
 
-def _excess_integrand(model, pair, fld, t, p_plus, p_minus):
+def _excess_integrand(model, pair, fld, t):
     """Pointwise excess W(Fbar + t grad Phi) - W(Fbar) - t (P(Fbar), grad Phi)
     at z and -z from the frame gradient g at z.
 
@@ -336,7 +336,7 @@ def _excess_integrand(model, pair, fld, t, p_plus, p_minus):
     gradient is -g, so its step is negated, not recomputed.
     """
     # index 1 selects the + side, 0 the - side
-    kernel = model.rank_one_excess(np.stack([pair.fm, pair.fp]), np.stack([p_minus, p_plus]))
+    kernel = model.rank_one_excess(np.stack([pair.fm, pair.fp]))
 
     def excess(coords: np.ndarray, g: np.ndarray):
         s_n = coords[:, 0]
@@ -361,13 +361,11 @@ def energy_increment(
     """
     fld = InterchangeField(pair, params)
     h, t = params.h, params.t
-    p_plus = model.gradient(pair.fp)
-    p_minus = model.gradient(pair.fm)
-    frak_n = frobenius(p_plus - p_minus, np.outer(pair.a, pair.n))
+    frak_n = frobenius(model.gradient(pair.fp) - model.gradient(pair.fm), np.outer(pair.a, pair.n))
     ff_exact = -frak_n * h * interface_profile(h, pair.d)
 
     mean, mc_error, n_evals = _mixture_pass(
-        fld, params.quad, _excess_integrand(model, pair, fld, t, p_plus, p_minus)
+        fld, params.quad, _excess_integrand(model, pair, fld, t)
     )
     delta_e = t * ff_exact + mean
     if params.quad.max_error is not None and mc_error > params.quad.max_error:

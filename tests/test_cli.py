@@ -185,6 +185,16 @@ class TestPathDt:
             assert d == pytest.approx(32 * t**2 * (1 - t) ** 2, abs=1e-10)
         summary = json.loads(stdout)
         assert summary["d_first"] == 0.0
+        assert summary["warnings"] == []
+
+    def test_incompatible_wells_warn_in_summary(self, tmp_path, capsys):
+        # d = 2, mu = 1: [Phi'][theta] = 4 > 0, so no compatible normal pair exists
+        cfg = write_config(tmp_path, {"isotropic": {**ISOTROPIC, "d": 2, "mu": 1.0}})
+        code, stdout, err = run(capsys, "path-dt", "--config", cfg)
+        assert code == 0
+        assert err == ""
+        (warning,) = json.loads(stdout)["warnings"]
+        assert "no compatible normal pair" in warning
 
     def test_pair_route_equilibrium(self, tmp_path, capsys):
         payload = {"model": MODEL, "pair": EQ_PAIR, "t_grid": [0.0, 0.5, 1.0]}
@@ -428,11 +438,10 @@ class TestNumericFrontDoor:
             ("check", {"model": {**MODEL, "m": "x"}, "pair": EQ_PAIR}, "m"),
             ("check", {"model": {**MODEL, "m": 2}, "pair": EQ_PAIR}, "m"),
             ("check", {"model": {**MODEL, "d": 4}, "pair": EQ_PAIR}, "d"),
-            ("check", {"model": {**MODEL, "gradient_mode": {"fd_step": "x"}}, "pair": EQ_PAIR},
-             "fd_step"),
-            ("check",
-             {"model": {**MODEL, "gradient_mode": {"fd_step": float("nan")}}, "pair": EQ_PAIR},
-             "fd_step"),
+            ("check", {"model": {**MODEL, "gradient_mode": {"fd_step": 1e-5}}, "pair": EQ_PAIR},
+             "gradient_mode"),
+            ("check", {"model": {"kind": "quadratic", "params": {"mu": -1.0}}, "pair": EQ_PAIR},
+             "mu"),
             ("path-dt", {"isotropic": {**ISOTROPIC, "theta_plus": "x"}}, "theta_plus"),
             # nested deeper than numpy iterates (32 dimensions)
             ("path-dt", {"isotropic": ISOTROPIC, "t_grid": json.loads("[" * 40 + "0.5" + "]" * 40)},
@@ -530,13 +539,17 @@ class TestUsageErrors:
         assert target.read_text() == "keep"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
 
-    def test_artifact_path_is_a_directory(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command, blocked", [("check", "check.json"), ("path-dt", "path_dt.json")]
+    )
+    def test_artifact_path_is_a_directory(self, tmp_path, capsys, command, blocked):
+        # path-dt writes path_dt.csv too: nothing may be written before the refusal
         cfg = write_config(tmp_path, {"model": MODEL, "pair": EQ_PAIR})
         out = tmp_path / "artifacts"
-        (out / "check.json").mkdir(parents=True)
-        self.rejected(capsys, ["check", "--config", cfg, "--out", str(out)], "check.json")
-        assert [p.name for p in out.iterdir()] == ["check.json"]
-        assert not any((out / "check.json").iterdir())
+        (out / blocked).mkdir(parents=True)
+        self.rejected(capsys, [command, "--config", cfg, "--out", str(out)], blocked)
+        assert [p.name for p in out.iterdir()] == [blocked]
+        assert not any((out / blocked).iterdir())
 
 
 class TestRunConfig:

@@ -32,8 +32,7 @@ BASES = {
     "path-dt": {"isotropic": {"d": 1, "mu": 0.5, "f_coeffs": [1.0, 0.0, -2.0, 0.0, 1.0],
                               "theta_plus": 1.0, "theta_minus": -1.0},
                 "t_grid": [0.0, 0.5, 1.0]},
-    "envelope": {"model": {**MODEL, "gradient_mode": {"fd_step": 1e-5}}, "pair": PAIR,
-                 "grid_size": 11, "tol": 1e-6},
+    "envelope": {"model": MODEL, "pair": PAIR, "grid_size": 11, "tol": 1e-6},
     "antiplane": {"params": REF_PARAMS, "envelope": {"r_max": 3.0, "num": 11},
                   "mechanisms": 4, "path": [[[0.5, 0.0]], [1.5, 0.0]]},
     "scan": {"model": {"kind": "min_of_quadratics", "m": 1, "d": 2,

@@ -58,6 +58,19 @@ class TestQuadratic:
         f = rng.normal(size=(1, 2))
         assert quadratic.excess(f, [[1.0, 0.0]]) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("m, d, mu", [(1, 2, 1.3), (2, 3, 0.7)])
+    def test_one_branch_is_bitwise_the_quadratic(self, rng, m, d, mu):
+        # as the one-branch (mu, 0) minimum, value and stress are still
+        # 0.5 mu |F|^2 and mu F bit for bit: halving is exact
+        model = gj.QuadraticEnergy(m, d, mu=mu)
+        fs = rng.normal(size=(200, m, d)) * np.exp(rng.uniform(-20, 20, size=(200, 1, 1)))
+        assert np.array_equal(model.value_many(fs), 0.5 * mu * np.sum(fs * fs, axis=(-2, -1)))
+        for f in fs[:50]:
+            assert model.value(f) == 0.5 * mu * float(np.sum(f * f))
+            assert np.array_equal(model.gradient(f), mu * f)
+        with pytest.raises(ValueError, match="mu must be positive"):
+            gj.QuadraticEnergy(m, d, mu=0.0)
+
 
 class TestExcess:
     def test_zero_increment(self, antiplane, quadratic):
@@ -115,11 +128,6 @@ class TestGradientChecks:
                 np.testing.assert_allclose(g, fd, atol=1e-7 * (1 + np.abs(g).max()))
                 checked += 1
 
-    def test_fd_mode(self):
-        model = gj.QuadraticEnergy(1, 2, mu=1.0, fd_step=1e-6)
-        f = [[0.3, -0.4]]
-        np.testing.assert_allclose(model.gradient(f), [[0.3, -0.4]], atol=1e-8)
-
 
 class TestValueMany:
     def test_matches_scalar_loop(self, antiplane, quadratic, rng):
@@ -171,21 +179,15 @@ class TestRankOneExcess:
     """
 
     @staticmethod
-    def kernels(model, bases, stress_error=None):
-        stresses = np.stack([model.gradient(f) for f in bases])
-        if stress_error is not None:
-            stresses += stress_error  # as a finite-difference stress would be
-        stack = gj.EnergyModel.rank_one_excess(model, bases, stresses)
-        return model.rank_one_excess(bases, stresses), stack
+    def kernels(model, bases):
+        return model.rank_one_excess(bases), gj.EnergyModel.rank_one_excess(model, bases)
 
-    @pytest.mark.parametrize("inexact_stress", [False, True])
     @pytest.mark.parametrize("kind", CLOSED_FORMS)
-    def test_closed_form_matches_stack_form(self, rng, kind, inexact_stress):
+    def test_closed_form_matches_stack_form(self, rng, kind):
         model = CLOSED_FORMS[kind]()
         assert type(model).rank_one_excess is not gj.EnergyModel.rank_one_excess
         bases = 0.5 * rng.normal(size=(3, model.m, model.d))
-        error = 0.1 * rng.normal(size=bases.shape) if inexact_stress else None
-        kernel, stack = self.kernels(model, bases, error)
+        kernel, stack = self.kernels(model, bases)
         for _ in range(4):
             a = rng.normal(size=model.m)
             g = rng.normal(size=(500, model.d))
@@ -214,7 +216,7 @@ class TestRankOneExcess:
         # from the stiff well at |F| = 1 a step to |F| = 3 ends on the soft well
         model = gj.MinQuadraticsEnergy(1, 2, [(2.0, 0.0), (1.0, 1.0)])
         base = np.array([[[1.0, 0.0]]])
-        kernel = model.rank_one_excess(base, [model.gradient(base[0])])
+        kernel = model.rank_one_excess(base)
         val = kernel([1.0], np.array([[2.0, 0.0]]), 1.0)
         assert val[0] == pytest.approx(model.excess(base[0], [[2.0, 0.0]]), abs=1e-14)
         assert val[0] == pytest.approx(5.5 - 1.0 - 4.0)
@@ -255,18 +257,6 @@ class TestModelFromConfig:
         for cfg in configs:
             model = gj.model_from_config(cfg)
             assert model.kind == cfg["kind"]
-
-    def test_fd_mode_config(self):
-        model = gj.model_from_config(
-            {
-                "kind": "quadratic",
-                "m": 1,
-                "d": 2,
-                "params": {},
-                "gradient_mode": {"fd_step": 1e-6},
-            }
-        )
-        assert model.fd_step == 1e-6
 
     @pytest.mark.parametrize(
         "cfg",

@@ -145,8 +145,7 @@ class TestFusedPass:
             t = 0.7
         params = gj.InterchangeParams(h=0.05, t=t, quad=small_quad(seed=5, sampler=sampler))
         fld = InterchangeField(pair, params)
-        p_plus, p_minus = model.gradient(pair.fp), model.gradient(pair.fm)
-        integrand = quadrature._excess_integrand(model, pair, fld, t, p_plus, p_minus)
+        integrand = quadrature._excess_integrand(model, pair, fld, t)
         return model, pair, params, fld, integrand
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -204,9 +203,7 @@ class TestFusedPass:
                                                    [[2.2] + [0.0] * (d - 1)])
             params = gj.InterchangeParams(h=0.05)
             fld = InterchangeField(pair, params)
-            integrand = quadrature._excess_integrand(
-                model, pair, fld, 1.0, model.gradient(pair.fp), model.gradient(pair.fm)
-            )
+            integrand = quadrature._excess_integrand(model, pair, fld, 1.0)
         coords = rng.uniform(-1.0, 1.0, size=(4000, pair.d))
         coords[:500, 0] = 0.0  # on the interface
         _, g = fld.scalar_gradient(coords)
@@ -292,29 +289,6 @@ class TestEnergyIncrement:
         inside = np.linalg.norm(grid, axis=1) < 1.0
         brute = float(np.sum((vals - wbar)[inside])) * (2.0 / n) ** 2
         assert res.delta_e == pytest.approx(brute, abs=5 * res.mc_error + 5e-4)
-
-    @pytest.mark.parametrize("kind", ["quadratic", "isotropic"])
-    def test_fd_stress_matches_stack_form(self, monkeypatch, kind):
-        # with finite-difference stresses the closed forms add s ((P_exact - P)^T a).g
-        if kind == "quadratic":
-            model = gj.QuadraticEnergy(1, 2, mu=1.0, fd_step=1e-2)
-            pair = gj.InterfacePair.from_jump([[0.4, -0.2]], [1.0], [1.0, 0.0])
-        else:
-            iso = gj.IsotropicParams(d=3, mu=1.0, f_coeffs=(1.0, 0.0, -2.0, 0.0, 1.0))
-            model = gj.IsotropicThetaEnergy(iso, fd_step=5e-2)
-            pair = gj.InterfacePair.from_jump(0.1 * np.eye(3), [0.5, 0.2, 0.1], [1.0, 0.0, 0.0])
-        params = gj.InterchangeParams(h=0.05, t=0.7, quad=small_quad(seed=13))
-        res = gj.energy_increment(model, pair, params)
-        monkeypatch.setattr(type(model), "rank_one_excess", gj.EnergyModel.rank_one_excess)
-        ref = gj.energy_increment(model, pair, params)
-        assert res.delta_e == pytest.approx(ref.delta_e, rel=1e-9, abs=1e-9)
-        assert res.mc_error == pytest.approx(ref.mc_error, rel=1e-9, abs=1e-9)
-        if kind == "isotropic":
-            # the quartic's third derivative makes the central differences
-            # inexact, so the correction moves the result well beyond 1e-9
-            monkeypatch.undo()
-            analytic = gj.energy_increment(gj.IsotropicThetaEnergy(iso), pair, params)
-            assert abs(analytic.delta_e - res.delta_e) > 1e-7
 
     def test_value_only_model_runs_on_stack_form(self):
         # a subclass that defines only value() has no closed-form kernel:
