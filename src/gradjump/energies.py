@@ -177,25 +177,31 @@ class MinQuadraticsEnergy(EnergyModel):
 
         On a base's active branch e_b = 0 and P = mu_b F, so the linear term
         vanishes bit for bit, g = 0 gives exactly 0 and no cancellation is
-        left in the increment.  A branch whose linear term vanishes for
-        every base skips it.
+        left in the increment.  A branch whose offset or linear term
+        vanishes for every base skips that term (mu_b s^2 ... >= +0, so
+        adding the zero offset would change no bit).
         """
         bases = np.asarray(bases, dtype=float)
         bvals = np.stack([self.branch_values(f) for f in bases])  # (K, branches)
         offsets = bvals - bvals.min(axis=1, keepdims=True)
+        # (mu_b, e_b per base, or None where e_b = 0 for every base)
+        terms = [(float(mu), col if col.any() else None) for mu, col in zip(self._mus, offsets.T)]
         stresses = np.stack([self.gradient(f) for f in bases])
         slopes = self._mus[None, :, None, None] * bases[:, None] - stresses[:, None]
 
         def excess(a, g, s, index=None):
             a = np.asarray(a, dtype=float)
             lin = np.einsum("kbmd,m->kbd", slopes, a)
+            live = lin.any(axis=(0, 2))
             quad = (0.5 * s * s * float(a @ a)) * row_sq_norms(g)
             out = None
-            for b, mu in enumerate(self._mus):
-                val = _per_row(offsets[:, b], index) + mu * quad
-                if np.any(lin[:, b]):
+            for b, (mu, offset) in enumerate(terms):
+                val = mu * quad
+                if offset is not None:
+                    val += _per_row(offset, index)
+                if live[b]:
                     val += s * _dot_rows(g, lin[:, b], index)
-                out = val if out is None else np.minimum(out, val)
+                out = val if out is None else np.minimum(out, val, out=out)
             return out
 
         return excess

@@ -90,25 +90,38 @@ class InterchangeParams:
         return replace(self, h=h)
 
 
-def _plus_parts(s_n, s_nu, r, h):
-    """Scalar value and frame gradient pieces of the unmirrored (+) term.
+def _plus_factors(s_n, s_nu, r, h):
+    """The cutoffs phi(s_n), rho(s_nu), zeta(r) of the unmirrored (+) term,
+    whose value is h phi rho zeta."""
+    sh = np.sqrt(h)
+    phi = np.clip(1.0 - s_n / h, 0.0, 1.0)
+    rho = np.clip(s_nu / sh, 0.0, 1.0)
+    zeta = np.clip((1.0 - r) / sh, 0.0, 1.0)
+    return phi, rho, zeta
 
-    Returns (val, g_n, g_nu, c_r) where the gradient of the + term is
+
+def _plus_value(s_n, s_nu, r, h):
+    """Scalar value h phi rho zeta of the unmirrored (+) term."""
+    phi, rho, zeta = _plus_factors(s_n, s_nu, r, h)
+    return h * phi * rho * zeta
+
+
+def _plus_parts(s_n, s_nu, r, h):
+    """Frame gradient pieces of the unmirrored (+) term.
+
+    Returns (g_n, g_nu, c_r) where the gradient of the + term is
     a (x) (g_n n + g_nu nu + c_r z/|z|).  Derivatives at the kink sets are
     one-sided; they sit on measure-zero sets.
     """
     sh = np.sqrt(h)
-    phi = np.clip(1.0 - s_n / h, 0.0, 1.0)
+    phi, rho, zeta = _plus_factors(s_n, s_nu, r, h)
     dphi = np.where((s_n > 0.0) & (s_n < h), -1.0, 0.0)
-    rho = np.clip(s_nu / sh, 0.0, 1.0)
     drho = np.where((s_nu > 0.0) & (s_nu < sh), 1.0, 0.0)
-    zeta = np.clip((1.0 - r) / sh, 0.0, 1.0)
     dzeta = np.where((r > 1.0 - sh) & (r < 1.0), -1.0 / sh, 0.0)
-    val = h * phi * rho * zeta
     g_n = dphi * rho * zeta
     g_nu = sh * phi * drho * zeta
     c_r = h * phi * rho * dzeta
-    return val, g_n, g_nu, c_r
+    return g_n, g_nu, c_r
 
 
 def _mirrored_gradient(coords: np.ndarray, r: np.ndarray, h: float) -> np.ndarray:
@@ -125,7 +138,7 @@ def _mirrored_gradient(coords: np.ndarray, r: np.ndarray, h: float) -> np.ndarra
     s_n = coords[:, 0]
     s_nu = coords[:, 1]
     sigma = np.sign(s_nu)
-    _, g_n, g_nu, c_r = _plus_parts(sigma * s_n, sigma * s_nu, r, h)
+    g_n, g_nu, c_r = _plus_parts(sigma * s_n, sigma * s_nu, r, h)
     radial = np.divide(c_r, r, out=np.zeros_like(r), where=r > 0.0)
     g = radial[:, None] * coords
     g[:, 0] += sigma * g_n
@@ -210,7 +223,7 @@ class InterchangeField:
         r = np.linalg.norm(coords, axis=1)
         s_n, s_nu = coords[:, 0], coords[:, 1]
         # the profile is the + term plus its mirror image
-        scalar = _plus_parts(s_n, s_nu, r, self.h)[0] + _plus_parts(-s_n, -s_nu, r, self.h)[0]
+        scalar = _plus_value(s_n, s_nu, r, self.h) + _plus_value(-s_n, -s_nu, r, self.h)
         return scalar, _mirrored_gradient(coords, r, self.h)
 
     def value_gradient(self, z):

@@ -33,17 +33,29 @@ Each stratum draws N_SCRAMBLES batches, either scrambled Sobol points
 honest error bar) or consecutive blocks of one pseudo-random stream, from
 streams keyed by (seed, stratum id, scramble id).  Totals are reproducible
 bit for bit regardless of evaluation order.
+
+The Sobol sampler is this module's own (``_sobol``), for d <= 3: Joe and
+Kuo's direction numbers, a random linear matrix scramble plus digital
+shift drawn from the child stream keyed (seed, stratum id, scramble id, 0),
+and the points in gray-code order as one running xor.  Its output is bit
+for bit that of scipy's ``qmc.Sobol(d, scramble=True)`` seeded with the
+(seed, stratum id, scramble id) stream, which the tests check; scipy is
+not imported at run time (only the rate fit's rarely taken fallback loads
+``scipy.optimize``).  A batch is evaluated in row blocks of _BLOCK_ROWS
+pairs, so the estimator's temporaries stay small enough for the
+allocator to reuse them instead of mapping fresh pages on every call;
+the blocks are concatenated before the row-order reduction, so the
+totals do not depend on the block size.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
-from scipy.stats import qmc
 
 from .energies import EnergyModel
 from .errors import NonconvergenceError, QuadratureError
@@ -65,34 +77,86 @@ _CANONICAL = ("bulk", "slab", "strip", "corner", "shell")
 #: independent scrambles per stratum (error bar comes from their spread)
 N_SCRAMBLES = 8
 
+#: pairs per call of a pass's pair estimator; at d <= 3 each (rows, d)
+#: temporary of a block stays under 128 KiB, glibc's default mmap threshold
+_BLOCK_ROWS = 4096
+
+#: Sobol direction numbers of dimensions 1-3 at 30 bits (Joe and Kuo,
+#: "Constructing Sobol sequences with better two-dimensional projections",
+#: SIAM J. Sci. Comput. 30, 2008), as scipy.stats.qmc.Sobol tabulates them
+_SOBOL_BITS = 30
+_SOBOL_V = np.array([
+    [
+        0x20000000, 0x10000000, 0x08000000, 0x04000000, 0x02000000, 0x01000000,
+        0x00800000, 0x00400000, 0x00200000, 0x00100000, 0x00080000, 0x00040000,
+        0x00020000, 0x00010000, 0x00008000, 0x00004000, 0x00002000, 0x00001000,
+        0x00000800, 0x00000400, 0x00000200, 0x00000100, 0x00000080, 0x00000040,
+        0x00000020, 0x00000010, 0x00000008, 0x00000004, 0x00000002, 0x00000001,
+    ],
+    [
+        0x20000000, 0x30000000, 0x28000000, 0x3C000000, 0x22000000, 0x33000000,
+        0x2A800000, 0x3FC00000, 0x20200000, 0x30300000, 0x28280000, 0x3C3C0000,
+        0x22220000, 0x33330000, 0x2AAA8000, 0x3FFFC000, 0x20002000, 0x30003000,
+        0x28002800, 0x3C003C00, 0x22002200, 0x33003300, 0x2A802A80, 0x3FC03FC0,
+        0x20202020, 0x30303030, 0x28282828, 0x3C3C3C3C, 0x22222222, 0x33333333,
+    ],
+    [
+        0x20000000, 0x30000000, 0x18000000, 0x24000000, 0x3A000000, 0x17000000,
+        0x23800000, 0x31400000, 0x1A200000, 0x27300000, 0x3B980000, 0x15640000,
+        0x201A0000, 0x30270000, 0x183B8000, 0x24154000, 0x3A202000, 0x17303000,
+        0x23981800, 0x31642400, 0x1A1A3A00, 0x27271700, 0x3BBBA380, 0x15557140,
+        0x20003A20, 0x30001730, 0x18002398, 0x24003164, 0x3A001A1A, 0x17002727,
+    ],
+], dtype=np.uint32)
+#: the bits of each direction number, most significant first: (3, bits, bits)
+_SOBOL_V_BITS = (
+    (_SOBOL_V[:, None, :] >> np.arange(_SOBOL_BITS - 1, -1, -1, dtype=np.uint32)[:, None]) & 1
+).astype(float)
+
 
 def interface_profile(h: float, d: int) -> float:
     """Exact interface integral of the scalar field profile, divided by h.
 
     On the plane z.n = 0 the mirrored profile is min(|z.nu|/sqrt(h), 1)
     times the radial cutoff; for d = 2 the integral is 2 (1 - sqrt(h)) in
-    closed form, for d = 3 it reduces to a 1-D radial quadrature.  Tends to
-    the unit-ball volume of the interface disk as h -> 0.
+    closed form, for d = 3 it reduces to a 1-D radial integral, taken by a
+    32-point Gauss-Legendre rule on the pieces between 0, sqrt(h),
+    1 - sqrt(h) and 1.  Above r = sqrt(h) the angular factor has a
+    square-root kink, which the substitution r = sqrt(h) + u^2 removes, so
+    the rule is accurate to ~1e-12 relative for h >= 1e-8.  Tends to the
+    unit-ball volume of the interface disk as h -> 0.
     """
     sh = math.sqrt(h)
     big_r = 1.0 - sh
     if d == 2:
         return 2.0 * big_r
     if d == 3:
-
-        def angular(r):
-            if r <= sh:
-                return 4.0 * r / sh
-            theta = math.acos(sh / r)
-            return 4.0 * (theta + (r / sh) * (1.0 - math.sin(theta)))
-
-        def integrand(r):
-            zeta = min(1.0, max(0.0, (1.0 - r) / sh))
-            return zeta * angular(r) * r
-
-        val, _ = integrate.quad(integrand, 0.0, 1.0, points=(sh, big_r), limit=200)
-        return val
+        nodes, weights = _gauss_legendre()
+        lo, hi = sorted((sh, big_r))
+        total = 0.0
+        for a, b in ((0.0, lo), (lo, hi), (hi, 1.0)):
+            if a < sh:
+                r = 0.5 * (b - a) * nodes + 0.5 * (a + b)
+                jacobian = 0.5 * (b - a)
+                angular = 4.0 * r / sh
+            else:
+                ua, ub = math.sqrt(a - sh), math.sqrt(b - sh)
+                u = 0.5 * (ub - ua) * nodes + 0.5 * (ua + ub)
+                r = sh + u * u
+                jacobian = (ub - ua) * u
+                # 4 (theta + (r / sh) (1 - sin theta)) with cos theta = sh / r
+                angular = 4.0 * (np.arccos(sh / r) + sh / (r + np.sqrt(r * r - h)))
+            zeta = np.minimum(1.0, (1.0 - r) / sh)
+            total += float(weights @ (jacobian * zeta * angular * r))
+        return total
     raise ValueError("interface profile supports d = 2 or 3")
+
+
+@functools.lru_cache(maxsize=1)
+def _gauss_legendre():
+    """32-point Gauss-Legendre nodes and weights on [-1, 1], built on first
+    use: numpy.polynomial costs a few ms to import."""
+    return np.polynomial.legendre.leggauss(32)
 
 
 class _BoxStratum:
@@ -106,11 +170,12 @@ class _BoxStratum:
     def map_unit(self, u: np.ndarray) -> np.ndarray:
         return (2.0 * u - 1.0) * self.hw
 
-    def contains(self, coords: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """Membership of sampled points (inside [-1, 1]^d) with radii r."""
-        inside = np.ones(coords.shape[0], dtype=bool)
-        for k, w in self.narrowed:
-            inside &= np.abs(coords[:, k]) <= w
+    def contains(self, abs_coords: np.ndarray, r: np.ndarray) -> np.ndarray:
+        """Membership of sampled points (inside [-1, 1]^d) from |coords| and radii r."""
+        (k, w), *rest = self.narrowed  # h < 1, so the slab axis or the strip axis is narrowed
+        inside = abs_coords[:, k] <= w
+        for k, w in rest:
+            inside &= abs_coords[:, k] <= w
         return inside
 
 
@@ -136,9 +201,12 @@ class _BallStratum:
             )
         return radius[:, None] * direction
 
-    def contains(self, coords: np.ndarray, r: np.ndarray) -> np.ndarray:
+    def contains(self, abs_coords: np.ndarray, r: np.ndarray) -> np.ndarray:
         """Membership of points with radii r = |coords|."""
-        return (r >= self.r_lo) & (r <= 1.0)
+        inside = r <= 1.0
+        if self.r_lo > 0.0:
+            inside &= r >= self.r_lo
+        return inside
 
 
 def _build_strata(h: float, d: int, quad: QuadratureConfig):
@@ -208,17 +276,56 @@ def _mean_var(vals: np.ndarray):
     return mean, _row_sum(dev * dev) / (n - 1)
 
 
-def _stream(seed: int, sid: int, j: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=(sid, j))
+def _stream(seed: int, *spawn_key: int) -> np.random.Generator:
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=spawn_key)
     return np.random.Generator(np.random.PCG64(seq))
+
+
+@functools.lru_cache(maxsize=8)
+def _ruler(n: int) -> np.ndarray:
+    """ctz(i) for i = 1 .. n-1: the direction number gray-code point i flips."""
+    i = np.arange(1, n)
+    out = (np.frexp(i & -i)[1] - 1).astype(np.intp)
+    out.setflags(write=False)
+    return out
+
+
+def _sobol(d: int, n: int, seed: int, sid: int, j: int) -> np.ndarray:
+    """n scrambled Sobol points in [0, 1)^d, d <= 3, for scramble j of stratum sid.
+
+    Bit for bit ``qmc.Sobol(d, scramble=True, seed=_stream(seed, sid, j))
+    .random(n)`` of scipy 1.17: that engine draws from the stream's first
+    spawned child, keyed (sid, j, 0), a digital shift and then lower
+    unit-triangular matrices L, one per dimension, and scrambles each
+    direction number v, as its bit vector most significant bit first, to
+    L v mod 2.  Point 0 is the shift and point i that of i - 1 xor
+    direction number ctz(i).  The matrix products are exact in floating
+    point (every entry is an integer <= 30).
+    """
+    rng = _stream(seed, sid, j, 0)
+    bits = _SOBOL_BITS
+    shift = rng.integers(2, size=(d, bits), dtype=np.uint32) @ (
+        2 ** np.arange(bits, dtype=np.uint32)
+    )
+    lms = np.tril(rng.integers(2, size=(d, bits, bits), dtype=np.uint32), -1) + np.eye(bits)
+    scrambled = lms @ _SOBOL_V_BITS[:d]  # (dimension, bit, direction number)
+    np.fmod(scrambled, 2.0, out=scrambled)
+    msb_first = 2.0 ** np.arange(bits - 1, -1, -1)
+    directions = (scrambled.transpose(0, 2, 1) @ msb_first).astype(np.uint32)
+    points = np.empty((n, d), dtype=np.uint32)
+    points[0] = shift
+    np.take(directions.T, _ruler(n), axis=0, out=points[1:])
+    np.bitwise_xor.accumulate(points, axis=0, out=points)
+    return points * 2.0**-bits
 
 
 def _stratified_estimate(fld: InterchangeField, quad: QuadratureConfig, pair_estimates):
     """Antithetic mixture sampling over all strata.
 
     ``pair_estimates(coords, pdf)`` returns 0.5 (f(z) + f(-z)) / q(z) for
-    each drawn pair (z, -z), as an (N,) or (N, k) array; ``pdf(coords, r)``
-    is the mixture density q at points with radii r, and q(-z) = q(z).
+    each drawn pair (z, -z), as an (N,) or (N, k) array, and is called on
+    row blocks of at most _BLOCK_ROWS pairs; ``pdf(coords, r)`` is the
+    mixture density q at points with radii r, and q(-z) = q(z).
     Each stratum is drawn in N_SCRAMBLES batches of power-of-two pairs.
     With rqmc every batch is an independent Sobol scramble and the error
     bar is the spread of the batch means; with mc the batches continue one
@@ -231,10 +338,13 @@ def _stratified_estimate(fld: InterchangeField, quad: QuadratureConfig, pair_est
     pair_counts = np.array([N_SCRAMBLES * p for p in per_scramble], dtype=float)
     weights = pair_counts / pair_counts.sum()
 
+    densities = [c / stratum.measure for stratum, c in zip(strata, weights)]
+
     def pdf(coords: np.ndarray, r: np.ndarray) -> np.ndarray:
+        abs_coords = np.abs(coords)
         q = np.zeros(coords.shape[0])
-        for stratum, c in zip(strata, weights):
-            q += (c / stratum.measure) * stratum.contains(coords, r)
+        for stratum, density in zip(strata, densities):
+            q += density * stratum.contains(abs_coords, r)
         return q
 
     rqmc = quad.sampler == "rqmc"
@@ -245,11 +355,11 @@ def _stratified_estimate(fld: InterchangeField, quad: QuadratureConfig, pair_est
         mc_stream = None if rqmc else _stream(quad.seed, sid, 0)
         batches = []
         for j in range(N_SCRAMBLES):
-            if rqmc:
-                u = qmc.Sobol(d, scramble=True, seed=_stream(quad.seed, sid, j)).random(pairs)
-            else:
-                u = mc_stream.random((pairs, d))
-            vals = pair_estimates(stratum.map_unit(u), pdf)
+            u = _sobol(d, pairs, quad.seed, sid, j) if rqmc else mc_stream.random((pairs, d))
+            vals = np.concatenate([
+                pair_estimates(stratum.map_unit(u[i:i + _BLOCK_ROWS]), pdf)
+                for i in range(0, pairs, _BLOCK_ROWS)
+            ])
             # rqmc keeps only each scramble's mean, mc every per-pair value
             batches.append(_row_sum(vals) / pairs if rqmc else vals)
         n_evals += 2 * N_SCRAMBLES * pairs
@@ -441,6 +551,8 @@ def _rate_fit(h_grid, values, sigma, limit, slope_guess):
         dof = max(1, int(mask.sum()) - 2)
         inflate = max(1.0, math.sqrt(chi2 / dof))
         return float(coef[1]), float(np.sqrt(cov[1, 1])) * inflate
+    from scipy import optimize  # ~1 s to import; this branch is rarely taken
+
     try:
         with warnings.catch_warnings():
             # degenerate (all-zero) data leaves the exponent unidentifiable;

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -564,3 +567,34 @@ class TestRunConfig:
         )
         pair = cfg.pair(cfg.model())
         np.testing.assert_allclose(pair.fp, [[1.0, 0.0]])
+
+
+#: a fresh interpreter reports the scipy modules it holds after importing the
+#: CLI and after each sweep-h run given on its command line
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+from gradjump.cli import main
+report = {"import": loaded()}
+for config in sys.argv[1:]:
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["sweep-h", "--config", config, "--seed", "0"])
+    report[config] = (code, loaded())
+print(json.dumps(report))
+"""
+
+
+class TestScipyFreeRuntime:
+    def test_no_scipy_module_after_import_and_sweeps(self):
+        configs = Path(__file__).resolve().parent.parent / "bench" / "configs"
+        sweeps = [str(configs / "sweep_2d.json"), str(configs / "sweep_3d.json")]  # rqmc, mc
+        src = str(Path(gj.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-c", SCIPY_PROBE, *sweeps],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report == {"import": [], **{c: [0, []] for c in sweeps}}

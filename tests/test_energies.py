@@ -3,6 +3,7 @@ import pytest
 
 import gradjump as gj
 from gradjump.energies import fd_gradient
+from gradjump.tensors import row_sq_norms
 
 from conftest import REF_PARAMS
 
@@ -211,6 +212,54 @@ class TestRankOneExcess:
             a = rng.normal(size=model.m)
             assert np.all(kernel(a, g, s, index) == 0.0)
             assert np.all(kernel(a, g, s) == 0.0)
+
+    @staticmethod
+    def every_term_kernel(model, bases):
+        """The min-of-quadratics kernel with no zero offset skipped: every
+        branch's value starts from its offset e_b and adds mu_b quad, then
+        its linear term where that is nonzero for some base."""
+        mus = np.array([mu for mu, _ in model.branches])
+        bvals = np.stack([model.branch_values(f) for f in bases])
+        offsets = bvals - bvals.min(axis=1, keepdims=True)
+        stresses = np.stack([model.gradient(f) for f in bases])
+        slopes = mus[None, :, None, None] * bases[:, None] - stresses[:, None]
+
+        def excess(a, g, s, index):
+            lin = np.einsum("kbmd,m->kbd", slopes, a)
+            quad = (0.5 * s * s * float(a @ a)) * row_sq_norms(g)
+            out = None
+            for b, mu in enumerate(mus):
+                val = offsets[index, b] + mu * quad
+                if np.any(lin[:, b]):
+                    dot = g[:, 0] * lin[index, b, 0]
+                    for k in range(1, g.shape[1]):
+                        dot += g[:, k] * lin[index, b, k]
+                    val += s * dot
+                out = val if out is None else np.minimum(out, val)
+            return out
+
+        return excess
+
+    @pytest.mark.parametrize("kind", [k for k in CLOSED_FORMS if not k.startswith("isotropic")])
+    @pytest.mark.parametrize("wells", ["mixed", "shared"])
+    def test_zero_term_skips_are_bitwise(self, rng, kind, wells):
+        model = CLOSED_FORMS[kind]()
+        # |F|^2 of 0.1, 1.5 and 4 puts the bases of the three-branch model on
+        # three different wells; "shared" keeps every base on branch 0, so
+        # that branch's offsets are all zero
+        sq = [0.1, 1.5, 4.0] if wells == "mixed" else [0.1, 0.2, 0.3]
+        dirs = rng.normal(size=(3, model.m, model.d))
+        bases = dirs * np.sqrt(sq / np.sum(dirs**2, axis=(1, 2)))[:, None, None]
+        kernel, reference = model.rank_one_excess(bases), self.every_term_kernel(model, bases)
+        for _ in range(4):
+            a = rng.normal(size=model.m)
+            # steps up to |g| ~ 6 cross from every base's well into the others
+            g = rng.normal(size=(400, model.d)) * rng.uniform(0.0, 3.0, size=(400, 1))
+            g[:20] = 0.0
+            s = rng.uniform(-1.5, 1.5)
+            index = rng.integers(0, 3, size=400)
+            assert np.array_equal(kernel(a, g, s, index), reference(a, g, s, index))
+            assert np.array_equal(kernel(a, g, s), reference(a, g, s, np.zeros(400, dtype=int)))
 
     def test_branch_switch_is_seen(self):
         # from the stiff well at |F| = 1 a step to |F| = 3 ends on the soft well

@@ -7,6 +7,7 @@ from gradjump.interchange import (
     InterchangeField,
     _mirrored_gradient,
     _plus_parts,
+    _plus_value,
     classify_codes,
 )
 
@@ -15,7 +16,7 @@ from conftest import small_quad
 
 def plus_value(h, s_n, s_nu, r):
     """Scalar value of the + term at one frame point, divided by h."""
-    val, _, _, _ = _plus_parts(np.array([s_n]), np.array([s_nu]), np.array([r]), h)
+    val = _plus_value(np.array([s_n]), np.array([s_nu]), np.array([r]), h)
     return val[0] / h
 
 
@@ -215,8 +216,8 @@ def mirror_test_points(h, d, rng):
 def two_term_gradient(coords, r, h):
     """The mirrored gradient as the sum of the + term and its mirror image."""
     s_n, s_nu = coords[:, 0], coords[:, 1]
-    _, gn_p, gnu_p, cr_p = _plus_parts(s_n, s_nu, r, h)
-    _, gn_m, gnu_m, cr_m = _plus_parts(-s_n, -s_nu, r, h)
+    gn_p, gnu_p, cr_p = _plus_parts(s_n, s_nu, r, h)
+    gn_m, gnu_m, cr_m = _plus_parts(-s_n, -s_nu, r, h)
     g = np.zeros_like(coords)
     g[:, 0] = gn_p - gn_m
     g[:, 1] = gnu_p - gnu_m

@@ -1,10 +1,15 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, optimize
 from scipy.stats import qmc
+from scipy.stats._sobol import _initialize_v
 
 import gradjump as gj
 from gradjump import quadrature
+from gradjump.errors import NonconvergenceError
 from gradjump.interchange import InterchangeField, classify_codes
 from gradjump.quadrature import REGION_KEYS, _mixture_pass, interface_profile
 
@@ -36,6 +41,43 @@ class TestInterfaceProfile:
         # tends to the volume of the unit interface disk
         assert interface_profile(1e-8, 2) == pytest.approx(2.0, abs=1e-3)
         assert interface_profile(1e-8, 3) == pytest.approx(np.pi, abs=1e-3)
+
+    @pytest.mark.parametrize(
+        "h", [*np.geomspace(1e-6, 0.99, 13), 0.01, 0.0125, 0.05, 0.1, 0.25, 0.3, 0.5]
+    )
+    def test_d3_against_adaptive_quadrature(self, h):
+        # the radial integral as quadpack takes it, kinks at sqrt(h) and 1 - sqrt(h)
+        sh = math.sqrt(h)
+
+        def integrand(r):
+            if r <= sh:
+                angular = 4.0 * r / sh
+            else:
+                theta = math.acos(sh / r)
+                angular = 4.0 * (theta + (r / sh) * (1.0 - math.sin(theta)))
+            return min(1.0, max(0.0, (1.0 - r) / sh)) * angular * r
+
+        ref, _ = integrate.quad(integrand, 0.0, 1.0, points=(sh, 1.0 - sh), limit=200)
+        assert interface_profile(h, 3) == pytest.approx(ref, rel=1e-9, abs=0.0)
+
+
+class TestSobol:
+    """The in-house scrambled Sobol sampler is scipy's, bit for bit."""
+
+    def test_direction_numbers_are_scipys(self):
+        v = np.zeros((3, quadrature._SOBOL_BITS), dtype=np.uint32)
+        _initialize_v(v, dim=3, bits=quadrature._SOBOL_BITS)
+        assert np.array_equal(quadrature._SOBOL_V, v)
+
+    @pytest.mark.parametrize("n", [64, 2048, 16384])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_scipy_engine(self, d, n):
+        for seed in (0, 7, 900):
+            for sid in quadrature._STRATUM_IDS.values():
+                for j in (0, 7):
+                    ours = quadrature._sobol(d, n, seed, sid, j)
+                    engine = qmc.Sobol(d, scramble=True, seed=quadrature._stream(seed, sid, j))
+                    assert np.array_equal(ours, engine.random(n)), (seed, sid, j)
 
 
 def reference_residual(model, pair, fld, t):
@@ -187,6 +229,23 @@ class TestFusedPass:
         assert res.mc_error == float(ref_err[0])
 
         # region measures come from their own pass over the same points
+        measures = gj.estimate_region_measures(pair, params)
+        assert measures == {
+            k: (float(ref_mean[1 + j]), float(ref_err[1 + j])) for j, k in enumerate(REGION_KEYS)
+        }
+
+    @pytest.mark.parametrize("sampler", ["rqmc", "mc"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_row_blocks_do_not_change_bits(self, monkeypatch, d, sampler):
+        # 96-pair blocks split every batch (128 and 512 pairs) into full
+        # blocks and a partial one
+        model, pair, params, fld, integrand = self.case(d, sampler)
+        monkeypatch.setattr(quadrature, "_BLOCK_ROWS", 96)
+        mean, err, n = _mixture_pass(fld, params.quad, integrand)
+        ref_mean, ref_err, ref_n = reference_mixture_pass(
+            fld, params.quad, pointwise_residual(fld, integrand)
+        )
+        assert (mean, err, n) == (ref_mean[0], ref_err[0], ref_n)
         measures = gj.estimate_region_measures(pair, params)
         assert measures == {
             k: (float(ref_mean[1 + j]), float(ref_err[1 + j])) for j, k in enumerate(REGION_KEYS)
@@ -372,6 +431,34 @@ class TestEnergyIncrement:
             gaps.append(res.delta_e / t - ff)
         assert abs(gaps[0]) <= 0.2 * abs(ff)
         assert gaps[1] / gaps[0] == pytest.approx(0.5, abs=0.2)
+
+
+class TestRateFit:
+    """The three-parameter fallback of the rate fit, taken when at most two
+    remainders stand clear of the noise."""
+
+    H_GRID = np.array([0.1, 0.05, 0.025, 0.0125])
+
+    def test_fallback_recovers_the_exponent(self):
+        values = -0.24 + 0.3 * np.sqrt(self.H_GRID)
+        sigma = np.full(4, 0.02)
+        # remainders 0.095, 0.067, 0.047, 0.034: two beyond 3 sigma
+        assert int(np.sum(np.abs(values + 0.24) > 3.0 * sigma)) == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rate, rate_error = quadrature._rate_fit(self.H_GRID, values, sigma, -0.24, 0.3)
+        assert math.isfinite(rate) and 0.05 <= rate <= 1.5
+        assert rate == pytest.approx(0.5, abs=1e-6)
+        assert math.isfinite(rate_error)
+
+    def test_fit_failure_is_nonconvergence(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise RuntimeError("Optimal parameters not found")
+
+        monkeypatch.setattr(optimize, "curve_fit", fail)
+        values = -0.24 + 0.3 * np.sqrt(self.H_GRID)
+        with pytest.raises(NonconvergenceError, match="rate fit failed"):
+            quadrature._rate_fit(self.H_GRID, values, np.full(4, 0.02), -0.24, 0.3)
 
 
 class TestLimitSweep:
