@@ -46,19 +46,30 @@ pairs, so the estimator's temporaries stay small enough for the
 allocator to reuse them instead of mapping fresh pages on every call;
 the blocks are concatenated before the row-order reduction, so the
 totals do not depend on the block size.
+
+Each estimate runs its strata on two processes: the parent takes the
+even-indexed strata (of all five: bulk, strip, shell) and one
+``os.fork()``ed child the odd-indexed ones (slab, corner), whose
+estimates it sends back through a pipe (``_fork_map``).  The parent adds
+the per-stratum means and variances in stratum order, so the totals are
+bit for bit the same whatever the CPU count; with fewer than two usable
+CPUs or no ``os.fork`` the strata run serially in the parent.  An
+estimate forks at most one child.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import os
+import pickle
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .energies import EnergyModel
-from .errors import NonconvergenceError, QuadratureError
+from .errors import GradJumpError, NonconvergenceError, QuadratureError
 from .interchange import (
     InterchangeField,
     InterchangeParams,
@@ -273,7 +284,8 @@ def _mean_var(vals: np.ndarray):
     n = vals.shape[0]
     mean = _row_sum(vals) / n
     dev = vals - mean
-    return mean, _row_sum(dev * dev) / (n - 1)
+    np.multiply(dev, dev, out=dev)
+    return mean, _row_sum(dev) / (n - 1)
 
 
 def _stream(seed: int, *spawn_key: int) -> np.random.Generator:
@@ -319,6 +331,65 @@ def _sobol(d: int, n: int, seed: int, sid: int, j: int) -> np.ndarray:
     return points * 2.0**-bits
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _fork_map(fn, items) -> list:
+    """[fn(x) for x in items] over a sequence, the odd-indexed items run in
+    one forked child.
+
+    The parent runs items[0::2] while the child runs items[1::2] and sends
+    back its pickled (ok, results or exception) through a pipe; the child
+    leaves only through os._exit, so no inherited buffer or exit hook runs
+    twice.  An exception shipped back is raised again in the parent; a child
+    that ends without a readable payload raises GradJumpError.  Runs
+    serially with fewer than 2 items, fewer than 2 usable CPUs, no os.fork,
+    or when the fork itself fails.
+    """
+    if len(items) < 2 or not hasattr(os, "fork") or _usable_cpus() < 2:
+        return [fn(x) for x in items]
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process or memory to spare: the same work, serially
+        os.close(read_fd)
+        os.close(write_fd)
+        return [fn(x) for x in items]
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            try:
+                payload = (True, [fn(x) for x in items[1::2]])
+            except BaseException as exc:  # shipped to the parent, which raises it
+                payload = (False, exc)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pickle.dump(payload, pipe)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    pipe = os.fdopen(read_fd, "rb")
+    try:
+        evens = [fn(x) for x in items[0::2]]
+        data = pipe.read()
+    finally:
+        pipe.close()  # a child still writing then stops on a broken pipe
+        _, status = os.waitpid(pid, 0)
+    try:
+        ok, odds = pickle.loads(data)
+    except Exception:
+        code = os.waitstatus_to_exitcode(status)
+        raise GradJumpError(f"forked worker ended with exit code {code} and no result") from None
+    if not ok:
+        raise odds
+    out = [None] * len(items)
+    out[0::2], out[1::2] = evens, odds
+    return out
+
+
 def _stratified_estimate(fld: InterchangeField, quad: QuadratureConfig, pair_estimates):
     """Antithetic mixture sampling over all strata.
 
@@ -330,6 +401,9 @@ def _stratified_estimate(fld: InterchangeField, quad: QuadratureConfig, pair_est
     With rqmc every batch is an independent Sobol scramble and the error
     bar is the spread of the batch means; with mc the batches continue one
     pseudo-random stream and the error bar is the classical per-pair one.
+    The strata are estimated through ``_fork_map``, so ``pair_estimates``
+    may run in a forked child and must return its result, not record it;
+    their means and variances are added in stratum order.
     Returns (means, errors, n_evals), n_evals counting two per pair.
     """
     d = fld.pair.d
@@ -348,9 +422,11 @@ def _stratified_estimate(fld: InterchangeField, quad: QuadratureConfig, pair_est
         return q
 
     rqmc = quad.sampler == "rqmc"
-    total_mean = total_var = 0.0
-    n_evals = 0
-    for stratum, pairs, c in zip(strata, per_scramble, weights):
+
+    def stratum_estimate(k: int):
+        """Row-order mean and variance of stratum k's per-scramble means
+        (rqmc) or per-pair values (mc)."""
+        stratum, pairs = strata[k], per_scramble[k]
         sid = _STRATUM_IDS[stratum.name]
         mc_stream = None if rqmc else _stream(quad.seed, sid, 0)
         batches = []
@@ -362,13 +438,14 @@ def _stratified_estimate(fld: InterchangeField, quad: QuadratureConfig, pair_est
             ])
             # rqmc keeps only each scramble's mean, mc every per-pair value
             batches.append(_row_sum(vals) / pairs if rqmc else vals)
+        return _mean_var(np.array(batches) if rqmc else np.concatenate(batches))
+
+    total_mean = total_var = 0.0
+    n_evals = 0
+    estimates = _fork_map(stratum_estimate, range(len(strata)))
+    for (mean, var), pairs, c in zip(estimates, per_scramble, weights):
         n_evals += 2 * N_SCRAMBLES * pairs
-        if rqmc:
-            mean, var = _mean_var(np.array(batches))
-            total_var += c * c * var / N_SCRAMBLES
-        else:
-            mean, var = _mean_var(np.concatenate(batches))
-            total_var += c * c * var / (N_SCRAMBLES * pairs)
+        total_var += c * c * var / (N_SCRAMBLES if rqmc else N_SCRAMBLES * pairs)
         total_mean += c * mean
     return total_mean, np.sqrt(total_var), n_evals
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gradjump import quadrature
 from gradjump.cli import main
 from gradjump.config import RunConfig
 import gradjump as gj
@@ -24,6 +25,7 @@ SWEEP = {
     "h_grid": [0.1, 0.05, 0.025, 0.0125],
     "quadrature": SMALL_QUAD,
 }
+BENCH_CONFIGS = Path(__file__).resolve().parent.parent / "bench" / "configs"
 ISOTROPIC = {
     "d": 1,
     "mu": 0.0,
@@ -164,6 +166,24 @@ class TestSweepH:
         lines = err.splitlines()
         assert len(lines) == 1
         assert message in json.loads(lines[0])["error"]
+
+    @pytest.mark.parametrize("name", ["sweep_2d", "sweep_3d"])  # rqmc, mc
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_forked_and_serial_outputs_byte_identical(self, tmp_path, capsys, monkeypatch,
+                                                      name, fmt):
+        payload = json.loads((BENCH_CONFIGS / f"{name}.json").read_text())
+        payload["quadrature"].update(SMALL_QUAD)
+        cfg = write_config(tmp_path, payload)
+        outputs = []
+        for cpus in (2, 1):
+            monkeypatch.setattr(quadrature, "_usable_cpus", lambda: cpus)
+            out = tmp_path / f"cpus{cpus}"
+            code, stdout, _ = run(capsys, "sweep-h", "--config", cfg, "--format", fmt,
+                                  "--out", str(out))
+            artifacts = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+            outputs.append((code, stdout, artifacts))
+        assert outputs[0][0] == 0 and outputs[0][2]
+        assert outputs[0] == outputs[1]
 
 
 class TestPathDt:
@@ -569,11 +589,13 @@ class TestRunConfig:
         np.testing.assert_allclose(pair.fp, [[1.0, 0.0]])
 
 
-#: a fresh interpreter reports the scipy modules it holds after importing the
-#: CLI and after each sweep-h run given on its command line
+#: a fresh interpreter reports the scipy modules, and the process-pool modules
+#: a forking estimator does without, that it holds after importing the CLI and
+#: after each sweep-h run given on its command line
 SCIPY_PROBE = """
 import contextlib, io, json, sys
-loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+roots = ("scipy", "multiprocessing", "concurrent")
+loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] in roots)
 from gradjump.cli import main
 report = {"import": loaded()}
 for config in sys.argv[1:]:
@@ -586,8 +608,7 @@ print(json.dumps(report))
 
 class TestScipyFreeRuntime:
     def test_no_scipy_module_after_import_and_sweeps(self):
-        configs = Path(__file__).resolve().parent.parent / "bench" / "configs"
-        sweeps = [str(configs / "sweep_2d.json"), str(configs / "sweep_3d.json")]  # rqmc, mc
+        sweeps = [str(BENCH_CONFIGS / "sweep_2d.json"), str(BENCH_CONFIGS / "sweep_3d.json")]
         src = str(Path(gj.__file__).resolve().parent.parent)
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, PYTHONPATH=path)

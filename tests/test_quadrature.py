@@ -1,4 +1,5 @@
 import math
+import os
 import warnings
 
 import numpy as np
@@ -526,3 +527,114 @@ class TestLimitSweep:
         assert set(d) >= {"limit", "limit_error", "rate", "chi2_red", "fit_order", "n_evals"}
         per_h = gj.energy_increment(antiplane, noneq_pair, params).n_evals
         assert d["n_evals"] == sweep.n_evals == 4 * per_h
+
+
+def _no_fork():
+    raise AssertionError("os.fork called")
+
+
+class TestForkMap:
+    """The odd-indexed items of ``_fork_map`` run in one forked child."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        # fork on any host, also one pinned to a single CPU
+        monkeypatch.setattr(quadrature, "_usable_cpus", lambda: 2)
+
+    @staticmethod
+    def assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_results_in_item_order(self, n):
+        out = quadrature._fork_map(lambda x: (x * x, os.getpid()), range(n))
+        assert [v for v, _ in out] == [x * x for x in range(n)]
+        # the parent runs the even-indexed items, one child the odd-indexed ones
+        assert {pid for _, pid in out[0::2]} == {os.getpid()}
+        assert len({pid for _, pid in out[1::2]} - {os.getpid()}) == (n > 1)
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "exc", [gj.QuadratureError("error cap exceeded"), ValueError("bad item")]
+    )
+    def test_child_exception_arrives_with_type_and_message(self, exc):
+        def fn(x):
+            if x == 3:
+                raise exc
+            return x
+
+        with pytest.raises(type(exc), match=str(exc)):
+            quadrature._fork_map(fn, range(5))
+        self.assert_no_child_left()
+
+    @pytest.mark.parametrize(
+        "odd_item, code", [(lambda: os._exit(3), 3), (lambda: lambda: None, 0)]  # unpicklable
+    )
+    def test_child_ending_without_result(self, odd_item, code):
+        fn = lambda x: odd_item() if x == 1 else x
+        with pytest.raises(gj.GradJumpError, match=f"exit code {code} and no result"):
+            quadrature._fork_map(fn, range(3))
+        self.assert_no_child_left()
+
+    def test_parent_exception_reaps_a_child_blocked_on_the_pipe(self):
+        # the child's payload is larger than a pipe buffer: the parent, whose
+        # own share raises, never reads it, and closing the pipe unblocks it
+        def fn(x):
+            if x == 0:
+                raise ValueError("parent share")
+            return bytes(1 << 22)
+
+        with pytest.raises(ValueError, match="parent share"):
+            quadrature._fork_map(fn, range(2))
+        self.assert_no_child_left()
+
+    def test_serial_when_fork_fails(self, monkeypatch):
+        def fork():
+            raise BlockingIOError("no process to spare")
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert quadrature._fork_map(lambda x: x + 1, range(5)) == [1, 2, 3, 4, 5]
+
+    def test_serial_without_a_second_item_or_cpu(self, monkeypatch):
+        monkeypatch.setattr(os, "fork", _no_fork)
+        assert quadrature._fork_map(lambda x: x + 1, [5]) == [6]
+        monkeypatch.setattr(quadrature, "_usable_cpus", lambda: 1)
+        assert quadrature._fork_map(lambda x: x + 1, range(5)) == [1, 2, 3, 4, 5]
+
+
+class TestForkedMatchesSerial:
+    """Forked and serial estimates carry the same bits."""
+
+    @staticmethod
+    def both(monkeypatch, run):
+        monkeypatch.setattr(quadrature, "_usable_cpus", lambda: 2)
+        forked = run()
+        monkeypatch.setattr(quadrature, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(os, "fork", _no_fork)
+        return forked, run()
+
+    @pytest.mark.parametrize(
+        "strata", [(), ("slab",), ("slab", "strip", "corner", "shell")]
+    )
+    @pytest.mark.parametrize("sampler", ["rqmc", "mc"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_energy_increment(self, monkeypatch, d, sampler, strata):
+        model, pair, params, _, _ = TestFusedPass.case(d, sampler)
+        quad = gj.QuadratureConfig(
+            seed=5, samples_bulk=2048, samples_slab=8192, stratification=strata, sampler=sampler
+        )
+        params = gj.InterchangeParams(h=params.h, t=params.t, quad=quad)
+        forked, serial = self.both(
+            monkeypatch, lambda: gj.energy_increment(model, pair, params).to_dict()
+        )
+        # repr tells the bits of every float apart, -0.0 from 0.0 too
+        assert repr(forked) == repr(serial)
+
+    @pytest.mark.parametrize("sampler", ["rqmc", "mc"])
+    def test_region_measures(self, monkeypatch, eq_pair, sampler):
+        params = gj.InterchangeParams(h=0.05, quad=small_quad(seed=9, sampler=sampler))
+        forked, serial = self.both(
+            monkeypatch, lambda: gj.estimate_region_measures(eq_pair, params)
+        )
+        assert repr(forked) == repr(serial)
