@@ -17,7 +17,10 @@ and isotropic kinds override it with closed forms in p = a.G, (F^T a).G and
     tr(a (x) G) = a.G,
     |dev sym(a (x) G)|^2 = |a|^2 |G|^2 / 2 + (a.G)^2 (1/2 - 1/d).
 
-Each closed form is exactly 0 where G = 0, as the stack form is.
+Each closed form is exactly 0 where G = 0, as the stack form is.  The
+estimator asks for both points of an antithetic pair, steps +s and -s, in
+one call (the kernel's ``mirror`` index), so the closed forms compute the
+parts that do not depend on the sign of s once.
 """
 
 from __future__ import annotations
@@ -106,20 +109,27 @@ class EnergyModel:
         """Kernel for the excess of W along rank-one lines from a few bases.
 
         ``bases`` is a (K, m, d) stack of gradients F_k, with stresses
-        P_k = ``gradient(F_k)``.  Returns ``excess(a, g, s, index=None)``,
-        which for N world vectors g_i (an (N, d) array) gives
+        P_k = ``gradient(F_k)``.  Returns ``excess(a, g, s, index=None,
+        mirror=None)``, which for N world vectors g_i (an (N, d) array) gives
 
             W(F_k + s a (x) g_i) - W(F_k) - s (P_k, a (x) g_i),  k = index[i],
 
-        with every row on base 0 when index is None.  This body forms the
-        (N, m, d) stacks and calls ``value_many``; kinds with a closed form
+        with every row on base 0 when index is None.  Given a second index
+        array ``mirror`` it returns the pair (those values, the same at -s
+        on the bases mirror[i]): both points of an antithetic pair in one
+        call, each bit for bit what its one-sided call returns.  The
+        closed forms share the work that does not depend on the sign of s
+        between the two sides.  This body forms the (N, m, d) stacks and
+        calls ``value_many``, one side at a time; kinds with a closed form
         override it.
         """
         bases = np.asarray(bases, dtype=float)
         wbars = np.array([self.value(f) for f in bases])
         stresses = np.stack([self.gradient(f) for f in bases])
 
-        def excess(a, g, s, index=None):
+        def excess(a, g, s, index=None, mirror=None):
+            if mirror is not None:
+                return excess(a, g, s, index), excess(a, g, -s, mirror)
             a = np.asarray(a, dtype=float)
             step = (s * a)[None, :, None] * g[:, None, :]
             vals = self.value_many(_per_row(bases, index) + step)
@@ -179,7 +189,9 @@ class MinQuadraticsEnergy(EnergyModel):
         vanishes bit for bit, g = 0 gives exactly 0 and no cancellation is
         left in the increment.  A branch whose offset or linear term
         vanishes for every base skips that term (mu_b s^2 ... >= +0, so
-        adding the zero offset would change no bit).
+        adding the zero offset would change no bit).  The two sides of a
+        mirrored call share (F^T a) per branch and the s^2 term, whose
+        bits are the same at -s.
         """
         bases = np.asarray(bases, dtype=float)
         bvals = np.stack([self.branch_values(f) for f in bases])  # (K, branches)
@@ -189,11 +201,8 @@ class MinQuadraticsEnergy(EnergyModel):
         stresses = np.stack([self.gradient(f) for f in bases])
         slopes = self._mus[None, :, None, None] * bases[:, None] - stresses[:, None]
 
-        def excess(a, g, s, index=None):
-            a = np.asarray(a, dtype=float)
-            lin = np.einsum("kbmd,m->kbd", slopes, a)
-            live = lin.any(axis=(0, 2))
-            quad = (0.5 * s * s * float(a @ a)) * row_sq_norms(g)
+        def side(g, s, index, lin, live, quad):
+            """The minimum over the branches at step s on the bases index."""
             out = None
             for b, (mu, offset) in enumerate(terms):
                 val = mu * quad
@@ -203,6 +212,15 @@ class MinQuadraticsEnergy(EnergyModel):
                     val += s * _dot_rows(g, lin[:, b], index)
                 out = val if out is None else np.minimum(out, val, out=out)
             return out
+
+        def excess(a, g, s, index=None, mirror=None):
+            a = np.asarray(a, dtype=float)
+            lin = np.einsum("kbmd,m->kbd", slopes, a)
+            live = lin.any(axis=(0, 2))
+            quad = (0.5 * s * s * float(a @ a)) * row_sq_norms(g)
+            if mirror is None:
+                return side(g, s, index, lin, live, quad)
+            return side(g, s, index, lin, live, quad), side(g, -s, mirror, lin, live, quad)
 
         return excess
 
@@ -357,23 +375,31 @@ class IsotropicThetaEnergy(EnergyModel):
 
         the first line summed as x^2 (c_2 + x (c_3 + ...)) from the Taylor
         coefficients c_j of f at each base's theta, which is exact for a
-        polynomial and free of the cancellation of the difference.
+        polynomial and free of the cancellation of the difference.  The two
+        sides of a mirrored call share p, |g|^2 and the mu s^2 terms, whose
+        bits are the same at -s; x only flips its sign.
         """
         mu, d = self.params.mu, self.d
         # Taylor coefficients of f from the quadratic term up, one row per base
         tails = np.stack([self.params.taylor(np.trace(f))[2:] for f in bases])
 
-        def excess(a, g, s, index=None):
-            a = np.asarray(a, dtype=float)
-            p = _dot_rows(g, a[None, :], None)
-            x = s * p
-            out = (0.5 * mu * s * s * float(a @ a)) * row_sq_norms(g)
-            out += (mu * s * s * (0.5 - 1.0 / d)) * (p * p)
+        def add_tail(out, x, index):
+            """out + x^2 (c_2 + x (c_3 + ...)) on the bases index, in place."""
             if tails.shape[1]:
                 poly = _per_row(tails[:, -1], index)
                 for j in range(tails.shape[1] - 2, -1, -1):
                     poly = poly * x + _per_row(tails[:, j], index)
                 out += (x * x) * poly
             return out
+
+        def excess(a, g, s, index=None, mirror=None):
+            a = np.asarray(a, dtype=float)
+            p = _dot_rows(g, a[None, :], None)
+            x = s * p
+            out = (0.5 * mu * s * s * float(a @ a)) * row_sq_norms(g)
+            out += (mu * s * s * (0.5 - 1.0 / d)) * (p * p)
+            if mirror is None:
+                return add_tail(out, x, index)
+            return add_tail(out.copy(), x, index), add_tail(out, -x, mirror)
 
         return excess

@@ -94,9 +94,10 @@ def _plus_factors(s_n, s_nu, r, h):
     """The cutoffs phi(s_n), rho(s_nu), zeta(r) of the unmirrored (+) term,
     whose value is h phi rho zeta."""
     sh = np.sqrt(h)
-    phi = np.clip(1.0 - s_n / h, 0.0, 1.0)
-    rho = np.clip(s_nu / sh, 0.0, 1.0)
-    zeta = np.clip((1.0 - r) / sh, 0.0, 1.0)
+    # the method skips np.clip's dispatch, a third of its cost on a block
+    phi = (1.0 - s_n / h).clip(0.0, 1.0)
+    rho = (s_nu / sh).clip(0.0, 1.0)
+    zeta = ((1.0 - r) / sh).clip(0.0, 1.0)
     return phi, rho, zeta
 
 
@@ -140,10 +141,39 @@ def _mirrored_gradient(coords: np.ndarray, r: np.ndarray, h: float) -> np.ndarra
     sigma = np.sign(s_nu)
     g_n, g_nu, c_r = _plus_parts(sigma * s_n, sigma * s_nu, r, h)
     radial = np.divide(c_r, r, out=np.zeros_like(r), where=r > 0.0)
-    g = radial[:, None] * coords
+    # radial * coords column by column: the broadcast (N, 1) * (N, d)
+    # product costs twice as much
+    g = np.empty(coords.shape)
+    for k in range(coords.shape[1]):
+        np.multiply(radial, coords[:, k], out=g[:, k])
     g[:, 0] += sigma * g_n
     g[:, 1] += sigma * g_nu
     return g
+
+
+def _moving_candidates(coords: np.ndarray, r: np.ndarray, h: float) -> np.ndarray:
+    """Rows where the mirrored gradient can be nonzero: a superset of g != 0.
+
+    At the folded point (sigma s_n, |s_nu|), sigma = sign(s_nu), every piece
+    of the + term's gradient carries rho or its derivative, zeta or its
+    derivative, and phi or its derivative, so it needs s_nu != 0, r < 1 and
+    sigma s_n < h; and each piece carries one derivative, which needs
+    sigma s_n > 0 (phi), |s_nu| < sqrt(h) (rho) or r > 1 - sqrt(h) (zeta).
+    The fold is formed as _mirrored_gradient forms it, sigma * s_n, so the
+    mask tests the same bits.  A candidate's gradient is 0 only through
+    underflow or rounding at the edge of a ramp.
+    """
+    s_n, s_nu = coords[:, 0], coords[:, 1]
+    sh = np.sqrt(h)
+    folded = np.sign(s_nu) * s_n
+    abs_nu = np.abs(s_nu)  # contiguous, where the column is strided
+    mask = folded > 0.0
+    mask |= abs_nu < sh
+    mask |= r > 1.0 - sh
+    mask &= folded < h
+    mask &= abs_nu > 0.0
+    mask &= r < 1.0
+    return mask
 
 
 def _region_codes(s_n: np.ndarray, s_nu: np.ndarray, r: np.ndarray, h: float) -> np.ndarray:

@@ -18,15 +18,20 @@ computed once per pair; only the energy is evaluated on both sides, with
 the world-space step negated for the mirror point.  The energy pass
 evaluates the pdf and the energy only on the rows where the field moves
 (g != 0).  That is exact because the excess integrand vanishes where
-g = 0: its step t a (x) g and its linear term are then both zero.  The
-gradient comes from one evaluation of the + term at sign-folded
-coordinates (``interchange._mirrored_gradient``), and the excess from the
-model's rank-one kernel ``EnergyModel.rank_one_excess``, a closed form in
-a.G, (F^T a).G and |G|^2 for the quadratic, min-of-quadratics and
-isotropic kinds and the (N, m, d) stack form for the rest; each is exactly
-0 where g = 0.  Region codes are computed only by
-``estimate_region_measures``, which draws the same points from the same
-streams.
+g = 0: its step t a (x) g and its linear term are then both zero.  It
+evaluates the gradient itself only on the rows that can move, a cheap
+superset of g != 0 read off the coordinates and the radius
+(``interchange._moving_candidates``), and keeps those of them where
+g != 0.  The gradient comes from one evaluation of the + term at
+sign-folded coordinates (``interchange._mirrored_gradient``), and the
+excess from the model's rank-one kernel ``EnergyModel.rank_one_excess``,
+a closed form in a.G, (F^T a).G and |G|^2 for the quadratic,
+min-of-quadratics and isotropic kinds and the (N, m, d) stack form for the
+rest; each is exactly 0 where g = 0.  One kernel call returns both sides
+of a block (its ``mirror`` index), so the closed forms compute the parts
+that do not depend on the sign of the step once.  Region codes are
+computed only by ``estimate_region_measures``, which draws the same points
+from the same streams.
 
 Each stratum draws N_SCRAMBLES batches, either scrambled Sobol points
 (default; the independent scrambles give an unbiased estimate with an
@@ -41,11 +46,15 @@ and the points in gray-code order as one running xor.  Its output is bit
 for bit that of scipy's ``qmc.Sobol(d, scramble=True)`` seeded with the
 (seed, stratum id, scramble id) stream, which the tests check; scipy is
 not imported at run time (only the rate fit's rarely taken fallback loads
-``scipy.optimize``).  A batch is evaluated in row blocks of _BLOCK_ROWS
-pairs, so the estimator's temporaries stay small enough for the
-allocator to reuse them instead of mapping fresh pages on every call;
-the blocks are concatenated before the row-order reduction, so the
-totals do not depend on the block size.
+``scipy.optimize``).  The scramble does not depend on h or on the number
+of points, so it is built once per (d, seed, stratum id, scramble id) and
+kept in a small cache (``_sobol_scramble``, read-only arrays); a sweep
+builds each one at its first h and reuses it at the others.  A batch is
+evaluated in row blocks of _BLOCK_ROWS pairs, so the estimator's
+temporaries stay small enough for the allocator to reuse them instead of
+mapping fresh pages on every call.  rqmc carries each batch's row-order
+sum from block to block and mc writes every block into one array per
+stratum, so the totals do not depend on the block size.
 
 Each estimate runs its strata on two processes: the parent takes the
 even-indexed strata (of all five: bulk, strip, shell) and one
@@ -54,7 +63,9 @@ estimates it sends back through a pipe (``_fork_map``).  The parent adds
 the per-stratum means and variances in stratum order, so the totals are
 bit for bit the same whatever the CPU count; with fewer than two usable
 CPUs or no ``os.fork`` the strata run serially in the parent.  An
-estimate forks at most one child.
+estimate forks at most one child.  The parent builds the Sobol scrambles
+of every stratum before the fork: the child inherits those it needs, and
+the parent's cache keeps them for the next h.
 """
 
 from __future__ import annotations
@@ -75,6 +86,7 @@ from .interchange import (
     InterchangeParams,
     QuadratureConfig,
     _mirrored_gradient,
+    _moving_candidates,
     _region_codes,
 )
 from .jumps import InterfacePair, interchange_force
@@ -280,12 +292,17 @@ def _row_sum(vals: np.ndarray) -> np.ndarray:
 
 def _mean_var(vals: np.ndarray):
     """Row-order mean and unbiased variance over axis 0, as np.mean/np.var
-    compute them for the rows of a 2-D array."""
+    compute them for the rows of a 2-D array.
+
+    The sums, the deviations and their squares all go through one buffer
+    the size of vals (np.cumsum accumulates in place without a copy).
+    """
     n = vals.shape[0]
-    mean = _row_sum(vals) / n
-    dev = vals - mean
-    np.multiply(dev, dev, out=dev)
-    return mean, _row_sum(dev) / (n - 1)
+    buf = np.empty_like(vals)
+    mean = np.cumsum(vals, axis=0, out=buf)[-1] / n
+    np.subtract(vals, mean, out=buf)
+    np.multiply(buf, buf, out=buf)
+    return mean, np.cumsum(buf, axis=0, out=buf)[-1] / (n - 1)
 
 
 def _stream(seed: int, *spawn_key: int) -> np.random.Generator:
@@ -302,17 +319,19 @@ def _ruler(n: int) -> np.ndarray:
     return out
 
 
-def _sobol(d: int, n: int, seed: int, sid: int, j: int) -> np.ndarray:
-    """n scrambled Sobol points in [0, 1)^d, d <= 3, for scramble j of stratum sid.
+@functools.lru_cache(maxsize=128)
+def _sobol_scramble(d: int, seed: int, sid: int, j: int):
+    """Digital shift (d,) and scrambled direction numbers (bits, d) of
+    scramble j of stratum sid, as read-only uint32 arrays.
 
-    Bit for bit ``qmc.Sobol(d, scramble=True, seed=_stream(seed, sid, j))
-    .random(n)`` of scipy 1.17: that engine draws from the stream's first
-    spawned child, keyed (sid, j, 0), a digital shift and then lower
-    unit-triangular matrices L, one per dimension, and scrambles each
+    scipy's engine draws from the first spawned child of the stream
+    _stream(seed, sid, j), keyed (sid, j, 0), a digital shift and then
+    lower unit-triangular matrices L, one per dimension, and scrambles each
     direction number v, as its bit vector most significant bit first, to
-    L v mod 2.  Point 0 is the shift and point i that of i - 1 xor
-    direction number ctz(i).  The matrix products are exact in floating
-    point (every entry is an integer <= 30).
+    L v mod 2.  The matrix products are exact in floating point (every
+    entry is an integer <= 30).  The result does not depend on the number
+    of points, so every h of a sweep reuses it.  A sweep needs 40; the 128
+    entries kept take under 100 KB (about 770 bytes each at d = 3).
     """
     rng = _stream(seed, sid, j, 0)
     bits = _SOBOL_BITS
@@ -323,12 +342,26 @@ def _sobol(d: int, n: int, seed: int, sid: int, j: int) -> np.ndarray:
     scrambled = lms @ _SOBOL_V_BITS[:d]  # (dimension, bit, direction number)
     np.fmod(scrambled, 2.0, out=scrambled)
     msb_first = 2.0 ** np.arange(bits - 1, -1, -1)
-    directions = (scrambled.transpose(0, 2, 1) @ msb_first).astype(np.uint32)
+    directions = np.ascontiguousarray((scrambled.transpose(0, 2, 1) @ msb_first).T, np.uint32)
+    shift.setflags(write=False)
+    directions.setflags(write=False)
+    return shift, directions
+
+
+def _sobol(d: int, n: int, seed: int, sid: int, j: int) -> np.ndarray:
+    """n scrambled Sobol points in [0, 1)^d, d <= 3, for scramble j of stratum sid.
+
+    Bit for bit ``qmc.Sobol(d, scramble=True, seed=_stream(seed, sid, j))
+    .random(n)`` of scipy 1.17, from the cached scramble of
+    ``_sobol_scramble``: point 0 is the shift and point i that of i - 1
+    xor direction number ctz(i).
+    """
+    shift, directions = _sobol_scramble(d, seed, sid, j)
     points = np.empty((n, d), dtype=np.uint32)
     points[0] = shift
-    np.take(directions.T, _ruler(n), axis=0, out=points[1:])
+    np.take(directions, _ruler(n), axis=0, out=points[1:])
     np.bitwise_xor.accumulate(points, axis=0, out=points)
-    return points * 2.0**-bits
+    return points * 2.0**-_SOBOL_BITS
 
 
 def _usable_cpus() -> int:
@@ -423,22 +456,45 @@ def _stratified_estimate(fld: InterchangeField, quad: QuadratureConfig, pair_est
 
     rqmc = quad.sampler == "rqmc"
 
+    def blocks(stratum, u):
+        """(first row, pair estimates) of each row block of the batch u."""
+        for i in range(0, u.shape[0], _BLOCK_ROWS):
+            yield i, pair_estimates(stratum.map_unit(u[i:i + _BLOCK_ROWS]), pdf)
+
     def stratum_estimate(k: int):
         """Row-order mean and variance of stratum k's per-scramble means
         (rqmc) or per-pair values (mc)."""
         stratum, pairs = strata[k], per_scramble[k]
         sid = _STRATUM_IDS[stratum.name]
-        mc_stream = None if rqmc else _stream(quad.seed, sid, 0)
-        batches = []
+        if rqmc:
+            means = []
+            for j in range(N_SCRAMBLES):
+                total = None
+                for _, vals in blocks(stratum, _sobol(d, pairs, quad.seed, sid, j)):
+                    # carry the running sum into the block's first row: the
+                    # bits of one row-order sum over the whole batch
+                    if total is not None:
+                        vals[0] += total
+                    total = _row_sum(vals)
+                means.append(total / pairs)
+            return _mean_var(np.array(means))
+        # mc keeps every per-pair value of the stratum's one stream
+        stream = _stream(quad.seed, sid, 0)
+        values = None
         for j in range(N_SCRAMBLES):
-            u = _sobol(d, pairs, quad.seed, sid, j) if rqmc else mc_stream.random((pairs, d))
-            vals = np.concatenate([
-                pair_estimates(stratum.map_unit(u[i:i + _BLOCK_ROWS]), pdf)
-                for i in range(0, pairs, _BLOCK_ROWS)
-            ])
-            # rqmc keeps only each scramble's mean, mc every per-pair value
-            batches.append(_row_sum(vals) / pairs if rqmc else vals)
-        return _mean_var(np.array(batches) if rqmc else np.concatenate(batches))
+            for i, vals in blocks(stratum, stream.random((pairs, d))):
+                if values is None:
+                    values = np.empty((N_SCRAMBLES * pairs,) + vals.shape[1:])
+                start = j * pairs + i
+                values[start:start + len(vals)] = vals
+        return _mean_var(values)
+
+    if rqmc:
+        # build every scramble here: a forked child inherits the ones it
+        # needs, and this process keeps them all for the next estimate
+        for stratum in strata:
+            for j in range(N_SCRAMBLES):
+                _sobol_scramble(d, quad.seed, _STRATUM_IDS[stratum.name], j)
 
     total_mean = total_var = 0.0
     n_evals = 0
@@ -459,23 +515,29 @@ def _mixture_pass(fld: InterchangeField, quad: QuadratureConfig, integrand):
     The excess integrand meets it exactly, since its step t a (x) g and its
     linear term are then both zero.  So the integrand and the mixture pdf
     are evaluated only on the rows where the field moves (g != 0), and
-    every other pair contributes an exact zero.  Returns
+    every other pair contributes an exact zero.  The gradient is evaluated
+    only on the rows that can move (``_moving_candidates``); a second
+    compaction drops any of them where g = 0 after all.  Returns
     (mean, error, n_evals); n_evals counts every sampled point.
     """
     h, d = fld.h, fld.pair.d
 
     def pair_estimates(coords: np.ndarray, pdf) -> np.ndarray:
         r = _radius(coords)
-        g = _mirrored_gradient(coords, r, h)
+        # take() gathers rows several times faster than fancy indexing
+        rows = np.flatnonzero(_moving_candidates(coords, r, h))
+        z, r_z = coords.take(rows, axis=0), r.take(rows)
+        g = _mirrored_gradient(z, r_z, h)
         moved = g[:, 0] != 0.0
         for k in range(1, d):
             moved |= g[:, k] != 0.0
-        # take() gathers rows several times faster than fancy indexing
-        rows = np.flatnonzero(moved)
-        z = coords.take(rows, axis=0)
-        f_z, f_mirror = integrand(z, g.take(rows, axis=0))
+        if not moved.all():  # rare: a candidate whose gradient rounds to 0
+            keep = np.flatnonzero(moved)
+            rows, r_z = rows.take(keep), r_z.take(keep)
+            z, g = z.take(keep, axis=0), g.take(keep, axis=0)
+        f_z, f_mirror = integrand(z, g)
         out = np.zeros(coords.shape[0])
-        out[rows] = 0.5 * (f_z + f_mirror) / pdf(z, r.take(rows))
+        out[rows] = 0.5 * (f_z + f_mirror) / pdf(z, r_z)
         return out
 
     mean, err, n_evals = _stratified_estimate(fld, quad, pair_estimates)
@@ -517,21 +579,19 @@ def _excess_integrand(model, pair, fld, t):
     at z and -z from the frame gradient g at z.
 
     Returns ``excess(coords, g) -> (f(z), f(-z))``.  grad Phi = a (x) G with
-    the world vector G = frame^T g, so both values come from the model's
-    rank-one kernel on the bases (F-, F+).  The mirror point sits on the
-    other side of the interface (s_n < 0 means -z is on the + side) and its
-    gradient is -g, so its step is negated, not recomputed.
+    the world vector G = frame^T g, so both values come from one two-sided
+    call of the model's rank-one kernel on the bases (F-, F+).  The mirror
+    point sits on the other side of the interface (s_n < 0 means -z is on
+    the + side) and its gradient is -g, so its step is negated, not
+    recomputed.
     """
     # index 1 selects the + side, 0 the - side
     kernel = model.rank_one_excess(np.stack([pair.fm, pair.fp]))
 
     def excess(coords: np.ndarray, g: np.ndarray):
-        s_n = coords[:, 0]
-        world = g @ fld.frame
-        return [
-            kernel(pair.a, world, sign * t, plus_side.astype(np.intp))
-            for sign, plus_side in ((1.0, s_n > 0.0), (-1.0, s_n < 0.0))
-        ]
+        s_n = coords[:, 0].copy()  # two compares on a contiguous copy beat two strided ones
+        plus, mirror_plus = (s_n > 0.0).astype(np.intp), (s_n < 0.0).astype(np.intp)
+        return kernel(pair.a, g @ fld.frame, t, plus, mirror=mirror_plus)
 
     return excess
 

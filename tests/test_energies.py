@@ -5,7 +5,7 @@ import gradjump as gj
 from gradjump.energies import fd_gradient
 from gradjump.tensors import row_sq_norms
 
-from conftest import REF_PARAMS
+from conftest import REF_PARAMS, ValueOnlyQuadratic
 
 
 class TestAntiplaneValues:
@@ -260,6 +260,48 @@ class TestRankOneExcess:
             index = rng.integers(0, 3, size=400)
             assert np.array_equal(kernel(a, g, s, index), reference(a, g, s, index))
             assert np.array_equal(kernel(a, g, s), reference(a, g, s, np.zeros(400, dtype=int)))
+
+    #: the closed forms, an isotropic model whose f has no Taylor tail (f
+    #: linear, so the kernel is the mu s^2 terms alone) and the stack form
+    MIRRORED_KINDS = {
+        **CLOSED_FORMS,
+        "isotropic-linear-f": lambda: gj.IsotropicThetaEnergy(
+            gj.IsotropicParams(2, 0.6, (0.5, -1.0))
+        ),
+        "value-only-1x2": lambda: ValueOnlyQuadratic(1, 2),
+    }
+
+    @staticmethod
+    def assert_same_bits(x, y):
+        """Equal bit for bit, so -0.0 and 0.0 differ."""
+        assert x.dtype == y.dtype == np.float64 and x.shape == y.shape
+        assert np.array_equal(x.view(np.int64), y.view(np.int64))
+
+    @pytest.mark.parametrize("kind", MIRRORED_KINDS)
+    def test_mirrored_call_is_two_one_sided_calls(self, rng, kind):
+        model = self.MIRRORED_KINDS[kind]()
+        # |F|^2 of 0.1, 1.5 and 4 puts the bases of the min-of-quadratics
+        # models on different wells, and steps up to |g| ~ 6 cross them
+        dirs = rng.normal(size=(3, model.m, model.d))
+        bases = dirs * np.sqrt([0.1, 1.5, 4.0] / np.sum(dirs**2, axis=(1, 2)))[:, None, None]
+        kernel = model.rank_one_excess(bases)
+        n = 300
+        for s in (0.8, -1.3, rng.uniform(-1.5, 1.5)):
+            a = rng.normal(size=model.m)
+            g = rng.normal(size=(n, model.d)) * rng.uniform(0.0, 3.0, size=(n, 1))
+            # rows that do not move, with signed zeros as the mirror step -g makes them
+            g[:40] = 0.0
+            g[:40:2, 0] = -0.0
+            g[:40:3, -1] = -0.0
+            index = rng.integers(0, 3, size=n)
+            mirror = rng.integers(0, 3, size=n)
+            # rows on the interface, s_n = 0: both sides on base 0
+            index[20:80] = mirror[20:80] = 0
+            plus, minus = kernel(a, g, s, index, mirror=mirror)
+            assert not np.shares_memory(plus, minus)
+            self.assert_same_bits(plus, kernel(a, g, s, index))
+            self.assert_same_bits(minus, kernel(a, g, -s, mirror))
+            assert np.all(plus[:40] == 0.0) and np.all(minus[:40] == 0.0)
 
     def test_branch_switch_is_seen(self):
         # from the stiff well at |F| = 1 a step to |F| = 3 ends on the soft well

@@ -6,6 +6,7 @@ import gradjump as gj
 from gradjump.interchange import (
     InterchangeField,
     _mirrored_gradient,
+    _moving_candidates,
     _plus_parts,
     _plus_value,
     classify_codes,
@@ -244,6 +245,20 @@ class TestMirrorIdentities:
         coords = mirror_test_points(h, d, rng)
         r = np.linalg.norm(coords, axis=1)
         assert np.array_equal(_mirrored_gradient(coords, r, h), two_term_gradient(coords, r, h))
+
+    @pytest.mark.parametrize("h", [0.1, 0.05, 0.0125])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_moving_candidates_cover_the_gradient_support(self, rng, d, h):
+        # the energy pass evaluates the gradient only on the candidates, so
+        # a row with g != 0 outside them would be lost from the estimate
+        coords = mirror_test_points(h, d, rng)
+        r = np.linalg.norm(coords, axis=1)
+        moved = np.any(_mirrored_gradient(coords, r, h) != 0.0, axis=1)
+        candidates = _moving_candidates(coords, r, h)
+        assert np.all(candidates[moved])
+        # and no wider on these points, kink sets included: each extra
+        # candidate costs a gradient evaluation
+        assert np.array_equal(candidates, moved)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_regions_swap_r_plus_and_r_minus(self, rng, d):

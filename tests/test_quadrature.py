@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import warnings
@@ -9,12 +10,12 @@ from scipy.stats import qmc
 from scipy.stats._sobol import _initialize_v
 
 import gradjump as gj
-from gradjump import quadrature
+from gradjump import cli, quadrature
 from gradjump.errors import NonconvergenceError
 from gradjump.interchange import InterchangeField, classify_codes
 from gradjump.quadrature import REGION_KEYS, _mixture_pass, interface_profile
 
-from conftest import ValueOnlyQuadratic, small_quad
+from conftest import REF_PARAMS, ValueOnlyQuadratic, small_quad
 
 
 class TestInterfaceProfile:
@@ -79,6 +80,76 @@ class TestSobol:
                     ours = quadrature._sobol(d, n, seed, sid, j)
                     engine = qmc.Sobol(d, scramble=True, seed=quadrature._stream(seed, sid, j))
                     assert np.array_equal(ours, engine.random(n)), (seed, sid, j)
+
+
+class TestScrambleCache:
+    """Each Sobol scramble is built once per (d, seed, stratum id, scramble
+    id) and reused by every h of a sweep."""
+
+    KEYS = [(2, 3, 1, 4), (3, 3, 1, 4), (2, 4, 1, 4), (2, 3, 2, 4), (2, 3, 1, 5)]
+
+    def test_cold_and_warm_cache_give_the_same_bits(self):
+        quadrature._sobol_scramble.cache_clear()
+        cold = quadrature._sobol(2, 512, 3, 1, 4)
+        warm = quadrature._sobol(2, 512, 3, 1, 4)
+        assert quadrature._sobol_scramble.cache_info().hits == 1
+        assert np.array_equal(cold, warm)
+        assert np.array_equal(warm, quadrature._sobol(2, 2048, 3, 1, 4)[:512])
+
+    def test_keys_differing_in_one_part_do_not_collide(self):
+        # (d, seed, stratum id, scramble id) of the first key, each changed once
+        quadrature._sobol_scramble.cache_clear()
+        cached = [quadrature._sobol_scramble(*key) for key in self.KEYS]
+        assert quadrature._sobol_scramble.cache_info().currsize == len(self.KEYS)
+        for key, (shift, directions) in zip(self.KEYS, cached):
+            fresh_shift, fresh_directions = quadrature._sobol_scramble.__wrapped__(*key)
+            assert shift.shape == (key[0],)
+            assert np.array_equal(shift, fresh_shift)
+            assert np.array_equal(directions, fresh_directions)
+
+    def test_cached_arrays_are_read_only(self):
+        for arr in quadrature._sobol_scramble(2, 0, 0, 0):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        points = quadrature._sobol(2, 64, 0, 0, 0)
+        points[:] = 0.5  # the points are the caller's own
+        assert np.array_equal(quadrature._sobol(2, 64, 0, 0, 0)[0],
+                              quadrature._sobol_scramble(2, 0, 0, 0)[0] * 2.0**-30)
+
+    def test_forked_estimate_leaves_every_scramble_in_the_parent(self, monkeypatch):
+        # the parent builds every stratum's scrambles before the fork, so
+        # it keeps those of the strata the child evaluates
+        monkeypatch.setattr(quadrature, "_usable_cpus", lambda: 2)
+        model, pair, params, _, _ = TestFusedPass.case(2, "rqmc")
+        quadrature._sobol_scramble.cache_clear()
+        gj.energy_increment(model, pair, params)
+        info = quadrature._sobol_scramble.cache_info()
+        assert info.currsize == len(quadrature._STRATUM_IDS) * quadrature.N_SCRAMBLES
+        for sid in quadrature._STRATUM_IDS.values():
+            for j in range(quadrature.N_SCRAMBLES):
+                quadrature._sobol_scramble(2, params.quad.seed, sid, j)
+        assert quadrature._sobol_scramble.cache_info().misses == info.misses
+
+    def test_cli_sweep_cold_then_warm(self, tmp_path, capsys):
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({
+            "model": {"kind": "antiplane_double_well", "m": 1, "d": 2, "params": REF_PARAMS},
+            "pair": {"f_plus": [[1.0, 0.0]], "f_minus": [[2.2, 0.0]]},
+            "h_grid": [0.1, 0.05, 0.025, 0.0125],
+            "quadrature": {"samples_bulk": 2048, "samples_slab": 8192},
+        }))
+        runs = []
+        quadrature._sobol_scramble.cache_clear()
+        for name in ("cold", "warm"):
+            code = cli.main(["sweep-h", "--config", str(config), "--out", str(tmp_path / name)])
+            files = {p.name: p.read_bytes() for p in sorted((tmp_path / name).iterdir())}
+            runs.append((code, capsys.readouterr(), files))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and runs[0][2]
+        # the cold run built each scramble once for its four h, the warm one none
+        info = quadrature._sobol_scramble.cache_info()
+        assert info.misses == len(quadrature._STRATUM_IDS) * quadrature.N_SCRAMBLES
 
 
 def reference_residual(model, pair, fld, t):
@@ -251,6 +322,18 @@ class TestFusedPass:
         assert measures == {
             k: (float(ref_mean[1 + j]), float(ref_err[1 + j])) for j, k in enumerate(REGION_KEYS)
         }
+
+    @pytest.mark.parametrize("sampler", ["rqmc", "mc"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_wider_candidate_masks_do_not_change_bits(self, monkeypatch, d, sampler):
+        # with every row a candidate, the rows whose gradient is 0 are
+        # dropped by the second compaction instead, with the same bits
+        model, pair, params, fld, integrand = self.case(d, sampler)
+        exact = _mixture_pass(fld, params.quad, integrand)
+        monkeypatch.setattr(
+            quadrature, "_moving_candidates", lambda coords, r, h: np.ones(len(r), dtype=bool)
+        )
+        assert repr(_mixture_pass(fld, params.quad, integrand)) == repr(exact)
 
     @pytest.mark.parametrize("kind", ["antiplane-2", "antiplane-3", "isotropic-3"])
     def test_excess_vanishes_where_field_does_not_move(self, rng, kind):
