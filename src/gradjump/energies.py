@@ -192,6 +192,12 @@ class MinQuadraticsEnergy(EnergyModel):
         adding the zero offset would change no bit).  The two sides of a
         mirrored call share (F^T a) per branch and the s^2 term, whose
         bits are the same at -s.
+
+        Given an index, the kernel evaluates every base on every row with
+        scalar coefficients and then picks each row's base, which is
+        cheaper than gathering per-row copies of the (K, branches) tables.
+        The two sides also share each branch's s ((mu_b F - P)^T a).g: the
+        -s side subtracts it, and (-s) x == -(s x) exactly.
         """
         bases = np.asarray(bases, dtype=float)
         bvals = np.stack([self.branch_values(f) for f in bases])  # (K, branches)
@@ -201,26 +207,72 @@ class MinQuadraticsEnergy(EnergyModel):
         stresses = np.stack([self.gradient(f) for f in bases])
         slopes = self._mus[None, :, None, None] * bases[:, None] - stresses[:, None]
 
-        def side(g, s, index, lin, live, quad):
-            """The minimum over the branches at step s on the bases index."""
+        def side(g, s, lin, live, quad):
+            """The minimum over the branches at step s on base 0 (the scan)."""
             out = None
             for b, (mu, offset) in enumerate(terms):
                 val = mu * quad
                 if offset is not None:
-                    val += _per_row(offset, index)
+                    val += offset[0]
                 if live[b]:
-                    val += s * _dot_rows(g, lin[:, b], index)
+                    val += s * _dot_rows(g, lin[:, b], None)
                 out = val if out is None else np.minimum(out, val, out=out)
             return out
+
+        def per_base(g, s, mirrored, lin, quad):
+            """Per base, the minimum over the branches on every row at step
+            s, and at -s when mirrored: (values at s, values at -s or Nones).
+
+            Each base skips the offsets and linear terms that are zero for
+            it, as the scan skips those zero for every base: every branch
+            value starts from mu_b quad >= +0, so adding +-0 changes no bit.
+            """
+            cols = g.T.copy()  # contiguous columns, read by several branches
+            mqs = [mu * quad for mu, _ in terms]
+            plus, minus = [], []
+            for k in range(len(bases)):
+                at_plus = at_minus = None
+                for b, (_, offset) in enumerate(terms):
+                    val = mqs[b]
+                    if offset is not None and offset[k] != 0.0:
+                        val = val + offset[k]
+                    val_plus, val_minus = val, (val if mirrored else None)
+                    if lin[k, b].any():
+                        step = cols[0] * lin[k, b, 0]
+                        for c in range(1, len(cols)):
+                            step += cols[c] * lin[k, b, c]
+                        step *= s
+                        val_plus = val + step
+                        val_minus = val - step if mirrored else None
+                    if at_plus is None:
+                        at_plus, at_minus = val_plus, val_minus
+                    else:
+                        # out of place: a value may be shared by bases and sides
+                        at_plus = np.minimum(at_plus, val_plus)
+                        if mirrored:
+                            at_minus = np.minimum(at_minus, val_minus)
+                plus.append(at_plus)
+                minus.append(at_minus)
+            return plus, minus
+
+        def pick(per_base_values, index):
+            if index is None:
+                return per_base_values[0]
+            if len(per_base_values) == 2:
+                return np.where(index, per_base_values[1], per_base_values[0])
+            return np.choose(index, per_base_values)
 
         def excess(a, g, s, index=None, mirror=None):
             a = np.asarray(a, dtype=float)
             lin = np.einsum("kbmd,m->kbd", slopes, a)
             live = lin.any(axis=(0, 2))
             quad = (0.5 * s * s * float(a @ a)) * row_sq_norms(g)
+            if index is None and mirror is None:
+                return side(g, s, lin, live, quad)
+            plus, minus = per_base(g, s, mirror is not None, lin, quad)
             if mirror is None:
-                return side(g, s, index, lin, live, quad)
-            return side(g, s, index, lin, live, quad), side(g, -s, mirror, lin, live, quad)
+                return pick(plus, index)
+            return pick(plus, index), pick(minus, mirror)
 
         return excess
 

@@ -59,13 +59,23 @@ stratum, so the totals do not depend on the block size.
 Each estimate runs its strata on two processes: the parent takes the
 even-indexed strata (of all five: bulk, strip, shell) and one
 ``os.fork()``ed child the odd-indexed ones (slab, corner), whose
-estimates it sends back through a pipe (``_fork_map``).  The parent adds
-the per-stratum means and variances in stratum order, so the totals are
-bit for bit the same whatever the CPU count; with fewer than two usable
-CPUs or no ``os.fork`` the strata run serially in the parent.  An
-estimate forks at most one child.  The parent builds the Sobol scrambles
-of every stratum before the fork: the child inherits those it needs, and
-the parent's cache keeps them for the next h.
+estimates it streams back through a pipe (``_ForkStream``).  A sweep
+forks one child for its whole grid: ``limit_sweep`` starts it, and it
+estimates the odd strata of every h in grid order, each with a kernel of
+its own, sending each h's estimates as soon as they are done.  The
+parent still calls ``energy_increment`` at each h, estimates the even
+strata and reads that h's odd ones from the stream, with no fork, exit
+or wait per h.  The stream belongs to its sweep: a thread-local match
+on the sweep's model, pair and per-h params objects, in grid order.
+Any other estimate forks a child of its own for a one-item stream.  On
+an early exit (an error, an error cap, an interrupt) the parent kills
+the child without waiting for its current h and reaps it.  The parent
+adds the per-stratum means and variances in stratum order, so the
+totals are bit for bit the same whatever the CPU count; with a single
+stratum, fewer than two usable CPUs, no ``os.fork`` or a failed fork the
+strata run serially in the parent.  The parent builds the Sobol
+scrambles of every stratum before the fork: the child inherits those it
+needs, and the parent's cache keeps them for every h.
 """
 
 from __future__ import annotations
@@ -74,6 +84,8 @@ import functools
 import math
 import os
 import pickle
+import signal
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -232,6 +244,11 @@ class _BallStratum:
         return inside
 
 
+def _stratum_names(quad: QuadratureConfig) -> list:
+    """The strata an estimate draws from, in canonical order."""
+    return ["bulk"] + [s for s in _CANONICAL[1:] if s in quad.stratification]
+
+
 def _build_strata(h: float, d: int, quad: QuadratureConfig):
     sh = math.sqrt(h)
     ones = np.ones(d)
@@ -242,7 +259,7 @@ def _build_strata(h: float, d: int, quad: QuadratureConfig):
         "corner": _BoxStratum("corner", np.concatenate([[h], [sh], ones[2:]])),
         "shell": _BallStratum("shell", d, r_lo=1.0 - sh),
     }
-    enabled = ["bulk"] + [s for s in _CANONICAL[1:] if s in quad.stratification]
+    enabled = _stratum_names(quad)
     strata = [shapes[name] for name in enabled]
     budgets = [quad.samples_bulk if n == "bulk" else quad.samples_slab for n in enabled]
     return strata, budgets
@@ -294,15 +311,31 @@ def _mean_var(vals: np.ndarray):
     """Row-order mean and unbiased variance over axis 0, as np.mean/np.var
     compute them for the rows of a 2-D array.
 
-    The sums, the deviations and their squares all go through one buffer
-    the size of vals (np.cumsum accumulates in place without a copy).
+    The values, the deviations and their squares go through one buffer of
+    at most _BLOCK_ROWS rows, chunk by chunk (np.cumsum accumulates in
+    place without a copy); each chunk's first row takes the running sum
+    carried in, so the bits are those of one row-order sum over all rows.
     """
     n = vals.shape[0]
-    buf = np.empty_like(vals)
-    mean = np.cumsum(vals, axis=0, out=buf)[-1] / n
-    np.subtract(vals, mean, out=buf)
-    np.multiply(buf, buf, out=buf)
-    return mean, np.cumsum(buf, axis=0, out=buf)[-1] / (n - 1)
+    buf = np.empty((min(n, _BLOCK_ROWS),) + vals.shape[1:])
+
+    def row_sum(fill):
+        """Row-order sum of fill(rows, out) over the chunks of vals."""
+        total = None
+        for i in range(0, n, _BLOCK_ROWS):
+            chunk = buf[:min(_BLOCK_ROWS, n - i)]
+            fill(vals[i:i + _BLOCK_ROWS], chunk)
+            if total is not None:
+                chunk[0] += total
+            total = np.cumsum(chunk, axis=0, out=chunk)[-1].copy()
+        return total
+
+    def squares(rows, out):
+        np.subtract(rows, mean, out=out)
+        np.multiply(out, out, out=out)
+
+    mean = row_sum(lambda rows, out: np.copyto(out, rows)) / n
+    return mean, row_sum(squares) / (n - 1)
 
 
 def _stream(seed: int, *spawn_key: int) -> np.random.Generator:
@@ -371,60 +404,121 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fork_map(fn, items) -> list:
-    """[fn(x) for x in items] over a sequence, the odd-indexed items run in
-    one forked child.
+class _ForkStream:
+    """fn(x) for each x of a list, computed in order by one forked child
+    and read back one at a time.
 
-    The parent runs items[0::2] while the child runs items[1::2] and sends
-    back its pickled (ok, results or exception) through a pipe; the child
-    leaves only through os._exit, so no inherited buffer or exit hook runs
-    twice.  An exception shipped back is raised again in the parent; a child
-    that ends without a readable payload raises GradJumpError.  Runs
-    serially with fewer than 2 items, fewer than 2 usable CPUs, no os.fork,
-    or when the fork itself fails.
+    ``_fork_stream`` starts the child, which sends each result through a
+    pipe, pickled as (True, value), as soon as it has it; an exception is
+    sent as (False, exception) and ends the child.  ``take`` reads the next
+    result, raising a shipped exception again, or GradJumpError when the
+    child ended without the result.  ``close`` (also on leaving a ``with``
+    block) SIGKILLs a child that still owes results, without waiting for
+    the one it is computing, and reaps it.
     """
-    if len(items) < 2 or not hasattr(os, "fork") or _usable_cpus() < 2:
-        return [fn(x) for x in items]
+
+    def __init__(self, pid: int, pipe, items):
+        self.pid, self.pipe, self.items, self.taken = pid, pipe, items, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+    def upcoming(self):
+        """The item whose result ``take`` returns next; None after the last."""
+        return self.items[self.taken] if self.taken < len(self.items) else None
+
+    def take(self):
+        try:
+            ok, value = pickle.load(self.pipe)
+        except Exception as exc:
+            # at EOF the child has closed the pipe on its way out; anything
+            # else is an unreadable payload from a child that may still run
+            status = self._stop(kill=not isinstance(exc, EOFError))
+            code = os.waitstatus_to_exitcode(status)
+            raise GradJumpError(
+                f"forked worker ended with exit code {code} and no result"
+            ) from None
+        self.taken += 1
+        if not ok:
+            raise value
+        return value
+
+    def close(self):
+        if self.pid is not None:
+            self._stop(kill=self.taken < len(self.items))
+
+    def _stop(self, kill: bool) -> int:
+        pid, self.pid = self.pid, None
+        if kill:
+            os.kill(pid, signal.SIGKILL)
+        self.pipe.close()
+        return os.waitpid(pid, 0)[1]
+
+
+def _fork_stream(fn, items) -> _ForkStream | None:
+    """A _ForkStream of fn(x) for each x of items, or None where no child
+    can be forked (no os.fork, fewer than 2 usable CPUs, or a failed fork),
+    so that the caller does the work itself.
+
+    The child leaves only through os._exit, so no inherited buffer or exit
+    hook runs twice.
+    """
+    if not hasattr(os, "fork") or _usable_cpus() < 2:
+        return None
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
-    except OSError:  # no process or memory to spare: the same work, serially
+    except OSError:  # no process or memory to spare: the caller works serially
         os.close(read_fd)
         os.close(write_fd)
-        return [fn(x) for x in items]
+        return None
     if pid == 0:
         try:
             os.close(read_fd)
-            try:
-                payload = (True, [fn(x) for x in items[1::2]])
-            except BaseException as exc:  # shipped to the parent, which raises it
-                payload = (False, exc)
             with os.fdopen(write_fd, "wb") as pipe:
-                pickle.dump(payload, pipe)
+                for x in items:
+                    try:
+                        payload = (True, fn(x))
+                    except BaseException as exc:  # shipped to the parent, which raises it
+                        payload = (False, exc)
+                    pipe.write(pickle.dumps(payload))
+                    pipe.flush()
+                    if not payload[0]:
+                        break
         finally:
             os._exit(0)
     os.close(write_fd)
-    pipe = os.fdopen(read_fd, "rb")
-    try:
-        evens = [fn(x) for x in items[0::2]]
-        data = pipe.read()
-    finally:
-        pipe.close()  # a child still writing then stops on a broken pipe
-        _, status = os.waitpid(pid, 0)
-    try:
-        ok, odds = pickle.loads(data)
-    except Exception:
-        code = os.waitstatus_to_exitcode(status)
-        raise GradJumpError(f"forked worker ended with exit code {code} and no result") from None
-    if not ok:
-        raise odds
-    out = [None] * len(items)
-    out[0::2], out[1::2] = evens, odds
-    return out
+    return _ForkStream(pid, os.fdopen(read_fd, "rb"), items)
 
 
-def _stratified_estimate(fld: InterchangeField, quad: QuadratureConfig, pair_estimates):
-    """Antithetic mixture sampling over all strata.
+#: ``stream``: the _ForkStream of the running ``limit_sweep`` in this thread
+_SWEEP = threading.local()
+
+
+def _odd_stream(fn, jobs, d: int, quad: QuadratureConfig) -> _ForkStream | None:
+    """A _ForkStream of fn(job), the odd-indexed strata of each job's
+    estimate, or None where the strata all run in this process: a single
+    stratum, or no child to fork (``_fork_stream``).
+
+    Every Sobol scramble the jobs draw is built first, so the child
+    inherits them and this process keeps them for its own strata.
+    """
+    names = _stratum_names(quad)
+    if len(names) < 2:
+        return None
+    if quad.sampler == "rqmc":
+        for name in names:
+            for j in range(N_SCRAMBLES):
+                _sobol_scramble(d, quad.seed, _STRATUM_IDS[name], j)
+    return _fork_stream(fn, jobs)
+
+
+class _Estimate:
+    """The strata, the mixture density and the per-stratum estimator of
+    one estimate.
 
     ``pair_estimates(coords, pdf)`` returns 0.5 (f(z) + f(-z)) / q(z) for
     each drawn pair (z, -z), as an (N,) or (N, k) array, and is called on
@@ -434,43 +528,46 @@ def _stratified_estimate(fld: InterchangeField, quad: QuadratureConfig, pair_est
     With rqmc every batch is an independent Sobol scramble and the error
     bar is the spread of the batch means; with mc the batches continue one
     pseudo-random stream and the error bar is the classical per-pair one.
-    The strata are estimated through ``_fork_map``, so ``pair_estimates``
-    may run in a forked child and must return its result, not record it;
-    their means and variances are added in stratum order.
-    Returns (means, errors, n_evals), n_evals counting two per pair.
+    Raises QuadratureError when h is too small for every stratum to have a
+    positive measure in floating point.
     """
-    d = fld.pair.d
-    strata, budgets = _build_strata(fld.h, d, quad)
-    per_scramble = [_pairs_per_scramble(b) for b in budgets]
-    pair_counts = np.array([N_SCRAMBLES * p for p in per_scramble], dtype=float)
-    weights = pair_counts / pair_counts.sum()
 
-    densities = [c / stratum.measure for stratum, c in zip(strata, weights)]
+    def __init__(self, fld: InterchangeField, quad: QuadratureConfig, pair_estimates):
+        self.d, self.quad, self.pair_estimates = fld.pair.d, quad, pair_estimates
+        self.strata, budgets = _build_strata(fld.h, self.d, quad)
+        for stratum in self.strata:
+            if not (math.isfinite(stratum.measure) and stratum.measure > 0.0):
+                raise QuadratureError(
+                    f"the {stratum.name} stratum has measure {stratum.measure!r} at "
+                    f"h = {fld.h!r}: h is too small for double precision"
+                )
+        self.per_scramble = [_pairs_per_scramble(b) for b in budgets]
+        pair_counts = np.array([N_SCRAMBLES * p for p in self.per_scramble], dtype=float)
+        self.weights = pair_counts / pair_counts.sum()
+        self.densities = [c / s.measure for s, c in zip(self.strata, self.weights)]
 
-    def pdf(coords: np.ndarray, r: np.ndarray) -> np.ndarray:
+    def pdf(self, coords: np.ndarray, r: np.ndarray) -> np.ndarray:
         abs_coords = np.abs(coords)
         q = np.zeros(coords.shape[0])
-        for stratum, density in zip(strata, densities):
+        for stratum, density in zip(self.strata, self.densities):
             q += density * stratum.contains(abs_coords, r)
         return q
 
-    rqmc = quad.sampler == "rqmc"
-
-    def blocks(stratum, u):
+    def _blocks(self, stratum, u):
         """(first row, pair estimates) of each row block of the batch u."""
         for i in range(0, u.shape[0], _BLOCK_ROWS):
-            yield i, pair_estimates(stratum.map_unit(u[i:i + _BLOCK_ROWS]), pdf)
+            yield i, self.pair_estimates(stratum.map_unit(u[i:i + _BLOCK_ROWS]), self.pdf)
 
-    def stratum_estimate(k: int):
+    def stratum(self, k: int):
         """Row-order mean and variance of stratum k's per-scramble means
         (rqmc) or per-pair values (mc)."""
-        stratum, pairs = strata[k], per_scramble[k]
+        stratum, pairs, quad, d = self.strata[k], self.per_scramble[k], self.quad, self.d
         sid = _STRATUM_IDS[stratum.name]
-        if rqmc:
+        if quad.sampler == "rqmc":
             means = []
             for j in range(N_SCRAMBLES):
                 total = None
-                for _, vals in blocks(stratum, _sobol(d, pairs, quad.seed, sid, j)):
+                for _, vals in self._blocks(stratum, _sobol(d, pairs, quad.seed, sid, j)):
                     # carry the running sum into the block's first row: the
                     # bits of one row-order sum over the whole batch
                     if total is not None:
@@ -482,44 +579,61 @@ def _stratified_estimate(fld: InterchangeField, quad: QuadratureConfig, pair_est
         stream = _stream(quad.seed, sid, 0)
         values = None
         for j in range(N_SCRAMBLES):
-            for i, vals in blocks(stratum, stream.random((pairs, d))):
+            for i, vals in self._blocks(stratum, stream.random((pairs, d))):
                 if values is None:
                     values = np.empty((N_SCRAMBLES * pairs,) + vals.shape[1:])
                 start = j * pairs + i
                 values[start:start + len(vals)] = vals
         return _mean_var(values)
 
-    if rqmc:
-        # build every scramble here: a forked child inherits the ones it
-        # needs, and this process keeps them all for the next estimate
-        for stratum in strata:
-            for j in range(N_SCRAMBLES):
-                _sobol_scramble(d, quad.seed, _STRATUM_IDS[stratum.name], j)
+    def odd(self) -> list:
+        """The estimates of the odd-indexed strata (slab, corner of all five)."""
+        return [self.stratum(k) for k in range(1, len(self.strata), 2)]
 
+
+def _stratified_estimate(fld: InterchangeField, quad: QuadratureConfig, pair_estimates,
+                         job=None):
+    """Antithetic mixture sampling over all strata (see ``_Estimate``).
+
+    This process estimates the even-indexed strata (bulk, strip, shell of
+    all five).  The odd-indexed ones come from a forked child: that of the
+    running ``limit_sweep`` when ``job`` is the job whose result it sends
+    next, else one forked for this estimate alone; without a child they
+    run here too.  So ``pair_estimates`` may run in a forked child and must
+    return its result, not record it.  The means and variances are added
+    in stratum order, so the totals carry the same bits whichever process
+    estimated each stratum.  Raises QuadratureError on a non-finite total.
+    Returns (means, errors, n_evals), n_evals counting two per pair.
+    """
+    est = _Estimate(fld, quad, pair_estimates)
+    stream = getattr(_SWEEP, "stream", None)
+    upcoming = None if stream is None else stream.upcoming()
+    own = job is None or upcoming is None or any(x is not y for x, y in zip(upcoming, job))
+    if own:
+        stream = _odd_stream(_Estimate.odd, [est], fld.pair.d, quad)
+    try:
+        evens = [est.stratum(k) for k in range(0, len(est.strata), 2)]
+        odds = est.odd() if stream is None else stream.take()
+    finally:
+        if own and stream is not None:
+            stream.close()
+
+    estimates = [None] * len(est.strata)
+    estimates[0::2], estimates[1::2] = evens, odds
+    rqmc = quad.sampler == "rqmc"
     total_mean = total_var = 0.0
     n_evals = 0
-    estimates = _fork_map(stratum_estimate, range(len(strata)))
-    for (mean, var), pairs, c in zip(estimates, per_scramble, weights):
+    for (mean, var), pairs, c in zip(estimates, est.per_scramble, est.weights):
         n_evals += 2 * N_SCRAMBLES * pairs
         total_var += c * c * var / (N_SCRAMBLES if rqmc else N_SCRAMBLES * pairs)
         total_mean += c * mean
+    if not (np.all(np.isfinite(total_mean)) and np.all(np.isfinite(total_var))):
+        raise QuadratureError(f"the estimate at h = {fld.h!r} is not finite")
     return total_mean, np.sqrt(total_var), n_evals
 
 
-def _mixture_pass(fld: InterchangeField, quad: QuadratureConfig, integrand):
-    """The energy pass: the sampled integral of a residual over the ball.
-
-    ``integrand(coords, g)`` returns the pair (f(z), f(-z)) of residual
-    values for frame coordinates z with frame gradient g; the gradient at
-    -z is exactly -g.  Contract: the integrand vanishes wherever g = 0.
-    The excess integrand meets it exactly, since its step t a (x) g and its
-    linear term are then both zero.  So the integrand and the mixture pdf
-    are evaluated only on the rows where the field moves (g != 0), and
-    every other pair contributes an exact zero.  The gradient is evaluated
-    only on the rows that can move (``_moving_candidates``); a second
-    compaction drops any of them where g = 0 after all.  Returns
-    (mean, error, n_evals); n_evals counts every sampled point.
-    """
+def _energy_pairs(fld: InterchangeField, integrand):
+    """``pair_estimates`` of the energy pass (see ``_mixture_pass``)."""
     h, d = fld.h, fld.pair.d
 
     def pair_estimates(coords: np.ndarray, pdf) -> np.ndarray:
@@ -540,7 +654,25 @@ def _mixture_pass(fld: InterchangeField, quad: QuadratureConfig, integrand):
         out[rows] = 0.5 * (f_z + f_mirror) / pdf(z, r_z)
         return out
 
-    mean, err, n_evals = _stratified_estimate(fld, quad, pair_estimates)
+    return pair_estimates
+
+
+def _mixture_pass(fld: InterchangeField, quad: QuadratureConfig, integrand, job=None):
+    """The energy pass: the sampled integral of a residual over the ball.
+
+    ``integrand(coords, g)`` returns the pair (f(z), f(-z)) of residual
+    values for frame coordinates z with frame gradient g; the gradient at
+    -z is exactly -g.  Contract: the integrand vanishes wherever g = 0.
+    The excess integrand meets it exactly, since its step t a (x) g and its
+    linear term are then both zero.  So the integrand and the mixture pdf
+    are evaluated only on the rows where the field moves (g != 0), and
+    every other pair contributes an exact zero.  The gradient is evaluated
+    only on the rows that can move (``_moving_candidates``); a second
+    compaction drops any of them where g = 0 after all.  ``job`` is passed
+    on to ``_stratified_estimate``.  Returns (mean, error, n_evals);
+    n_evals counts every sampled point.
+    """
+    mean, err, n_evals = _stratified_estimate(fld, quad, _energy_pairs(fld, integrand), job)
     return float(mean), float(err), n_evals
 
 
@@ -612,7 +744,7 @@ def energy_increment(
     ff_exact = -frak_n * h * interface_profile(h, pair.d)
 
     mean, mc_error, n_evals = _mixture_pass(
-        fld, params.quad, _excess_integrand(model, pair, fld, t)
+        fld, params.quad, _excess_integrand(model, pair, fld, t), job=(model, pair, params)
     )
     delta_e = t * ff_exact + mean
     if params.quad.max_error is not None and mc_error > params.quad.max_error:
@@ -620,6 +752,16 @@ def energy_increment(
             f"mc_error {mc_error:.3e} exceeds cap {params.quad.max_error:.3e}"
         )
     return VariationResult(delta_e, mc_error, h, t, n_evals)
+
+
+def _sweep_odd_strata(job) -> list:
+    """The odd-indexed strata of energy_increment(*job), as the child of
+    ``limit_sweep`` estimates them: from a kernel of its own, through no
+    public (traced) function."""
+    model, pair, params = job
+    fld = InterchangeField(pair, params)
+    integrand = _excess_integrand(model, pair, fld, params.t)
+    return _Estimate(fld, params.quad, _energy_pairs(fld, integrand)).odd()
 
 
 @dataclass(frozen=True)
@@ -738,11 +880,21 @@ def limit_sweep(
     values = np.empty_like(h_grid)
     errors = np.empty_like(h_grid)
     n_evals = 0
-    for i, h in enumerate(h_grid):
-        res = energy_increment(model, pair, params.with_h(float(h)))
-        values[i] = res.delta_e / h
-        errors[i] = res.mc_error / h
-        n_evals += res.n_evals
+    grid = [params.with_h(float(h)) for h in h_grid]
+    # one child estimates the odd strata of every h, in grid order, while
+    # this process calls energy_increment at each h for the even ones
+    stream = _odd_stream(_sweep_odd_strata, [(model, pair, p) for p in grid], pair.d, params.quad)
+    outer, _SWEEP.stream = getattr(_SWEEP, "stream", None), stream
+    try:
+        for i, (h, params_h) in enumerate(zip(h_grid, grid)):
+            res = energy_increment(model, pair, params_h)
+            values[i] = res.delta_e / h
+            errors[i] = res.mc_error / h
+            n_evals += res.n_evals
+    finally:
+        _SWEEP.stream = outer
+        if stream is not None:
+            stream.close()
     scale = 1.0 + float(np.max(np.abs(values)))
     sigma = np.maximum(errors, 1e-14 * scale)
 

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,17 @@ import gradjump as gj
 #: two-well reference parameters used throughout: stiff phase stable inside
 #: |F| <= 1, soft phase outside |F| >= 2, relaxed branch 2|F| - 1 between
 REF_PARAMS = dict(mu_plus=2.0, mu_minus=1.0, w_plus=0.0, w_minus=1.0)
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a forked child running or unreaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:  # no child at all
+        return
+    pytest.fail(f"the test left a child process {'running' if pid == 0 else 'unreaped'}")
 
 
 @pytest.fixture

@@ -185,6 +185,16 @@ class TestSweepH:
         assert outputs[0][0] == 0 and outputs[0][2]
         assert outputs[0] == outputs[1]
 
+    def test_too_small_h_is_one_error_line(self, tmp_path, capsys):
+        # the shell stratum's measure 1 - (1 - sqrt(h))^d rounds to 0 here
+        payload = self.payload()
+        payload["h_grid"] = [1e-100, 5e-101, 2.5e-101, 1.25e-101]
+        cfg = write_config(tmp_path, payload)
+        code, stdout, err = run(capsys, "sweep-h", "--config", cfg)
+        assert code == 1
+        assert stdout == ""
+        assert "too small" in error_line(err)
+
 
 class TestPathDt:
     def test_isotropic_closed_form(self, tmp_path, capsys):

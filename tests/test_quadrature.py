@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import os
+import time
 import warnings
 
 import numpy as np
@@ -617,7 +619,8 @@ def _no_fork():
 
 
 class TestForkMap:
-    """The odd-indexed items of ``_fork_map`` run in one forked child."""
+    """``_fork_stream``: one forked child computes fn(x) for every item, in
+    order, and sends each result as soon as it has it."""
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
@@ -631,11 +634,16 @@ class TestForkMap:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_results_in_item_order(self, n):
-        out = quadrature._fork_map(lambda x: (x * x, os.getpid()), range(n))
+        with quadrature._fork_stream(lambda x: (x * x, os.getpid()), range(n)) as stream:
+            out = []
+            for x in range(n):
+                assert stream.upcoming() == x
+                out.append(stream.take())
+            assert stream.upcoming() is None
         assert [v for v, _ in out] == [x * x for x in range(n)]
-        # the parent runs the even-indexed items, one child the odd-indexed ones
-        assert {pid for _, pid in out[0::2]} == {os.getpid()}
-        assert len({pid for _, pid in out[1::2]} - {os.getpid()}) == (n > 1)
+        # every item, a single one too, runs in the one child
+        pids = {pid for _, pid in out}
+        assert len(pids) == 1 and os.getpid() not in pids
         self.assert_no_child_left()
 
     @pytest.mark.parametrize(
@@ -647,8 +655,10 @@ class TestForkMap:
                 raise exc
             return x
 
-        with pytest.raises(type(exc), match=str(exc)):
-            quadrature._fork_map(fn, range(5))
+        with quadrature._fork_stream(fn, range(5)) as stream:
+            assert [stream.take() for _ in range(3)] == [0, 1, 2]
+            with pytest.raises(type(exc), match=str(exc)):
+                stream.take()
         self.assert_no_child_left()
 
     @pytest.mark.parametrize(
@@ -656,34 +666,161 @@ class TestForkMap:
     )
     def test_child_ending_without_result(self, odd_item, code):
         fn = lambda x: odd_item() if x == 1 else x
-        with pytest.raises(gj.GradJumpError, match=f"exit code {code} and no result"):
-            quadrature._fork_map(fn, range(3))
+        with quadrature._fork_stream(fn, range(3)) as stream:
+            assert stream.take() == 0
+            with pytest.raises(gj.GradJumpError, match=f"exit code {code} and no result"):
+                stream.take()
         self.assert_no_child_left()
 
     def test_parent_exception_reaps_a_child_blocked_on_the_pipe(self):
-        # the child's payload is larger than a pipe buffer: the parent, whose
-        # own share raises, never reads it, and closing the pipe unblocks it
-        def fn(x):
-            if x == 0:
-                raise ValueError("parent share")
-            return bytes(1 << 22)
-
+        # the child's results are larger than a pipe buffer and the parent,
+        # which raises, never reads them: closing the stream stops the child
         with pytest.raises(ValueError, match="parent share"):
-            quadrature._fork_map(fn, range(2))
+            with quadrature._fork_stream(lambda x: bytes(1 << 22), range(2)):
+                raise ValueError("parent share")
         self.assert_no_child_left()
 
     def test_serial_when_fork_fails(self, monkeypatch):
+        model, pair, params, _, _ = TestFusedPass.case(2)
+        grid = [0.1, 0.05, 0.025, 0.0125]
+        forked = (gj.energy_increment(model, pair, params).to_dict(),
+                  gj.limit_sweep(model, pair, params, grid).to_dict())
+
         def fork():
             raise BlockingIOError("no process to spare")
 
         monkeypatch.setattr(os, "fork", fork)
-        assert quadrature._fork_map(lambda x: x + 1, range(5)) == [1, 2, 3, 4, 5]
+        assert quadrature._fork_stream(lambda x: x + 1, range(5)) is None
+        # every stratum then runs in this process, with the same bits
+        serial = (gj.energy_increment(model, pair, params).to_dict(),
+                  gj.limit_sweep(model, pair, params, grid).to_dict())
+        assert repr(serial) == repr(forked)
 
     def test_serial_without_a_second_item_or_cpu(self, monkeypatch):
         monkeypatch.setattr(os, "fork", _no_fork)
-        assert quadrature._fork_map(lambda x: x + 1, [5]) == [6]
+        model, pair, params, _, _ = TestFusedPass.case(2)
+        # a single stratum leaves nothing to run elsewhere
+        one = gj.InterchangeParams(
+            h=0.05, quad=gj.QuadratureConfig(seed=5, samples_bulk=2048, stratification=())
+        )
+        gj.energy_increment(model, pair, one)
+        gj.limit_sweep(model, pair, one, [0.1, 0.05, 0.025, 0.0125])
+        gj.estimate_region_measures(pair, one)
         monkeypatch.setattr(quadrature, "_usable_cpus", lambda: 1)
-        assert quadrature._fork_map(lambda x: x + 1, range(5)) == [1, 2, 3, 4, 5]
+        assert quadrature._fork_stream(lambda x: x + 1, range(5)) is None
+        gj.energy_increment(model, pair, params)
+        gj.limit_sweep(model, pair, params, [0.1, 0.05, 0.025, 0.0125])
+
+
+class TestSweepStream:
+    """A sweep forks one child, which streams the odd strata of every h."""
+
+    GRID = [0.1, 0.05, 0.025, 0.0125]
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "_usable_cpus", lambda: 2)
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The os.fork calls made in this process."""
+        calls = []
+        real_fork = os.fork
+
+        def fork():
+            calls.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        return calls
+
+    def test_a_sweep_forks_once_and_a_lone_estimate_at_most_once(self, forks):
+        model, pair, params, _, _ = TestFusedPass.case(2)
+        gj.limit_sweep(model, pair, params, self.GRID)
+        assert len(forks) == 1
+        gj.energy_increment(model, pair, params)
+        assert len(forks) == 2
+        gj.estimate_region_measures(pair, params)
+        assert len(forks) == 3
+
+    def test_other_estimates_during_a_sweep_fork_their_own_child(self, monkeypatch, forks):
+        # an equal params object that is not the sweep's own does not take
+        # the sweep's results, and it gets the same bits from its own child
+        model, pair, params, _, _ = TestFusedPass.case(2)
+        real = quadrature.energy_increment
+        lone = []
+
+        def energy_increment(model, pair, params_h):
+            lone.append(real(model, pair, dataclasses.replace(params_h)).to_dict())
+            return real(model, pair, params_h)
+
+        monkeypatch.setattr(quadrature, "energy_increment", energy_increment)
+        sweep = quadrature.limit_sweep(model, pair, params, self.GRID)
+        assert len(forks) == 1 + len(self.GRID)
+        monkeypatch.setattr(quadrature, "energy_increment", real)
+        serial = gj.limit_sweep(model, pair, params, self.GRID)
+        assert repr(sweep.to_dict()) == repr(serial.to_dict())
+        alone = [real(model, pair, params.with_h(h)).to_dict() for h in self.GRID]
+        assert repr(lone) == repr(alone)
+
+    def test_error_cap_at_the_first_h_kills_the_child(self, monkeypatch):
+        # the child would take a minute over the second h: the parent must
+        # not wait for it once the first h has failed
+        real = quadrature._sweep_odd_strata
+
+        def slow(job):
+            if job[2].h != self.GRID[0]:
+                time.sleep(60)
+            return real(job)
+
+        monkeypatch.setattr(quadrature, "_sweep_odd_strata", slow)
+        model, pair, params, _, _ = TestFusedPass.case(2)
+        quad = dataclasses.replace(params.quad, max_error=1e-30)
+        params = dataclasses.replace(params, quad=quad)
+        start = time.monotonic()
+        with pytest.raises(gj.QuadratureError, match="exceeds cap"):
+            gj.limit_sweep(model, pair, params, self.GRID)
+        assert time.monotonic() - start < 30.0
+        TestForkMap.assert_no_child_left()
+
+    def test_interrupt_kills_the_child(self, monkeypatch):
+        model, pair, params, _, _ = TestFusedPass.case(2)
+        real = quadrature.energy_increment
+
+        def energy_increment(model, pair, params_h):
+            if params_h.h == self.GRID[1]:
+                raise KeyboardInterrupt
+            return real(model, pair, params_h)
+
+        monkeypatch.setattr(quadrature, "energy_increment", energy_increment)
+        with pytest.raises(KeyboardInterrupt):
+            quadrature.limit_sweep(model, pair, params, self.GRID)
+        TestForkMap.assert_no_child_left()
+
+    def test_child_exception_at_a_later_h(self, monkeypatch):
+        real = quadrature._sweep_odd_strata
+
+        def failing(job):
+            if job[2].h == self.GRID[2]:
+                raise ValueError(f"child failed at h = {job[2].h}")
+            return real(job)
+
+        monkeypatch.setattr(quadrature, "_sweep_odd_strata", failing)
+        model, pair, params, _, _ = TestFusedPass.case(2)
+        with pytest.raises(ValueError, match="child failed at h = 0.025"):
+            gj.limit_sweep(model, pair, params, self.GRID)
+        TestForkMap.assert_no_child_left()
+
+    @pytest.mark.parametrize("h", [1e-100, 1e-200])
+    def test_too_small_h_is_a_quadrature_error(self, h):
+        # the shell's measure 1 - (1 - sqrt(h))^d rounds to 0 below h ~ 3e-33
+        model, pair, params, _, _ = TestFusedPass.case(2)
+        grid = [h, h / 2, h / 4, h / 8]
+        with pytest.raises(gj.QuadratureError, match="too small"):
+            gj.limit_sweep(model, pair, params, grid)
+        with pytest.raises(gj.QuadratureError, match="too small"):
+            gj.estimate_region_measures(pair, params.with_h(h))
+        TestForkMap.assert_no_child_left()
 
 
 class TestForkedMatchesSerial:
@@ -712,6 +849,16 @@ class TestForkedMatchesSerial:
             monkeypatch, lambda: gj.energy_increment(model, pair, params).to_dict()
         )
         # repr tells the bits of every float apart, -0.0 from 0.0 too
+        assert repr(forked) == repr(serial)
+
+    @pytest.mark.parametrize("sampler", ["rqmc", "mc"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_limit_sweep(self, monkeypatch, d, sampler):
+        model, pair, params, _, _ = TestFusedPass.case(d, sampler)
+        grid = [0.1, 0.05, 0.025, 0.0125]
+        forked, serial = self.both(
+            monkeypatch, lambda: gj.limit_sweep(model, pair, params, grid).to_dict()
+        )
         assert repr(forked) == repr(serial)
 
     @pytest.mark.parametrize("sampler", ["rqmc", "mc"])
