@@ -187,57 +187,40 @@ class MinQuadraticsEnergy(EnergyModel):
 
         On a base's active branch e_b = 0 and P = mu_b F, so the linear term
         vanishes bit for bit, g = 0 gives exactly 0 and no cancellation is
-        left in the increment.  A branch whose offset or linear term
-        vanishes for every base skips that term (mu_b s^2 ... >= +0, so
-        adding the zero offset would change no bit).  The two sides of a
-        mirrored call share (F^T a) per branch and the s^2 term, whose
-        bits are the same at -s.
+        left in the increment.  The two sides of a mirrored call share
+        (F^T a) per branch and the s^2 term, whose bits are the same at -s.
 
-        Given an index, the kernel evaluates every base on every row with
-        scalar coefficients and then picks each row's base, which is
-        cheaper than gathering per-row copies of the (K, branches) tables.
+        The kernel evaluates every base on every row with scalar
+        coefficients and then picks each row's base, which is cheaper than
+        gathering per-row copies of the (K, branches) tables.
         The two sides also share each branch's s ((mu_b F - P)^T a).g: the
         -s side subtracts it, and (-s) x == -(s x) exactly.
         """
         bases = np.asarray(bases, dtype=float)
         bvals = np.stack([self.branch_values(f) for f in bases])  # (K, branches)
-        offsets = bvals - bvals.min(axis=1, keepdims=True)
-        # (mu_b, e_b per base, or None where e_b = 0 for every base)
-        terms = [(float(mu), col if col.any() else None) for mu, col in zip(self._mus, offsets.T)]
+        offsets = (bvals - bvals.min(axis=1, keepdims=True)).tolist()  # e_b per base
         stresses = np.stack([self.gradient(f) for f in bases])
         slopes = self._mus[None, :, None, None] * bases[:, None] - stresses[:, None]
-
-        def side(g, s, lin, live, quad):
-            """The minimum over the branches at step s on base 0 (the scan)."""
-            out = None
-            for b, (mu, offset) in enumerate(terms):
-                val = mu * quad
-                if offset is not None:
-                    val += offset[0]
-                if live[b]:
-                    val += s * _dot_rows(g, lin[:, b], None)
-                out = val if out is None else np.minimum(out, val, out=out)
-            return out
 
         def per_base(g, s, mirrored, lin, quad):
             """Per base, the minimum over the branches on every row at step
             s, and at -s when mirrored: (values at s, values at -s or Nones).
 
             Each base skips the offsets and linear terms that are zero for
-            it, as the scan skips those zero for every base: every branch
-            value starts from mu_b quad >= +0, so adding +-0 changes no bit.
+            it: every branch value starts from mu_b quad >= +0, so adding
+            +-0 changes no bit.
             """
             cols = g.T.copy()  # contiguous columns, read by several branches
-            mqs = [mu * quad for mu, _ in terms]
+            mqs = [mu * quad for mu in self._mus]
+            live = lin.any(axis=2).tolist()
             plus, minus = [], []
             for k in range(len(bases)):
                 at_plus = at_minus = None
-                for b, (_, offset) in enumerate(terms):
-                    val = mqs[b]
-                    if offset is not None and offset[k] != 0.0:
-                        val = val + offset[k]
+                for b, val in enumerate(mqs):
+                    if offsets[k][b] != 0.0:
+                        val = val + offsets[k][b]
                     val_plus, val_minus = val, (val if mirrored else None)
-                    if lin[k, b].any():
+                    if live[k][b]:
                         step = cols[0] * lin[k, b, 0]
                         for c in range(1, len(cols)):
                             step += cols[c] * lin[k, b, c]
@@ -265,10 +248,7 @@ class MinQuadraticsEnergy(EnergyModel):
         def excess(a, g, s, index=None, mirror=None):
             a = np.asarray(a, dtype=float)
             lin = np.einsum("kbmd,m->kbd", slopes, a)
-            live = lin.any(axis=(0, 2))
             quad = (0.5 * s * s * float(a @ a)) * row_sq_norms(g)
-            if index is None and mirror is None:
-                return side(g, s, lin, live, quad)
             plus, minus = per_base(g, s, mirror is not None, lin, quad)
             if mirror is None:
                 return pick(plus, index)

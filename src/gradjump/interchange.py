@@ -218,8 +218,8 @@ class InterchangeField:
     """Evaluator for the mirrored interchange field of one compatible pair.
 
     Precomputes the orthonormal frame (n, nu[, w]) and exposes vectorized
-    value/gradient evaluation in frame coordinates, plus the world-space
-    single-point API used by callers.
+    value/gradient evaluation in frame coordinates; world points z have
+    frame coordinates z @ frame.T.
     """
 
     def __init__(self, pair: InterfacePair, params: InterchangeParams):
@@ -240,9 +240,6 @@ class InterchangeField:
         self.frame = np.vstack(rows)  # rows are basis vectors
         self.nu = nu
 
-    def to_frame(self, z: np.ndarray) -> np.ndarray:
-        return np.atleast_2d(np.asarray(z, dtype=float)) @ self.frame.T
-
     def scalar_gradient(self, coords: np.ndarray):
         """Scalar profile and frame-gradient vector at frame coordinates.
 
@@ -255,18 +252,6 @@ class InterchangeField:
         # the profile is the + term plus its mirror image
         scalar = _plus_value(s_n, s_nu, r, self.h) + _plus_value(-s_n, -s_nu, r, self.h)
         return scalar, _mirrored_gradient(coords, r, self.h)
-
-    def value_gradient(self, z):
-        """Field value (R^m) and gradient (m x d matrix) at a world point."""
-        coords = self.to_frame(z)
-        scalar, g = self.scalar_gradient(coords)
-        g_world = g @ self.frame
-        value = scalar[0] * self.pair.a
-        gradient = np.outer(self.pair.a, g_world[0])
-        return value, gradient
-
-    def classify(self, z) -> str:
-        return REGION_NAMES[int(classify_codes(self.to_frame(z), self.h)[0])]
 
 
 # -- interpolation landscape -------------------------------------------------

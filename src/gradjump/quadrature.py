@@ -63,19 +63,18 @@ estimates it streams back through a pipe (``_ForkStream``).  A sweep
 forks one child for its whole grid: ``limit_sweep`` starts it, and it
 estimates the odd strata of every h in grid order, each with a kernel of
 its own, sending each h's estimates as soon as they are done.  The
-parent still calls ``energy_increment`` at each h, estimates the even
-strata and reads that h's odd ones from the stream, with no fork, exit
-or wait per h.  The stream belongs to its sweep: a thread-local match
-on the sweep's model, pair and per-h params objects, in grid order.
-Any other estimate forks a child of its own for a one-item stream.  On
-an early exit (an error, an error cap, an interrupt) the parent kills
-the child without waiting for its current h and reaps it.  The parent
-adds the per-stratum means and variances in stratum order, so the
-totals are bit for bit the same whatever the CPU count; with a single
-stratum, fewer than two usable CPUs, no ``os.fork`` or a failed fork the
-strata run serially in the parent.  The parent builds the Sobol
-scrambles of every stratum before the fork: the child inherits those it
-needs, and the parent's cache keeps them for every h.
+parent still calls ``energy_increment`` at each h and hands it the
+stream (the keyword-only ``_stream``); the estimate computes the even
+strata and takes that h's odd ones, with no fork, exit or wait per h.
+An estimate given no stream forks a child of its own for a one-item
+stream.  On an early exit (an error, an error cap, an interrupt) the
+parent kills the child without waiting for its current h and reaps it.
+The parent adds the per-stratum means and variances in stratum order,
+so the totals are bit for bit the same whatever the CPU count; with a
+single stratum, fewer than two usable CPUs, no ``os.fork`` or a failed
+fork the strata run serially in the parent.  The parent builds the
+Sobol scrambles of every stratum before the fork: the child inherits
+those it needs, and the parent's cache keeps them for every h.
 """
 
 from __future__ import annotations
@@ -85,7 +84,6 @@ import math
 import os
 import pickle
 import signal
-import threading
 import warnings
 from dataclasses import dataclass
 
@@ -296,15 +294,21 @@ def _radius(coords: np.ndarray) -> np.ndarray:
     return np.sqrt(row_sq_norms(coords))
 
 
-def _row_sum(vals: np.ndarray) -> np.ndarray:
-    """Sum over axis 0, adding the rows in order.
+def _row_order_sum(blocks):
+    """Sum over axis 0 of the rows of every block, added in order.
 
-    np.sum adds a 1-D array pairwise but the rows of a 2-D array in order.
-    Summing in row order for both keeps an estimate's bits independent of
-    how many outputs its pass returns, and equal to those of the earlier
-    pass that reduced the residual and the region indicators together.
+    np.sum adds a 1-D array pairwise but the rows of a 2-D array in order;
+    summing in row order for both keeps an estimate's bits independent of
+    how many outputs its pass returns and of how its rows are split into
+    blocks.  Each block's first row takes the running sum carried in and
+    np.cumsum accumulates in place, so the blocks are overwritten.
     """
-    return np.cumsum(vals, axis=0)[-1]
+    total = None
+    for block in blocks:
+        if total is not None:
+            block[0] += total
+        total = np.cumsum(block, axis=0, out=block)[-1].copy()
+    return total
 
 
 def _mean_var(vals: np.ndarray):
@@ -312,30 +316,24 @@ def _mean_var(vals: np.ndarray):
     compute them for the rows of a 2-D array.
 
     The values, the deviations and their squares go through one buffer of
-    at most _BLOCK_ROWS rows, chunk by chunk (np.cumsum accumulates in
-    place without a copy); each chunk's first row takes the running sum
-    carried in, so the bits are those of one row-order sum over all rows.
+    at most _BLOCK_ROWS rows, chunk by chunk.
     """
     n = vals.shape[0]
     buf = np.empty((min(n, _BLOCK_ROWS),) + vals.shape[1:])
 
-    def row_sum(fill):
-        """Row-order sum of fill(rows, out) over the chunks of vals."""
-        total = None
+    def chunks(fill):
+        """buf filled by fill(rows, out) from each chunk of vals in turn."""
         for i in range(0, n, _BLOCK_ROWS):
             chunk = buf[:min(_BLOCK_ROWS, n - i)]
             fill(vals[i:i + _BLOCK_ROWS], chunk)
-            if total is not None:
-                chunk[0] += total
-            total = np.cumsum(chunk, axis=0, out=chunk)[-1].copy()
-        return total
+            yield chunk
 
     def squares(rows, out):
         np.subtract(rows, mean, out=out)
         np.multiply(out, out, out=out)
 
-    mean = row_sum(lambda rows, out: np.copyto(out, rows)) / n
-    return mean, row_sum(squares) / (n - 1)
+    mean = _row_order_sum(chunks(lambda rows, out: np.copyto(out, rows))) / n
+    return mean, _row_order_sum(chunks(squares)) / (n - 1)
 
 
 def _stream(seed: int, *spawn_key: int) -> np.random.Generator:
@@ -417,18 +415,14 @@ class _ForkStream:
     the one it is computing, and reaps it.
     """
 
-    def __init__(self, pid: int, pipe, items):
-        self.pid, self.pipe, self.items, self.taken = pid, pipe, items, 0
+    def __init__(self, pid: int, pipe, count: int):
+        self.pid, self.pipe, self.owed = pid, pipe, count
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc_info):
         self.close()
-
-    def upcoming(self):
-        """The item whose result ``take`` returns next; None after the last."""
-        return self.items[self.taken] if self.taken < len(self.items) else None
 
     def take(self):
         try:
@@ -441,14 +435,14 @@ class _ForkStream:
             raise GradJumpError(
                 f"forked worker ended with exit code {code} and no result"
             ) from None
-        self.taken += 1
+        self.owed -= 1
         if not ok:
             raise value
         return value
 
     def close(self):
         if self.pid is not None:
-            self._stop(kill=self.taken < len(self.items))
+            self._stop(kill=self.owed > 0)
 
     def _stop(self, kill: bool) -> int:
         pid, self.pid = self.pid, None
@@ -491,19 +485,15 @@ def _fork_stream(fn, items) -> _ForkStream | None:
         finally:
             os._exit(0)
     os.close(write_fd)
-    return _ForkStream(pid, os.fdopen(read_fd, "rb"), items)
+    return _ForkStream(pid, os.fdopen(read_fd, "rb"), len(items))
 
 
-#: ``stream``: the _ForkStream of the running ``limit_sweep`` in this thread
-_SWEEP = threading.local()
-
-
-def _odd_stream(fn, jobs, d: int, quad: QuadratureConfig) -> _ForkStream | None:
-    """A _ForkStream of fn(job), the odd-indexed strata of each job's
-    estimate, or None where the strata all run in this process: a single
+def _odd_stream(fn, items, d: int, quad: QuadratureConfig) -> _ForkStream | None:
+    """A _ForkStream of fn(x), the odd-indexed strata of the estimate of
+    each x, or None where the strata all run in this process: a single
     stratum, or no child to fork (``_fork_stream``).
 
-    Every Sobol scramble the jobs draw is built first, so the child
+    Every Sobol scramble the estimates draw is built first, so the child
     inherits them and this process keeps them for its own strata.
     """
     names = _stratum_names(quad)
@@ -513,12 +503,12 @@ def _odd_stream(fn, jobs, d: int, quad: QuadratureConfig) -> _ForkStream | None:
         for name in names:
             for j in range(N_SCRAMBLES):
                 _sobol_scramble(d, quad.seed, _STRATUM_IDS[name], j)
-    return _fork_stream(fn, jobs)
+    return _fork_stream(fn, items)
 
 
 class _Estimate:
-    """The strata, the mixture density and the per-stratum estimator of
-    one estimate.
+    """One antithetic mixture-sampling estimate over all strata: their
+    mixture density, the per-stratum estimator and the total.
 
     ``pair_estimates(coords, pdf)`` returns 0.5 (f(z) + f(-z)) / q(z) for
     each drawn pair (z, -z), as an (N,) or (N, k) array, and is called on
@@ -533,7 +523,7 @@ class _Estimate:
     """
 
     def __init__(self, fld: InterchangeField, quad: QuadratureConfig, pair_estimates):
-        self.d, self.quad, self.pair_estimates = fld.pair.d, quad, pair_estimates
+        self.h, self.d, self.quad, self.pair_estimates = fld.h, fld.pair.d, quad, pair_estimates
         self.strata, budgets = _build_strata(fld.h, self.d, quad)
         for stratum in self.strata:
             if not (math.isfinite(stratum.measure) and stratum.measure > 0.0):
@@ -566,14 +556,8 @@ class _Estimate:
         if quad.sampler == "rqmc":
             means = []
             for j in range(N_SCRAMBLES):
-                total = None
-                for _, vals in self._blocks(stratum, _sobol(d, pairs, quad.seed, sid, j)):
-                    # carry the running sum into the block's first row: the
-                    # bits of one row-order sum over the whole batch
-                    if total is not None:
-                        vals[0] += total
-                    total = _row_sum(vals)
-                means.append(total / pairs)
+                blocks = self._blocks(stratum, _sobol(d, pairs, quad.seed, sid, j))
+                means.append(_row_order_sum(vals for _, vals in blocks) / pairs)
             return _mean_var(np.array(means))
         # mc keeps every per-pair value of the stratum's one stream
         stream = _stream(quad.seed, sid, 0)
@@ -590,50 +574,58 @@ class _Estimate:
         """The estimates of the odd-indexed strata (slab, corner of all five)."""
         return [self.stratum(k) for k in range(1, len(self.strata), 2)]
 
+    def total(self, stream: _ForkStream | None = None):
+        """The estimate over all strata: (means, errors, n_evals), n_evals
+        counting two per pair.
 
-def _stratified_estimate(fld: InterchangeField, quad: QuadratureConfig, pair_estimates,
-                         job=None):
-    """Antithetic mixture sampling over all strata (see ``_Estimate``).
+        This process estimates the even-indexed strata (bulk, strip, shell
+        of all five).  The odd-indexed ones are the next result of
+        ``stream`` when one is given, else they come from a child forked
+        for this estimate alone; without a child they run here too.  So
+        ``pair_estimates`` may run in a forked child and must return its
+        result, not record it.  The means and variances are added in
+        stratum order, so the totals carry the same bits whichever process
+        estimated each stratum.  Raises QuadratureError on a non-finite
+        total.
+        """
+        own = stream is None
+        if own:
+            stream = _odd_stream(_Estimate.odd, [self], self.d, self.quad)
+        try:
+            evens = [self.stratum(k) for k in range(0, len(self.strata), 2)]
+            odds = self.odd() if stream is None else stream.take()
+        finally:
+            if own and stream is not None:
+                stream.close()
 
-    This process estimates the even-indexed strata (bulk, strip, shell of
-    all five).  The odd-indexed ones come from a forked child: that of the
-    running ``limit_sweep`` when ``job`` is the job whose result it sends
-    next, else one forked for this estimate alone; without a child they
-    run here too.  So ``pair_estimates`` may run in a forked child and must
-    return its result, not record it.  The means and variances are added
-    in stratum order, so the totals carry the same bits whichever process
-    estimated each stratum.  Raises QuadratureError on a non-finite total.
-    Returns (means, errors, n_evals), n_evals counting two per pair.
+        estimates = [None] * len(self.strata)
+        estimates[0::2], estimates[1::2] = evens, odds
+        rqmc = self.quad.sampler == "rqmc"
+        total_mean = total_var = 0.0
+        n_evals = 0
+        for (mean, var), pairs, c in zip(estimates, self.per_scramble, self.weights):
+            n_evals += 2 * N_SCRAMBLES * pairs
+            total_var += c * c * var / (N_SCRAMBLES if rqmc else N_SCRAMBLES * pairs)
+            total_mean += c * mean
+        if not (np.all(np.isfinite(total_mean)) and np.all(np.isfinite(total_var))):
+            raise QuadratureError(f"the estimate at h = {self.h!r} is not finite")
+        return total_mean, np.sqrt(total_var), n_evals
+
+
+def _energy_estimate(fld: InterchangeField, quad: QuadratureConfig, integrand) -> _Estimate:
+    """The estimate of the energy pass: the sampled integral of a residual
+    over the ball.
+
+    ``integrand(coords, g)`` returns the pair (f(z), f(-z)) of residual
+    values for frame coordinates z with frame gradient g; the gradient at
+    -z is exactly -g.  Contract: the integrand vanishes wherever g = 0.
+    The excess integrand meets it exactly, since its step t a (x) g and its
+    linear term are then both zero.  So the integrand and the mixture pdf
+    are evaluated only on the rows where the field moves (g != 0), and
+    every other pair contributes an exact zero.  The gradient is evaluated
+    only on the rows that can move (``_moving_candidates``); a second
+    compaction drops any of them where g = 0 after all.
     """
-    est = _Estimate(fld, quad, pair_estimates)
-    stream = getattr(_SWEEP, "stream", None)
-    upcoming = None if stream is None else stream.upcoming()
-    own = job is None or upcoming is None or any(x is not y for x, y in zip(upcoming, job))
-    if own:
-        stream = _odd_stream(_Estimate.odd, [est], fld.pair.d, quad)
-    try:
-        evens = [est.stratum(k) for k in range(0, len(est.strata), 2)]
-        odds = est.odd() if stream is None else stream.take()
-    finally:
-        if own and stream is not None:
-            stream.close()
-
-    estimates = [None] * len(est.strata)
-    estimates[0::2], estimates[1::2] = evens, odds
-    rqmc = quad.sampler == "rqmc"
-    total_mean = total_var = 0.0
-    n_evals = 0
-    for (mean, var), pairs, c in zip(estimates, est.per_scramble, est.weights):
-        n_evals += 2 * N_SCRAMBLES * pairs
-        total_var += c * c * var / (N_SCRAMBLES if rqmc else N_SCRAMBLES * pairs)
-        total_mean += c * mean
-    if not (np.all(np.isfinite(total_mean)) and np.all(np.isfinite(total_var))):
-        raise QuadratureError(f"the estimate at h = {fld.h!r} is not finite")
-    return total_mean, np.sqrt(total_var), n_evals
-
-
-def _energy_pairs(fld: InterchangeField, integrand):
-    """``pair_estimates`` of the energy pass (see ``_mixture_pass``)."""
     h, d = fld.h, fld.pair.d
 
     def pair_estimates(coords: np.ndarray, pdf) -> np.ndarray:
@@ -654,26 +646,7 @@ def _energy_pairs(fld: InterchangeField, integrand):
         out[rows] = 0.5 * (f_z + f_mirror) / pdf(z, r_z)
         return out
 
-    return pair_estimates
-
-
-def _mixture_pass(fld: InterchangeField, quad: QuadratureConfig, integrand, job=None):
-    """The energy pass: the sampled integral of a residual over the ball.
-
-    ``integrand(coords, g)`` returns the pair (f(z), f(-z)) of residual
-    values for frame coordinates z with frame gradient g; the gradient at
-    -z is exactly -g.  Contract: the integrand vanishes wherever g = 0.
-    The excess integrand meets it exactly, since its step t a (x) g and its
-    linear term are then both zero.  So the integrand and the mixture pdf
-    are evaluated only on the rows where the field moves (g != 0), and
-    every other pair contributes an exact zero.  The gradient is evaluated
-    only on the rows that can move (``_moving_candidates``); a second
-    compaction drops any of them where g = 0 after all.  ``job`` is passed
-    on to ``_stratified_estimate``.  Returns (mean, error, n_evals);
-    n_evals counts every sampled point.
-    """
-    mean, err, n_evals = _stratified_estimate(fld, quad, _energy_pairs(fld, integrand), job)
-    return float(mean), float(err), n_evals
+    return _Estimate(fld, quad, pair_estimates)
 
 
 def estimate_region_measures(pair: InterfacePair, params: InterchangeParams) -> dict:
@@ -702,7 +675,7 @@ def estimate_region_measures(pair: InterfacePair, params: InterchangeParams) -> 
         out /= pdf(coords, r)[:, None]
         return out
 
-    mean, err, _ = _stratified_estimate(fld, params.quad, pair_estimates)
+    mean, err, _ = _Estimate(fld, params.quad, pair_estimates).total()
     return {k: (float(mean[j]), float(err[j])) for j, k in enumerate(REGION_KEYS)}
 
 
@@ -729,7 +702,8 @@ def _excess_integrand(model, pair, fld, t):
 
 
 def energy_increment(
-    model: EnergyModel, pair: InterfacePair, params: InterchangeParams
+    model: EnergyModel, pair: InterfacePair, params: InterchangeParams,
+    *, _stream: _ForkStream | None = None,
 ) -> VariationResult:
     """Estimate Delta E(t, h) for the interchange field of ``pair``.
 
@@ -737,16 +711,17 @@ def energy_increment(
     variate; the stochastic part only carries the pointwise excess, which
     vanishes where the field gradient does.  Deterministic for a fixed
     seed.  Raises QuadratureError if a configured error cap is exceeded.
+    ``_stream`` is the child of ``limit_sweep``, whose next result is the
+    odd strata of this estimate (see ``_Estimate.total``).
     """
     fld = InterchangeField(pair, params)
     h, t = params.h, params.t
     frak_n = frobenius(model.gradient(pair.fp) - model.gradient(pair.fm), np.outer(pair.a, pair.n))
     ff_exact = -frak_n * h * interface_profile(h, pair.d)
 
-    mean, mc_error, n_evals = _mixture_pass(
-        fld, params.quad, _excess_integrand(model, pair, fld, t), job=(model, pair, params)
-    )
-    delta_e = t * ff_exact + mean
+    est = _energy_estimate(fld, params.quad, _excess_integrand(model, pair, fld, t))
+    mean, mc_error, n_evals = est.total(_stream)
+    delta_e, mc_error = t * ff_exact + float(mean), float(mc_error)
     if params.quad.max_error is not None and mc_error > params.quad.max_error:
         raise QuadratureError(
             f"mc_error {mc_error:.3e} exceeds cap {params.quad.max_error:.3e}"
@@ -754,14 +729,12 @@ def energy_increment(
     return VariationResult(delta_e, mc_error, h, t, n_evals)
 
 
-def _sweep_odd_strata(job) -> list:
-    """The odd-indexed strata of energy_increment(*job), as the child of
-    ``limit_sweep`` estimates them: from a kernel of its own, through no
-    public (traced) function."""
-    model, pair, params = job
+def _sweep_odd_strata(model: EnergyModel, pair: InterfacePair, params: InterchangeParams) -> list:
+    """The odd-indexed strata of energy_increment(model, pair, params), as
+    the child of ``limit_sweep`` estimates them: from a kernel of its own,
+    through no public (traced) function."""
     fld = InterchangeField(pair, params)
-    integrand = _excess_integrand(model, pair, fld, params.t)
-    return _Estimate(fld, params.quad, _energy_pairs(fld, integrand)).odd()
+    return _energy_estimate(fld, params.quad, _excess_integrand(model, pair, fld, params.t)).odd()
 
 
 @dataclass(frozen=True)
@@ -883,16 +856,15 @@ def limit_sweep(
     grid = [params.with_h(float(h)) for h in h_grid]
     # one child estimates the odd strata of every h, in grid order, while
     # this process calls energy_increment at each h for the even ones
-    stream = _odd_stream(_sweep_odd_strata, [(model, pair, p) for p in grid], pair.d, params.quad)
-    outer, _SWEEP.stream = getattr(_SWEEP, "stream", None), stream
+    odd_strata = functools.partial(_sweep_odd_strata, model, pair)
+    stream = _odd_stream(odd_strata, grid, pair.d, params.quad)
     try:
         for i, (h, params_h) in enumerate(zip(h_grid, grid)):
-            res = energy_increment(model, pair, params_h)
+            res = energy_increment(model, pair, params_h, _stream=stream)
             values[i] = res.delta_e / h
             errors[i] = res.mc_error / h
             n_evals += res.n_evals
     finally:
-        _SWEEP.stream = outer
         if stream is not None:
             stream.close()
     scale = 1.0 + float(np.max(np.abs(values)))

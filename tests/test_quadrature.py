@@ -15,7 +15,7 @@ import gradjump as gj
 from gradjump import cli, quadrature
 from gradjump.errors import NonconvergenceError
 from gradjump.interchange import InterchangeField, classify_codes
-from gradjump.quadrature import REGION_KEYS, _mixture_pass, interface_profile
+from gradjump.quadrature import REGION_KEYS, interface_profile
 
 from conftest import REF_PARAMS, ValueOnlyQuadratic, small_quad
 
@@ -154,6 +154,11 @@ class TestScrambleCache:
         assert info.misses == len(quadrature._STRATUM_IDS) * quadrature.N_SCRAMBLES
 
 
+def energy_pass(fld, quad, integrand):
+    """(mean, error, n_evals) of the energy pass with the given integrand."""
+    return quadrature._energy_estimate(fld, quad, integrand).total()
+
+
 def reference_residual(model, pair, fld, t):
     """Pointwise excess at one point set, gradient evaluated there, from the
     (N, m, d) stacks and value_many."""
@@ -287,7 +292,7 @@ class TestFusedPass:
         p_plus, p_minus = model.gradient(pair.fp), model.gradient(pair.fm)
 
         # the pass evaluates only the rows where g != 0, the reference every row
-        mean, err, n = _mixture_pass(fld, params.quad, integrand)
+        mean, err, n = energy_pass(fld, params.quad, integrand)
         ref_mean, ref_err, ref_n = reference_mixture_pass(
             fld, params.quad, pointwise_residual(fld, integrand)
         )
@@ -315,7 +320,7 @@ class TestFusedPass:
         # blocks and a partial one
         model, pair, params, fld, integrand = self.case(d, sampler)
         monkeypatch.setattr(quadrature, "_BLOCK_ROWS", 96)
-        mean, err, n = _mixture_pass(fld, params.quad, integrand)
+        mean, err, n = energy_pass(fld, params.quad, integrand)
         ref_mean, ref_err, ref_n = reference_mixture_pass(
             fld, params.quad, pointwise_residual(fld, integrand)
         )
@@ -331,11 +336,11 @@ class TestFusedPass:
         # with every row a candidate, the rows whose gradient is 0 are
         # dropped by the second compaction instead, with the same bits
         model, pair, params, fld, integrand = self.case(d, sampler)
-        exact = _mixture_pass(fld, params.quad, integrand)
+        exact = energy_pass(fld, params.quad, integrand)
         monkeypatch.setattr(
             quadrature, "_moving_candidates", lambda coords, r, h: np.ones(len(r), dtype=bool)
         )
-        assert repr(_mixture_pass(fld, params.quad, integrand)) == repr(exact)
+        assert repr(energy_pass(fld, params.quad, integrand)) == repr(exact)
 
     @pytest.mark.parametrize("kind", ["antiplane-2", "antiplane-3", "isotropic-3"])
     def test_excess_vanishes_where_field_does_not_move(self, rng, kind):
@@ -388,7 +393,7 @@ class TestEnergyIncrement:
                 for sign, side in ((1.0, coords[:, 0:1] > 0), (-1.0, coords[:, 0:1] < 0))
             ]
 
-        mean, err, _ = _mixture_pass(fld, params.quad, linear_term)
+        mean, err, _ = energy_pass(fld, params.quad, linear_term)
         frak_n = gj.interchange_force(antiplane, noneq_pair)
         exact = -frak_n * h * interface_profile(h, 2)
         assert mean == pytest.approx(exact, abs=max(5 * err, 1e-5))
@@ -410,7 +415,7 @@ class TestEnergyIncrement:
                 for sign, side in ((1.0, coords[:, 0:1] > 0), (-1.0, coords[:, 0:1] < 0))
             ]
 
-        mean, err, _ = _mixture_pass(fld, params.quad, linear_term)
+        mean, err, _ = energy_pass(fld, params.quad, linear_term)
         exact = -gj.interchange_force(model, pair) * h * interface_profile(h, 3)
         assert mean == pytest.approx(exact, abs=max(5 * err, 1e-6))
 
@@ -635,11 +640,7 @@ class TestForkMap:
     @pytest.mark.parametrize("n", range(1, 7))
     def test_results_in_item_order(self, n):
         with quadrature._fork_stream(lambda x: (x * x, os.getpid()), range(n)) as stream:
-            out = []
-            for x in range(n):
-                assert stream.upcoming() == x
-                out.append(stream.take())
-            assert stream.upcoming() is None
+            out = [stream.take() for _ in range(n)]
         assert [v for v, _ in out] == [x * x for x in range(n)]
         # every item, a single one too, runs in the one child
         pids = {pid for _, pid in out}
@@ -743,16 +744,35 @@ class TestSweepStream:
         gj.estimate_region_measures(pair, params)
         assert len(forks) == 3
 
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_energy_increment_once_per_h_through_the_module_global(self, monkeypatch, cpus):
+        # the contract the bench tracer reads: one call per h, in grid
+        # order, whose n_evals add up to the sweep's
+        monkeypatch.setattr(quadrature, "_usable_cpus", lambda: cpus)
+        model, pair, params, _, _ = TestFusedPass.case(2)
+        real = quadrature.energy_increment
+        calls = []
+
+        def energy_increment(model, pair, params_h, **kwargs):
+            res = real(model, pair, params_h, **kwargs)
+            calls.append((params_h.h, res.n_evals))
+            return res
+
+        monkeypatch.setattr(quadrature, "energy_increment", energy_increment)
+        sweep = quadrature.limit_sweep(model, pair, params, self.GRID)
+        assert [h for h, _ in calls] == self.GRID
+        assert sum(n for _, n in calls) == sweep.n_evals
+
     def test_other_estimates_during_a_sweep_fork_their_own_child(self, monkeypatch, forks):
-        # an equal params object that is not the sweep's own does not take
-        # the sweep's results, and it gets the same bits from its own child
+        # an estimate called without the sweep's stream does not take the
+        # sweep's results, and it gets the same bits from its own child
         model, pair, params, _, _ = TestFusedPass.case(2)
         real = quadrature.energy_increment
         lone = []
 
-        def energy_increment(model, pair, params_h):
-            lone.append(real(model, pair, dataclasses.replace(params_h)).to_dict())
-            return real(model, pair, params_h)
+        def energy_increment(model, pair, params_h, *, _stream):
+            lone.append(real(model, pair, params_h).to_dict())
+            return real(model, pair, params_h, _stream=_stream)
 
         monkeypatch.setattr(quadrature, "energy_increment", energy_increment)
         sweep = quadrature.limit_sweep(model, pair, params, self.GRID)
@@ -768,10 +788,10 @@ class TestSweepStream:
         # not wait for it once the first h has failed
         real = quadrature._sweep_odd_strata
 
-        def slow(job):
-            if job[2].h != self.GRID[0]:
+        def slow(model, pair, params_h):
+            if params_h.h != self.GRID[0]:
                 time.sleep(60)
-            return real(job)
+            return real(model, pair, params_h)
 
         monkeypatch.setattr(quadrature, "_sweep_odd_strata", slow)
         model, pair, params, _, _ = TestFusedPass.case(2)
@@ -787,10 +807,10 @@ class TestSweepStream:
         model, pair, params, _, _ = TestFusedPass.case(2)
         real = quadrature.energy_increment
 
-        def energy_increment(model, pair, params_h):
+        def energy_increment(model, pair, params_h, **kwargs):
             if params_h.h == self.GRID[1]:
                 raise KeyboardInterrupt
-            return real(model, pair, params_h)
+            return real(model, pair, params_h, **kwargs)
 
         monkeypatch.setattr(quadrature, "energy_increment", energy_increment)
         with pytest.raises(KeyboardInterrupt):
@@ -800,10 +820,10 @@ class TestSweepStream:
     def test_child_exception_at_a_later_h(self, monkeypatch):
         real = quadrature._sweep_odd_strata
 
-        def failing(job):
-            if job[2].h == self.GRID[2]:
-                raise ValueError(f"child failed at h = {job[2].h}")
-            return real(job)
+        def failing(model, pair, params_h):
+            if params_h.h == self.GRID[2]:
+                raise ValueError(f"child failed at h = {params_h.h}")
+            return real(model, pair, params_h)
 
         monkeypatch.setattr(quadrature, "_sweep_odd_strata", failing)
         model, pair, params, _, _ = TestFusedPass.case(2)
