@@ -7,11 +7,13 @@ stress ``gradient``; central differences serve only subclasses that define
 ``value()`` alone.
 
 The estimator and the Weierstrass scan only ever evaluate W along rank-one
-lines F + s a (x) G.  ``EnergyModel.rank_one_excess`` serves both: its
-base-class body forms the (N, m, d) stacks and calls ``value_many`` (the
-path for user subclasses, and the test reference).  The min-of-quadratics
-and isotropic kinds override it with closed forms in p = a.G, (F^T a).G and
-|G|^2, since
+lines F + s a (x) G.  ``EnergyModel.rank_one_excess`` serves both, in two
+stages: the first takes the N vectors G and does the work that depends on
+them alone, once for the scan's whole grid, and the second evaluates a
+direction a and step s.  Its base-class body forms the (N, m, d) stacks
+and calls ``value_many`` (the path for user subclasses, and the test
+reference).  The min-of-quadratics and isotropic kinds override it with
+closed forms in p = a.G, (F^T a).G and |G|^2, since
 
     |F + s a (x) G|^2 = |F|^2 + 2 s (F^T a).G + s^2 |a|^2 |G|^2,
     tr(a (x) G) = a.G,
@@ -25,6 +27,7 @@ parts that do not depend on the sign of s once.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -109,34 +112,41 @@ class EnergyModel:
         """Kernel for the excess of W along rank-one lines from a few bases.
 
         ``bases`` is a (K, m, d) stack of gradients F_k, with stresses
-        P_k = ``gradient(F_k)``.  Returns ``excess(a, g, s, index=None,
-        mirror=None)``, which for N world vectors g_i (an (N, d) array) gives
+        P_k = ``gradient(F_k)``.  The kernel has two stages.
+        ``rank_one_excess(bases)(g)``, for N world vectors g_i (an (N, d)
+        array), does the work that depends on g alone and returns
+        ``excess(a, s, index=None, mirror=None)``, which gives
 
             W(F_k + s a (x) g_i) - W(F_k) - s (P_k, a (x) g_i),  k = index[i],
 
         with every row on base 0 when index is None.  Given a second index
         array ``mirror`` it returns the pair (those values, the same at -s
         on the bases mirror[i]): both points of an antithetic pair in one
-        call, each bit for bit what its one-sided call returns.  The
-        closed forms share the work that does not depend on the sign of s
-        between the two sides.  This body forms the (N, m, d) stacks and
-        calls ``value_many``, one side at a time; kinds with a closed form
+        call, each bit for bit what its one-sided call returns.  Each
+        row's value is bit for bit the same whether ``excess`` is called
+        once or many times on one first stage.  The closed forms share the
+        work that does not depend on the sign of s between the two sides.
+        This body keeps g, forms the (N, m, d) stacks and calls
+        ``value_many``, one side at a time; kinds with a closed form
         override it.
         """
         bases = np.asarray(bases, dtype=float)
         wbars = np.array([self.value(f) for f in bases])
         stresses = np.stack([self.gradient(f) for f in bases])
 
-        def excess(a, g, s, index=None, mirror=None):
-            if mirror is not None:
-                return excess(a, g, s, index), excess(a, g, -s, mirror)
-            a = np.asarray(a, dtype=float)
-            step = (s * a)[None, :, None] * g[:, None, :]
-            vals = self.value_many(_per_row(bases, index) + step)
-            lin = s * _dot_rows(g, np.einsum("kmd,m->kd", stresses, a), index)
-            return vals - _per_row(wbars, index) - lin
+        def kernel(g):
+            def excess(a, s, index=None, mirror=None):
+                if mirror is not None:
+                    return excess(a, s, index), excess(a, -s, mirror)
+                a = np.asarray(a, dtype=float)
+                step = (s * a)[None, :, None] * g[:, None, :]
+                vals = self.value_many(_per_row(bases, index) + step)
+                lin = s * _dot_rows(g, np.einsum("kmd,m->kd", stresses, a), index)
+                return vals - _per_row(wbars, index) - lin
 
-        return excess
+            return excess
+
+        return kernel
 
     def _check(self, f) -> np.ndarray:
         return as_matrix(f, self.m, self.d)
@@ -202,7 +212,7 @@ class MinQuadraticsEnergy(EnergyModel):
         stresses = np.stack([self.gradient(f) for f in bases])
         slopes = self._mus[None, :, None, None] * bases[:, None] - stresses[:, None]
 
-        def per_base(g, s, mirrored, lin, quad):
+        def per_base(cols, s, mirrored, lin, quad):
             """Per base, the minimum over the branches on every row at step
             s, and at -s when mirrored: (values at s, values at -s or Nones).
 
@@ -210,7 +220,6 @@ class MinQuadraticsEnergy(EnergyModel):
             it: every branch value starts from mu_b quad >= +0, so adding
             +-0 changes no bit.
             """
-            cols = g.T.copy()  # contiguous columns, read by several branches
             mqs = [mu * quad for mu in self._mus]
             live = lin.any(axis=2).tolist()
             plus, minus = [], []
@@ -245,16 +254,22 @@ class MinQuadraticsEnergy(EnergyModel):
                 return np.where(index, per_base_values[1], per_base_values[0])
             return np.choose(index, per_base_values)
 
-        def excess(a, g, s, index=None, mirror=None):
-            a = np.asarray(a, dtype=float)
-            lin = np.einsum("kbmd,m->kbd", slopes, a)
-            quad = (0.5 * s * s * float(a @ a)) * row_sq_norms(g)
-            plus, minus = per_base(g, s, mirror is not None, lin, quad)
-            if mirror is None:
-                return pick(plus, index)
-            return pick(plus, index), pick(minus, mirror)
+        def kernel(g):
+            # contiguous columns, read by several branches and calls
+            cols, sq = np.ascontiguousarray(g.T), row_sq_norms(g)
 
-        return excess
+            def excess(a, s, index=None, mirror=None):
+                a = np.asarray(a, dtype=float)
+                lin = np.einsum("kbmd,m->kbd", slopes, a)
+                quad = (0.5 * s * s * float(a @ a)) * sq
+                plus, minus = per_base(cols, s, mirror is not None, lin, quad)
+                if mirror is None:
+                    return pick(plus, index)
+                return pick(plus, index), pick(minus, mirror)
+
+            return excess
+
+        return kernel
 
     def gradient(self, f) -> np.ndarray:
         f = self._check(f)
@@ -348,6 +363,12 @@ class IsotropicParams:
     def f(self, theta):
         return np.polynomial.polynomial.polyval(theta, self.f_coeffs)
 
+    @functools.cached_property
+    def _derivatives(self) -> tuple:
+        """Coefficients of f^(j) for j = 0 .. len(f_coeffs) - 1, built once."""
+        poly = np.polynomial.polynomial
+        return tuple(poly.polyder(self.f_coeffs, j) for j in range(len(self.f_coeffs)))
+
     def f_prime(self, theta):
         dcoef = np.polynomial.polynomial.polyder(self.f_coeffs)
         return np.polynomial.polynomial.polyval(theta, dcoef)
@@ -357,8 +378,8 @@ class IsotropicParams:
         poly = np.polynomial.polynomial
         return np.array(
             [
-                float(poly.polyval(theta, poly.polyder(self.f_coeffs, j))) / math.factorial(j)
-                for j in range(len(self.f_coeffs))
+                float(poly.polyval(theta, dcoef)) / math.factorial(j)
+                for j, dcoef in enumerate(self._derivatives)
             ]
         )
 
@@ -424,14 +445,21 @@ class IsotropicThetaEnergy(EnergyModel):
                 out += (x * x) * poly
             return out
 
-        def excess(a, g, s, index=None, mirror=None):
-            a = np.asarray(a, dtype=float)
-            p = _dot_rows(g, a[None, :], None)
-            x = s * p
-            out = (0.5 * mu * s * s * float(a @ a)) * row_sq_norms(g)
-            out += (mu * s * s * (0.5 - 1.0 / d)) * (p * p)
-            if mirror is None:
-                return add_tail(out, x, index)
-            return add_tail(out.copy(), x, index), add_tail(out, -x, mirror)
+        def kernel(g):
+            # g's columns stay views: contiguous when g is column-major, as
+            # the scan lays it out, with no copy for a single call
+            sq = row_sq_norms(g)
 
-        return excess
+            def excess(a, s, index=None, mirror=None):
+                a = np.asarray(a, dtype=float)
+                p = _dot_rows(g, a[None, :], None)
+                x = s * p
+                out = (0.5 * mu * s * s * float(a @ a)) * sq
+                out += (mu * s * s * (0.5 - 1.0 / d)) * (p * p)
+                if mirror is None:
+                    return add_tail(out, x, index)
+                return add_tail(out.copy(), x, index), add_tail(out, -x, mirror)
+
+            return excess
+
+        return kernel

@@ -7,7 +7,10 @@ and [P]^T a, a grid scan of the excess over rank-one increments, and the
 bundled pass/fail diagnostics.  The scan evaluates the excess through the
 model's rank-one kernel ``EnergyModel.rank_one_excess`` (a closed form for
 the quadratic, min-of-quadratics and isotropic kinds, the (N, m, d) stack
-form otherwise), one batch of directions and radii per direction u.
+form otherwise): the kernel's first stage takes the fixed grid of
+directions and radii once, and its second stage evaluates one batch per
+direction u.  ``diagnose`` scans F+ and F- on two processes when the scans
+are large (``PARALLEL_SCAN_INCREMENTS``); the results do not depend on it.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import numpy as np
 
 from .energies import EnergyModel
 from .errors import DimensionError
+from .forking import _fork_stream
 from .tensors import (
     as_matrix,
     as_unit_vector,
@@ -169,11 +173,30 @@ class ScanResult:
         }
 
 
+#: increments |U| |V| |radii| of one scan from which ``diagnose`` scans F-
+#: in a forked child beside the scan of F+.  On a 2-CPU x86-64 host the
+#: fork, the result's pipe and the child's exit cost 3.2-3.4 ms in a
+#: process that has run a scan, and a scan of 2^20 increments 8-25 ms
+#: (8-24 ns per increment, by kind and batch size)
+PARALLEL_SCAN_INCREMENTS = 2**20
+
+
 def default_radii(scale: float, num: int = 41, lo: float = 1e-3, hi: float = 10.0) -> np.ndarray:
     """Logarithmic radius grid [lo, hi] * scale (includes scale when num = 4k+1)."""
     if scale <= 0.0:
         raise ValueError("scale must be positive")
     return np.geomspace(lo * scale, hi * scale, num)
+
+
+def _scan_grids(model: EnergyModel, radii, resolution: int):
+    """The grids (us, vs, radii) of a scan; raises ValueError on an empty
+    radius grid or a radius that is not finite and positive."""
+    radii = np.asarray(radii, dtype=float).reshape(-1)
+    if radii.size == 0:
+        raise ValueError("radii grid is empty")
+    if not np.all(np.isfinite(radii) & (radii > 0.0)):
+        raise ValueError("radii must be finite and positive")
+    return sphere_grid(model.m, resolution), sphere_grid(model.d, resolution), radii
 
 
 def weierstrass_scan(
@@ -189,20 +212,15 @@ def weierstrass_scan(
     not full quasiconvexity.
     """
     f = as_matrix(f, model.m, model.d)
-    radii = np.asarray(radii, dtype=float).reshape(-1)
-    if radii.size == 0:
-        raise ValueError("radii grid is empty")
-    if np.any(radii <= 0.0):
-        raise ValueError("radii must be positive")
-    us = sphere_grid(model.m, resolution)
-    vs = sphere_grid(model.d, resolution)
-    excess = model.rank_one_excess(f[None])
-    # row j * len(radii) + k holds radii[k] * vs[j]; one batch per u
-    world = (radii[None, :, None] * vs[:, None, :]).reshape(-1, model.d)
+    us, vs, radii = _scan_grids(model, radii, resolution)
+    # row j * len(radii) + k holds radii[k] * vs[j], column-major so that
+    # the kernel reads each component contiguously; one batch per u
+    world = np.asfortranarray((radii[None, :, None] * vs[:, None, :]).reshape(-1, model.d))
+    excess = model.rank_one_excess(f[None])(world)
 
     best = (np.inf, 0, 0, 0)
     for iu, u in enumerate(us):
-        vals = excess(u, world, 1.0)
+        vals = excess(u, 1.0)
         i = int(np.argmin(vals))
         if vals[i] < best[0]:
             best = (float(vals[i]), iu, i // radii.size, i % radii.size)
@@ -264,6 +282,30 @@ class JumpDiagnostics:
         }
 
 
+def _scan_phases(model: EnergyModel, pair: InterfacePair, radii, resolution: int):
+    """The Weierstrass scans at F+ and at F-.
+
+    A scan of at least PARALLEL_SCAN_INCREMENTS increments runs at F- in a
+    forked child while this process scans F+ (``_fork_stream``); smaller
+    scans, and every scan where no child can be forked, run here one after
+    the other.  Each scan's result is the same in either process.
+    """
+    us, vs, radii = _scan_grids(model, radii, resolution)
+
+    def scan(f):
+        return weierstrass_scan(model, f, radii, resolution)
+
+    stream = None
+    if len(us) * len(vs) * radii.size >= PARALLEL_SCAN_INCREMENTS:
+        stream = _fork_stream(scan, [pair.fm])
+    try:
+        scan_p = scan(pair.fp)
+        return scan_p, (scan(pair.fm) if stream is None else stream.take())
+    finally:
+        if stream is not None:
+            stream.close()
+
+
 def diagnose(
     model: EnergyModel,
     pair: InterfacePair,
@@ -290,8 +332,7 @@ def diagnose(
     rr = roughening_residual(model, pair)
     if scan_radii is None:
         scan_radii = default_radii(jnorm if jnorm > 0 else 1.0)
-    scan_p = weierstrass_scan(model, pair.fp, scan_radii, scan_resolution)
-    scan_m = weierstrass_scan(model, pair.fm, scan_radii, scan_resolution)
+    scan_p, scan_m = _scan_phases(model, pair, scan_radii, scan_resolution)
 
     return JumpDiagnostics(
         p_star=p_star,

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gradjump import quadrature
+from gradjump import forking
 from gradjump.cli import main
 from gradjump.config import RunConfig
 import gradjump as gj
@@ -176,7 +176,7 @@ class TestSweepH:
         cfg = write_config(tmp_path, payload)
         outputs = []
         for cpus in (2, 1):
-            monkeypatch.setattr(quadrature, "_usable_cpus", lambda: cpus)
+            monkeypatch.setattr(forking, "_usable_cpus", lambda: cpus)
             out = tmp_path / f"cpus{cpus}"
             code, stdout, _ = run(capsys, "sweep-h", "--config", cfg, "--format", fmt,
                                   "--out", str(out))

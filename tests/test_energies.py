@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,23 @@ class TestIsotropic:
         e2 = np.linalg.norm(fd_gradient(self.model.value, f, 1e-3) - exact)
         assert e2 <= 0.4 * e1 + 1e-13
 
+    def test_taylor_builds_the_derivatives_once(self, monkeypatch, rng):
+        poly = np.polynomial.polynomial
+        params = gj.IsotropicParams(3, 0.8, (0.5, -1.0, -2.0, 0.3, 1.0))
+        thetas = rng.normal(size=5)
+        # c_j = f^(j)(theta) / j!, with each derivative formed at every call
+        expected = [
+            [float(poly.polyval(th, poly.polyder(params.f_coeffs, j))) / math.factorial(j)
+             for j in range(5)]
+            for th in thetas
+        ]
+        calls = []
+        real = poly.polyder
+        monkeypatch.setattr(poly, "polyder", lambda *a: calls.append(a) or real(*a))
+        for th, coeffs in zip(thetas, expected):
+            assert params.taylor(th).tolist() == coeffs
+        assert len(calls) == 5  # one per j, at the first call
+
 
 class TestGradientChecks:
     def test_analytic_matches_fd_everywhere_smooth(self, antiplane, quadratic, rng):
@@ -195,9 +214,9 @@ class TestRankOneExcess:
             s = rng.uniform(-1.5, 1.5)
             index = rng.integers(0, 3, size=500)
             np.testing.assert_allclose(
-                kernel(a, g, s, index), stack(a, g, s, index), rtol=1e-12, atol=1e-12
+                kernel(g)(a, s, index), stack(g)(a, s, index), rtol=1e-12, atol=1e-12
             )
-            np.testing.assert_allclose(kernel(a, g, s), stack(a, g, s), rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(kernel(g)(a, s), stack(g)(a, s), rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("kind", CLOSED_FORMS)
     def test_exact_zero_where_g_vanishes(self, rng, kind):
@@ -210,8 +229,8 @@ class TestRankOneExcess:
         index = rng.integers(0, 2, size=60)
         for s in (0.7, -1.3):
             a = rng.normal(size=model.m)
-            assert np.all(kernel(a, g, s, index) == 0.0)
-            assert np.all(kernel(a, g, s) == 0.0)
+            assert np.all(kernel(g)(a, s, index) == 0.0)
+            assert np.all(kernel(g)(a, s) == 0.0)
 
     @staticmethod
     def every_term_kernel(model, bases):
@@ -258,8 +277,8 @@ class TestRankOneExcess:
             g[:20] = 0.0
             s = rng.uniform(-1.5, 1.5)
             index = rng.integers(0, 3, size=400)
-            assert np.array_equal(kernel(a, g, s, index), reference(a, g, s, index))
-            assert np.array_equal(kernel(a, g, s), reference(a, g, s, np.zeros(400, dtype=int)))
+            assert np.array_equal(kernel(g)(a, s, index), reference(a, g, s, index))
+            assert np.array_equal(kernel(g)(a, s), reference(a, g, s, np.zeros(400, dtype=int)))
 
     #: the closed forms, an isotropic model whose f has no Taylor tail (f
     #: linear, so the kernel is the mu s^2 terms alone) and the stack form
@@ -297,18 +316,56 @@ class TestRankOneExcess:
             mirror = rng.integers(0, 3, size=n)
             # rows on the interface, s_n = 0: both sides on base 0
             index[20:80] = mirror[20:80] = 0
-            plus, minus = kernel(a, g, s, index, mirror=mirror)
+            plus, minus = kernel(g)(a, s, index, mirror=mirror)
             assert not np.shares_memory(plus, minus)
-            self.assert_same_bits(plus, kernel(a, g, s, index))
-            self.assert_same_bits(minus, kernel(a, g, -s, mirror))
+            self.assert_same_bits(plus, kernel(g)(a, s, index))
+            self.assert_same_bits(minus, kernel(g)(a, -s, mirror))
             assert np.all(plus[:40] == 0.0) and np.all(minus[:40] == 0.0)
+
+    #: every kernel kind: the closed forms, the base-class stack form on a
+    #: closed-form model and on a subclass that defines only value()
+    STAGED_KINDS = {
+        **{kind: (make, lambda model: model.rank_one_excess) for kind, make in CLOSED_FORMS.items()},
+        "stack-form-isotropic-3": (
+            CLOSED_FORMS["isotropic-3"],
+            lambda model: lambda bases: gj.EnergyModel.rank_one_excess(model, bases),
+        ),
+        "value-only-2x2": (lambda: ValueOnlyQuadratic(2, 2), lambda model: model.rank_one_excess),
+    }
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("kind", STAGED_KINDS)
+    def test_one_first_stage_serves_many_calls(self, rng, kind, layout):
+        # the scan calls one first stage per direction u on a column-major
+        # grid; every call gives the bits of a fresh stage on a row-major copy
+        make, kernel_of = self.STAGED_KINDS[kind]
+        model = make()
+        dirs = rng.normal(size=(3, model.m, model.d))
+        bases = dirs * np.sqrt([0.1, 1.5, 4.0] / np.sum(dirs**2, axis=(1, 2)))[:, None, None]
+        kernel = kernel_of(model)(bases)
+        n = 200
+        g = rng.normal(size=(n, model.d)) * rng.uniform(0.0, 3.0, size=(n, 1))
+        g[:20] = 0.0
+        g[:20:2, 0] = -0.0
+        stage = kernel(np.asarray(g, order=layout))
+        index = rng.integers(0, 3, size=n)
+        mirror = rng.integers(0, 3, size=n)
+        for s in (1.0, -0.7, *rng.uniform(-1.5, 1.5, size=3)):
+            for a in rng.normal(size=(4, model.m)):
+                fresh = kernel_of(model)(bases)(g.copy())
+                self.assert_same_bits(stage(a, s), fresh(a, s))
+                self.assert_same_bits(stage(a, s, index), fresh(a, s, index))
+                plus, minus = stage(a, s, index, mirror=mirror)
+                fresh_plus, fresh_minus = fresh(a, s, index, mirror=mirror)
+                self.assert_same_bits(plus, fresh_plus)
+                self.assert_same_bits(minus, fresh_minus)
 
     def test_branch_switch_is_seen(self):
         # from the stiff well at |F| = 1 a step to |F| = 3 ends on the soft well
         model = gj.MinQuadraticsEnergy(1, 2, [(2.0, 0.0), (1.0, 1.0)])
         base = np.array([[[1.0, 0.0]]])
         kernel = model.rank_one_excess(base)
-        val = kernel([1.0], np.array([[2.0, 0.0]]), 1.0)
+        val = kernel(np.array([[2.0, 0.0]]))([1.0], 1.0)
         assert val[0] == pytest.approx(model.excess(base[0], [[2.0, 0.0]]), abs=1e-14)
         assert val[0] == pytest.approx(5.5 - 1.0 - 4.0)
 

@@ -1,9 +1,11 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
 import gradjump as gj
+from gradjump import forking, jumps
 
 from conftest import ValueOnlyQuadratic
 
@@ -148,6 +150,15 @@ class TestWeierstrassScan:
         with pytest.raises(ValueError):
             gj.weierstrass_scan(antiplane, [[0.5, 0.0]], [], 8)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+    def test_radii_not_finite_and_positive(self, antiplane, bad):
+        # a NaN radius used to pass and leave min_value = inf, r = nan
+        with pytest.raises(ValueError, match="finite and positive"):
+            gj.weierstrass_scan(antiplane, [[1.0, 0.0]], [bad, 1.0], 8)
+        with pytest.raises(ValueError, match="finite and positive"):
+            gj.diagnose(antiplane, gj.InterfacePair.from_gradients([[1.0, 0.0]], [[2.0, 0.0]]),
+                        scan_radii=[1.0, bad], scan_resolution=8)
+
     def test_matrix_valued_models(self):
         # m = d = 2: scans must handle full matrix batches
         iso = gj.IsotropicThetaEnergy(gj.IsotropicParams(2, 1.0, (1, 0, -2, 0, 1)))
@@ -241,3 +252,98 @@ class TestDiagnose:
         assert parsed["verdicts"]["all_ok"] is True
         assert parsed["tolerances"]["tol_abs"] == diag.tol_abs
         assert parsed["p_star"] == diag.p_star
+
+
+def _no_fork():
+    raise AssertionError("os.fork called")
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestPhaseScans:
+    """``diagnose`` scans F- in a forked child beside the scan of F+ when a
+    scan covers at least PARALLEL_SCAN_INCREMENTS increments."""
+
+    @staticmethod
+    def scan3d():
+        # the bench's scan-3d pair: 256 x 256 x 41 = 2,686,976 increments at
+        # resolution 16, above the threshold
+        model = gj.IsotropicThetaEnergy(gj.IsotropicParams(3, 1.0, (1.0, 0.0, -2.0, 0.0, 1.0)))
+        pair = gj.InterfacePair.from_jump(0.1 * np.eye(3), [0.5, 0.2, 0.1], [1.0, 0.0, 0.0])
+        return model, pair
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The os.fork calls made in this process, with 2 usable CPUs."""
+        monkeypatch.setattr(forking, "_usable_cpus", lambda: 2)
+        calls = []
+        real_fork = os.fork
+
+        def fork():
+            calls.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        return calls
+
+    def test_forked_and_serial_reports_are_identical(self, monkeypatch, forks):
+        model, pair = self.scan3d()
+        assert 16**4 * 41 >= jumps.PARALLEL_SCAN_INCREMENTS
+        forked = gj.diagnose(model, pair, scan_resolution=16).to_dict()
+        assert len(forks) == 1
+        assert_no_child_left()
+        monkeypatch.setattr(forking, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(os, "fork", _no_fork)
+        serial = gj.diagnose(model, pair, scan_resolution=16).to_dict()
+        assert repr(forked) == repr(serial)
+        assert forked["weierstrass_min_plus"] != forked["weierstrass_min_minus"]
+
+    def test_serial_when_fork_fails(self, monkeypatch):
+        model, pair = self.scan3d()
+        monkeypatch.setattr(forking, "_usable_cpus", lambda: 2)
+        forked = gj.diagnose(model, pair, scan_resolution=16).to_dict()
+
+        def fork():
+            raise BlockingIOError("no process to spare")
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert repr(gj.diagnose(model, pair, scan_resolution=16).to_dict()) == repr(forked)
+
+    def test_small_scans_fork_no_child(self, antiplane, eq_pair, forks):
+        # the Maxwell 2-D pair at the default resolution: 2 x 32 x 41 increments
+        diag = gj.diagnose(antiplane, eq_pair)
+        assert diag.all_ok
+        assert forks == []
+
+    def test_threshold_is_inclusive(self, monkeypatch, antiplane, eq_pair, forks):
+        increments = 2 * 8 * 3  # |U| |V| |radii|
+        monkeypatch.setattr(jumps, "PARALLEL_SCAN_INCREMENTS", increments + 1)
+        serial = gj.diagnose(antiplane, eq_pair, scan_radii=[0.5, 1.0, 2.0], scan_resolution=8)
+        assert forks == []
+        monkeypatch.setattr(jumps, "PARALLEL_SCAN_INCREMENTS", increments)
+        forked = gj.diagnose(antiplane, eq_pair, scan_radii=[0.5, 1.0, 2.0], scan_resolution=8)
+        assert len(forks) == 1
+        assert repr(forked.to_dict()) == repr(serial.to_dict())
+
+    @pytest.mark.parametrize("failing", ["minus", "plus"])
+    def test_scan_exception_arrives_and_child_is_reaped(self, monkeypatch, antiplane,
+                                                        noneq_pair, forks, failing):
+        # the child scans F-, this process F+; either failure arrives with
+        # its type and message, and the child is reaped in both cases
+        monkeypatch.setattr(jumps, "PARALLEL_SCAN_INCREMENTS", 1)
+        real_scan = jumps.weierstrass_scan
+        bad = noneq_pair.fm if failing == "minus" else noneq_pair.fp
+
+        def weierstrass_scan(model, f, radii, resolution):
+            if np.array_equal(f, bad):
+                raise gj.NonconvergenceError(f"scan at {failing} failed")
+            return real_scan(model, f, radii, resolution)
+
+        monkeypatch.setattr(jumps, "weierstrass_scan", weierstrass_scan)
+        with pytest.raises(gj.NonconvergenceError, match=f"scan at {failing} failed"):
+            gj.diagnose(antiplane, noneq_pair, scan_resolution=8)
+        assert len(forks) == 1
+        assert_no_child_left()

@@ -12,7 +12,7 @@ from scipy.stats import qmc
 from scipy.stats._sobol import _initialize_v
 
 import gradjump as gj
-from gradjump import cli, quadrature
+from gradjump import cli, forking, quadrature
 from gradjump.errors import NonconvergenceError
 from gradjump.interchange import InterchangeField, classify_codes
 from gradjump.quadrature import REGION_KEYS, interface_profile
@@ -122,7 +122,7 @@ class TestScrambleCache:
     def test_forked_estimate_leaves_every_scramble_in_the_parent(self, monkeypatch):
         # the parent builds every stratum's scrambles before the fork, so
         # it keeps those of the strata the child evaluates
-        monkeypatch.setattr(quadrature, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(forking, "_usable_cpus", lambda: 2)
         model, pair, params, _, _ = TestFusedPass.case(2, "rqmc")
         quadrature._sobol_scramble.cache_clear()
         gj.energy_increment(model, pair, params)
@@ -630,7 +630,7 @@ class TestForkMap:
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
         # fork on any host, also one pinned to a single CPU
-        monkeypatch.setattr(quadrature, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(forking, "_usable_cpus", lambda: 2)
 
     @staticmethod
     def assert_no_child_left():
@@ -639,7 +639,7 @@ class TestForkMap:
 
     @pytest.mark.parametrize("n", range(1, 7))
     def test_results_in_item_order(self, n):
-        with quadrature._fork_stream(lambda x: (x * x, os.getpid()), range(n)) as stream:
+        with forking._fork_stream(lambda x: (x * x, os.getpid()), range(n)) as stream:
             out = [stream.take() for _ in range(n)]
         assert [v for v, _ in out] == [x * x for x in range(n)]
         # every item, a single one too, runs in the one child
@@ -656,7 +656,7 @@ class TestForkMap:
                 raise exc
             return x
 
-        with quadrature._fork_stream(fn, range(5)) as stream:
+        with forking._fork_stream(fn, range(5)) as stream:
             assert [stream.take() for _ in range(3)] == [0, 1, 2]
             with pytest.raises(type(exc), match=str(exc)):
                 stream.take()
@@ -667,7 +667,7 @@ class TestForkMap:
     )
     def test_child_ending_without_result(self, odd_item, code):
         fn = lambda x: odd_item() if x == 1 else x
-        with quadrature._fork_stream(fn, range(3)) as stream:
+        with forking._fork_stream(fn, range(3)) as stream:
             assert stream.take() == 0
             with pytest.raises(gj.GradJumpError, match=f"exit code {code} and no result"):
                 stream.take()
@@ -677,7 +677,7 @@ class TestForkMap:
         # the child's results are larger than a pipe buffer and the parent,
         # which raises, never reads them: closing the stream stops the child
         with pytest.raises(ValueError, match="parent share"):
-            with quadrature._fork_stream(lambda x: bytes(1 << 22), range(2)):
+            with forking._fork_stream(lambda x: bytes(1 << 22), range(2)):
                 raise ValueError("parent share")
         self.assert_no_child_left()
 
@@ -691,7 +691,7 @@ class TestForkMap:
             raise BlockingIOError("no process to spare")
 
         monkeypatch.setattr(os, "fork", fork)
-        assert quadrature._fork_stream(lambda x: x + 1, range(5)) is None
+        assert forking._fork_stream(lambda x: x + 1, range(5)) is None
         # every stratum then runs in this process, with the same bits
         serial = (gj.energy_increment(model, pair, params).to_dict(),
                   gj.limit_sweep(model, pair, params, grid).to_dict())
@@ -707,8 +707,8 @@ class TestForkMap:
         gj.energy_increment(model, pair, one)
         gj.limit_sweep(model, pair, one, [0.1, 0.05, 0.025, 0.0125])
         gj.estimate_region_measures(pair, one)
-        monkeypatch.setattr(quadrature, "_usable_cpus", lambda: 1)
-        assert quadrature._fork_stream(lambda x: x + 1, range(5)) is None
+        monkeypatch.setattr(forking, "_usable_cpus", lambda: 1)
+        assert forking._fork_stream(lambda x: x + 1, range(5)) is None
         gj.energy_increment(model, pair, params)
         gj.limit_sweep(model, pair, params, [0.1, 0.05, 0.025, 0.0125])
 
@@ -720,7 +720,7 @@ class TestSweepStream:
 
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
-        monkeypatch.setattr(quadrature, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(forking, "_usable_cpus", lambda: 2)
 
     @pytest.fixture
     def forks(self, monkeypatch):
@@ -748,7 +748,7 @@ class TestSweepStream:
     def test_energy_increment_once_per_h_through_the_module_global(self, monkeypatch, cpus):
         # the contract the bench tracer reads: one call per h, in grid
         # order, whose n_evals add up to the sweep's
-        monkeypatch.setattr(quadrature, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(forking, "_usable_cpus", lambda: cpus)
         model, pair, params, _, _ = TestFusedPass.case(2)
         real = quadrature.energy_increment
         calls = []
@@ -848,9 +848,9 @@ class TestForkedMatchesSerial:
 
     @staticmethod
     def both(monkeypatch, run):
-        monkeypatch.setattr(quadrature, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(forking, "_usable_cpus", lambda: 2)
         forked = run()
-        monkeypatch.setattr(quadrature, "_usable_cpus", lambda: 1)
+        monkeypatch.setattr(forking, "_usable_cpus", lambda: 1)
         monkeypatch.setattr(os, "fork", _no_fork)
         return forked, run()
 
