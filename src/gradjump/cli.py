@@ -90,7 +90,7 @@ def cmd_check(cfg: RunConfig):
     model = cfg.model()
     pair = cfg.pair(model)
     tol_abs, tol_rel = cfg.tolerances()
-    resolution, radii = cfg.scan_settings()
+    resolution, radii = cfg.scan_settings(model.d)
     diag = diagnose(model, pair, tol_abs, tol_rel, radii, resolution)
     return (0 if diag.all_ok else 1), diag.to_dict(), []
 
@@ -195,7 +195,7 @@ def cmd_antiplane(cfg: RunConfig):
 def cmd_scan(cfg: RunConfig):
     model = cfg.model()
     points = cfg.scan_points((model.m, model.d))
-    resolution, radii = cfg.scan_settings()
+    resolution, radii = cfg.scan_settings(model.d)
     results = []
     any_unstable = False
     for point in points:

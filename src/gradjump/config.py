@@ -57,11 +57,26 @@ _KIND_KEYS = {
 }
 
 #: caps on counts, checked before anything is allocated: sample budgets per
-#: stratum, scan resolutions (d = 3 scans resolution**2 directions) and grids
+#: stratum, scan resolutions (d = 3 scans resolution**2 directions), the
+#: rows of a scan's grid (directions v x radii; the default 41 radii at
+#: MAX_RESOLUTION in d = 3 make 2,686,976) and other grids
 MAX_SAMPLES = 2**24
 MAX_RESOLUTION = 256
+MAX_SCAN_ROWS = 2**22
 MAX_COUNT = 2**20
 MAX_SEED = 2**64 - 1
+
+
+def _check_scan_rows(d: int, resolution: int, n_radii: int):
+    """Raise ConfigError when a scan's grid, the directions v of
+    ``tensors.sphere_grid(d, resolution)`` times the radii, has more than
+    MAX_SCAN_ROWS rows."""
+    rows = (2 if d == 1 else resolution ** (d - 1)) * n_radii
+    if rows > MAX_SCAN_ROWS:
+        raise ConfigError(
+            f"the scan grid has {rows} rows (directions x radii), more than "
+            f"{MAX_SCAN_ROWS}: lower resolution or the number of radii"
+        )
 
 
 def _check_keys(raw, ctx: str, allowed, required=()) -> dict:
@@ -276,9 +291,10 @@ class RunConfig:
         """Tolerance of the envelope's affine-formula check."""
         return _number(self.data, "tol", 1e-10, 0.0, strict=True)
 
-    def scan_settings(self) -> tuple:
+    def scan_settings(self, d: int) -> tuple:
         """Resolution and radii (None for the default grid) of the rank-one
-        scan: top-level keys of the scan command, the "scan" object of check."""
+        scan of a model with d columns: top-level keys of the scan command,
+        the "scan" object of check."""
         raw = self.data
         if self.command != "scan":
             raw = _check_keys(raw.get("scan", {}), "scan settings", {"resolution", "radii"})
@@ -290,10 +306,13 @@ class RunConfig:
             _check_keys(radii, "radii", {"lo", "hi", "num"}, ("lo", "hi", "num"))
             lo = _number(radii, "lo", None, 0.0, strict=True)
             hi = _number(radii, "hi", None, lo)
-            return resolution, np.geomspace(lo, hi, _count(radii, "num", None, 1, MAX_COUNT))
+            num = _count(radii, "num", None, 1, MAX_COUNT)
+            _check_scan_rows(d, resolution, num)
+            return resolution, np.geomspace(lo, hi, num)
         radii = _floats(raw, "radii", None, (None,))
         if np.any(radii <= 0.0):
             raise ConfigError("radii must be positive")
+        _check_scan_rows(d, resolution, radii.size)
         return resolution, radii
 
     def h_grid(self) -> np.ndarray:

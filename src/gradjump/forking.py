@@ -4,9 +4,9 @@
 in order and sends each result back through a pipe as soon as it has it;
 the returned ``_ForkStream`` reads them one at a time.  It returns None
 where no child can be forked (no ``os.fork``, fewer than two usable CPUs,
-or a failed fork), and the caller then does the work itself.  The
-estimator runs its odd strata this way (``quadrature``) and ``diagnose``
-its scan at F- (``jumps``).
+or a failed fork), and the caller then does the work itself.
+``limit_sweep`` runs the estimates of every other h of its grid this way
+(``quadrature``) and ``diagnose`` its scan at F- (``jumps``).
 """
 
 from __future__ import annotations

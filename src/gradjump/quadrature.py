@@ -48,33 +48,29 @@ for bit that of scipy's ``qmc.Sobol(d, scramble=True)`` seeded with the
 not imported at run time (only the rate fit's rarely taken fallback loads
 ``scipy.optimize``).  The scramble does not depend on h or on the number
 of points, so it is built once per (d, seed, stratum id, scramble id) and
-kept in a small cache (``_sobol_scramble``, read-only arrays); a sweep
-builds each one at its first h and reuses it at the others.  A batch is
-evaluated in row blocks of _BLOCK_ROWS pairs, so the estimator's
-temporaries stay small enough for the allocator to reuse them instead of
-mapping fresh pages on every call.  rqmc carries each batch's row-order
-sum from block to block and mc writes every block into one array per
-stratum, so the totals do not depend on the block size.
+kept in a small cache (``_sobol_scramble``, read-only arrays); each
+process of a sweep builds each one at its first h and reuses it at its
+others.  A batch is evaluated in row blocks of _BLOCK_ROWS pairs, so the
+estimator's temporaries stay small enough for the allocator to reuse them
+instead of mapping fresh pages on every call.  rqmc carries each batch's
+row-order sum from block to block and mc writes every block into one
+array per stratum, so the totals do not depend on the block size.
 
-Each estimate runs its strata on two processes: the parent takes the
-even-indexed strata (of all five: bulk, strip, shell) and one
-``os.fork()``ed child the odd-indexed ones (slab, corner), whose
-estimates it streams back through a pipe (``_ForkStream``).  A sweep
-forks one child for its whole grid: ``limit_sweep`` starts it, and it
-estimates the odd strata of every h in grid order, each with a kernel of
-its own, sending each h's estimates as soon as they are done.  The
-parent still calls ``energy_increment`` at each h and hands it the
-stream (the keyword-only ``_stream``); the estimate computes the even
-strata and takes that h's odd ones, with no fork, exit or wait per h.
-An estimate given no stream forks a child of its own for a one-item
-stream.  On an early exit (an error, an error cap, an interrupt) the
-parent kills the child without waiting for its current h and reaps it.
-The parent adds the per-stratum means and variances in stratum order,
-so the totals are bit for bit the same whatever the CPU count; with a
-single stratum, fewer than two usable CPUs, no ``os.fork`` or a failed
-fork the strata run serially in the parent.  The parent builds the
-Sobol scrambles of every stratum before the fork: the child inherits
-those it needs, and the parent's cache keeps them for every h.
+A sweep runs on two processes: ``limit_sweep`` forks one child
+(``forking._fork_stream``) that estimates every other h of the grid,
+grid[1::2], in grid order and sends each result back through a pipe as
+soon as it has it, while this process estimates grid[0::2].  The parent
+still calls ``energy_increment`` once per h, in grid order; at an h the
+child owns it hands over the stream (the keyword-only ``_stream``) and
+gets the child's result back, checked against that h, with no fork, exit
+or wait per h.  Each estimate is computed whole by one process, with the
+same code and summation order, so the results are bit for bit the same
+whatever the CPU count; with fewer than two usable CPUs, no ``os.fork``
+or a failed fork the sweep runs serially.  On an early exit (an error,
+an error cap, an interrupt) the parent kills the child without waiting
+for its current h and reaps it.  An estimate outside a sweep
+(``energy_increment`` alone, ``estimate_region_measures``) runs in the
+calling process.
 """
 
 from __future__ import annotations
@@ -87,7 +83,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energies import EnergyModel
-from .errors import NonconvergenceError, QuadratureError
+from .errors import GradJumpError, NonconvergenceError, QuadratureError
 from .forking import _ForkStream, _fork_stream
 from .interchange import (
     InterchangeField,
@@ -240,11 +236,6 @@ class _BallStratum:
         return inside
 
 
-def _stratum_names(quad: QuadratureConfig) -> list:
-    """The strata an estimate draws from, in canonical order."""
-    return ["bulk"] + [s for s in _CANONICAL[1:] if s in quad.stratification]
-
-
 def _build_strata(h: float, d: int, quad: QuadratureConfig):
     sh = math.sqrt(h)
     ones = np.ones(d)
@@ -255,7 +246,8 @@ def _build_strata(h: float, d: int, quad: QuadratureConfig):
         "corner": _BoxStratum("corner", np.concatenate([[h], [sh], ones[2:]])),
         "shell": _BallStratum("shell", d, r_lo=1.0 - sh),
     }
-    enabled = _stratum_names(quad)
+    # the strata an estimate draws from, in canonical order
+    enabled = ["bulk"] + [s for s in _CANONICAL[1:] if s in quad.stratification]
     strata = [shapes[name] for name in enabled]
     budgets = [quad.samples_bulk if n == "bulk" else quad.samples_slab for n in enabled]
     return strata, budgets
@@ -393,24 +385,6 @@ def _sobol(d: int, n: int, seed: int, sid: int, j: int) -> np.ndarray:
     return points * 2.0**-_SOBOL_BITS
 
 
-def _odd_stream(fn, items, d: int, quad: QuadratureConfig) -> _ForkStream | None:
-    """A _ForkStream of fn(x), the odd-indexed strata of the estimate of
-    each x, or None where the strata all run in this process: a single
-    stratum, or no child to fork (``_fork_stream``).
-
-    Every Sobol scramble the estimates draw is built first, so the child
-    inherits them and this process keeps them for its own strata.
-    """
-    names = _stratum_names(quad)
-    if len(names) < 2:
-        return None
-    if quad.sampler == "rqmc":
-        for name in names:
-            for j in range(N_SCRAMBLES):
-                _sobol_scramble(d, quad.seed, _STRATUM_IDS[name], j)
-    return _fork_stream(fn, items)
-
-
 class _Estimate:
     """One antithetic mixture-sampling estimate over all strata: their
     mixture density, the per-stratum estimator and the total.
@@ -453,10 +427,10 @@ class _Estimate:
         for i in range(0, u.shape[0], _BLOCK_ROWS):
             yield i, self.pair_estimates(stratum.map_unit(u[i:i + _BLOCK_ROWS]), self.pdf)
 
-    def stratum(self, k: int):
-        """Row-order mean and variance of stratum k's per-scramble means
-        (rqmc) or per-pair values (mc)."""
-        stratum, pairs, quad, d = self.strata[k], self.per_scramble[k], self.quad, self.d
+    def stratum(self, stratum, pairs: int):
+        """Row-order mean and variance of the stratum's per-scramble means
+        (rqmc) or per-pair values (mc), with ``pairs`` pairs per scramble."""
+        quad, d = self.quad, self.d
         sid = _STRATUM_IDS[stratum.name]
         if quad.sampler == "rqmc":
             means = []
@@ -475,40 +449,17 @@ class _Estimate:
                 values[start:start + len(vals)] = vals
         return _mean_var(values)
 
-    def odd(self) -> list:
-        """The estimates of the odd-indexed strata (slab, corner of all five)."""
-        return [self.stratum(k) for k in range(1, len(self.strata), 2)]
-
-    def total(self, stream: _ForkStream | None = None):
+    def total(self):
         """The estimate over all strata: (means, errors, n_evals), n_evals
-        counting two per pair.
-
-        This process estimates the even-indexed strata (bulk, strip, shell
-        of all five).  The odd-indexed ones are the next result of
-        ``stream`` when one is given, else they come from a child forked
-        for this estimate alone; without a child they run here too.  So
-        ``pair_estimates`` may run in a forked child and must return its
-        result, not record it.  The means and variances are added in
-        stratum order, so the totals carry the same bits whichever process
-        estimated each stratum.  Raises QuadratureError on a non-finite
+        counting two per pair.  The per-stratum means and variances are
+        added in stratum order.  Raises QuadratureError on a non-finite
         total.
         """
-        own = stream is None
-        if own:
-            stream = _odd_stream(_Estimate.odd, [self], self.d, self.quad)
-        try:
-            evens = [self.stratum(k) for k in range(0, len(self.strata), 2)]
-            odds = self.odd() if stream is None else stream.take()
-        finally:
-            if own and stream is not None:
-                stream.close()
-
-        estimates = [None] * len(self.strata)
-        estimates[0::2], estimates[1::2] = evens, odds
         rqmc = self.quad.sampler == "rqmc"
         total_mean = total_var = 0.0
         n_evals = 0
-        for (mean, var), pairs, c in zip(estimates, self.per_scramble, self.weights):
+        for stratum, pairs, c in zip(self.strata, self.per_scramble, self.weights):
+            mean, var = self.stratum(stratum, pairs)
             n_evals += 2 * N_SCRAMBLES * pairs
             total_var += c * c * var / (N_SCRAMBLES if rqmc else N_SCRAMBLES * pairs)
             total_mean += c * mean
@@ -616,30 +567,27 @@ def energy_increment(
     variate; the stochastic part only carries the pointwise excess, which
     vanishes where the field gradient does.  Deterministic for a fixed
     seed.  Raises QuadratureError if a configured error cap is exceeded.
-    ``_stream`` is the child of ``limit_sweep``, whose next result is the
-    odd strata of this estimate (see ``_Estimate.total``).
+    ``_stream`` is the child of ``limit_sweep``: when it is given, the
+    estimate is the stream's next result, which the child computed whole.
     """
+    if _stream is not None:
+        res = _stream.take()
+        if res.h != params.h:
+            raise GradJumpError(f"the sweep's child sent h = {res.h!r} for h = {params.h!r}")
+        return res
     fld = InterchangeField(pair, params)
     h, t = params.h, params.t
     frak_n = frobenius(model.gradient(pair.fp) - model.gradient(pair.fm), np.outer(pair.a, pair.n))
     ff_exact = -frak_n * h * interface_profile(h, pair.d)
 
     est = _energy_estimate(fld, params.quad, _excess_integrand(model, pair, fld, t))
-    mean, mc_error, n_evals = est.total(_stream)
+    mean, mc_error, n_evals = est.total()
     delta_e, mc_error = t * ff_exact + float(mean), float(mc_error)
     if params.quad.max_error is not None and mc_error > params.quad.max_error:
         raise QuadratureError(
             f"mc_error {mc_error:.3e} exceeds cap {params.quad.max_error:.3e}"
         )
     return VariationResult(delta_e, mc_error, h, t, n_evals)
-
-
-def _sweep_odd_strata(model: EnergyModel, pair: InterfacePair, params: InterchangeParams) -> list:
-    """The odd-indexed strata of energy_increment(model, pair, params), as
-    the child of ``limit_sweep`` estimates them: from a kernel of its own,
-    through no public (traced) function."""
-    fld = InterchangeField(pair, params)
-    return _energy_estimate(fld, params.quad, _excess_integrand(model, pair, fld, params.t)).odd()
 
 
 @dataclass(frozen=True)
@@ -653,8 +601,8 @@ class SweepResult:
     limit_error: float
     slope: float
     curvature: float
-    rate: float
-    rate_error: float
+    rate: float | None  # None when no remainder stands clear of the noise
+    rate_error: float | None
     chi2_red: float
     fit_order: int
     n_evals: int  # integrand evaluations over the whole grid
@@ -696,10 +644,13 @@ def _rate_fit(h_grid, values, sigma, limit, slope_guess):
 
     Fits log |values - limit| against log h where the remainder stands
     clear of the noise; falls back to a three-parameter power-law fit when
-    too few points qualify.
+    too few points qualify.  Returns (None, None) when none does (t = 0, a
+    zero jump): there is no remainder to take a rate from.
     """
     resid = values - limit
     mask = np.abs(resid) > 3.0 * sigma
+    if not mask.any():
+        return None, None
     if int(mask.sum()) >= 3:
         x = np.log(h_grid[mask])
         y = np.log(np.abs(resid[mask]))
@@ -712,8 +663,8 @@ def _rate_fit(h_grid, values, sigma, limit, slope_guess):
 
     try:
         with warnings.catch_warnings():
-            # degenerate (all-zero) data leaves the exponent unidentifiable;
-            # the huge reported error already says so
+            # curve_fit warns when its covariance comes out NaN and reports
+            # it as inf, which the rate error then carries
             warnings.simplefilter("ignore", optimize.OptimizeWarning)
             popt, pcov = optimize.curve_fit(
                 lambda hh, l0, c0, p0: l0 + c0 * hh**p0,
@@ -744,7 +695,8 @@ def limit_sweep(
     L + C sqrt(h) + C2 h (a pure sqrt(h) model is grossly inadequate on
     practical grids) and escalates to the cubic term when the residuals
     demand it; the reported rate exponent comes from a separate
-    three-parameter fit L + C h^p and should sit near 1/2.
+    three-parameter fit L + C h^p and should sit near 1/2 (it is None,
+    with its error, when no remainder stands clear of the noise).
 
     Raises NonconvergenceError when the fit residual exceeds ``chi2_cap``
     or the rate fit fails.
@@ -759,13 +711,12 @@ def limit_sweep(
     errors = np.empty_like(h_grid)
     n_evals = 0
     grid = [params.with_h(float(h)) for h in h_grid]
-    # one child estimates the odd strata of every h, in grid order, while
-    # this process calls energy_increment at each h for the even ones
-    odd_strata = functools.partial(_sweep_odd_strata, model, pair)
-    stream = _odd_stream(odd_strata, grid, pair.d, params.quad)
+    # one child estimates grid[1::2] while this process estimates
+    # grid[0::2]; energy_increment is called at each h, in grid order
+    stream = _fork_stream(functools.partial(energy_increment, model, pair), grid[1::2])
     try:
         for i, (h, params_h) in enumerate(zip(h_grid, grid)):
-            res = energy_increment(model, pair, params_h, _stream=stream)
+            res = energy_increment(model, pair, params_h, _stream=stream if i % 2 else None)
             values[i] = res.delta_e / h
             errors[i] = res.mc_error / h
             n_evals += res.n_evals

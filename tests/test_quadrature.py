@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -120,12 +121,12 @@ class TestScrambleCache:
                               quadrature._sobol_scramble(2, 0, 0, 0)[0] * 2.0**-30)
 
     def test_forked_estimate_leaves_every_scramble_in_the_parent(self, monkeypatch):
-        # the parent builds every stratum's scrambles before the fork, so
-        # it keeps those of the strata the child evaluates
+        # the parent estimates the sweep's first h whole, so it builds and
+        # keeps every stratum's scrambles, as the child does its own
         monkeypatch.setattr(forking, "_usable_cpus", lambda: 2)
         model, pair, params, _, _ = TestFusedPass.case(2, "rqmc")
         quadrature._sobol_scramble.cache_clear()
-        gj.energy_increment(model, pair, params)
+        gj.limit_sweep(model, pair, params, [0.1, 0.05, 0.025, 0.0125])
         info = quadrature._sobol_scramble.cache_info()
         assert info.currsize == len(quadrature._STRATUM_IDS) * quadrature.N_SCRAMBLES
         for sid in quadrature._STRATUM_IDS.values():
@@ -542,6 +543,12 @@ class TestRateFit:
         assert rate == pytest.approx(0.5, abs=1e-6)
         assert math.isfinite(rate_error)
 
+    @pytest.mark.parametrize("values", [np.zeros(4), np.full(4, 0.3)])
+    def test_no_rate_when_no_remainder_stands_clear(self, values):
+        # the fallback would return its starting guess 0.5 with error 0
+        sigma = np.full(4, 1e-14)
+        assert quadrature._rate_fit(self.H_GRID, values, sigma, values[0], 0.0) == (None, None)
+
     def test_fit_failure_is_nonconvergence(self, monkeypatch):
         def fail(*args, **kwargs):
             raise RuntimeError("Optimal parameters not found")
@@ -700,13 +707,9 @@ class TestForkMap:
     def test_serial_without_a_second_item_or_cpu(self, monkeypatch):
         monkeypatch.setattr(os, "fork", _no_fork)
         model, pair, params, _, _ = TestFusedPass.case(2)
-        # a single stratum leaves nothing to run elsewhere
-        one = gj.InterchangeParams(
-            h=0.05, quad=gj.QuadratureConfig(seed=5, samples_bulk=2048, stratification=())
-        )
-        gj.energy_increment(model, pair, one)
-        gj.limit_sweep(model, pair, one, [0.1, 0.05, 0.025, 0.0125])
-        gj.estimate_region_measures(pair, one)
+        # an estimate outside a sweep is a single item: it runs here
+        gj.energy_increment(model, pair, params)
+        gj.estimate_region_measures(pair, params)
         monkeypatch.setattr(forking, "_usable_cpus", lambda: 1)
         assert forking._fork_stream(lambda x: x + 1, range(5)) is None
         gj.energy_increment(model, pair, params)
@@ -714,7 +717,7 @@ class TestForkMap:
 
 
 class TestSweepStream:
-    """A sweep forks one child, which streams the odd strata of every h."""
+    """A sweep forks one child, which streams the estimates of every other h."""
 
     GRID = [0.1, 0.05, 0.025, 0.0125]
 
@@ -735,14 +738,39 @@ class TestSweepStream:
         monkeypatch.setattr(os, "fork", fork)
         return calls
 
-    def test_a_sweep_forks_once_and_a_lone_estimate_at_most_once(self, forks):
+    def test_a_sweep_forks_once_and_a_lone_estimate_never(self, monkeypatch, forks):
         model, pair, params, _, _ = TestFusedPass.case(2)
         gj.limit_sweep(model, pair, params, self.GRID)
         assert len(forks) == 1
+        monkeypatch.setattr(os, "fork", _no_fork)
         gj.energy_increment(model, pair, params)
-        assert len(forks) == 2
         gj.estimate_region_measures(pair, params)
-        assert len(forks) == 3
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_the_child_estimates_every_other_h(self, monkeypatch, n):
+        # the parent hands the stream over at grid[1::2] and estimates the
+        # rest itself; a grid of odd length leaves it the extra h
+        model, pair, params, _, _ = TestFusedPass.case(2)
+        grid = [0.1 * 2.0**-k for k in range(n)]
+        real = quadrature.energy_increment
+        parent, taken = os.getpid(), []
+
+        def energy_increment(model, pair, params_h, **kwargs):
+            if os.getpid() == parent:
+                taken.append(kwargs.get("_stream") is not None)
+            return real(model, pair, params_h, **kwargs)
+
+        monkeypatch.setattr(quadrature, "energy_increment", energy_increment)
+        quadrature.limit_sweep(model, pair, params, grid)
+        assert taken == [k % 2 == 1 for k in range(n)]
+
+    def test_a_result_for_another_h_is_an_error(self):
+        model, pair, params, _, _ = TestFusedPass.case(2)
+        child = functools.partial(quadrature.energy_increment, model, pair)
+        with forking._fork_stream(child, [params.with_h(0.1)]) as stream:
+            with pytest.raises(gj.GradJumpError, match="sent h = 0.1 for h = 0.05"):
+                quadrature.energy_increment(model, pair, params.with_h(0.05), _stream=stream)
+        TestForkMap.assert_no_child_left()
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_energy_increment_once_per_h_through_the_module_global(self, monkeypatch, cpus):
@@ -763,20 +791,21 @@ class TestSweepStream:
         assert [h for h, _ in calls] == self.GRID
         assert sum(n for _, n in calls) == sweep.n_evals
 
-    def test_other_estimates_during_a_sweep_fork_their_own_child(self, monkeypatch, forks):
-        # an estimate called without the sweep's stream does not take the
-        # sweep's results, and it gets the same bits from its own child
+    def test_other_estimates_during_a_sweep_run_here(self, monkeypatch, forks):
+        # an estimate called without the sweep's stream neither forks nor
+        # takes the sweep's results
         model, pair, params, _, _ = TestFusedPass.case(2)
         real = quadrature.energy_increment
-        lone = []
+        parent, lone = os.getpid(), []
 
-        def energy_increment(model, pair, params_h, *, _stream):
-            lone.append(real(model, pair, params_h).to_dict())
-            return real(model, pair, params_h, _stream=_stream)
+        def energy_increment(model, pair, params_h, **kwargs):
+            if os.getpid() == parent:
+                lone.append(real(model, pair, params_h).to_dict())
+            return real(model, pair, params_h, **kwargs)
 
         monkeypatch.setattr(quadrature, "energy_increment", energy_increment)
         sweep = quadrature.limit_sweep(model, pair, params, self.GRID)
-        assert len(forks) == 1 + len(self.GRID)
+        assert len(forks) == 1
         monkeypatch.setattr(quadrature, "energy_increment", real)
         serial = gj.limit_sweep(model, pair, params, self.GRID)
         assert repr(sweep.to_dict()) == repr(serial.to_dict())
@@ -786,14 +815,15 @@ class TestSweepStream:
     def test_error_cap_at_the_first_h_kills_the_child(self, monkeypatch):
         # the child would take a minute over the second h: the parent must
         # not wait for it once the first h has failed
-        real = quadrature._sweep_odd_strata
+        real = quadrature.energy_increment
+        parent = os.getpid()
 
-        def slow(model, pair, params_h):
-            if params_h.h != self.GRID[0]:
+        def slow(model, pair, params_h, **kwargs):
+            if os.getpid() != parent:
                 time.sleep(60)
-            return real(model, pair, params_h)
+            return real(model, pair, params_h, **kwargs)
 
-        monkeypatch.setattr(quadrature, "_sweep_odd_strata", slow)
+        monkeypatch.setattr(quadrature, "energy_increment", slow)
         model, pair, params, _, _ = TestFusedPass.case(2)
         quad = dataclasses.replace(params.quad, max_error=1e-30)
         params = dataclasses.replace(params, quad=quad)
@@ -818,16 +848,17 @@ class TestSweepStream:
         TestForkMap.assert_no_child_left()
 
     def test_child_exception_at_a_later_h(self, monkeypatch):
-        real = quadrature._sweep_odd_strata
+        real = quadrature.energy_increment
+        parent = os.getpid()
 
-        def failing(model, pair, params_h):
-            if params_h.h == self.GRID[2]:
+        def failing(model, pair, params_h, **kwargs):
+            if os.getpid() != parent and params_h.h == self.GRID[3]:
                 raise ValueError(f"child failed at h = {params_h.h}")
-            return real(model, pair, params_h)
+            return real(model, pair, params_h, **kwargs)
 
-        monkeypatch.setattr(quadrature, "_sweep_odd_strata", failing)
+        monkeypatch.setattr(quadrature, "energy_increment", failing)
         model, pair, params, _, _ = TestFusedPass.case(2)
-        with pytest.raises(ValueError, match="child failed at h = 0.025"):
+        with pytest.raises(ValueError, match="child failed at h = 0.0125"):
             gj.limit_sweep(model, pair, params, self.GRID)
         TestForkMap.assert_no_child_left()
 
@@ -854,28 +885,49 @@ class TestForkedMatchesSerial:
         monkeypatch.setattr(os, "fork", _no_fork)
         return forked, run()
 
+    @staticmethod
+    def quad(sampler, strata):
+        return gj.QuadratureConfig(
+            seed=5, samples_bulk=2048, samples_slab=8192, stratification=strata, sampler=sampler
+        )
+
     @pytest.mark.parametrize(
         "strata", [(), ("slab",), ("slab", "strip", "corner", "shell")]
     )
     @pytest.mark.parametrize("sampler", ["rqmc", "mc"])
     @pytest.mark.parametrize("d", [2, 3])
     def test_energy_increment(self, monkeypatch, d, sampler, strata):
+        # an estimate a forked child computes and the parent takes from its
+        # stream, as a sweep does at grid[1::2], against a lone one
         model, pair, params, _, _ = TestFusedPass.case(d, sampler)
-        quad = gj.QuadratureConfig(
-            seed=5, samples_bulk=2048, samples_slab=8192, stratification=strata, sampler=sampler
-        )
-        params = gj.InterchangeParams(h=params.h, t=params.t, quad=quad)
-        forked, serial = self.both(
-            monkeypatch, lambda: gj.energy_increment(model, pair, params).to_dict()
-        )
+        params = gj.InterchangeParams(h=params.h, t=params.t, quad=self.quad(sampler, strata))
+        monkeypatch.setattr(forking, "_usable_cpus", lambda: 2)
+        child = functools.partial(gj.energy_increment, model, pair)
+        with forking._fork_stream(child, [params]) as stream:
+            forked = gj.energy_increment(model, pair, params, _stream=stream).to_dict()
+        monkeypatch.setattr(os, "fork", _no_fork)
+        serial = gj.energy_increment(model, pair, params).to_dict()
         # repr tells the bits of every float apart, -0.0 from 0.0 too
         assert repr(forked) == repr(serial)
 
-    @pytest.mark.parametrize("sampler", ["rqmc", "mc"])
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_limit_sweep(self, monkeypatch, d, sampler):
+    @pytest.mark.parametrize(
+        "d, sampler, strata, n",
+        [
+            # all five strata on 4 points keep the bare id "d-sampler"
+            pytest.param(d, sampler, strata, n, id="-".join(
+                [str(d), sampler] + ([label] if label else []) + ([] if n == 4 else [f"{n}pts"])
+            ))
+            for d in (2, 3)
+            for sampler in ("rqmc", "mc")
+            for label, strata in (("", ("slab", "strip", "corner", "shell")),
+                                  ("bulk", ()), ("slab", ("slab",)))
+            for n in (4, 5)
+        ],
+    )
+    def test_limit_sweep(self, monkeypatch, d, sampler, strata, n):
         model, pair, params, _, _ = TestFusedPass.case(d, sampler)
-        grid = [0.1, 0.05, 0.025, 0.0125]
+        params = gj.InterchangeParams(h=params.h, t=params.t, quad=self.quad(sampler, strata))
+        grid = [0.1 * 2.0**-k for k in range(n)]
         forked, serial = self.both(
             monkeypatch, lambda: gj.limit_sweep(model, pair, params, grid).to_dict()
         )
