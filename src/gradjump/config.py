@@ -144,6 +144,22 @@ def _floats(raw: dict, key: str, default, shape: tuple) -> np.ndarray:
     return arr
 
 
+def _check_norm(arr: np.ndarray, key: str):
+    """Raise ConfigError when the norm of the gradient ``arr`` overflows."""
+    with np.errstate(over="ignore"):
+        finite = np.isfinite(np.linalg.norm(arr))
+    if not finite:
+        raise ConfigError(f"{key} overflows double precision: its norm is not finite")
+
+
+def _gradient(raw: dict, key: str, shape: tuple) -> np.ndarray:
+    """A gradient of ``shape``: finite numbers as ``_floats`` reads them,
+    with a finite norm."""
+    arr = _floats(raw, key, None, shape)
+    _check_norm(arr, key)
+    return arr
+
+
 def _nonempty_list(raw: dict, key: str) -> list:
     value = raw.get(key)
     if not isinstance(value, list) or not value:
@@ -252,12 +268,17 @@ class RunConfig:
         _check_keys(raw, "pair", {"tol", *sides}, sides)
         tol = _number(raw, "tol", 1e-9, 0.0, strict=True)
         shape = (model.m, model.d)
-        fm = _floats(raw, "f_minus", None, shape)
+        fm = _gradient(raw, "f_minus", shape)
         with _parsing("pair"):
             if jump_form:
                 a = _floats(raw, "a", None, shape[:1])
-                return InterfacePair.from_jump(fm, a, _floats(raw, "n", None, shape[1:]), tol)
-            return InterfacePair.from_gradients(_floats(raw, "f_plus", None, shape), fm, tol)
+                n = _floats(raw, "n", None, shape[1:])
+                # a huge a or n overflows norms inside; F+ is checked below
+                with np.errstate(over="ignore"):
+                    pair = InterfacePair.from_jump(fm, a, n, tol)
+                _check_norm(pair.fp, "f_minus + a (x) n")
+                return pair
+            return InterfacePair.from_gradients(_gradient(raw, "f_plus", shape), fm, tol)
 
     def quadrature(self) -> QuadratureConfig:
         raw = _check_keys(
@@ -383,9 +404,10 @@ class RunConfig:
         if "path" not in self.data:
             return None
         named = {f"path entry {i}": p for i, p in enumerate(_nonempty_list(self.data, "path"))}
-        return [_floats(named, name, None, (1, 2)) for name in named]
+        return [_gradient(named, name, (1, 2)) for name in named]
 
     def scan_points(self, shape: tuple) -> list:
-        """The scan's points, each a finite matrix of the model's shape (m, d)."""
+        """The scan's points, each a gradient of the model's shape (m, d)
+        with a finite norm."""
         named = {f"point {i}": p for i, p in enumerate(_nonempty_list(self.data, "points"))}
-        return [_floats(named, name, None, shape) for name in named]
+        return [_gradient(named, name, shape) for name in named]

@@ -22,7 +22,10 @@ closed forms in p = a.G, (F^T a).G and |G|^2, since
 Each closed form is exactly 0 where G = 0, as the stack form is.  The
 estimator asks for both points of an antithetic pair, steps +s and -s, in
 one call (the kernel's ``mirror`` index), so the closed forms compute the
-parts that do not depend on the sign of s once.
+parts that do not depend on the sign of s once.  The isotropic kind's
+second stage owns N-row scratch arrays that every call reuses, so a call
+allocates one fresh array per side, its result; at s = 1 it uses p for
+x = s p and p^2 for x^2, which are the same bits.
 """
 
 from __future__ import annotations
@@ -430,35 +433,53 @@ class IsotropicThetaEnergy(EnergyModel):
         coefficients c_j of f at each base's theta, which is exact for a
         polynomial and free of the cancellation of the difference.  The two
         sides of a mirrored call share p, |g|^2 and the mu s^2 terms, whose
-        bits are the same at -s; x only flips its sign.
+        bits are the same at -s; x only flips its sign, and x^2 keeps its
+        bits.  The second stage writes p, x, p^2, x^2 and the Taylor tail
+        into its scratch rows with ``out=``.
         """
         mu, d = self.params.mu, self.d
         # Taylor coefficients of f from the quadratic term up, one row per base
         tails = np.stack([self.params.taylor(np.trace(f))[2:] for f in bases])
+        n_tail = tails.shape[1]
 
-        def add_tail(out, x, index):
-            """out + x^2 (c_2 + x (c_3 + ...)) on the bases index, in place."""
-            if tails.shape[1]:
-                poly = _per_row(tails[:, -1], index)
-                for j in range(tails.shape[1] - 2, -1, -1):
-                    poly = poly * x + _per_row(tails[:, j], index)
-                out += (x * x) * poly
+        def add_tail(out, x, xx, index, poly):
+            """out + x^2 (c_2 + x (c_3 + ...)) on the bases index, in place,
+            given xx = x^2 and the scratch row poly."""
+            if n_tail == 1:
+                out += np.multiply(xx, _per_row(tails[:, 0], index), out=poly)
+            elif n_tail:
+                np.multiply(x, _per_row(tails[:, -1], index), out=poly)
+                for j in range(n_tail - 2, -1, -1):
+                    poly += _per_row(tails[:, j], index)
+                    if j:
+                        poly *= x
+                out += np.multiply(poly, xx, out=poly)
             return out
 
         def kernel(g):
             # g's columns stay views: contiguous when g is column-major, as
             # the scan lays it out, with no copy for a single call
             sq = row_sq_norms(g)
+            # rows p, p^2, x, x^2 and one for the tail and other products
+            p, pp, x_s, xx_s, tmp = np.empty((5, len(g)))
 
             def excess(a, s, index=None, mirror=None):
                 a = np.asarray(a, dtype=float)
-                p = _dot_rows(g, a[None, :], None)
-                x = s * p
+                np.multiply(g[:, 0], a[0], out=p)
+                for k in range(1, d):
+                    np.add(p, np.multiply(g[:, k], a[k], out=tmp), out=p)
+                np.multiply(p, p, out=pp)
+                x, xx = p, pp
+                if s != 1:
+                    x, xx = np.multiply(p, s, out=x_s), np.multiply(x_s, x_s, out=xx_s)
                 out = (0.5 * mu * s * s * float(a @ a)) * sq
-                out += (mu * s * s * (0.5 - 1.0 / d)) * (p * p)
+                out += np.multiply(pp, mu * s * s * (0.5 - 1.0 / d), out=tmp)
                 if mirror is None:
-                    return add_tail(out, x, index)
-                return add_tail(out.copy(), x, index), add_tail(out, -x, mirror)
+                    return add_tail(out, x, xx, index, tmp)
+                minus = out.copy()
+                add_tail(out, x, xx, index, tmp)
+                # (-x)^2 has the bits of x^2
+                return out, add_tail(minus, np.negative(x, out=x), xx, mirror, tmp)
 
             return excess
 

@@ -94,6 +94,9 @@ def rank_one_decompose(fp, fm, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarra
         if the jump vanishes.
     IncompatiblePairError
         if the jump has numerical rank greater than one.
+    ValueError
+        if the norm of F+, F- or the jump is not finite: the gradients
+        overflow double precision (their squares do above ~1.3e154).
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -101,10 +104,15 @@ def rank_one_decompose(fp, fm, tol: float = 1e-9) -> tuple[np.ndarray, np.ndarra
     fmm = as_matrix(fm)
     if fpm.shape != fmm.shape:
         raise DimensionError(f"shape mismatch {fpm.shape} vs {fmm.shape}")
-    jump = fpm - fmm
-    scale = max(float(np.linalg.norm(fpm)), float(np.linalg.norm(fmm)), 1.0)
-    jnorm = float(np.linalg.norm(jump))
-    if jnorm <= 1e-15 * scale:
+    with np.errstate(over="ignore", invalid="ignore"):
+        jump = fpm - fmm
+        fp_norm, fm_norm, jnorm = (float(np.linalg.norm(x)) for x in (fpm, fmm, jump))
+    if not all(map(math.isfinite, (fp_norm, fm_norm, jnorm))):
+        raise ValueError(
+            "the gradients overflow double precision: |F+|, |F-| and |F+ - F-| "
+            f"are {fp_norm:.3g}, {fm_norm:.3g} and {jnorm:.3g}"
+        )
+    if jnorm <= 1e-15 * max(fp_norm, fm_norm, 1.0):
         raise DegeneratePairError("gradient jump is zero; pair is degenerate")
     u, s, vt = np.linalg.svd(jump)
     if min(jump.shape) > 1 and s[1] > tol * s[0]:

@@ -501,6 +501,40 @@ class TestNumericFrontDoor:
     def test_malformed_value(self, tmp_path, capsys, command, payload, key):
         self.rejected(tmp_path, capsys, command, payload, key)
 
+    @pytest.mark.parametrize(
+        "command, payload, key",
+        [
+            # |F|^2 overflows at |F| ~ 1.3e154, entry by entry or in the sum
+            ("scan", {"model": MODEL, "points": [[[1e200, 0.0]]]}, "point 0"),
+            ("scan", {"model": MODEL, "points": [[[0.5, 0.0]], [[1e154, 1e154]]]}, "point 1"),
+            ("check", {"model": MODEL,
+                       "pair": {"f_plus": [[1e200, 0.0]], "f_minus": [[-1e200, 0.0]]}},
+             "f_minus"),
+            ("check", {"model": MODEL,
+                       "pair": {"f_plus": [[1e200, 0.0]], "f_minus": [[2.0, 0.0]]}},
+             "f_plus"),
+            ("envelope", {"model": MODEL,
+                          "pair": {"f_plus": [[1.0, 0.0]], "f_minus": [[0.0, 2e154]]}},
+             "f_minus"),
+            ("sweep-h", {**SWEEP, "pair": {"f_plus": [[-1e200, 0.0]], "f_minus": [[2.0, 0.0]]}},
+             "f_plus"),
+            # F+ = F- + a (x) n overflows where F-, a and n do not
+            ("check", {"model": MODEL,
+                       "pair": {"f_minus": [[1.0, 0.0]], "a": [1e200], "n": [1.0, 0.0]}},
+             "f_minus + a (x) n"),
+            ("path-dt", {"model": MODEL,
+                         "pair": {"f_minus": [[1e154, 0.0]], "a": [1e154], "n": [0.0, 1.0]}},
+             "f_minus + a (x) n"),
+            ("antiplane", {"params": REF_PARAMS, "path": [[[0.5, 0.0]], [[1e154, 1e154]]]},
+             "path entry 1"),
+        ],
+    )
+    def test_gradient_norm_overflows(self, tmp_path, capsys, command, payload, key):
+        cfg = write_config(tmp_path, payload)
+        code, stdout, err = run(capsys, command, "--config", cfg)
+        assert (code, stdout) == (2, "")
+        assert error_line(err).startswith(f"{key} overflows double precision")
+
     def test_negative_seed_flag(self, tmp_path, capsys):
         self.rejected(tmp_path, capsys, "sweep-h", SWEEP, "seed", "--seed", "-1")
 

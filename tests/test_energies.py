@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,9 +235,33 @@ class TestRankOneExcess:
 
     @staticmethod
     def every_term_kernel(model, bases):
-        """The min-of-quadratics kernel with no zero offset skipped: every
-        branch's value starts from its offset e_b and adds mu_b quad, then
-        its linear term where that is nonzero for some base."""
+        """The closed-form kernel with every term written out, one fresh
+        array per operation, as ``excess(a, g, s, index)``.
+
+        Min-of-quadratics: no zero offset skipped; every branch's value
+        starts from its offset e_b and adds mu_b quad, then its linear term
+        where that is nonzero for some base.  Isotropic: x = s p is formed
+        at every s, and the Taylor coefficients are gathered per row.
+        """
+        if isinstance(model, gj.IsotropicThetaEnergy):
+            mu, d = model.params.mu, model.d
+            tails = np.stack([model.params.taylor(np.trace(f))[2:] for f in bases])
+
+            def isotropic(a, g, s, index):
+                p = g[:, 0] * a[0]
+                for k in range(1, d):
+                    p = p + g[:, k] * a[k]
+                x = s * p
+                out = (0.5 * mu * s * s * float(a @ a)) * row_sq_norms(g)
+                out = out + (mu * s * s * (0.5 - 1.0 / d)) * (p * p)
+                if tails.shape[1]:
+                    poly = tails[index, -1]
+                    for j in range(tails.shape[1] - 2, -1, -1):
+                        poly = poly * x + tails[index, j]
+                    out = out + (x * x) * poly
+                return out
+
+            return isotropic
         mus = np.array([mu for mu, _ in model.branches])
         bvals = np.stack([model.branch_values(f) for f in bases])
         offsets = bvals - bvals.min(axis=1, keepdims=True)
@@ -359,6 +384,67 @@ class TestRankOneExcess:
                 fresh_plus, fresh_minus = fresh(a, s, index, mirror=mirror)
                 self.assert_same_bits(plus, fresh_plus)
                 self.assert_same_bits(minus, fresh_minus)
+
+    @staticmethod
+    def isotropic_stage(rng, n_coeffs, d, layout, n=300):
+        """An isotropic model whose f has ``n_coeffs`` coefficients (no
+        Taylor tail below 3, up to four tail terms at 6), three bases and
+        one second stage on n vectors g, some of them signed zeros."""
+        model = gj.IsotropicThetaEnergy(gj.IsotropicParams(d, 0.7, rng.normal(size=n_coeffs)))
+        bases = 0.4 * rng.normal(size=(3, d, d))
+        g = rng.normal(size=(n, d)) * rng.uniform(0.0, 3.0, size=(n, 1))
+        g[:20] = 0.0
+        g[:20:2, 0] = -0.0
+        g = np.asarray(g, order=layout)
+        return model, bases, g, model.rank_one_excess(bases)(g)
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n_coeffs", range(1, 7))
+    def test_isotropic_scratch_keeps_every_term_bits(self, rng, n_coeffs, d, layout):
+        # 20 calls on one second stage, which reuses its scratch rows: each
+        # result has the bits of the out-of-place kernel and stays as it was
+        # returned while later calls run
+        model, bases, g, stage = self.isotropic_stage(rng, n_coeffs, d, layout)
+        reference = self.every_term_kernel(model, bases)
+        on_base_0 = np.zeros(len(g), dtype=int)
+        returned = []
+        for call in range(20):
+            s = (1.0, 0.5, -1.0)[call % 3]
+            a = rng.normal(size=d)
+            index = rng.integers(0, 3, size=len(g))
+            mirror = rng.integers(0, 3, size=len(g))
+            kind = call % 4
+            if kind == 0:
+                results = [(stage(a, s), reference(a, g, s, on_base_0))]
+            elif kind == 1:
+                results = [(stage(a, s, index), reference(a, g, s, index))]
+            else:
+                plus, minus = stage(a, s, index, mirror=mirror)
+                assert not np.shares_memory(plus, minus)
+                results = [(plus, reference(a, g, s, index)), (minus, reference(a, g, -s, mirror))]
+            for got, want in results:
+                self.assert_same_bits(got, want)
+                returned.append((got, want))
+        for got, want in returned:
+            self.assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("n_coeffs", range(1, 7))
+    def test_isotropic_one_sided_call_allocates_its_result_alone(self, rng, n_coeffs):
+        # the scan's call: one base, no index; the stage's scratch holds p,
+        # x, p^2, x^2 and the tail, so a warm stage's call peaks at the one
+        # N-row array it returns (an out-of-place kernel peaks at about six)
+        model, _, _, stage = self.isotropic_stage(rng, n_coeffs, 3, "F", n=4096)
+        stage(rng.normal(size=3), 1.0)
+        for s in (1.0, 0.5, -1.0):
+            a = rng.normal(size=3)
+            tracemalloc.start()
+            try:
+                vals = stage(a, s)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= vals.nbytes + 4096, (s, peak / vals.nbytes)
 
     def test_branch_switch_is_seen(self):
         # from the stiff well at |F| = 1 a step to |F| = 3 ends on the soft well

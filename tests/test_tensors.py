@@ -50,6 +50,20 @@ class TestRankOneDecompose:
         with pytest.raises(gj.DegeneratePairError):
             gj.rank_one_decompose([[1.0, 0.0]], [[1.0, 0.0]])
 
+    @pytest.mark.parametrize(
+        "fp, fm",
+        [
+            # both norms overflow, so 1e-15 |F| is no scale for the jump
+            ([[1e200, 0.0]], [[-1e200, 0.0]]),
+            ([[1e200, 0.0]], [[1e200, 0.0]]),
+            # finite norms, a jump whose norm overflows
+            ([[1e154, 0.0]], [[-1e154, 0.0]]),
+        ],
+    )
+    def test_overflow_is_not_degenerate(self, fp, fm):
+        with pytest.raises(ValueError, match="overflow double precision"):
+            gj.rank_one_decompose(fp, fm)
+
     def test_incompatible(self):
         with pytest.raises(gj.IncompatiblePairError):
             gj.rank_one_decompose(np.eye(2), np.zeros((2, 2)))
