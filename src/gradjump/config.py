@@ -66,6 +66,10 @@ MAX_SCAN_ROWS = 2**22
 MAX_COUNT = 2**20
 MAX_SEED = 2**64 - 1
 
+#: the largest scan radius: a radius r enters the excess through r^2,
+#: which overflows near 1.3e154
+MAX_RADIUS = 1e150
+
 
 def _check_scan_rows(d: int, resolution: int, n_radii: int):
     """Raise ConfigError when a scan's grid, the directions v of
@@ -273,11 +277,10 @@ class RunConfig:
             if jump_form:
                 a = _floats(raw, "a", None, shape[:1])
                 n = _floats(raw, "n", None, shape[1:])
-                # a huge a or n overflows norms inside; F+ is checked below
+                # named here, before InterfacePair refuses an F+ that overflows
                 with np.errstate(over="ignore"):
-                    pair = InterfacePair.from_jump(fm, a, n, tol)
-                _check_norm(pair.fp, "f_minus + a (x) n")
-                return pair
+                    _check_norm(fm + np.outer(a, n), "f_minus + a (x) n")
+                return InterfacePair.from_jump(fm, a, n, tol)
             return InterfacePair.from_gradients(_gradient(raw, "f_plus", shape), fm, tol)
 
     def quadrature(self) -> QuadratureConfig:
@@ -328,11 +331,13 @@ class RunConfig:
             lo = _number(radii, "lo", None, 0.0, strict=True)
             hi = _number(radii, "hi", None, lo)
             num = _count(radii, "num", None, 1, MAX_COUNT)
+            if hi > MAX_RADIUS:
+                raise ConfigError(f"radii hi must be at most {MAX_RADIUS:g}")
             _check_scan_rows(d, resolution, num)
             return resolution, np.geomspace(lo, hi, num)
         radii = _floats(raw, "radii", None, (None,))
-        if np.any(radii <= 0.0):
-            raise ConfigError("radii must be positive")
+        if np.any(radii <= 0.0) or np.any(radii > MAX_RADIUS):
+            raise ConfigError(f"radii must be positive and at most {MAX_RADIUS:g}")
         _check_scan_rows(d, resolution, radii.size)
         return resolution, radii
 

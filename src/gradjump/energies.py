@@ -6,10 +6,11 @@ isotropic model f(tr F) + mu |dev sym F|^2.  Each has one closed-form
 stress ``gradient``; central differences serve only subclasses that define
 ``value()`` alone.
 
-The estimator and the Weierstrass scan only ever evaluate W along rank-one
-lines F + s a (x) G.  ``EnergyModel.rank_one_excess`` serves both, in two
-stages: the first takes the N vectors G and does the work that depends on
-them alone, once for the scan's whole grid, and the second evaluates a
+The estimator and the grid search of the Weierstrass scan only ever
+evaluate W along rank-one lines F + s a (x) G.  ``EnergyModel.rank_one_excess``
+serves both, in two stages: the first takes the N vectors G and does the
+work that depends on them alone, once for the grid's whole set of
+directions and radii, and the second evaluates a
 direction a and step s.  Its base-class body forms the (N, m, d) stacks
 and calls ``value_many`` (the path for user subclasses, and the test
 reference).  The min-of-quadratics and isotropic kinds override it with
@@ -26,6 +27,15 @@ parts that do not depend on the sign of s once.  The isotropic kind's
 second stage owns N-row scratch arrays that every call reuses, so a call
 allocates one fresh array per side, its result; at s = 1 it uses p for
 x = s p and p^2 for x^2, which are the same bits.
+
+``EnergyModel.rank_one_minimum`` gives the least excess at F over every
+rank-one increment r u (x) v, the Weierstrass condition that
+``jumps.weierstrass_scan`` tests.  Its base-class body searches a finite
+grid of u, v and r through ``rank_one_excess``; the built-in kinds
+override it with the exact minimum over all unit u, v and every r in a
+window [r_lo, r_hi]: one singular value per branch for the
+min-of-quadratics kinds, and two polynomial pieces in x = r (u.v) for the
+isotropic kind, minimized without any LAPACK routine (``_poly_candidates``).
 """
 
 from __future__ import annotations
@@ -37,7 +47,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, EmptyBinodalError, NonsmoothPointError
-from .tensors import as_matrix, frobenius, row_sq_norms
+from .tensors import as_matrix, frobenius, row_sq_norms, sphere_grid
 
 #: default central-difference step
 FD_STEP = 1e-5
@@ -61,6 +71,81 @@ def _per_row(table: np.ndarray, index):
     """Entries of a per-base table for each row: table[index], or the only
     entry when index is None (a single base)."""
     return table[0] if index is None else table.take(index, axis=0)
+
+
+def _horner(coeffs, x: float) -> float:
+    """The polynomial with ascending ``coeffs`` at x, by Horner's rule."""
+    acc = 0.0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _bracket_roots(coeffs, knots) -> list:
+    """Ascending points bracketing the roots of a polynomial that is
+    monotone between consecutive ``knots`` (ascending): each knot where it
+    is 0, and around each sign change between two knots the adjacent
+    floats that bisection ends on."""
+    found = []
+    for a, b in zip(knots, knots[1:]):
+        fa, fb = _horner(coeffs, a), _horner(coeffs, b)
+        if fa == 0.0 or fb == 0.0:
+            found += [x for x, fx in ((a, fa), (b, fb)) if fx == 0.0]
+        elif (fa < 0.0) != (fb < 0.0):
+            while a < (mid := 0.5 * (a + b)) < b:
+                fm = _horner(coeffs, mid)
+                if fm == 0.0:
+                    a = b = mid
+                elif (fm < 0.0) == (fa < 0.0):
+                    a = mid
+                else:
+                    b = mid
+            found += [a, b]
+    return found
+
+
+def _poly_candidates(coeffs, lo: float, hi: float) -> list:
+    """Ascending points of [lo, hi] among which the polynomial with
+    ascending ``coeffs`` takes its least value on [lo, hi]: the two ends and
+    the floats that bracket each real root of its derivative.
+
+    Each derivative is monotone between consecutive roots of the next one,
+    so the roots are found from the linear derivative up to the first, by
+    bisection on Python floats; no eigenvalue or SVD routine runs.
+    """
+    chain = [list(coeffs)]
+    while len(chain[-1]) > 2:
+        chain.append([k * c for k, c in enumerate(chain[-1])][1:])
+    knots = []
+    for poly in reversed(chain[1:]):
+        knots = _bracket_roots(poly, [lo, *knots, hi])
+    return [lo, *knots, hi]
+
+
+def _top_singular(b: np.ndarray):
+    """(sigma, u, v): the top singular value of the m x d matrix b and unit
+    vectors with u^T b v = -sigma.
+
+    v is the top right singular vector with its entry of largest magnitude
+    positive (b / sigma for m = 1, with no SVD) and u = -b v / sigma, so
+    the bits do not depend on the signs LAPACK picks.  For sigma = 0,
+    u = e_1 and v = e_1; a b that is not finite gives sigma = NaN.
+    """
+    m, d = b.shape
+    e1_m, e1_d = np.eye(m)[0], np.eye(d)[0]
+    if not np.all(np.isfinite(b)):
+        return math.nan, e1_m, e1_d
+    if m == 1:
+        sigma = float(np.linalg.norm(b))
+        if sigma == 0.0:
+            return 0.0, e1_m, e1_d
+        return sigma, np.array([-1.0]), b[0] / sigma
+    _, s, vt = np.linalg.svd(b)
+    sigma = float(s[0])
+    if sigma == 0.0:
+        return 0.0, e1_m, e1_d
+    v = vt[0] if vt[0, np.argmax(np.abs(vt[0]))] > 0.0 else -vt[0]
+    return sigma, -(b @ v) / sigma, v
 
 
 def _dot_rows(g: np.ndarray, vecs: np.ndarray, index) -> np.ndarray:
@@ -150,6 +235,34 @@ class EnergyModel:
             return excess
 
         return kernel
+
+    def rank_one_minimum(self, f, radii, resolution: int):
+        """Least excess at F over rank-one increments r u (x) v, |u| = |v| = 1.
+
+        ``f`` is an (m, d) matrix and ``radii`` a nonempty 1-D array of
+        finite positive radii.  Returns (value, u, v, r, method).  This body
+        searches the grid sphere_grid(m, resolution) x sphere_grid(d,
+        resolution) x radii through ``rank_one_excess``, one kernel call per
+        u (method "grid"), so a nonnegative value certifies the rank-one
+        condition on that grid only; ties resolve to the lexicographically
+        first entry.  Kinds with a closed form override it with the minimum
+        over every unit u, v and every r in the window [min radii,
+        max radii] (method "exact"), where ``resolution`` plays no part.
+        """
+        us, vs = sphere_grid(self.m, resolution), sphere_grid(self.d, resolution)
+        # row j * len(radii) + k holds radii[k] * vs[j], column-major so that
+        # the kernel reads each component contiguously; one batch per u
+        world = np.asfortranarray((radii[None, :, None] * vs[:, None, :]).reshape(-1, self.d))
+        excess = self.rank_one_excess(f[None])(world)
+
+        best = (np.inf, 0, 0, 0)
+        for iu, u in enumerate(us):
+            vals = excess(u, 1.0)
+            i = int(np.argmin(vals))
+            if vals[i] < best[0]:
+                best = (float(vals[i]), iu, i // radii.size, i % radii.size)
+        val, iu, j, k = best
+        return val, us[iu], vs[j], float(radii[k]), "grid"
 
     def _check(self, f) -> np.ndarray:
         return as_matrix(f, self.m, self.d)
@@ -273,6 +386,28 @@ class MinQuadraticsEnergy(EnergyModel):
             return excess
 
         return kernel
+
+    def rank_one_minimum(self, f, radii, resolution: int):
+        """Exact minimum over the radius window [r_lo, r_hi] = [min radii,
+        max radii].  Branch b gives e_b + r u^T B_b v + mu_b r^2 / 2 with
+        B_b = mu_b F - P and e_b = W_b(F) - W(F); it is least at the top
+        singular pair of B_b (``_top_singular``), where u^T B_b v = -sigma_b,
+        and at r = clip(sigma_b / mu_b, r_lo, r_hi).  The value is the least
+        over the branches, the first on a tie.  ``resolution`` plays no part.
+        """
+        r_lo, r_hi = float(np.min(radii)), float(np.max(radii))
+        best = None
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals = self.branch_values(f)
+            offsets = (vals - vals.min()).tolist()
+            stress = self.gradient(f)
+            for mu, e_b in zip(self._mus.tolist(), offsets):
+                sigma, u, v = _top_singular(mu * f - stress)
+                r = min(max(sigma / mu, r_lo), r_hi)
+                value = e_b - sigma * r + 0.5 * mu * r * r
+                if best is None or value < best[0]:
+                    best = (value, u, v, r)
+        return (*best, "exact")
 
     def gradient(self, f) -> np.ndarray:
         f = self._check(f)
@@ -422,6 +557,53 @@ class IsotropicThetaEnergy(EnergyModel):
         f = self._check(f)
         theta, dev = self._theta_dev(f)
         return float(self.params.f_prime(theta)) * np.eye(self.d) + 2.0 * self.params.mu * dev
+
+    def rank_one_minimum(self, f, radii, resolution: int):
+        """Exact minimum over the radius window [r_lo, r_hi] = [min radii,
+        max radii], in x = r (u.v).  The excess at r u (x) v is
+
+            T(x) + mu r^2 / 2 + mu (1/2 - 1/d) x^2,
+
+        T the Taylor tail of f at tr F, and |x| <= r.  It grows with r at
+        fixed x, so it is least at r = max(|x|, r_lo), on two polynomial
+        pieces:
+
+        - r_lo <= |x| <= r_hi, r = |x|: T(x) + mu (1 - 1/d) x^2, with
+          u = sign(x) v;
+        - |x| < r_lo, r = r_lo (d >= 2 only, since u = +-v for d = 1):
+          T(x) + mu (r_lo^2 / 2 + (1/2 - 1/d) x^2), with
+          u = p e_1 + sqrt(1 - p^2) e_2, p = x / r_lo.
+
+        v = e_1.  Each piece is minimized over its interval's ends and the
+        real critical points (``_poly_candidates``, Horner on Python
+        floats); ties resolve to the least x.  ``resolution`` plays no part.
+        """
+        r_lo, r_hi = float(np.min(radii)), float(np.max(radii))
+        mu, d = self.params.mu, self.d
+        with np.errstate(over="ignore", invalid="ignore"):
+            tail = self.params.taylor(float(np.trace(f))).tolist()[2:]
+        c2, higher = (tail[0], tail[1:]) if tail else (0.0, [])
+        outer = [0.0, 0.0, c2 + mu * (1.0 - 1.0 / d), *higher]
+        pieces = [(outer, -r_hi, -r_lo), (outer, r_lo, r_hi)]
+        if d > 1:
+            inner = [0.5 * mu * r_lo * r_lo, 0.0, c2 + mu * (0.5 - 1.0 / d), *higher]
+            # split at x = 0, a root of the inner piece's derivative, so that
+            # no bisection chases it through the subnormals
+            pieces[1:1] = [(inner, -r_lo, 0.0), (inner, 0.0, r_lo)]
+        best = None
+        for poly, lo, hi in pieces:
+            for x in _poly_candidates(poly, lo, hi):
+                value = _horner(poly, x)
+                if best is None or value < best[0]:
+                    best = (value, x, poly is not outer)
+        value, x, on_inner = best
+        v = np.eye(d)[0]
+        if on_inner:
+            p = x / r_lo
+            u = np.zeros(d)
+            u[0], u[1] = p, math.sqrt(max(0.0, 1.0 - p * p))
+            return value, u, v, r_lo, "exact"
+        return value, math.copysign(1.0, x) * v, v, abs(x), "exact"
 
     def rank_one_excess(self, bases):
         """Closed form in p = a.g and |g|^2, with x = s p:

@@ -6,7 +6,7 @@ the returned ``_ForkStream`` reads them one at a time.  It returns None
 where no child can be forked (no ``os.fork``, fewer than two usable CPUs,
 or a failed fork), and the caller then does the work itself.
 ``limit_sweep`` runs the estimates of every other h of its grid this way
-(``quadrature``) and ``diagnose`` its scan at F- (``jumps``).
+(``quadrature``).
 """
 
 from __future__ import annotations

@@ -3,25 +3,23 @@
 Given an energy W and a pair (F+, F-) with F+ - F- = a (x) n, this module
 computes the Maxwell driving force p* = [W] - ({P}, [F]), the interchange
 driving force N = ([P], [F]), the traction and roughening residuals [P] n
-and [P]^T a, a grid scan of the excess over rank-one increments, and the
-bundled pass/fail diagnostics.  The scan evaluates the excess through the
-model's rank-one kernel ``EnergyModel.rank_one_excess`` (a closed form for
-the quadratic, min-of-quadratics and isotropic kinds, the (N, m, d) stack
-form otherwise): the kernel's first stage takes the fixed grid of
-directions and radii once, and its second stage evaluates one batch per
-direction u.  ``diagnose`` scans F+ and F- on two processes when the scans
-are large (``PARALLEL_SCAN_INCREMENTS``); the results do not depend on it.
+and [P]^T a, the least excess over rank-one increments (the Weierstrass
+condition), and the bundled pass/fail diagnostics.  The Weierstrass scan
+asks the model for that least excess, ``EnergyModel.rank_one_minimum``:
+the built-in kinds give the exact minimum over every increment r u (x) v
+with r in the radius window, and a subclass that defines only ``value()``
+gets a search over a finite grid, a necessary check only.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .energies import EnergyModel
 from .errors import DimensionError
-from .forking import _fork_stream
 from .tensors import (
     as_matrix,
     as_unit_vector,
@@ -29,13 +27,21 @@ from .tensors import (
     frobenius,
     outer,
     rank_one_decompose,
-    sphere_grid,
 )
+
+
+def _sq_norm(values) -> float:
+    """The sum of squares of a list of Python floats."""
+    return sum(x * x for x in values)
 
 
 @dataclass(frozen=True)
 class InterfacePair:
-    """Compatible pair (F+, F-) with shear vector a and unit normal n."""
+    """Compatible pair (F+, F-) with shear vector a and unit normal n.
+
+    Raises ValueError when a norm of F+, F-, a or the jump is not finite,
+    and DimensionError when F+ - F- is not a (x) n within ``tol``.
+    """
 
     fp: np.ndarray
     fm: np.ndarray
@@ -52,9 +58,18 @@ class InterfacePair:
         object.__setattr__(self, "fm", fm)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "n", n)
-        jump = fp - fm
-        resid = float(np.linalg.norm(jump - np.outer(a, n)))
-        if resid > self.tol * max(float(np.linalg.norm(jump)), 1e-300):
+        # squares summed on Python floats: inf or NaN where they overflow,
+        # with no numpy warning
+        fp_l, fm_l = fp.ravel().tolist(), fm.ravel().tolist()
+        jump_l = [p - q for p, q in zip(fp_l, fm_l)]
+        sq = [_sq_norm(x) for x in (fp_l, fm_l, a.tolist(), jump_l)]
+        if not all(map(math.isfinite, sq)):
+            raise ValueError(
+                "the pair overflows double precision: |F+|^2, |F-|^2, |a|^2 and "
+                "|F+ - F-|^2 are " + ", ".join(f"{x:.3g}" for x in sq)
+            )
+        resid = math.sqrt(_sq_norm((fp - fm - np.outer(a, n)).ravel().tolist()))
+        if resid > self.tol * max(math.sqrt(sq[3]), 1e-300):
             raise DimensionError(
                 f"(F+ - F-) - a(x)n residual {resid:.3e} exceeds tolerance"
             )
@@ -83,7 +98,10 @@ class InterfacePair:
         fm = as_matrix(fm)
         a = as_vector(a, fm.shape[0])
         n = as_unit_vector(n, fm.shape[1])
-        return cls(fm + np.outer(a, n), fm, a, n, tol)
+        # an F+ that overflows is refused by __post_init__, without a warning
+        with np.errstate(over="ignore"):
+            fp = fm + np.outer(a, n)
+        return cls(fp, fm, a, n, tol)
 
 
 def _stresses(model: EnergyModel, pair: InterfacePair):
@@ -157,12 +175,14 @@ def taylor_residual(model: EnergyModel, pair: InterfacePair, xi, eta, side: int 
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Minimum of the excess over a grid of rank-one increments r u (x) v."""
+    """Least excess over rank-one increments r u (x) v, its argmin, and the
+    method that found it: "exact" or "grid"."""
 
     min_value: float
     u: np.ndarray
     v: np.ndarray
     r: float
+    method: str
 
     def to_dict(self) -> dict:
         return {
@@ -170,15 +190,8 @@ class ScanResult:
             "u": self.u.tolist(),
             "v": self.v.tolist(),
             "r": self.r,
+            "method": self.method,
         }
-
-
-#: increments |U| |V| |radii| of one scan from which ``diagnose`` scans F-
-#: in a forked child beside the scan of F+.  On a 2-CPU x86-64 host the
-#: fork, the result's pipe and the child's exit cost 3.2-3.4 ms in a
-#: process that has run a scan, and a scan of 2^20 increments 8-25 ms
-#: (8-24 ns per increment, by kind and batch size)
-PARALLEL_SCAN_INCREMENTS = 2**20
 
 
 def default_radii(scale: float, num: int = 41, lo: float = 1e-3, hi: float = 10.0) -> np.ndarray:
@@ -188,44 +201,30 @@ def default_radii(scale: float, num: int = 41, lo: float = 1e-3, hi: float = 10.
     return np.geomspace(lo * scale, hi * scale, num)
 
 
-def _scan_grids(model: EnergyModel, radii, resolution: int):
-    """The grids (us, vs, radii) of a scan; raises ValueError on an empty
-    radius grid or a radius that is not finite and positive."""
+def weierstrass_scan(
+    model: EnergyModel, f, radii, resolution: int = 32
+) -> ScanResult:
+    """Least excess at F over rank-one increments r u (x) v, |u| = |v| = 1.
+
+    A negative minimum shows that F violates the rank-one (Weierstrass)
+    condition, with the increment that shows it.  For the built-in kinds
+    the minimum is exact over every unit u, v and every r in the window
+    [min radii, max radii] (method "exact"), and ``resolution`` plays no
+    part.  A subclass that defines only ``value()`` is searched on
+    sphere_grid(m) x sphere_grid(d) x radii (method "grid"), which
+    certifies the condition on that finite grid only
+    (``EnergyModel.rank_one_minimum``).  Either way the result is
+    deterministic.  Raises ValueError when the radii are empty or one is
+    not finite and positive.
+    """
+    f = as_matrix(f, model.m, model.d)
     radii = np.asarray(radii, dtype=float).reshape(-1)
     if radii.size == 0:
         raise ValueError("radii grid is empty")
     if not np.all(np.isfinite(radii) & (radii > 0.0)):
         raise ValueError("radii must be finite and positive")
-    return sphere_grid(model.m, resolution), sphere_grid(model.d, resolution), radii
-
-
-def weierstrass_scan(
-    model: EnergyModel, f, radii, resolution: int = 32
-) -> ScanResult:
-    """Scan the excess at F over rank-one increments r u (x) v.
-
-    The scan covers sphere_grid(m) x sphere_grid(d) x radii and returns
-    the smallest value with its argmin.  Grids are deterministic, so a
-    negative minimum is reproducible without seeds; ties resolve to the
-    lexicographically first grid entry.  This is a necessary check only:
-    it certifies the rank-one (Weierstrass) condition on a finite grid,
-    not full quasiconvexity.
-    """
-    f = as_matrix(f, model.m, model.d)
-    us, vs, radii = _scan_grids(model, radii, resolution)
-    # row j * len(radii) + k holds radii[k] * vs[j], column-major so that
-    # the kernel reads each component contiguously; one batch per u
-    world = np.asfortranarray((radii[None, :, None] * vs[:, None, :]).reshape(-1, model.d))
-    excess = model.rank_one_excess(f[None])(world)
-
-    best = (np.inf, 0, 0, 0)
-    for iu, u in enumerate(us):
-        vals = excess(u, 1.0)
-        i = int(np.argmin(vals))
-        if vals[i] < best[0]:
-            best = (float(vals[i]), iu, i // radii.size, i % radii.size)
-    val, iu, j, k = best
-    return ScanResult(val, us[iu], vs[j], float(radii[k]))
+    val, u, v, r, method = model.rank_one_minimum(f, radii, resolution)
+    return ScanResult(float(val), u, v, float(r), method)
 
 
 @dataclass(frozen=True)
@@ -238,6 +237,7 @@ class JumpDiagnostics:
     roughening_residual: np.ndarray
     weierstrass_min_plus: float
     weierstrass_min_minus: float
+    weierstrass_method: str
     tol_abs: float
     tol_rel: float
     stress_scale: float
@@ -266,6 +266,7 @@ class JumpDiagnostics:
             "roughening_residual": self.roughening_residual.tolist(),
             "weierstrass_min_plus": self.weierstrass_min_plus,
             "weierstrass_min_minus": self.weierstrass_min_minus,
+            "weierstrass_method": self.weierstrass_method,
             "tolerances": {
                 "tol_abs": self.tol_abs,
                 "tol_rel": self.tol_rel,
@@ -280,30 +281,6 @@ class JumpDiagnostics:
                 "all_ok": self.all_ok,
             },
         }
-
-
-def _scan_phases(model: EnergyModel, pair: InterfacePair, radii, resolution: int):
-    """The Weierstrass scans at F+ and at F-.
-
-    A scan of at least PARALLEL_SCAN_INCREMENTS increments runs at F- in a
-    forked child while this process scans F+ (``_fork_stream``); smaller
-    scans, and every scan where no child can be forked, run here one after
-    the other.  Each scan's result is the same in either process.
-    """
-    us, vs, radii = _scan_grids(model, radii, resolution)
-
-    def scan(f):
-        return weierstrass_scan(model, f, radii, resolution)
-
-    stream = None
-    if len(us) * len(vs) * radii.size >= PARALLEL_SCAN_INCREMENTS:
-        stream = _fork_stream(scan, [pair.fm])
-    try:
-        scan_p = scan(pair.fp)
-        return scan_p, (scan(pair.fm) if stream is None else stream.take())
-    finally:
-        if stream is not None:
-            stream.close()
 
 
 def diagnose(
@@ -332,7 +309,8 @@ def diagnose(
     rr = roughening_residual(model, pair)
     if scan_radii is None:
         scan_radii = default_radii(jnorm if jnorm > 0 else 1.0)
-    scan_p, scan_m = _scan_phases(model, pair, scan_radii, scan_resolution)
+    scan_p = weierstrass_scan(model, pair.fp, scan_radii, scan_resolution)
+    scan_m = weierstrass_scan(model, pair.fm, scan_radii, scan_resolution)
 
     return JumpDiagnostics(
         p_star=p_star,
@@ -341,6 +319,7 @@ def diagnose(
         roughening_residual=rr,
         weierstrass_min_plus=scan_p.min_value,
         weierstrass_min_minus=scan_m.min_value,
+        weierstrass_method=scan_p.method,
         tol_abs=tol_abs,
         tol_rel=tol_rel,
         stress_scale=scale,

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,7 @@ class TestCheck:
         payload = json.loads(out)
         assert payload["verdicts"]["all_ok"] is True
         assert abs(payload["p_star"]) < 1e-12
+        assert payload["weierstrass_method"] == "exact"
 
     def test_off_equilibrium_fails(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"model": MODEL, "pair": NONEQ_PAIR})
@@ -399,6 +401,19 @@ class TestScan:
         code, _, _ = run(capsys, "scan", "--config", cfg)
         assert code == 0
 
+    def test_bench_points_sit_at_the_smallest_radius(self, capsys):
+        # each point lies inside one well, whose excess mu/2 r^2 is least at
+        # the smallest default radius 1e-3 (1 + |F|), with u = e_1, v = e_1
+        code, stdout, _ = run(capsys, "scan", "--config", str(BENCH_CONFIGS / "scan_2d.json"))
+        assert code == 0
+        for res in json.loads(stdout)["results"]:
+            norm = float(np.linalg.norm(res["point"]))
+            mu = 2.0 if norm < 1.0 else 1.0
+            r_lo = float(gj.default_radii(1.0 + norm)[0])
+            assert (res["method"], res["r"], res["u"], res["v"]) == ("exact", r_lo, [1.0],
+                                                                     [1.0, 0.0])
+            assert res["min_value"] == 0.5 * mu * r_lo * r_lo
+
     def test_empty_radii_rejected(self, tmp_path, capsys):
         payload = {"model": MODEL, "points": [[[0.5, 0.0]]], "radii": []}
         cfg = write_config(tmp_path, payload)
@@ -458,6 +473,28 @@ class TestNumericFrontDoor:
         self.rejected(tmp_path, capsys, "scan", payload, key)
         check = {"model": MODEL, "pair": EQ_PAIR, "scan": {"radii": radii}}
         self.rejected(tmp_path, capsys, "check", check, key)
+
+    @pytest.mark.parametrize(
+        "radii", [[1e200, 1e250], [0.5, 2e150], {"lo": 0.1, "hi": 1e200, "num": 5}]
+    )
+    def test_radii_above_the_cap(self, tmp_path, capsys, radii):
+        # r^2 overflows near 1.3e154: these printed a RuntimeWarning and
+        # ended in a non-finite output with exit 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.rejected(tmp_path, capsys, "scan",
+                          {"model": MODEL, "points": [[[0.5, 0.0]]], "radii": radii}, "radii")
+            self.rejected(tmp_path, capsys, "check",
+                          {"model": MODEL, "pair": EQ_PAIR, "scan": {"radii": radii}}, "radii")
+
+    def test_radii_at_the_cap(self, tmp_path, capsys):
+        payload = {"model": MODEL, "points": [[[0.5, 0.0]]], "radii": [1e150]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(capsys, "scan", "--config", write_config(tmp_path, payload))
+        assert (code, err) == (0, "")
+        # the soft well's mu/2 r^2 is least there
+        assert json.loads(stdout)["results"][0]["min_value"] == pytest.approx(0.5e300)
 
     @pytest.mark.parametrize(
         "point", [[[0.5, 0.0, 1.0]], [[0.5], [0.0]], [[0.5], [0.0, 1.0]], [["a", 0.0]],

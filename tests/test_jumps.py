@@ -1,13 +1,13 @@
+import itertools
 import json
-import os
+import warnings
 
 import numpy as np
 import pytest
 
 import gradjump as gj
-from gradjump import forking, jumps
 
-from conftest import ValueOnlyQuadratic
+from conftest import REF_PARAMS, ValueOnlyQuadratic
 
 
 def random_antiplane_pair(rng, smooth_guard=0.05):
@@ -46,6 +46,22 @@ class TestInterfacePair:
     def test_incompatible_gradients(self):
         with pytest.raises(gj.IncompatiblePairError):
             gj.InterfacePair.from_gradients(np.eye(2), np.zeros((2, 2)))
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: gj.InterfacePair.from_jump([[1.0, 0.0]], [1e200], [1.0, 0.0]),
+            lambda: gj.InterfacePair.from_jump([[1e308, 0.0]], [1e308], [1.0, 0.0]),
+            lambda: gj.InterfacePair([[1e200, 0.0]], [[0.0, 0.0]], [1e200], [1.0, 0.0]),
+            lambda: gj.InterfacePair([[1e154, 1e154]], [[1e154, 0.0]], [1e154], [0.0, 1.0]),
+        ],
+    )
+    def test_overflowing_norms_are_refused_without_a_warning(self, build):
+        # from_jump used to print numpy's overflow warning and return the pair
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="overflows double precision"):
+                build()
 
 
 class TestDrivingForces:
@@ -119,6 +135,7 @@ class TestWeierstrassScan:
         assert scan.min_value < -0.1
 
     def test_matches_bruteforce_loop(self, antiplane):
+        # the base-class grid search, which value-only subclasses get
         radii = gj.default_radii(1.0, num=9)
         us = gj.sphere_grid(1, 8)
         vs = gj.sphere_grid(2, 8)
@@ -127,16 +144,19 @@ class TestWeierstrassScan:
             for v in vs:
                 for r in radii:
                     best = min(best, antiplane.excess([[1.5, 0.0]], r * np.outer(u, v)))
-        scan = gj.weierstrass_scan(antiplane, [[1.5, 0.0]], radii, resolution=8)
-        assert scan.min_value == pytest.approx(best, abs=1e-14)
+        grid = gj.EnergyModel.rank_one_minimum(antiplane, np.array([[1.5, 0.0]]), radii, 8)
+        assert grid[0] == pytest.approx(best, abs=1e-14)
+        assert grid[-1] == "grid"
 
     def test_monotone_in_resolution(self, antiplane):
         radii = gj.default_radii(1.2)
+        f = np.array([[1.3, 0.4]])
         prev = np.inf
         for res in (8, 16, 32):  # nested circle grids under doubling
-            scan = gj.weierstrass_scan(antiplane, [[1.3, 0.4]], radii, res)
-            assert scan.min_value <= prev + 1e-15
-            prev = scan.min_value
+            value = gj.EnergyModel.rank_one_minimum(antiplane, f, radii, res)[0]
+            assert value <= prev + 1e-15
+            prev = value
+        assert gj.weierstrass_scan(antiplane, f, radii, 8).min_value <= prev
 
     def test_deterministic(self, antiplane):
         radii = gj.default_radii(1.0)
@@ -151,8 +171,13 @@ class TestWeierstrassScan:
             gj.weierstrass_scan(antiplane, [[0.5, 0.0]], [], 8)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0, -1.0])
-    def test_radii_not_finite_and_positive(self, antiplane, bad):
-        # a NaN radius used to pass and leave min_value = inf, r = nan
+    def test_radii_not_finite_and_positive(self, monkeypatch, antiplane, bad):
+        # a NaN radius used to pass and leave min_value = inf, r = nan; the
+        # radii are refused before the closed form sees them
+        def closed_form(*args):
+            raise AssertionError("rank_one_minimum called")
+
+        monkeypatch.setattr(antiplane, "rank_one_minimum", closed_form)
         with pytest.raises(ValueError, match="finite and positive"):
             gj.weierstrass_scan(antiplane, [[1.0, 0.0]], [bad, 1.0], 8)
         with pytest.raises(ValueError, match="finite and positive"):
@@ -165,9 +190,11 @@ class TestWeierstrassScan:
         scan = gj.weierstrass_scan(iso, 0.05 * np.eye(2), gj.default_radii(1.0), 8)
         assert np.isfinite(scan.min_value)
         assert scan.u.shape == (2,) and scan.v.shape == (2,)
-        # the base-class stack form on a 2 x 2 model that defines only value()
+        assert scan.method == "exact"
+        # the base-class grid on a 2 x 2 model that defines only value()
         scan_value_only = gj.weierstrass_scan(ValueOnlyQuadratic(2, 2), np.eye(2), [0.1, 1.0], 8)
         assert scan_value_only.min_value >= -1e-10  # convex
+        assert scan_value_only.method == "grid"
 
     def test_diagnose_matrix_valued_model(self):
         iso = gj.IsotropicThetaEnergy(gj.IsotropicParams(2, 1.0, (1, 0, -2, 0, 1)))
@@ -181,6 +208,159 @@ class TestWeierstrassScan:
     def test_default_radii_contains_scale(self):
         radii = gj.default_radii(1.7)
         assert np.min(np.abs(radii - 1.7)) < 1e-12
+
+
+def _iso(d, mu, coeffs=(1.0, 0.0, -2.0, 0.0, 1.0)):
+    return gj.IsotropicThetaEnergy(gj.IsotropicParams(d, mu, coeffs))
+
+
+#: (model, point) cases of every closed-form kind, stable and unstable
+#: points alike: 2-D, 3-D, m = 1, d = 1, mu = 0 and a 3 x 3 three-branch model
+EXACT_CASES = {
+    "antiplane-binodal": (gj.AntiplaneDoubleWell(gj.AntiplaneParams(**REF_PARAMS)),
+                          [[1.3, 0.4]]),
+    "antiplane-stable": (gj.AntiplaneDoubleWell(gj.AntiplaneParams(**REF_PARAMS)),
+                         [[0.0, -2.5]]),
+    "antiplane-m1-d3": (gj.AntiplaneDoubleWell(gj.AntiplaneParams(**REF_PARAMS), d=3),
+                        [[1.2, -0.5, 0.3]]),
+    "quadratic-2x2": (gj.QuadraticEnergy(2, 2, mu=1.3), [[0.3, -1.0], [0.2, 0.5]]),
+    "min-quad-d1": (gj.MinQuadraticsEnergy(2, 1, [(2.0, 0.0), (1.0, 1.0)]), [[1.1], [0.6]]),
+    "min-quad-3x3-three-branch": (
+        gj.MinQuadraticsEnergy(3, 3, [(1.0, 0.0), (2.5, -1.2), (0.6, 0.4)]),
+        [[0.4, -0.3, 0.2], [0.1, 0.5, -0.6], [0.3, 0.2, 0.4]],
+    ),
+    "isotropic-2d": (_iso(2, 1.0), [[0.2, 0.1], [-0.3, 0.1]]),
+    "isotropic-3d-bench-plus": (_iso(3, 1.0), [[0.6, 0.0, 0.0], [0.2, 0.1, 0.0],
+                                                [0.1, 0.0, 0.1]]),
+    "isotropic-3d-bench-minus": (_iso(3, 1.0), 0.1 * np.eye(3)),
+    "isotropic-d1": (_iso(1, 0.0), [[0.3]]),
+    "isotropic-mu0": (_iso(2, 0.0, (0.5, -1.0, 0.3, 0.8, -0.2, 0.1)), [[0.4, 0.2], [0.0, 0.9]]),
+    "isotropic-convex": (_iso(3, 2.0, (0.0, 1.0, 1.5)), np.eye(3)),
+}
+
+
+def _scale(model, f, scan):
+    """The size of the terms that the excess at f sums near the argmin."""
+    stress = float(np.linalg.norm(model.gradient(f)))
+    return 1.0 + abs(model.value(f)) + stress * scan.r + abs(scan.min_value)
+
+
+def _grid_minimum(model, f, us, vs, radii):
+    """Least excess over us x vs x radii through the stack form, the
+    reference that no closed form takes part in."""
+    world = (np.asarray(radii)[None, :, None] * np.asarray(vs)[:, None, :]).reshape(-1, model.d)
+    excess = gj.EnergyModel.rank_one_excess(model, f[None])(world)
+    return min(float(np.min(excess(u, 1.0))) for u in us)
+
+
+def _around(w, delta):
+    """Unit vectors w + delta c, normalized, for c in {-1, 0, 1}^k."""
+    shifts = np.array(list(itertools.product((-1.0, 0.0, 1.0), repeat=len(w))))
+    near = w[None, :] + delta * shifts
+    return near / np.linalg.norm(near, axis=1, keepdims=True)
+
+
+class TestExactMinimum:
+    """The built-in kinds' closed-form minima over every r u (x) v."""
+
+    @pytest.fixture(params=sorted(EXACT_CASES))
+    def case(self, request):
+        model, f = EXACT_CASES[request.param]
+        f = np.asarray(f, dtype=float)
+        radii = gj.default_radii(1.0 + float(np.linalg.norm(f)))
+        return model, f, radii, gj.weierstrass_scan(model, f, radii, 8)
+
+    def test_at_or_below_every_grid(self, case):
+        model, f, radii, scan = case
+        assert scan.method == "exact"
+        # a 3-D grid at resolution 64 has 688 million increments
+        for res in (8, 16, 32, 64) if model.d < 3 else (8, 16, 32):
+            grid = gj.EnergyModel.rank_one_minimum(model, f, radii, res)
+            assert scan.min_value <= grid[0] + 1e-12 * _scale(model, f, scan)
+
+    def test_a_refined_grid_around_the_argmin_agrees(self, case):
+        model, f, radii, scan = case
+        rs = np.clip(scan.r * (1.0 + 1e-5 * np.arange(-2, 3)), radii[0], radii[-1])
+        refined = _grid_minimum(model, f, _around(scan.u, 1e-5), _around(scan.v, 1e-5), rs)
+        assert refined >= scan.min_value - 1e-12 * _scale(model, f, scan)
+        assert refined <= scan.min_value + 1e-9
+
+    def test_the_argmin_reproduces_the_value(self, case):
+        model, f, radii, scan = case
+        assert np.linalg.norm(scan.u) == pytest.approx(1.0, abs=1e-15)
+        assert np.linalg.norm(scan.v) == pytest.approx(1.0, abs=1e-15)
+        assert radii[0] <= scan.r <= radii[-1]
+        assert type(scan.r) is float and type(scan.min_value) is float
+        excess = model.excess(f, scan.r * np.outer(scan.u, scan.v))
+        scale = _scale(model, f, scan)
+        assert excess == pytest.approx(scan.min_value, rel=1e-12, abs=1e-15 * scale)
+
+    def test_the_window_is_min_to_max_radius(self, case):
+        model, f, radii, scan = case
+        shuffled = np.concatenate([radii[::-2], radii[1::2]])
+        again = gj.weierstrass_scan(model, f, shuffled, 64)
+        assert repr(again.to_dict()) == repr(scan.to_dict())
+
+    def test_bench_3d_minima(self):
+        # bench/configs/scan_3d.json at its default radii
+        model = _iso(3, 1.0)
+        pair = gj.InterfacePair.from_jump(0.1 * np.eye(3), [0.5, 0.2, 0.1], [1.0, 0.0, 0.0])
+        diag = gj.diagnose(model, pair, scan_resolution=16)
+        assert diag.weierstrass_min_plus == pytest.approx(-0.139321940701043, rel=1e-13)
+        assert diag.weierstrass_min_minus == pytest.approx(-1.14454255482365, rel=1e-13)
+        assert diag.weierstrass_method == "exact"
+
+    @pytest.mark.parametrize("d, mu", [(1, 0.0), (1, 1.0), (2, 0.0), (2, 0.7), (3, 1.5)])
+    def test_isotropic_matches_a_dense_p_r_grid(self, rng, d, mu):
+        # the excess at r u (x) v depends on u, v only through p = u.v:
+        # T(r p) + mu r^2 (1/2 + p^2 (1/2 - 1/d)), with p = +-1 when d = 1
+        poly = np.polynomial.polynomial
+        ps = np.array([-1.0, 1.0]) if d == 1 else np.linspace(-1.0, 1.0, 801)
+        for _ in range(20):
+            coeffs = rng.normal(size=rng.integers(1, 8))
+            model = _iso(d, mu, coeffs)
+            f = rng.normal(size=(d, d)) * 0.5
+            radii = np.sort(rng.uniform(0.05, 3.0, size=2))
+            rs = np.linspace(radii[0], radii[1], 801)
+            tail = model.params.taylor(float(np.trace(f)))
+            tail[:2] = 0.0
+            x = rs[:, None] * ps[None, :]
+            dense = poly.polyval(x, tail) + mu * rs[:, None] ** 2 * (
+                0.5 + ps[None, :] ** 2 * (0.5 - 1.0 / d))
+            scan = gj.weierstrass_scan(model, f, radii)
+            scale = 1.0 + float(np.max(np.abs(dense)))
+            assert scan.min_value <= dense.min() + 1e-12 * scale
+            # and an increment of the window attains it
+            assert radii[0] <= scan.r <= radii[1]
+            assert np.linalg.norm(scan.u) == pytest.approx(1.0, abs=1e-15)
+            excess = model.excess(f, scan.r * np.outer(scan.u, scan.v))
+            assert excess == pytest.approx(scan.min_value, abs=1e-12 * scale)
+
+    def test_isotropic_calls_no_lapack(self, monkeypatch):
+        def lapack(*args, **kwargs):
+            raise AssertionError("a LAPACK routine was called")
+
+        for name in ("svd", "eig", "eigvals", "eigh", "eigvalsh", "lstsq", "solve"):
+            monkeypatch.setattr(np.linalg, name, lapack)
+        monkeypatch.setattr(np.polynomial.polynomial, "polyroots", lapack)
+        monkeypatch.setattr(np, "roots", lapack)
+        for key in ("isotropic-3d-bench-plus", "isotropic-d1", "isotropic-mu0"):
+            model, f = EXACT_CASES[key]
+            assert gj.weierstrass_scan(model, f, [0.01, 3.0]).method == "exact"
+
+    def test_zero_slope_rule(self):
+        # at the centre of a single well every u, v ties: u = e_1, v = e_1
+        scan = gj.weierstrass_scan(gj.QuadraticEnergy(2, 3, mu=2.0), np.zeros((2, 3)), [0.5, 4.0])
+        assert scan.min_value == 0.25
+        assert scan.u.tolist() == [1.0, 0.0] and scan.v.tolist() == [1.0, 0.0, 0.0]
+        assert scan.r == 0.5
+
+    def test_overflowing_stress_gives_nan_not_a_traceback(self):
+        model = gj.MinQuadraticsEnergy(2, 2, [(1e300, 0.0), (1.0, 1e300)])
+        f = np.array([[1e10, 0.0], [0.0, 0.0]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            scan = gj.weierstrass_scan(model, f, [0.5, 1.0])
+        assert not np.isfinite(scan.min_value)
 
 
 class TestNormalityGap:
@@ -252,98 +432,14 @@ class TestDiagnose:
         assert parsed["verdicts"]["all_ok"] is True
         assert parsed["tolerances"]["tol_abs"] == diag.tol_abs
         assert parsed["p_star"] == diag.p_star
+        assert parsed["weierstrass_method"] == "exact"
+        scan = gj.weierstrass_scan(antiplane, eq_pair.fp, gj.default_radii(1.0))
+        assert json.loads(json.dumps(scan.to_dict())) == scan.to_dict()
+        assert scan.to_dict()["method"] == "exact"
 
-
-def _no_fork():
-    raise AssertionError("os.fork called")
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-class TestPhaseScans:
-    """``diagnose`` scans F- in a forked child beside the scan of F+ when a
-    scan covers at least PARALLEL_SCAN_INCREMENTS increments."""
-
-    @staticmethod
-    def scan3d():
-        # the bench's scan-3d pair: 256 x 256 x 41 = 2,686,976 increments at
-        # resolution 16, above the threshold
-        model = gj.IsotropicThetaEnergy(gj.IsotropicParams(3, 1.0, (1.0, 0.0, -2.0, 0.0, 1.0)))
-        pair = gj.InterfacePair.from_jump(0.1 * np.eye(3), [0.5, 0.2, 0.1], [1.0, 0.0, 0.0])
-        return model, pair
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """The os.fork calls made in this process, with 2 usable CPUs."""
-        monkeypatch.setattr(forking, "_usable_cpus", lambda: 2)
-        calls = []
-        real_fork = os.fork
-
-        def fork():
-            calls.append(1)
-            return real_fork()
-
-        monkeypatch.setattr(os, "fork", fork)
-        return calls
-
-    def test_forked_and_serial_reports_are_identical(self, monkeypatch, forks):
-        model, pair = self.scan3d()
-        assert 16**4 * 41 >= jumps.PARALLEL_SCAN_INCREMENTS
-        forked = gj.diagnose(model, pair, scan_resolution=16).to_dict()
-        assert len(forks) == 1
-        assert_no_child_left()
-        monkeypatch.setattr(forking, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(os, "fork", _no_fork)
-        serial = gj.diagnose(model, pair, scan_resolution=16).to_dict()
-        assert repr(forked) == repr(serial)
-        assert forked["weierstrass_min_plus"] != forked["weierstrass_min_minus"]
-
-    def test_serial_when_fork_fails(self, monkeypatch):
-        model, pair = self.scan3d()
-        monkeypatch.setattr(forking, "_usable_cpus", lambda: 2)
-        forked = gj.diagnose(model, pair, scan_resolution=16).to_dict()
-
-        def fork():
-            raise BlockingIOError("no process to spare")
-
-        monkeypatch.setattr(os, "fork", fork)
-        assert repr(gj.diagnose(model, pair, scan_resolution=16).to_dict()) == repr(forked)
-
-    def test_small_scans_fork_no_child(self, antiplane, eq_pair, forks):
-        # the Maxwell 2-D pair at the default resolution: 2 x 32 x 41 increments
-        diag = gj.diagnose(antiplane, eq_pair)
-        assert diag.all_ok
-        assert forks == []
-
-    def test_threshold_is_inclusive(self, monkeypatch, antiplane, eq_pair, forks):
-        increments = 2 * 8 * 3  # |U| |V| |radii|
-        monkeypatch.setattr(jumps, "PARALLEL_SCAN_INCREMENTS", increments + 1)
-        serial = gj.diagnose(antiplane, eq_pair, scan_radii=[0.5, 1.0, 2.0], scan_resolution=8)
-        assert forks == []
-        monkeypatch.setattr(jumps, "PARALLEL_SCAN_INCREMENTS", increments)
-        forked = gj.diagnose(antiplane, eq_pair, scan_radii=[0.5, 1.0, 2.0], scan_resolution=8)
-        assert len(forks) == 1
-        assert repr(forked.to_dict()) == repr(serial.to_dict())
-
-    @pytest.mark.parametrize("failing", ["minus", "plus"])
-    def test_scan_exception_arrives_and_child_is_reaped(self, monkeypatch, antiplane,
-                                                        noneq_pair, forks, failing):
-        # the child scans F-, this process F+; either failure arrives with
-        # its type and message, and the child is reaped in both cases
-        monkeypatch.setattr(jumps, "PARALLEL_SCAN_INCREMENTS", 1)
-        real_scan = jumps.weierstrass_scan
-        bad = noneq_pair.fm if failing == "minus" else noneq_pair.fp
-
-        def weierstrass_scan(model, f, radii, resolution):
-            if np.array_equal(f, bad):
-                raise gj.NonconvergenceError(f"scan at {failing} failed")
-            return real_scan(model, f, radii, resolution)
-
-        monkeypatch.setattr(jumps, "weierstrass_scan", weierstrass_scan)
-        with pytest.raises(gj.NonconvergenceError, match=f"scan at {failing} failed"):
-            gj.diagnose(antiplane, noneq_pair, scan_resolution=8)
-        assert len(forks) == 1
-        assert_no_child_left()
+    def test_value_only_model_reports_the_grid(self):
+        model = ValueOnlyQuadratic(1, 2)
+        pair = gj.InterfacePair.from_gradients([[1.0, 0.0]], [[2.0, 0.0]])
+        diag = gj.diagnose(model, pair, scan_resolution=8).to_dict()
+        assert diag["weierstrass_method"] == "grid"
+        assert diag["weierstrass_min_plus"] >= -1e-10
