@@ -82,9 +82,9 @@ def _horner(coeffs, x: float) -> float:
 
 
 def _bracket_roots(coeffs, knots) -> list:
-    """Ascending points bracketing the roots of a polynomial that is
-    monotone between consecutive ``knots`` (ascending): each knot where it
-    is 0, and around each sign change between two knots the adjacent
+    """Ascending distinct points bracketing the roots of a polynomial that
+    is monotone between consecutive ``knots`` (ascending): each knot where
+    it is 0, and around each sign change between two knots the adjacent
     floats that bisection ends on."""
     found = []
     for a, b in zip(knots, knots[1:]):
@@ -101,7 +101,8 @@ def _bracket_roots(coeffs, knots) -> list:
                 else:
                     b = mid
             found += [a, b]
-    return found
+    # a knot where it is 0 ends one interval and starts the next
+    return sorted(set(found))
 
 
 def _poly_candidates(coeffs, lo: float, hi: float) -> list:
@@ -111,9 +112,15 @@ def _poly_candidates(coeffs, lo: float, hi: float) -> list:
 
     Each derivative is monotone between consecutive roots of the next one,
     so the roots are found from the linear derivative up to the first, by
-    bisection on Python floats; no eigenvalue or SVD routine runs.
+    bisection on Python floats; no eigenvalue or SVD routine runs.  The
+    trailing zero coefficients are dropped first, so that no derivative in
+    the chain is identically 0 and each level has at most two points per
+    root of a polynomial of its degree.
     """
-    chain = [list(coeffs)]
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0.0:
+        coeffs.pop()
+    chain = [coeffs]
     while len(chain[-1]) > 2:
         chain.append([k * c for k, c in enumerate(chain[-1])][1:])
     knots = []

@@ -30,11 +30,6 @@ from .tensors import (
 )
 
 
-def _sq_norm(values) -> float:
-    """The sum of squares of a list of Python floats."""
-    return sum(x * x for x in values)
-
-
 @dataclass(frozen=True)
 class InterfacePair:
     """Compatible pair (F+, F-) with shear vector a and unit normal n.
@@ -58,18 +53,16 @@ class InterfacePair:
         object.__setattr__(self, "fm", fm)
         object.__setattr__(self, "a", a)
         object.__setattr__(self, "n", n)
-        # squares summed on Python floats: inf or NaN where they overflow,
-        # with no numpy warning
-        fp_l, fm_l = fp.ravel().tolist(), fm.ravel().tolist()
-        jump_l = [p - q for p, q in zip(fp_l, fm_l)]
-        sq = [_sq_norm(x) for x in (fp_l, fm_l, a.tolist(), jump_l)]
-        if not all(map(math.isfinite, sq)):
+        with np.errstate(over="ignore", invalid="ignore"):
+            jump = fp - fm
+            norms = [float(np.linalg.norm(x)) for x in (fp, fm, a, jump)]
+            resid = float(np.linalg.norm(jump - np.outer(a, n)))
+        if not all(map(math.isfinite, norms)):
             raise ValueError(
-                "the pair overflows double precision: |F+|^2, |F-|^2, |a|^2 and "
-                "|F+ - F-|^2 are " + ", ".join(f"{x:.3g}" for x in sq)
+                "the pair overflows double precision: |F+|, |F-|, |a| and "
+                "|F+ - F-| are " + ", ".join(f"{x:.3g}" for x in norms)
             )
-        resid = math.sqrt(_sq_norm((fp - fm - np.outer(a, n)).ravel().tolist()))
-        if resid > self.tol * max(math.sqrt(sq[3]), 1e-300):
+        if resid > self.tol * max(norms[3], 1e-300):
             raise DimensionError(
                 f"(F+ - F-) - a(x)n residual {resid:.3e} exceeds tolerance"
             )

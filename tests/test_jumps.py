@@ -301,6 +301,17 @@ class TestExactMinimum:
         again = gj.weierstrass_scan(model, f, shuffled, 64)
         assert repr(again.to_dict()) == repr(scan.to_dict())
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_trailing_zero_coefficients_change_nothing(self, d):
+        # an identically zero derivative, kept in the chain, would double the
+        # points that bracket roots at each level: 60 zeros, about 2^59
+        f = 0.1 * np.eye(d)
+        radii = gj.default_radii(2.0)
+        base = gj.weierstrass_scan(_iso(d, 1.0), f, radii)
+        padded = gj.weierstrass_scan(_iso(d, 1.0, (1.0, 0.0, -2.0, 0.0, 1.0) + (0.0,) * 60),
+                                     f, radii)
+        assert repr(padded.to_dict()) == repr(base.to_dict())
+
     def test_bench_3d_minima(self):
         # bench/configs/scan_3d.json at its default radii
         model = _iso(3, 1.0)
