@@ -198,12 +198,16 @@ def cmd_scan(cfg: RunConfig):
     resolution, radii = cfg.scan_settings(model.d)
     results = []
     any_unstable = False
-    for point in points:
+    for i, point in enumerate(points):
+        with np.errstate(over="ignore", invalid="ignore"):
+            energy = model.value(point)
+        if not np.isfinite(energy):
+            raise ConfigError(f"point {i}: the energy there is not finite ({energy})")
         grid = radii
         if grid is None:
             grid = default_radii(1.0 + float(np.linalg.norm(point)))
         scan = weierstrass_scan(model, point, grid, resolution)
-        stable = scan.min_value >= -1e-12 * (1.0 + abs(model.value(point)))
+        stable = scan.min_value >= -1e-12 * (1.0 + abs(energy))
         any_unstable |= not stable
         results.append(
             {"point": point.tolist(), "stable": stable, **scan.to_dict()}

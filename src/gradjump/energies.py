@@ -490,9 +490,19 @@ class AntiplaneDoubleWell(MinQuadraticsEnergy):
         self.params = params
 
 
+#: the most coefficients f may have: its Taylor coefficients f^(j) / j!
+#: divide by j!, which no float holds above j = 170
+MAX_F_COEFFS = 171
+
+
 @dataclass(frozen=True)
 class IsotropicParams:
-    """Volumetric double well f(theta) plus a deviatoric quadratic penalty."""
+    """Volumetric double well f(theta) plus a deviatoric quadratic penalty.
+
+    Trailing zero coefficients of f are dropped, so they change nothing.
+    Raises ValueError when f has more than MAX_F_COEFFS coefficients after
+    that, since its Taylor coefficients cannot be formed.
+    """
 
     d: int
     mu: float
@@ -503,20 +513,28 @@ class IsotropicParams:
             raise ValueError("d must be at least 1")
         if self.mu < 0.0:
             raise ValueError("mu must be nonnegative")
-        object.__setattr__(self, "f_coeffs", tuple(float(c) for c in self.f_coeffs))
+        coeffs = [float(c) for c in self.f_coeffs]
+        while len(coeffs) > 1 and coeffs[-1] == 0.0:
+            coeffs.pop()
+        if len(coeffs) > MAX_F_COEFFS:
+            raise ValueError(
+                f"f_coeffs has degree {len(coeffs) - 1}, above {MAX_F_COEFFS - 1}: "
+                "its Taylor coefficients f^(j) / j! cannot be formed in double precision"
+            )
+        object.__setattr__(self, "f_coeffs", tuple(coeffs))
 
     def f(self, theta):
         return np.polynomial.polynomial.polyval(theta, self.f_coeffs)
 
     @functools.cached_property
     def _derivatives(self) -> tuple:
-        """Coefficients of f^(j) for j = 0 .. len(f_coeffs) - 1, built once."""
+        """Coefficients of f^(j) for j = 0 .. max(len(f_coeffs) - 1, 1),
+        built once."""
         poly = np.polynomial.polynomial
-        return tuple(poly.polyder(self.f_coeffs, j) for j in range(len(self.f_coeffs)))
+        return tuple(poly.polyder(self.f_coeffs, j) for j in range(max(len(self.f_coeffs), 2)))
 
     def f_prime(self, theta):
-        dcoef = np.polynomial.polynomial.polyder(self.f_coeffs)
-        return np.polynomial.polynomial.polyval(theta, dcoef)
+        return np.polynomial.polynomial.polyval(theta, self._derivatives[1])
 
     def taylor(self, theta: float) -> np.ndarray:
         """Coefficients c_j = f^(j)(theta) / j! of f(theta + x) = sum_j c_j x^j."""

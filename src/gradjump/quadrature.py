@@ -1,10 +1,25 @@
-"""Stratified Monte Carlo for the interchange energy increment.
+"""Cubature and stratified Monte Carlo for the interchange energy increment.
 
 The increment Delta E(t, h) = int_B [ W(Fbar + t grad Phi) - W(Fbar) ] dz is
 split into the interface-linear part, which integrates exactly to
 -t N int_Pi Phi dS by the divergence theorem (the two-sided stress is
 piecewise constant and Phi vanishes on the sphere), plus a pointwise-excess
-remainder estimated stochastically.  The remainder integrand is supported on
+remainder.
+
+For the isotropic kind the excess is a polynomial in the field gradient,
+smooth on every piece of the field, and the remainder is integrated by a
+deterministic piecewise product Gauss rule (``_cubature``): f(z) + f(-z)
+over the half ball s_n > 0, with the pieces split where the cutoffs kink
+and sine substitutions at the square-root ends of the pieces
+(``_half_disk_rule``).  In d = 3 the core |z| < 1 - sqrt(h), where the
+field does not depend on w, adds its value times the chord, and the shell
+takes Gauss nodes in w = rho sinh(u).  The error bar is the distance to a
+coarser rule.  Seed, sampler and budgets play no part there, and a sweep of
+such estimates runs in one process.  Every other kind is sampled as below,
+since where the two-well kinds switch wells a rule converges only
+algebraically.
+
+The sampled remainder integrand is supported on
 thin sets, so sampling uses a deterministic mixture of uniform proposals:
 the whole ball, an |z.n| <= h slab, an |z.nu| <= sqrt(h) strip, their corner
 overlap, and the |z| >= 1 - sqrt(h) shell.  Mirrored (antithetic) pairs
@@ -56,7 +71,7 @@ instead of mapping fresh pages on every call.  rqmc carries each batch's
 row-order sum from block to block and mc writes every block into one
 array per stratum, so the totals do not depend on the block size.
 
-A sweep runs on two processes: ``limit_sweep`` forks one child
+A sampled sweep runs on two processes: ``limit_sweep`` forks one child
 (``forking._fork_stream``) that estimates every other h of the grid,
 grid[1::2], in grid order and sends each result back through a pipe as
 soon as it has it, while this process estimates grid[0::2].  The parent
@@ -82,7 +97,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energies import EnergyModel
+from .energies import EnergyModel, IsotropicThetaEnergy
 from .errors import GradJumpError, NonconvergenceError, QuadratureError
 from .forking import _ForkStream, _fork_stream
 from .interchange import (
@@ -107,6 +122,10 @@ N_SCRAMBLES = 8
 #: pairs per call of a pass's pair estimator; at d <= 3 each (rows, d)
 #: temporary of a block stays under 128 KiB, glibc's default mmap threshold
 _BLOCK_ROWS = 4096
+
+#: Gauss nodes per axis (s_n and s_nu, w) of the isotropic kind's cubature
+#: and of the coarser rule whose distance from it is the error bar
+_CUBATURE_RULES = ((16, 6), (12, 4))
 
 #: Sobol direction numbers of dimensions 1-3 at 30 bits (Joe and Kuo,
 #: "Constructing Sobol sequences with better two-dimensional projections",
@@ -179,11 +198,14 @@ def interface_profile(h: float, d: int) -> float:
     raise ValueError("interface profile supports d = 2 or 3")
 
 
-@functools.lru_cache(maxsize=1)
-def _gauss_legendre():
-    """32-point Gauss-Legendre nodes and weights on [-1, 1], built on first
-    use: numpy.polynomial costs a few ms to import."""
-    return np.polynomial.legendre.leggauss(32)
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(n: int = 32):
+    """n-point Gauss-Legendre nodes and weights on [-1, 1], as read-only
+    arrays built on first use: numpy.polynomial costs a few ms to import."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
 
 
 class _BoxStratum:
@@ -268,6 +290,7 @@ class VariationResult:
     h: float
     t: float
     n_evals: int
+    method: str  # "cubature", "rqmc" or "mc"
 
     def to_dict(self) -> dict:
         return {
@@ -276,6 +299,7 @@ class VariationResult:
             "h": self.h,
             "t": self.t,
             "n_evals": self.n_evals,
+            "method": self.method,
         }
 
 
@@ -505,6 +529,133 @@ def _energy_estimate(fld: InterchangeField, quad: QuadratureConfig, integrand) -
     return _Estimate(fld, quad, pair_estimates)
 
 
+@functools.lru_cache(maxsize=4)
+def _sine_gauss(n: int):
+    """The n-point Gauss rule on [-1, 1] after the substitution
+    x = sin(pi u / 2): read-only nodes and weights for an integrand with
+    square-root ends, which the substitution makes smooth."""
+    t, w = _gauss_legendre(n)
+    theta = 0.5 * math.pi * t
+    rule = np.sin(theta), 0.5 * math.pi * w * np.cos(theta)
+    for arr in rule:
+        arr.setflags(write=False)
+    return rule
+
+
+def _chord(radius: float, x: np.ndarray) -> np.ndarray:
+    """sqrt(radius^2 - x^2), factored against cancellation near |x| = radius."""
+    ax = np.abs(x)
+    return np.sqrt((radius - ax) * (radius + ax))
+
+
+def _half_disk_rule(h: float, n: int):
+    """(s_n, s_nu, weights) of a piecewise product rule over the part of
+    the half disk s_n > 0, s_n^2 + s_nu^2 < 1 where the field can move.
+
+    The pieces are iterated, s_nu outside and s_n inside, with n
+    sine-substituted Gauss nodes per axis on each.  For s_nu > 0 (the fold
+    keeps z) the field moves only in the slab s_n < h, where phi kinks at
+    s_n = h; for s_nu < 0 (the fold mirrors z) phi is 1 and does not kink.
+    So s_n splits at h on the s_nu > 0 side, which it also tops, and on
+    both sides at the circle rho = 1 - sqrt(h), where zeta kinks; its top
+    is the circle rho = 1.  s_nu splits at 0, at +-sqrt(h), where rho
+    kinks, at +-(1 - sqrt(h)) and +-1, where the circles meet s_n = 0, and
+    for s_nu > 0 where they meet s_n = h.  Within a piece the s_n knots
+    keep their order, and each square-root end, where a circle meets an
+    axis, is an end of a piece.
+    """
+    sh = math.sqrt(h)
+    r1 = 1.0 - sh
+    x, wx = _sine_gauss(n)
+    both_sides = (sh, r1, 1.0)
+    slab_side = [float(_chord(1.0, h))] + ([float(_chord(r1, h))] if h < r1 else [])
+    edges = sorted({0.0, *both_sides, *(-c for c in both_sides), *slab_side})
+    s_n, s_nu, weights = [], [], []
+    for a, b in zip(edges, edges[1:]):
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        nu = mid + half * x
+        # (value at mid, value at each node) of every s_n knot
+        top = float(_chord(1.0, mid))
+        knots = [(0.0, np.zeros(n)), (top, _chord(1.0, nu))]
+        if abs(mid) < r1:
+            knots.append((float(_chord(r1, mid)), _chord(r1, nu)))
+        if mid > 0.0:
+            knots.append((h, np.full(n, h)))
+            top = min(h, top)
+        ends = [at for at_mid, at in sorted(knots, key=lambda k: k[0]) if at_mid <= top]
+        for lo, hi in zip(ends, ends[1:]):
+            centre, half_n = 0.5 * (lo + hi), 0.5 * (hi - lo)
+            s_n.append((centre[:, None] + half_n[:, None] * x).ravel())
+            s_nu.append(np.repeat(nu, n))
+            weights.append(((half * wx * half_n)[:, None] * wx).ravel())
+    return np.concatenate(s_n), np.concatenate(s_nu), np.concatenate(weights)
+
+
+def _cubature(fld: InterchangeField, integrand, n: int, n_w: int):
+    """(integral, evaluations) of the excess over the ball by a
+    deterministic rule with n nodes per axis in s_n and s_nu and n_w in w.
+
+    ``integrand`` is ``_excess_integrand``'s: f(z) and f(-z) from the frame
+    gradient at z.  Their sum over the half ball s_n > 0 is the integral
+    over the ball.  In d = 3 each node (s_n, s_nu) of ``_half_disk_rule``,
+    at rho^2 = s_n^2 + s_nu^2, adds the core |z| < 1 - sqrt(h), where the
+    field does not depend on w, as its value at w = 0 times the chord
+    2 sqrt((1 - sqrt(h))^2 - rho^2) (0 outside the core's disk), and the
+    shell on either side of it, out to |w| = sqrt(1 - rho^2).  The shell
+    takes Gauss nodes in u, w = rho sinh(u), which keeps the branch points
+    of |z| at w = +-i rho a distance pi/2 from the real axis: n_w nodes on
+    each part of the u interval, split into equal parts of length <= 1
+    (one part for h below about 0.12).  Nodes are evaluated in blocks of at
+    most _BLOCK_ROWS rows.
+    """
+    h, d = fld.h, fld.pair.d
+    s_n, s_nu, weights = _half_disk_rule(h, n)
+    per_node = 1
+    if d == 3:
+        r1 = 1.0 - math.sqrt(h)
+        rho2 = s_n * s_n + s_nu * s_nu
+        rho = np.sqrt(rho2)
+        core = np.sqrt(np.maximum(r1 * r1 - rho2, 0.0))
+        u_lo = np.arcsinh(core / rho)
+        u_span = np.arcsinh(np.sqrt(np.maximum(1.0 - rho2, 0.0)) / rho) - u_lo
+        parts = max(1, math.ceil(float(np.max(u_span))))
+        t, wt = _gauss_legendre(n_w)
+        u_unit = ((np.arange(parts)[:, None] + 0.5 * (1.0 + t)) / parts).ravel()
+        u_weights = np.tile(0.5 * wt / parts, parts)
+        n_shell = u_unit.size
+        per_node += 2 * n_shell
+        core_weights = 2.0 * weights * core
+        # dw = rho cosh(u) du
+        shell_weights = weights * u_span * rho
+    total, rows = 0.0, 0
+    step = _BLOCK_ROWS // per_node
+    for i in range(0, s_n.size, step):
+        part = slice(i, i + step)
+        m = min(step, s_n.size - i)
+        # per node: the core at w = 0, then the shell at w > 0 and at w < 0
+        coords = np.empty((m, per_node, d))
+        coords[:, :, 0] = s_n[part, None]
+        coords[:, :, 1] = s_nu[part, None]
+        wts = np.empty((m, per_node))
+        if d == 3:
+            u = u_lo[part, None] + u_span[part, None] * u_unit
+            w = rho[part, None] * np.sinh(u)
+            coords[:, 0, 2] = 0.0
+            coords[:, 1:1 + n_shell, 2] = w
+            coords[:, 1 + n_shell:, 2] = -w
+            wts[:, 0] = core_weights[part]
+            wts[:, 1:1 + n_shell] = shell_weights[part, None] * u_weights * np.cosh(u)
+            wts[:, 1 + n_shell:] = wts[:, 1:1 + n_shell]
+        else:
+            wts[:, 0] = weights[part]
+        coords = coords.reshape(-1, d)
+        g = _mirrored_gradient(coords, _radius(coords), h)
+        f_z, f_mirror = integrand(coords, g)
+        total += float(wts.reshape(-1) @ (f_z + f_mirror))
+        rows += coords.shape[0]
+    return total, 2 * rows
+
+
 def estimate_region_measures(pair: InterfacePair, params: InterchangeParams) -> dict:
     """Monte Carlo measures of the four gradient-support regions.
 
@@ -533,6 +684,16 @@ def estimate_region_measures(pair: InterfacePair, params: InterchangeParams) -> 
 
     mean, err, _ = _Estimate(fld, params.quad, pair_estimates).total()
     return {k: (float(mean[j]), float(err[j])) for j, k in enumerate(REGION_KEYS)}
+
+
+def _takes_cubature(model: EnergyModel) -> bool:
+    """Whether energy_increment integrates the model's excess by the
+    deterministic rule instead of sampling it: for the isotropic kind, whose
+    excess is a polynomial in the field gradient and so smooth on every
+    piece of the rule.  Where the two-well kinds switch wells a rule
+    converges only algebraically, and a value-only subclass's kernel is
+    unknown, so both keep sampling."""
+    return isinstance(model, IsotropicThetaEnergy)
 
 
 def _excess_integrand(model, pair, fld, t):
@@ -564,11 +725,17 @@ def energy_increment(
     """Estimate Delta E(t, h) for the interchange field of ``pair``.
 
     The interface-linear term is integrated exactly and used as a control
-    variate; the stochastic part only carries the pointwise excess, which
-    vanishes where the field gradient does.  Deterministic for a fixed
-    seed.  Raises QuadratureError if a configured error cap is exceeded.
-    ``_stream`` is the child of ``limit_sweep``: when it is given, the
-    estimate is the stream's next result, which the child computed whole.
+    variate; the rest only carries the pointwise excess, which vanishes
+    where the field gradient does.  For the isotropic kind
+    (``_takes_cubature``) the excess is integrated by the deterministic
+    rule, ``mc_error`` is its distance to the coarser rule and the
+    quadrature config's seed, sampler and budgets play no part; otherwise
+    it is sampled, deterministically for a fixed seed.  ``method`` says
+    which: "cubature", "rqmc" or "mc".  Raises QuadratureError if a
+    configured error cap is exceeded, if h is too small for double
+    precision or if the estimate is not finite.  ``_stream`` is the child
+    of ``limit_sweep``: when it is given, the estimate is the stream's next
+    result, which the child computed whole.
     """
     if _stream is not None:
         res = _stream.take()
@@ -580,14 +747,28 @@ def energy_increment(
     frak_n = frobenius(model.gradient(pair.fp) - model.gradient(pair.fm), np.outer(pair.a, pair.n))
     ff_exact = -frak_n * h * interface_profile(h, pair.d)
 
-    est = _energy_estimate(fld, params.quad, _excess_integrand(model, pair, fld, t))
-    mean, mc_error, n_evals = est.total()
+    integrand = _excess_integrand(model, pair, fld, t)
+    if _takes_cubature(model):
+        if not 1.0 - math.sqrt(h) < 1.0:
+            raise QuadratureError(
+                f"the shell 1 - sqrt(h) < |z| < 1 is empty at h = {h!r}: "
+                "h is too small for double precision"
+            )
+        (mean, n_evals), (coarse, n_coarse) = (
+            _cubature(fld, integrand, *nodes) for nodes in _CUBATURE_RULES
+        )
+        mc_error, n_evals, method = abs(mean - coarse), n_evals + n_coarse, "cubature"
+        if not (math.isfinite(mean) and math.isfinite(mc_error)):
+            raise QuadratureError(f"the estimate at h = {h!r} is not finite")
+    else:
+        mean, mc_error, n_evals = _energy_estimate(fld, params.quad, integrand).total()
+        method = params.quad.sampler
     delta_e, mc_error = t * ff_exact + float(mean), float(mc_error)
     if params.quad.max_error is not None and mc_error > params.quad.max_error:
         raise QuadratureError(
             f"mc_error {mc_error:.3e} exceeds cap {params.quad.max_error:.3e}"
         )
-    return VariationResult(delta_e, mc_error, h, t, n_evals)
+    return VariationResult(delta_e, mc_error, h, t, n_evals, method)
 
 
 @dataclass(frozen=True)
@@ -598,7 +779,8 @@ class SweepResult:
     values: np.ndarray
     errors: np.ndarray
     limit: float
-    limit_error: float
+    limit_error: float  # statistical: from the estimates' error bars
+    limit_model_error: float  # truncation: |L_k - L_(k-1)| for the fit order k
     slope: float
     curvature: float
     rate: float | None  # None when no remainder stands clear of the noise
@@ -606,6 +788,11 @@ class SweepResult:
     chi2_red: float
     fit_order: int
     n_evals: int  # integrand evaluations over the whole grid
+    method: str  # how each estimate was taken: "cubature", "rqmc" or "mc"
+
+    @property
+    def limit_total_error(self) -> float:
+        return math.hypot(self.limit_error, self.limit_model_error)
 
     def rows(self):
         return list(zip(self.h_grid, self.values, self.errors))
@@ -617,6 +804,8 @@ class SweepResult:
             "mc_errors": self.errors.tolist(),
             "limit": self.limit,
             "limit_error": self.limit_error,
+            "limit_model_error": self.limit_model_error,
+            "limit_total_error": self.limit_total_error,
             "slope": self.slope,
             "curvature": self.curvature,
             "rate": self.rate,
@@ -624,6 +813,7 @@ class SweepResult:
             "chi2_red": self.chi2_red,
             "fit_order": self.fit_order,
             "n_evals": self.n_evals,
+            "method": self.method,
         }
 
 
@@ -698,8 +888,18 @@ def limit_sweep(
     three-parameter fit L + C h^p and should sit near 1/2 (it is None,
     with its error, when no remainder stands clear of the noise).
 
+    ``limit_model_error`` is the truncation estimate |L_k - L_(k-1)|, the
+    shift of the limit between the chosen fit order k and the one below
+    it; ``limit_error`` carries only the estimates' error bars.
+
+    The estimates are sampled on two processes (see the module notes);
+    the isotropic kind's cubature (``_takes_cubature``) runs in this one.
+
     Raises NonconvergenceError when the fit residual exceeds ``chi2_cap``
-    or the rate fit fails.
+    or the rate fit fails.  The cap tests the fit against the sampling
+    noise, so it applies to sampled estimates only: a cubature's values
+    carry almost none, and their residual is truncation, which
+    ``limit_model_error`` reports.
     """
     h_grid = np.asarray(h_grid, dtype=float).reshape(-1)
     if h_grid.size < 4:
@@ -711,9 +911,12 @@ def limit_sweep(
     errors = np.empty_like(h_grid)
     n_evals = 0
     grid = [params.with_h(float(h)) for h in h_grid]
+    sampled = not _takes_cubature(model)
     # one child estimates grid[1::2] while this process estimates
     # grid[0::2]; energy_increment is called at each h, in grid order
-    stream = _fork_stream(functools.partial(energy_increment, model, pair), grid[1::2])
+    stream = None
+    if sampled:
+        stream = _fork_stream(functools.partial(energy_increment, model, pair), grid[1::2])
     try:
         for i, (h, params_h) in enumerate(zip(h_grid, grid)):
             res = energy_increment(model, pair, params_h, _stream=stream if i % 2 else None)
@@ -731,12 +934,12 @@ def limit_sweep(
         dof = h_grid.size - order
         return coef, cov, (chi2 / dof if dof > 0 else 0.0), dof
 
-    order = 3
-    coef, cov, chi2_red, dof = series_fit(order)
-    if chi2_red > 2.0:
-        order = 4
-        coef, cov, chi2_red, dof = series_fit(order)
-    if dof > 0 and chi2_red > chi2_cap:
+    fits = {order: series_fit(order) for order in (2, 3)}
+    order = 4 if fits[3][2] > 2.0 else 3
+    if order == 4:
+        fits[4] = series_fit(4)
+    coef, cov, chi2_red, dof = fits[order]
+    if sampled and dof > 0 and chi2_red > chi2_cap:
         raise NonconvergenceError(
             f"sqrt(h)-series fit does not describe the data: chi2/dof = {chi2_red:.2f}"
         )
@@ -747,8 +950,8 @@ def limit_sweep(
     rate, rate_error = _rate_fit(h_grid, values, sigma, limit, float(coef[1]))
 
     return SweepResult(
-        h_grid, values, errors, limit, limit_error,
-        float(coef[1]), float(coef[2]), rate, rate_error, chi2_red, order, n_evals,
+        h_grid, values, errors, limit, limit_error, abs(limit - float(fits[order - 1][0][0])),
+        float(coef[1]), float(coef[2]), rate, rate_error, chi2_red, order, n_evals, res.method,
     )
 
 

@@ -27,6 +27,8 @@ SWEEP = {
     "quadrature": SMALL_QUAD,
 }
 BENCH_CONFIGS = Path(__file__).resolve().parent.parent / "bench" / "configs"
+ISOTROPIC_3D = {"kind": "isotropic_theta_model", "d": 3,
+                "params": {"mu": 1.0, "f_coeffs": [1, 0, -2, 0, 1]}}
 ISOTROPIC = {
     "d": 1,
     "mu": 0.0,
@@ -420,6 +422,55 @@ class TestScan:
         code, _, _ = run(capsys, "scan", "--config", cfg)
         assert code == 2
 
+    def test_point_whose_energy_overflows(self, tmp_path, capsys):
+        # a finite point whose energy is not: no overflow warning, and no
+        # threshold of -inf that would call the point stable
+        payload = {"model": ISOTROPIC_3D, "points": [np.diag([1e153, 0.0, 0.0]).tolist()]}
+        cfg = write_config(tmp_path, payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(capsys, "scan", "--config", cfg)
+        assert code == 2
+        assert stdout == ""
+        assert "point 0" in error_line(err)
+
+
+class TestIsotropicCoefficients:
+    """Trailing zeros of f_coeffs change no output, and a polynomial whose
+    Taylor coefficients f^(j) / j! overflow is a config error."""
+
+    @staticmethod
+    def payload(command):
+        if command == "scan":
+            return {"model": ISOTROPIC_3D,
+                    "points": [(0.1 * np.eye(3)).tolist(), (0.3 * np.eye(3)).tolist()]}
+        name = "sweep_3d.json" if command == "sweep-h" else "scan_3d.json"
+        return json.loads((BENCH_CONFIGS / name).read_text())
+
+    @staticmethod
+    def with_coeffs(payload, coeffs):
+        model = dict(payload["model"], params=dict(payload["model"]["params"], f_coeffs=coeffs))
+        return dict(payload, model=model)
+
+    @pytest.mark.parametrize("command", ["sweep-h", "scan", "check"])
+    def test_trailing_zeros_change_nothing(self, tmp_path, capsys, command):
+        payload = self.payload(command)
+        coeffs = payload["model"]["params"]["f_coeffs"]
+        outputs = []
+        for zeros in (0, 180):
+            cfg = write_config(tmp_path, self.with_coeffs(payload, coeffs + [0.0] * zeros))
+            outputs.append(run(capsys, command, "--config", cfg))
+        assert outputs[0][1] and outputs[0][2] == ""
+        assert outputs[1] == outputs[0]
+
+    @pytest.mark.parametrize("command", ["sweep-h", "scan", "check"])
+    def test_degree_above_170_is_config_error(self, tmp_path, capsys, command):
+        cfg = write_config(tmp_path, self.with_coeffs(self.payload(command), [1.0] * 172))
+        code, stdout, err = run(capsys, command, "--config", cfg)
+        assert code == 2
+        assert stdout == ""
+        assert "f_coeffs" in error_line(err)
+
 
 class TestNumericFrontDoor:
     """Malformed numbers give exit 2 and one JSON error line naming the key."""
@@ -625,8 +676,6 @@ class TestScanGridCap:
     is a config error, found before the grid is allocated."""
 
     HUGE_RADII = {"lo": 0.001, "hi": 10.0, "num": 2**20}
-    ISOTROPIC_3D = {"kind": "isotropic_theta_model", "d": 3,
-                    "params": {"mu": 1.0, "f_coeffs": [1, 0, -2, 0, 1]}}
 
     @pytest.fixture
     def address_space_cap(self):

@@ -134,6 +134,40 @@ class TestIsotropic:
         assert len(calls) == 5  # one per j, at the first call
 
 
+    def test_gradient_reads_the_cached_derivative(self, monkeypatch, rng):
+        poly = np.polynomial.polynomial
+        params = gj.IsotropicParams(3, 0.8, (0.5, -1.0, -2.0, 0.3, 1.0))
+        model = gj.IsotropicThetaEnergy(params)
+        fs = rng.normal(size=(4, 3, 3))
+        # f'(theta) as it was formed at every call, bit for bit
+        expected = [
+            float(poly.polyval(np.trace(f), poly.polyder(params.f_coeffs))) * np.eye(3)
+            + 2.0 * params.mu * (0.5 * (f + f.T) - np.trace(f) / 3.0 * np.eye(3))
+            for f in fs
+        ]
+        model.gradient(fs[0])  # builds the derivatives
+        calls = []
+        real = poly.polyder
+        monkeypatch.setattr(poly, "polyder", lambda *a: calls.append(a) or real(*a))
+        for f, grad in zip(fs, expected):
+            assert np.array_equal(model.gradient(f), grad)
+        assert calls == []
+        # a constant f has f' = 0 too
+        assert gj.IsotropicParams(2, 1.0, (3.0,)).f_prime(0.7) == 0.0
+
+    def test_trailing_zero_coefficients_are_dropped(self):
+        coeffs = (1.0, 0.0, -2.0, 0.0, 1.0)
+        assert gj.IsotropicParams(2, 1.0, coeffs + (0.0,) * 180).f_coeffs == coeffs
+        assert gj.IsotropicParams(2, 1.0, (0.0, -0.0)).f_coeffs == (0.0,)
+
+    def test_taylor_coefficients_up_to_degree_170(self):
+        # 170! is the largest factorial a float holds
+        taylor = gj.IsotropicParams(2, 1.0, [0.0] * 170 + [1.0]).taylor(1.0)
+        assert taylor[-1] == pytest.approx(1.0, rel=1e-12) and np.all(np.isfinite(taylor))
+        with pytest.raises(ValueError, match="f_coeffs"):
+            gj.IsotropicParams(2, 1.0, [0.0] * 171 + [1.0])
+
+
 class TestGradientChecks:
     def test_analytic_matches_fd_everywhere_smooth(self, antiplane, quadratic, rng):
         models = [antiplane, quadratic, gj.QuadraticEnergy(2, 3, mu=0.7)]

@@ -287,7 +287,10 @@ class TestFusedPass:
 
     @pytest.mark.parametrize("sampler", ["rqmc", "mc"])
     @pytest.mark.parametrize("d", [2, 3])
-    def test_matches_two_evaluation_reference(self, d, sampler):
+    def test_matches_two_evaluation_reference(self, monkeypatch, d, sampler):
+        # energy_increment takes the isotropic kind of d = 3 by cubature;
+        # sampling it here keeps the sampled path under this reference
+        monkeypatch.setattr(quadrature, "_takes_cubature", lambda model: False)
         model, pair, params, fld, integrand = self.case(d, sampler)
         h, t = params.h, params.t
         p_plus, p_minus = model.gradient(pair.fp), model.gradient(pair.fm)
@@ -525,6 +528,127 @@ class TestEnergyIncrement:
         assert gaps[1] / gaps[0] == pytest.approx(0.5, abs=0.2)
 
 
+class TestCubature:
+    """The isotropic kind's Delta E by the deterministic piecewise Gauss rule."""
+
+    #: the bench's sweep_3d pair
+    SWEEP_3D = dict(
+        model=gj.IsotropicThetaEnergy(gj.IsotropicParams(3, 1.0, (1.0, 0.0, -2.0, 0.0, 1.0))),
+        pair=gj.InterfacePair.from_jump(0.1 * np.eye(3), [0.5, 0.2, 0.1], [1.0, 0.0, 0.0]),
+    )
+
+    @staticmethod
+    def general(d):
+        """An isotropic pair whose normal is no axis, with an explicit tangent
+        nu and every component of a nonzero."""
+        if d == 2:
+            n, nu, a = [0.6, 0.8], [-0.8, 0.6], [0.4, -0.3]
+            fm = 0.2 * np.eye(2) + [[0.0, 0.1], [0.05, 0.0]]
+        else:
+            n = np.array([0.48, -0.6, 0.64])
+            nu = np.cross(n, [0.3, 0.9, 0.1])
+            nu /= np.linalg.norm(nu)
+            a, fm = [0.5, -0.2, 0.3], 0.1 * np.eye(3) + np.arange(9).reshape(3, 3) / 180.0
+        model = gj.IsotropicThetaEnergy(gj.IsotropicParams(d, 0.8, (1.0, 0.3, -2.0, 0.1, 1.0)))
+        return model, gj.InterfacePair.from_jump(fm, a, n), nu
+
+    @pytest.mark.parametrize("t", [0.7, 1.0])
+    @pytest.mark.parametrize("h", [0.9, 0.5, 0.1, 0.0125, 1e-4])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_against_a_finer_rule(self, d, h, t):
+        # 24 nodes per axis in s_n and s_nu and 9 in w: 1.5 times the rule's
+        model, pair, nu = self.general(d)
+        params = gj.InterchangeParams(h=h, t=t, nu=nu)
+        res = gj.energy_increment(model, pair, params)
+        assert res.method == "cubature"
+        fld = InterchangeField(pair, params)
+        integrand = quadrature._excess_integrand(model, pair, fld, t)
+        nodes, n_w = quadrature._CUBATURE_RULES[0]
+        exact_part = res.delta_e - quadrature._cubature(fld, integrand, nodes, n_w)[0]
+        finer = exact_part + quadrature._cubature(fld, integrand, 3 * nodes // 2, 3 * n_w // 2)[0]
+        assert abs(res.delta_e - finer) <= 1e-8 * abs(finer)
+        assert res.mc_error >= abs(res.delta_e - finer)
+
+    @pytest.mark.parametrize(
+        "case, h, t, budget",
+        # 16 times the default budgets on the sweep_3d pair (about 1.7 s per
+        # estimate), 4 times on the general pairs; h = 0.5 splits the shell
+        [("sweep-3d", 0.1, 1.0, 16), ("sweep-3d", 0.0125, 1.0, 16),
+         (2, 0.05, 0.7, 4), (3, 0.5, 0.7, 4)],
+    )
+    def test_within_three_sigma_of_rqmc(self, monkeypatch, case, h, t, budget):
+        if case == "sweep-3d":
+            model, pair, nu = *self.SWEEP_3D.values(), None
+        else:
+            model, pair, nu = self.general(case)
+        quad = gj.QuadratureConfig(
+            seed=0, samples_bulk=budget * 32_768, samples_slab=budget * 262_144
+        )
+        params = gj.InterchangeParams(h=h, t=t, nu=nu, quad=quad)
+        cubature = gj.energy_increment(model, pair, params)
+        monkeypatch.setattr(quadrature, "_takes_cubature", lambda model: False)
+        rqmc = gj.energy_increment(model, pair, params)
+        assert rqmc.method == "rqmc"
+        assert abs(cubature.delta_e - rqmc.delta_e) <= 3.0 * rqmc.mc_error
+
+    def test_seed_sampler_and_budgets_change_nothing(self):
+        base = gj.energy_increment(**self.SWEEP_3D, params=gj.InterchangeParams(h=0.05))
+        quad = gj.QuadratureConfig(seed=7, samples_bulk=2048, samples_slab=4096,
+                                   stratification=("slab",), sampler="mc")
+        other = gj.energy_increment(**self.SWEEP_3D, params=gj.InterchangeParams(h=0.05, quad=quad))
+        assert repr(other.to_dict()) == repr(base.to_dict())
+
+    def test_blocks_stay_within_the_block_rows(self, monkeypatch):
+        rows = []
+        real = quadrature._mirrored_gradient
+
+        def gradient(coords, r, h):
+            rows.append(coords.shape[0])
+            return real(coords, r, h)
+
+        monkeypatch.setattr(quadrature, "_mirrored_gradient", gradient)
+        res = gj.energy_increment(**self.SWEEP_3D, params=gj.InterchangeParams(h=0.05))
+        assert max(rows) <= quadrature._BLOCK_ROWS
+        assert 2 * sum(rows) == res.n_evals
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_too_small_h_is_a_quadrature_error(self, d):
+        model, pair, nu = self.general(d)
+        with pytest.raises(gj.QuadratureError, match="too small"):
+            gj.energy_increment(model, pair, gj.InterchangeParams(h=1e-100, nu=nu))
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_sweep_runs_in_one_process(self, monkeypatch, cpus):
+        # one energy_increment call per h, in grid order, whose n_evals add
+        # up to the sweep's, as the bench tracer reads them; no fork
+        monkeypatch.setattr(forking, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(os, "fork", _no_fork)
+        real = quadrature.energy_increment
+        calls = []
+
+        def energy_increment(model, pair, params_h, **kwargs):
+            res = real(model, pair, params_h, **kwargs)
+            calls.append((params_h.h, res.n_evals, res.method))
+            return res
+
+        monkeypatch.setattr(quadrature, "energy_increment", energy_increment)
+        grid = [0.1, 0.05, 0.025, 0.0125]
+        sweep = quadrature.limit_sweep(**self.SWEEP_3D, params=gj.InterchangeParams(h=0.1),
+                                       h_grid=grid)
+        assert [h for h, _, _ in calls] == grid
+        assert sum(n for _, n, _ in calls) == sweep.n_evals
+        assert {m for _, _, m in calls} == {"cubature"} and sweep.method == "cubature"
+
+    def test_no_chi2_cap_on_exact_values(self):
+        # the residual of exact values is truncation, which the cap would
+        # reject as a misfit on every grid of five or more points
+        grid = [0.1 * 2.0**-k for k in range(6)]
+        sweep = gj.limit_sweep(**self.SWEEP_3D, params=gj.InterchangeParams(h=0.1), h_grid=grid)
+        assert sweep.chi2_red > 25.0
+        target = gj.interchange_limit_target(**self.SWEEP_3D)
+        assert abs(sweep.limit - target) <= 2.0 * sweep.limit_total_error
+
+
 class TestRateFit:
     """The three-parameter fallback of the rate fit, taken when at most two
     remainders stand clear of the noise."""
@@ -614,6 +738,26 @@ class TestLimitSweep:
         # leading order h * omega_2 / 2 with O(h^{3/2}) relative-sqrt(h) defect
         assert est == pytest.approx(h * np.pi / 2.0, rel=0.35)
         assert est == pytest.approx(measures["R_minus"][0])
+
+    @pytest.mark.parametrize("case", ["criterion-1", "sweep-3d"])
+    def test_limit_total_error_covers_the_target(self, antiplane, noneq_pair, case):
+        # the pinned grid's truncation, which limit_error alone leaves out:
+        # on the sweep_3d pair the cubature's limit_error is below 1e-4
+        # while the limit sits 1.1e-3 from the target
+        if case == "criterion-1":
+            model, pair, quad = antiplane, noneq_pair, gj.QuadratureConfig(seed=0)
+        else:
+            model, pair, quad = *TestCubature.SWEEP_3D.values(), gj.QuadratureConfig(seed=0)
+        params = gj.InterchangeParams(h=0.1, quad=quad)
+        sweep = gj.limit_sweep(model, pair, params, [0.1, 0.05, 0.025, 0.0125])
+        assert sweep.method == ("rqmc" if case == "criterion-1" else "cubature")
+        target = gj.interchange_limit_target(model, pair)
+        assert abs(sweep.limit - target) <= 2.0 * sweep.limit_total_error
+        d = sweep.to_dict()
+        assert d["limit_total_error"] == math.hypot(d["limit_error"], d["limit_model_error"])
+        assert d["method"] == sweep.method
+        if case == "sweep-3d":
+            assert sweep.limit_error < 1e-4 < 1e-3 < abs(sweep.limit - target)
 
     def test_rows_and_dict(self, antiplane, noneq_pair):
         params = gj.InterchangeParams(h=0.1, quad=small_quad(seed=8))
@@ -876,6 +1020,11 @@ class TestSweepStream:
 
 class TestForkedMatchesSerial:
     """Forked and serial estimates carry the same bits."""
+
+    @pytest.fixture(autouse=True)
+    def sampled(self, monkeypatch):
+        """The isotropic kind of case(3) sampled: its cubature never forks."""
+        monkeypatch.setattr(quadrature, "_takes_cubature", lambda model: False)
 
     @staticmethod
     def both(monkeypatch, run):
