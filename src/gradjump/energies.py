@@ -400,7 +400,9 @@ class MinQuadraticsEnergy(EnergyModel):
         B_b = mu_b F - P and e_b = W_b(F) - W(F); it is least at the top
         singular pair of B_b (``_top_singular``), where u^T B_b v = -sigma_b,
         and at r = clip(sigma_b / mu_b, r_lo, r_hi).  The value is the least
-        over the branches, the first on a tie.  ``resolution`` plays no part.
+        over the branches, the first on a tie; a branch whose value is NaN
+        (one that overflows at F) decides it only if every branch's is.
+        ``resolution`` plays no part.
         """
         r_lo, r_hi = float(np.min(radii)), float(np.max(radii))
         best = None
@@ -412,7 +414,7 @@ class MinQuadraticsEnergy(EnergyModel):
                 sigma, u, v = _top_singular(mu * f - stress)
                 r = min(max(sigma / mu, r_lo), r_hi)
                 value = e_b - sigma * r + 0.5 * mu * r * r
-                if best is None or value < best[0]:
+                if best is None or value < best[0] or math.isnan(best[0]):
                     best = (value, u, v, r)
         return (*best, "exact")
 

@@ -6,18 +6,22 @@ split into the interface-linear part, which integrates exactly to
 piecewise constant and Phi vanishes on the sphere), plus a pointwise-excess
 remainder.
 
-For the isotropic kind the excess is a polynomial in the field gradient,
-smooth on every piece of the field, and the remainder is integrated by a
-deterministic piecewise product Gauss rule (``_cubature``): f(z) + f(-z)
-over the half ball s_n > 0, with the pieces split where the cutoffs kink
-and sine substitutions at the square-root ends of the pieces
-(``_half_disk_rule``).  In d = 3 the core |z| < 1 - sqrt(h), where the
-field does not depend on w, adds its value times the chord, and the shell
-takes Gauss nodes in w = rho sinh(u).  The error bar is the distance to a
-coarser rule.  Seed, sampler and budgets play no part there, and a sweep of
-such estimates runs in one process.  Every other kind is sampled as below,
-since where the two-well kinds switch wells a rule converges only
-algebraically.
+For the isotropic kind, and for the min-of-quadratics kinds in d = 2
+(``_takes_cubature``), the remainder is integrated by a deterministic
+piecewise product Gauss rule (``_cubature``): f(z) + f(-z) over the half
+ball s_n > 0, with the pieces split where the cutoffs kink and sine
+substitutions at the square-root ends of the pieces (``_half_disk_rule``).
+In d = 3 the core |z| < 1 - sqrt(h), where the field does not depend on w,
+adds its value times the chord, and the shell takes Gauss nodes in
+w = rho sinh(u).  The isotropic excess is a polynomial in the field
+gradient, smooth on every piece, and its error bar is the distance to one
+coarser rule (``_CUBATURE_RULES``).  Where the two-well kinds switch wells
+the rule converges only algebraically, so they take a finer rule and the
+larger distance to two coarser ones as the bar (``_TWO_WELL_RULES``).
+Seed, sampler and budgets play no part there, and a sweep of such
+estimates runs in one process.  Every other model (the two-well kinds in
+d = 3, a subclass whose rank-one kernel is not the built-in closed form) is
+sampled as below.
 
 The sampled remainder integrand is supported on
 thin sets, so sampling uses a deterministic mixture of uniform proposals:
@@ -97,7 +101,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energies import EnergyModel, IsotropicThetaEnergy
+from .energies import EnergyModel, IsotropicThetaEnergy, MinQuadraticsEnergy
 from .errors import GradJumpError, NonconvergenceError, QuadratureError
 from .forking import _ForkStream, _fork_stream
 from .interchange import (
@@ -126,6 +130,12 @@ _BLOCK_ROWS = 4096
 #: Gauss nodes per axis (s_n and s_nu, w) of the isotropic kind's cubature
 #: and of the coarser rule whose distance from it is the error bar
 _CUBATURE_RULES = ((16, 6), (12, 4))
+
+#: Gauss nodes per axis (s_n and s_nu) of the two-well kinds' cubature in
+#: d = 2 and of the two coarser rules whose larger distance from it is the
+#: error bar; where the wells switch the rule converges only algebraically,
+#: and the distance to one coarser rule can understate its error
+_TWO_WELL_RULES = ((64,), (48,), (32,))
 
 #: Sobol direction numbers of dimensions 1-3 at 30 bits (Joe and Kuo,
 #: "Constructing Sobol sequences with better two-dimensional projections",
@@ -190,8 +200,10 @@ def interface_profile(h: float, d: int) -> float:
                 u = 0.5 * (ub - ua) * nodes + 0.5 * (ua + ub)
                 r = sh + u * u
                 jacobian = (ub - ua) * u
-                # 4 (theta + (r / sh) (1 - sin theta)) with cos theta = sh / r
-                angular = 4.0 * (np.arccos(sh / r) + sh / (r + np.sqrt(r * r - h)))
+                # 4 (theta + (r / sh) (1 - sin theta)) with cos theta = sh / r;
+                # r^2 - h factored, as r * r - h can round below 0 near r = sh
+                root = np.sqrt(np.maximum((r - sh) * (r + sh), 0.0))
+                angular = 4.0 * (np.arccos(sh / r) + sh / (r + root))
             zeta = np.minimum(1.0, (1.0 - r) / sh)
             total += float(weights @ (jacobian * zeta * angular * r))
         return total
@@ -591,7 +603,7 @@ def _half_disk_rule(h: float, n: int):
     return np.concatenate(s_n), np.concatenate(s_nu), np.concatenate(weights)
 
 
-def _cubature(fld: InterchangeField, integrand, n: int, n_w: int):
+def _cubature(fld: InterchangeField, integrand, n: int, n_w: int | None = None):
     """(integral, evaluations) of the excess over the ball by a
     deterministic rule with n nodes per axis in s_n and s_nu and n_w in w.
 
@@ -688,12 +700,21 @@ def estimate_region_measures(pair: InterfacePair, params: InterchangeParams) -> 
 
 def _takes_cubature(model: EnergyModel) -> bool:
     """Whether energy_increment integrates the model's excess by the
-    deterministic rule instead of sampling it: for the isotropic kind, whose
-    excess is a polynomial in the field gradient and so smooth on every
-    piece of the rule.  Where the two-well kinds switch wells a rule
-    converges only algebraically, and a value-only subclass's kernel is
-    unknown, so both keep sampling."""
-    return isinstance(model, IsotropicThetaEnergy)
+    deterministic rule instead of sampling it.
+
+    It does for the isotropic kind, whose excess is a polynomial in the
+    field gradient and so smooth on every piece of the rule, and in d = 2
+    for every model whose kernel is the closed min-of-quadratics one (the
+    quadratic, min-of-quadratics and anti-plane two-well kinds).  Where
+    their wells switch the rule converges only algebraically, but at the
+    sizes of ``_TWO_WELL_RULES`` its error stays below the default
+    sampler's error bars at a seventh of the evaluations.  The decision
+    follows the kernel that runs: a subclass that replaces it, such as a
+    value-only model on the stack form, keeps sampling, and so do the
+    two-well kinds in d = 3."""
+    if isinstance(model, IsotropicThetaEnergy):
+        return True
+    return model.d == 2 and type(model).rank_one_excess is MinQuadraticsEnergy.rank_one_excess
 
 
 def _excess_integrand(model, pair, fld, t):
@@ -726,14 +747,15 @@ def energy_increment(
 
     The interface-linear term is integrated exactly and used as a control
     variate; the rest only carries the pointwise excess, which vanishes
-    where the field gradient does.  For the isotropic kind
-    (``_takes_cubature``) the excess is integrated by the deterministic
-    rule, ``mc_error`` is its distance to the coarser rule and the
-    quadrature config's seed, sampler and budgets play no part; otherwise
-    it is sampled, deterministically for a fixed seed.  ``method`` says
-    which: "cubature", "rqmc" or "mc".  Raises QuadratureError if a
-    configured error cap is exceeded, if h is too small for double
-    precision or if the estimate is not finite.  ``_stream`` is the child
+    where the field gradient does.  For the isotropic kind and the
+    min-of-quadratics kinds in d = 2 (``_takes_cubature``) the excess is
+    integrated by the deterministic rule, ``mc_error`` is its largest
+    distance to the kind's coarser rules (``_CUBATURE_RULES``,
+    ``_TWO_WELL_RULES``) and the quadrature config's seed, sampler and
+    budgets play no part; otherwise it is sampled, deterministically for a
+    fixed seed.  ``method`` says which: "cubature", "rqmc" or "mc".
+    Raises QuadratureError if a configured error cap is exceeded, if h is
+    too small for double precision or if the estimate is not finite.  ``_stream`` is the child
     of ``limit_sweep``: when it is given, the estimate is the stream's next
     result, which the child computed whole.
     """
@@ -754,10 +776,10 @@ def energy_increment(
                 f"the shell 1 - sqrt(h) < |z| < 1 is empty at h = {h!r}: "
                 "h is too small for double precision"
             )
-        (mean, n_evals), (coarse, n_coarse) = (
-            _cubature(fld, integrand, *nodes) for nodes in _CUBATURE_RULES
-        )
-        mc_error, n_evals, method = abs(mean - coarse), n_evals + n_coarse, "cubature"
+        rules = _CUBATURE_RULES if isinstance(model, IsotropicThetaEnergy) else _TWO_WELL_RULES
+        (mean, n_evals), *coarser = (_cubature(fld, integrand, *nodes) for nodes in rules)
+        mc_error = max(abs(mean - coarse) for coarse, _ in coarser)
+        n_evals, method = n_evals + sum(n for _, n in coarser), "cubature"
         if not (math.isfinite(mean) and math.isfinite(mc_error)):
             raise QuadratureError(f"the estimate at h = {h!r} is not finite")
     else:
@@ -892,8 +914,8 @@ def limit_sweep(
     shift of the limit between the chosen fit order k and the one below
     it; ``limit_error`` carries only the estimates' error bars.
 
-    The estimates are sampled on two processes (see the module notes);
-    the isotropic kind's cubature (``_takes_cubature``) runs in this one.
+    Sampled estimates are taken on two processes (see the module notes);
+    a cubature (``_takes_cubature``) runs in this one.
 
     Raises NonconvergenceError when the fit residual exceeds ``chi2_cap``
     or the rate fit fails.  The cap tests the fit against the sampling

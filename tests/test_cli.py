@@ -26,6 +26,9 @@ SWEEP = {
     "h_grid": [0.1, 0.05, 0.025, 0.0125],
     "quadrature": SMALL_QUAD,
 }
+#: the criterion-1 pair in d = 3, where the two-well kinds are sampled
+TWO_WELL_3D = {"model": dict(MODEL, d=3),
+               "pair": {"f_plus": [[1.0, 0.0, 0.0]], "f_minus": [[2.2, 0.0, 0.0]]}}
 BENCH_CONFIGS = Path(__file__).resolve().parent.parent / "bench" / "configs"
 ISOTROPIC_3D = {"kind": "isotropic_theta_model", "d": 3,
                 "params": {"mu": 1.0, "f_coeffs": [1, 0, -2, 0, 1]}}
@@ -131,10 +134,29 @@ class TestSweepH:
         assert (out1 / "sweep_h.csv").read_bytes() == (out2 / "sweep_h.csv").read_bytes()
 
     def test_seed_override_changes_samples(self, tmp_path, capsys):
-        cfg = write_config(tmp_path, self.payload())
+        # the two-well kinds are sampled in d = 3
+        payload = dict(self.payload(), **TWO_WELL_3D)
+        cfg = write_config(tmp_path, payload)
         _, s1, _ = run(capsys, "sweep-h", "--config", cfg)
         _, s2, _ = run(capsys, "sweep-h", "--config", cfg, "--seed", "99")
+        assert json.loads(s1)["method"] == "rqmc"
         assert json.loads(s1)["dE_over_h"] != json.loads(s2)["dE_over_h"]
+
+    def test_seed_sampler_and_budgets_change_nothing_in_2d(self, tmp_path, capsys):
+        # the 2-D two-well pair takes the cubature: only the summary's
+        # "seed" field can tell the runs apart
+        outputs = []
+        for seed, quad in ((3, SMALL_QUAD),
+                           (99, {"samples_bulk": 4096, "samples_slab": 16384,
+                                 "stratification": ["slab"], "sampler": "mc"})):
+            cfg = write_config(tmp_path, dict(self.payload(), seed=seed, quadrature=quad))
+            out = tmp_path / f"seed{seed}"
+            code, stdout, err = run(capsys, "sweep-h", "--config", cfg, "--out", str(out))
+            summary = json.loads(stdout)
+            assert code == 0 and err == "" and summary.pop("seed") == seed
+            outputs.append((summary, (out / "sweep_h.csv").read_bytes()))
+        assert outputs[0][0]["method"] == "cubature"
+        assert repr(outputs[1]) == repr(outputs[0])
 
     def test_csv_stdout_format(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.payload())
@@ -171,11 +193,15 @@ class TestSweepH:
         assert len(lines) == 1
         assert message in json.loads(lines[0])["error"]
 
-    @pytest.mark.parametrize("name", ["sweep_2d", "sweep_3d"])  # rqmc, mc
+    # the bench's sweeps take the cubature; the 3-D two-well pair is sampled
+    @pytest.mark.parametrize("name", ["sweep_2d", "sweep_3d", "two_well_3d"])
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_forked_and_serial_outputs_byte_identical(self, tmp_path, capsys, monkeypatch,
                                                       name, fmt):
-        payload = json.loads((BENCH_CONFIGS / f"{name}.json").read_text())
+        if name == "two_well_3d":
+            payload = dict(self.payload(), **TWO_WELL_3D, quadrature={})
+        else:
+            payload = json.loads((BENCH_CONFIGS / f"{name}.json").read_text())
         payload["quadrature"].update(SMALL_QUAD)
         cfg = write_config(tmp_path, payload)
         outputs = []
@@ -200,6 +226,17 @@ class TestSweepH:
         summary = json.loads(stdout)
         assert summary["rate"] is None and summary["rate_error"] is None
         assert summary["relative_gap"] is None
+
+    def test_two_well_3d_with_h_near_1(self, tmp_path, capsys):
+        # the interface profile is finite for h within rounding of 1
+        payload = dict(self.payload(), h_grid=[0.9999999999999999, 0.9, 0.5, 0.1],
+                       **TWO_WELL_3D)
+        cfg = write_config(tmp_path, payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(capsys, "sweep-h", "--config", cfg)
+        assert (code, err) == (0, "")
+        assert json.loads(stdout)["method"] == "rqmc"
 
     def test_too_small_h_is_one_error_line(self, tmp_path, capsys):
         # the shell stratum's measure 1 - (1 - sqrt(h))^d rounds to 0 here
@@ -433,6 +470,23 @@ class TestScan:
         assert code == 2
         assert stdout == ""
         assert "point 0" in error_line(err)
+
+
+    @pytest.mark.parametrize("branches", [[[1e300, 0.0], [1.0, 0.5]], [[1.0, 0.5], [1e300, 0.0]]])
+    def test_point_where_one_branch_overflows(self, tmp_path, capsys, branches):
+        # W = 5e19 on the finite branch, whose excess 0.5 r^2 at the smallest
+        # default radius decides in either order
+        payload = {"model": {"kind": "min_of_quadratics", "m": 2, "d": 2,
+                             "params": {"branches": branches}},
+                   "points": [[[1e10, 0.0], [0.0, 0.0]]]}
+        cfg = write_config(tmp_path, payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(capsys, "scan", "--config", cfg)
+        assert (code, err) == (0, "")
+        res = json.loads(stdout)["results"][0]
+        r_lo = float(gj.default_radii(1.0 + 1e10)[0])
+        assert (res["r"], res["min_value"]) == (r_lo, 0.5 * r_lo * r_lo)
 
 
 class TestIsotropicCoefficients:

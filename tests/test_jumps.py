@@ -367,11 +367,27 @@ class TestExactMinimum:
         assert scan.r == 0.5
 
     def test_overflowing_stress_gives_nan_not_a_traceback(self):
-        model = gj.MinQuadraticsEnergy(2, 2, [(1e300, 0.0), (1.0, 1e300)])
+        # every branch overflows at F, so no branch has a value
+        model = gj.MinQuadraticsEnergy(2, 2, [(1e300, 0.0), (1e300, 1.0)])
         f = np.array([[1e10, 0.0], [0.0, 0.0]])
         with np.errstate(over="ignore", invalid="ignore"):
             scan = gj.weierstrass_scan(model, f, [0.5, 1.0])
         assert not np.isfinite(scan.min_value)
+
+    @pytest.mark.parametrize("branches, r_lo, value", [
+        ([(1e300, 0.0), (1.0, 0.5)], 1e-3, 5e-7),
+        ([(1.0, 0.5), (1e300, 0.0)], 1e-3, 5e-7),
+        ([(1e300, 0.0), (1.0, 1e300)], 0.5, 0.125),
+    ])
+    def test_a_branch_that_overflows_does_not_decide(self, branches, r_lo, value):
+        # W(F) is finite on the mu = 1 branch, whose excess 0.5 r^2 is least
+        # at r_lo; the mu = 1e300 branch's value at F is NaN, first or second
+        model = gj.MinQuadraticsEnergy(2, 2, branches)
+        f = np.array([[1e10, 0.0], [0.0, 0.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scan = gj.weierstrass_scan(model, f, [r_lo, 1.0])
+        assert (scan.min_value, scan.r) == (value, r_lo)
 
 
 class TestNormalityGap:

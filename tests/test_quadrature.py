@@ -65,6 +65,15 @@ class TestInterfaceProfile:
         ref, _ = integrate.quad(integrand, 0.0, 1.0, points=(sh, 1.0 - sh), limit=200)
         assert interface_profile(h, 3) == pytest.approx(ref, rel=1e-9, abs=0.0)
 
+    def test_d3_finite_as_h_tends_to_1(self):
+        # r^2 - h, taken as r * r - h, rounded below 0 at the first nodes
+        # above r = sqrt(h) for h within about 6e-11 of 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = [interface_profile(1.0 - gap, 3) for gap in np.geomspace(1e-16, 0.5, 400)]
+        assert np.all(np.isfinite(values)) and min(values) > 0.0
+        assert interface_profile(0.9999999999999999, 3) == pytest.approx(1.0 / 3.0, rel=1e-6)
+
 
 class TestSobol:
     """The in-house scrambled Sobol sampler is scipy's, bit for bit."""
@@ -122,8 +131,10 @@ class TestScrambleCache:
 
     def test_forked_estimate_leaves_every_scramble_in_the_parent(self, monkeypatch):
         # the parent estimates the sweep's first h whole, so it builds and
-        # keeps every stratum's scrambles, as the child does its own
+        # keeps every stratum's scrambles, as the child does its own; the
+        # 2-D two-well pair is sampled here, as it is not by default
         monkeypatch.setattr(forking, "_usable_cpus", lambda: 2)
+        monkeypatch.setattr(quadrature, "_takes_cubature", lambda model: False)
         model, pair, params, _, _ = TestFusedPass.case(2, "rqmc")
         quadrature._sobol_scramble.cache_clear()
         gj.limit_sweep(model, pair, params, [0.1, 0.05, 0.025, 0.0125])
@@ -135,10 +146,11 @@ class TestScrambleCache:
         assert quadrature._sobol_scramble.cache_info().misses == info.misses
 
     def test_cli_sweep_cold_then_warm(self, tmp_path, capsys):
+        # the two-well kinds are sampled in d = 3
         config = tmp_path / "sweep.json"
         config.write_text(json.dumps({
-            "model": {"kind": "antiplane_double_well", "m": 1, "d": 2, "params": REF_PARAMS},
-            "pair": {"f_plus": [[1.0, 0.0]], "f_minus": [[2.2, 0.0]]},
+            "model": {"kind": "antiplane_double_well", "m": 1, "d": 3, "params": REF_PARAMS},
+            "pair": {"f_plus": [[1.0, 0.0, 0.0]], "f_minus": [[2.2, 0.0, 0.0]]},
             "h_grid": [0.1, 0.05, 0.025, 0.0125],
             "quadrature": {"samples_bulk": 2048, "samples_slab": 8192},
         }))
@@ -444,7 +456,7 @@ class TestEnergyIncrement:
         brute = float(np.sum((vals - wbar)[inside])) * (2.0 / n) ** 2
         assert res.delta_e == pytest.approx(brute, abs=5 * res.mc_error + 5e-4)
 
-    def test_value_only_model_runs_on_stack_form(self):
+    def test_value_only_model_runs_on_stack_form(self, monkeypatch):
         # a subclass that defines only value() has no closed-form kernel:
         # the base-class stack form serves the estimator and the scan
         model = ValueOnlyQuadratic(1, 2)
@@ -453,6 +465,9 @@ class TestEnergyIncrement:
         pair = gj.InterfacePair.from_jump([[0.4, -0.2]], [1.0], [1.0, 0.0])
         params = gj.InterchangeParams(h=0.05, quad=small_quad(seed=3))
         res = gj.energy_increment(model, pair, params)
+        # the stack form is sampled; the closed form, sampled too, on the same points
+        assert res.method == "rqmc"
+        monkeypatch.setattr(quadrature, "_takes_cubature", lambda model: False)
         ref = gj.energy_increment(quadratic, pair, params)
         # the central-difference stress of a quadratic is exact up to rounding
         assert res.delta_e == pytest.approx(ref.delta_e, rel=1e-6)
@@ -487,7 +502,9 @@ class TestEnergyIncrement:
         )
         assert r3.delta_e == r1.delta_e
 
-    def test_seed_changes_within_error_bars(self, antiplane, noneq_pair):
+    def test_seed_changes_within_error_bars(self, monkeypatch, antiplane, noneq_pair):
+        # the 2-D two-well pair, sampled as it is not by default
+        monkeypatch.setattr(quadrature, "_takes_cubature", lambda model: False)
         rs = [
             gj.energy_increment(
                 antiplane, noneq_pair,
@@ -592,11 +609,13 @@ class TestCubature:
         assert abs(cubature.delta_e - rqmc.delta_e) <= 3.0 * rqmc.mc_error
 
     def test_seed_sampler_and_budgets_change_nothing(self):
-        base = gj.energy_increment(**self.SWEEP_3D, params=gj.InterchangeParams(h=0.05))
-        quad = gj.QuadratureConfig(seed=7, samples_bulk=2048, samples_slab=4096,
-                                   stratification=("slab",), sampler="mc")
-        other = gj.energy_increment(**self.SWEEP_3D, params=gj.InterchangeParams(h=0.05, quad=quad))
-        assert repr(other.to_dict()) == repr(base.to_dict())
+        for case in (self.SWEEP_3D, TestTwoWellCubature.CRITERION_1):
+            base = gj.energy_increment(**case, params=gj.InterchangeParams(h=0.05))
+            quad = gj.QuadratureConfig(seed=7, samples_bulk=2048, samples_slab=4096,
+                                       stratification=("slab",), sampler="mc")
+            other = gj.energy_increment(**case, params=gj.InterchangeParams(h=0.05, quad=quad))
+            assert base.method == "cubature"
+            assert repr(other.to_dict()) == repr(base.to_dict())
 
     def test_blocks_stay_within_the_block_rows(self, monkeypatch):
         rows = []
@@ -607,9 +626,11 @@ class TestCubature:
             return real(coords, r, h)
 
         monkeypatch.setattr(quadrature, "_mirrored_gradient", gradient)
-        res = gj.energy_increment(**self.SWEEP_3D, params=gj.InterchangeParams(h=0.05))
-        assert max(rows) <= quadrature._BLOCK_ROWS
-        assert 2 * sum(rows) == res.n_evals
+        for case in (self.SWEEP_3D, TestTwoWellCubature.CRITERION_1):
+            rows.clear()
+            res = gj.energy_increment(**case, params=gj.InterchangeParams(h=0.05))
+            assert max(rows) <= quadrature._BLOCK_ROWS
+            assert 2 * sum(rows) == res.n_evals
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_too_small_h_is_a_quadrature_error(self, d):
@@ -633,11 +654,13 @@ class TestCubature:
 
         monkeypatch.setattr(quadrature, "energy_increment", energy_increment)
         grid = [0.1, 0.05, 0.025, 0.0125]
-        sweep = quadrature.limit_sweep(**self.SWEEP_3D, params=gj.InterchangeParams(h=0.1),
-                                       h_grid=grid)
-        assert [h for h, _, _ in calls] == grid
-        assert sum(n for _, n, _ in calls) == sweep.n_evals
-        assert {m for _, _, m in calls} == {"cubature"} and sweep.method == "cubature"
+        for case in (self.SWEEP_3D, TestTwoWellCubature.CRITERION_1):
+            calls.clear()
+            sweep = quadrature.limit_sweep(**case, params=gj.InterchangeParams(h=0.1),
+                                           h_grid=grid)
+            assert [h for h, _, _ in calls] == grid
+            assert sum(n for _, n, _ in calls) == sweep.n_evals
+            assert {m for _, _, m in calls} == {"cubature"} and sweep.method == "cubature"
 
     def test_no_chi2_cap_on_exact_values(self):
         # the residual of exact values is truncation, which the cap would
@@ -647,6 +670,97 @@ class TestCubature:
         assert sweep.chi2_red > 25.0
         target = gj.interchange_limit_target(**self.SWEEP_3D)
         assert abs(sweep.limit - target) <= 2.0 * sweep.limit_total_error
+
+
+class TestTwoWellCubature:
+    """The min-of-quadratics kinds' Delta E in d = 2 by the same rule, at
+    64 nodes per axis, with the larger distance to the 48- and 32-node
+    rules as the error bar."""
+
+    CRITERION_1 = dict(
+        model=gj.AntiplaneDoubleWell(gj.AntiplaneParams(**REF_PARAMS)),
+        pair=gj.InterfacePair.from_gradients([[1.0, 0.0]], [[2.2, 0.0]]),
+    )
+    H_GRID = [0.1, 0.05, 0.02, 0.0125, 0.005, 0.0025]
+
+    @staticmethod
+    def pairs():
+        """The Maxwell pair, the criterion-1 pair and four random two-well
+        pairs, F+ inside the stiff well and F- in the soft one."""
+        antiplane = TestTwoWellCubature.CRITERION_1["model"]
+        out = {
+            "maxwell": (antiplane, gj.InterfacePair.from_gradients([[1.0, 0.0]], [[2.0, 0.0]])),
+            "criterion-1": tuple(TestTwoWellCubature.CRITERION_1.values()),
+        }
+        rng = np.random.default_rng(18)
+        for k in range(4):
+            model = gj.AntiplaneDoubleWell(gj.AntiplaneParams(
+                rng.uniform(1.5, 3.0), rng.uniform(0.5, 1.2), 0.0, rng.uniform(0.5, 1.5)))
+            angles = rng.uniform(0.0, 2.0 * np.pi, 2)
+            f_plus, f_minus = (radius * np.array([np.cos(a), np.sin(a)]) for radius, a in
+                               zip((rng.uniform(0.3, 1.0), rng.uniform(1.5, 2.5)), angles))
+            out[f"random-{k}"] = (model, gj.InterfacePair.from_gradients([f_plus], [f_minus]))
+        return out
+
+    @pytest.mark.parametrize("t", [1.0, 0.7])
+    @pytest.mark.parametrize("name", ["maxwell", "criterion-1", *(f"random-{k}" for k in range(4))])
+    def test_error_bar_bounds_a_512_node_rule(self, name, t):
+        # where the wells switch the rule converges only algebraically, so
+        # the bar must bound its error, not just the step to a coarser rule
+        model, pair = self.pairs()[name]
+        for h in self.H_GRID:
+            params = gj.InterchangeParams(h=h, t=t)
+            res = gj.energy_increment(model, pair, params)
+            assert res.method == "cubature"
+            fld = InterchangeField(pair, params)
+            integrand = quadrature._excess_integrand(model, pair, fld, t)
+            exact_part = res.delta_e - quadrature._cubature(fld, integrand, 64)[0]
+            finer = exact_part + quadrature._cubature(fld, integrand, 512)[0]
+            assert res.mc_error >= abs(res.delta_e - finer), h
+
+    @pytest.mark.parametrize(
+        "h, t, budget",
+        # 16 times the default budgets at the larger h (about 1.5 s each)
+        [(0.1, 1.0, 16), (0.0125, 1.0, 4), (0.05, 0.1, 16), (0.0125, 0.1, 4)],
+    )
+    def test_within_three_sigma_of_rqmc(self, monkeypatch, h, t, budget):
+        # at t = 1 the rule's own error is not negligible against the
+        # sampler's, so both bars count; at t = 0.1 no well switches and
+        # the rule's bar is at rounding level
+        quad = gj.QuadratureConfig(
+            seed=0, samples_bulk=budget * 32_768, samples_slab=budget * 262_144
+        )
+        params = gj.InterchangeParams(h=h, t=t, quad=quad)
+        cubature = gj.energy_increment(**self.CRITERION_1, params=params)
+        monkeypatch.setattr(quadrature, "_takes_cubature", lambda model: False)
+        rqmc = gj.energy_increment(**self.CRITERION_1, params=params)
+        assert (cubature.method, rqmc.method) == ("cubature", "rqmc")
+        assert abs(cubature.delta_e - rqmc.delta_e) <= 3.0 * math.hypot(
+            rqmc.mc_error, cubature.mc_error)
+
+    def test_too_small_h_is_a_quadrature_error(self):
+        with pytest.raises(gj.QuadratureError, match="too small"):
+            gj.energy_increment(**self.CRITERION_1, params=gj.InterchangeParams(h=1e-100))
+
+    def test_routing_follows_the_kernel_that_runs(self):
+        class StackFormTwoWell(gj.MinQuadraticsEnergy):
+            rank_one_excess = gj.EnergyModel.rank_one_excess
+
+        class ValueOverride(gj.MinQuadraticsEnergy):
+            def value(self, f):
+                return super().value(f)
+
+        takes = {
+            gj.AntiplaneDoubleWell(gj.AntiplaneParams(**REF_PARAMS)): True,
+            gj.QuadraticEnergy(2, 2): True,
+            gj.MinQuadraticsEnergy(2, 2, [(1.0, 0.0), (2.0, -1.0)]): True,
+            ValueOverride(1, 2, [(1.0, 0.0)]): True,
+            gj.AntiplaneDoubleWell(gj.AntiplaneParams(**REF_PARAMS), d=3): False,
+            gj.QuadraticEnergy(1, 3): False,
+            StackFormTwoWell(1, 2, [(1.0, 0.0)]): False,
+            ValueOnlyQuadratic(1, 2): False,
+        }
+        assert {m: quadrature._takes_cubature(m) for m in takes} == takes
 
 
 class TestRateFit:
@@ -739,12 +853,16 @@ class TestLimitSweep:
         assert est == pytest.approx(h * np.pi / 2.0, rel=0.35)
         assert est == pytest.approx(measures["R_minus"][0])
 
-    @pytest.mark.parametrize("case", ["criterion-1", "sweep-3d"])
-    def test_limit_total_error_covers_the_target(self, antiplane, noneq_pair, case):
+    @pytest.mark.parametrize("case", ["criterion-1", "criterion-1-cubature", "sweep-3d"])
+    def test_limit_total_error_covers_the_target(self, monkeypatch, antiplane, noneq_pair,
+                                                 case):
         # the pinned grid's truncation, which limit_error alone leaves out:
         # on the sweep_3d pair the cubature's limit_error is below 1e-4
-        # while the limit sits 1.1e-3 from the target
+        # while the limit sits 1.1e-3 from the target.  "criterion-1"
+        # samples the criterion-1 pair, which takes the cubature by default
         if case == "criterion-1":
+            monkeypatch.setattr(quadrature, "_takes_cubature", lambda model: False)
+        if case.startswith("criterion-1"):
             model, pair, quad = antiplane, noneq_pair, gj.QuadratureConfig(seed=0)
         else:
             model, pair, quad = *TestCubature.SWEEP_3D.values(), gj.QuadratureConfig(seed=0)
@@ -868,6 +986,11 @@ class TestSweepStream:
     @pytest.fixture(autouse=True)
     def two_cpus(self, monkeypatch):
         monkeypatch.setattr(forking, "_usable_cpus", lambda: 2)
+
+    @pytest.fixture(autouse=True)
+    def sampled(self, monkeypatch):
+        """The 2-D two-well pair of case(2) sampled: its cubature never forks."""
+        monkeypatch.setattr(quadrature, "_takes_cubature", lambda model: False)
 
     @pytest.fixture
     def forks(self, monkeypatch):
