@@ -1,6 +1,8 @@
 """Command-line front door: run analyses from JSON configs, emit JSON/CSV.
 
-Subcommands: check | sweep-h | path-dt | envelope | antiplane | scan.
+Usage: gradjump <command> --config FILE [--seed N] [--out DIR] [--format json|csv],
+with the options before or after the command, which is one of check |
+sweep-h | path-dt | envelope | antiplane | scan.
 Exit codes: 0 pass, 1 analysis-level failure (failed verdict, instability
 found, nonconvergence), 2 config, usage or --out error.  All randomness is
 seeded, so rerunning a command reproduces its outputs byte for byte.
@@ -227,30 +229,31 @@ _DISPATCH = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """Usage errors end as config errors; add_subparsers builds the subparsers from this class."""
+    """Usage errors end as config errors, with exit 2 and one JSON error line."""
 
     def error(self, message):
         raise ConfigError(message)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One flat parser: the command and its four options, in any order."""
     parser = _Parser(
         prog="gradjump",
         description="Interface stability diagnostics for gradient discontinuities.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True, metavar="|".join(COMMANDS))
-    for name in COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", required=True, help="path to the JSON run config")
-        cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
-        cmd.add_argument("--out", type=Path, default=None, help="directory for JSON/CSV artifacts")
-        cmd.add_argument(
-            "--format",
-            choices=("json", "csv"),
-            default="json",
-            help="what to print on stdout (csv prints the primary table)",
-        )
+    parser.add_argument(
+        "command", choices=COMMANDS, metavar="|".join(COMMANDS), help="the analysis to run"
+    )
+    parser.add_argument("--config", required=True, help="path to the JSON run config")
+    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument("--out", type=Path, default=None, help="directory for JSON/CSV artifacts")
+    parser.add_argument(
+        "--format",
+        choices=("json", "csv"),
+        default="json",
+        help="what to print on stdout (csv prints the primary table)",
+    )
     return parser
 
 

@@ -14,7 +14,6 @@ import json
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -221,7 +220,10 @@ def model_from_config(cfg) -> EnergyModel:
 
 def load_json(path) -> dict:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        # open().read() rather than Path.read_text, which grew the peak RSS of
+        # a process that reads many configs
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from None
     try:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .energies import AntiplaneParams, EnergyModel
 from .errors import NonconvergenceError, OutOfRegionError
-from .jumps import InterfacePair, interchange_force, maxwell_force
+from .jumps import InterfacePair, _interchange, _maxwell, _stresses
 from .tensors import as_matrix, frobenius
 
 #: relative slope tolerance for merging hull edges into affine runs
@@ -166,12 +166,13 @@ def check_affine_formula(
     curve = rank_one_restriction(model, pair, t)
     chord = t * model.value(pair.fp) + (1.0 - t) * model.value(pair.fm)
     dev = float(np.max(np.abs(curve.hull_values - chord)))
+    pp, pm = _stresses(model, pair)
     return AffineFormulaReport(
         max_deviation=dev,
         tol=tol,
         passed=dev <= tol,
-        p_star=maxwell_force(model, pair),
-        frak_n=interchange_force(model, pair),
+        p_star=_maxwell(model, pair, pp, pm),
+        frak_n=_interchange(pair, pp, pm),
         curve=curve,
     )
 

@@ -101,29 +101,45 @@ def _stresses(model: EnergyModel, pair: InterfacePair):
     return model.gradient(pair.fp), model.gradient(pair.fm)
 
 
-def interchange_force(model: EnergyModel, pair: InterfacePair) -> float:
-    """Interchange driving force ([P], [F]); zero is the normality condition."""
-    pp, pm = _stresses(model, pair)
+# The helpers below take the endpoint stresses (P+, P-), so that a caller
+# needing several jump quantities computes each stress once.
+
+
+def _interchange(pair: InterfacePair, pp, pm) -> float:
     return frobenius(pp - pm, pair.jump)
 
 
-def maxwell_force(model: EnergyModel, pair: InterfacePair) -> float:
-    """Maxwell driving force [W] - ({P}, [F]) with {P} the stress average."""
-    pp, pm = _stresses(model, pair)
+def _maxwell(model: EnergyModel, pair: InterfacePair, pp, pm) -> float:
     dw = model.value(pair.fp) - model.value(pair.fm)
     return dw - frobenius(0.5 * (pp + pm), pair.jump)
 
 
+def _traction(pair: InterfacePair, pp, pm) -> np.ndarray:
+    return (pp - pm) @ pair.n
+
+
+def _roughening(pair: InterfacePair, pp, pm) -> np.ndarray:
+    return (pp - pm).T @ pair.a
+
+
+def interchange_force(model: EnergyModel, pair: InterfacePair) -> float:
+    """Interchange driving force ([P], [F]); zero is the normality condition."""
+    return _interchange(pair, *_stresses(model, pair))
+
+
+def maxwell_force(model: EnergyModel, pair: InterfacePair) -> float:
+    """Maxwell driving force [W] - ({P}, [F]) with {P} the stress average."""
+    return _maxwell(model, pair, *_stresses(model, pair))
+
+
 def traction_residual(model: EnergyModel, pair: InterfacePair) -> np.ndarray:
     """[P] n, the equilibrium (traction continuity) residual in R^m."""
-    pp, pm = _stresses(model, pair)
-    return (pp - pm) @ pair.n
+    return _traction(pair, *_stresses(model, pair))
 
 
 def roughening_residual(model: EnergyModel, pair: InterfacePair) -> np.ndarray:
     """[P]^T a, the interface roughening residual in R^d."""
-    pp, pm = _stresses(model, pair)
-    return (pp - pm).T @ pair.a
+    return _roughening(pair, *_stresses(model, pair))
 
 
 def normality_gap(model: EnergyModel, pair: InterfacePair) -> float:
@@ -132,7 +148,8 @@ def normality_gap(model: EnergyModel, pair: InterfacePair) -> float:
     The raw value is returned regardless of sign so callers can flag
     violations instead of erroring on them.
     """
-    return interchange_force(model, pair) - 2.0 * abs(maxwell_force(model, pair))
+    pp, pm = _stresses(model, pair)
+    return _interchange(pair, pp, pm) - 2.0 * abs(_maxwell(model, pair, pp, pm))
 
 
 def taylor_residual(model: EnergyModel, pair: InterfacePair, xi, eta, side: int = +1):
@@ -155,13 +172,12 @@ def taylor_residual(model: EnergyModel, pair: InterfacePair, xi, eta, side: int 
         lhs = model.excess(pair.fp, -incr)
     else:
         lhs = model.excess(pair.fm, incr)
-    p_star = maxwell_force(model, pair)
-    frak_n = interchange_force(model, pair)
+    pp, pm = _stresses(model, pair)
     rhs = (
-        -side * p_star
-        + 0.5 * frak_n
-        + float(traction_residual(model, pair) @ xi)
-        + float(roughening_residual(model, pair) @ eta)
+        -side * _maxwell(model, pair, pp, pm)
+        + 0.5 * _interchange(pair, pp, pm)
+        + float(_traction(pair, pp, pm) @ xi)
+        + float(_roughening(pair, pp, pm) @ eta)
     )
     return lhs, rhs
 
@@ -296,10 +312,10 @@ def diagnose(
     tol = tol_abs + tol_rel * scale
     tol_force = tol_abs + tol_rel * scale * max(jnorm, 1.0)
 
-    p_star = maxwell_force(model, pair)
-    frak_n = interchange_force(model, pair)
-    tr = traction_residual(model, pair)
-    rr = roughening_residual(model, pair)
+    p_star = _maxwell(model, pair, pp, pm)
+    frak_n = _interchange(pair, pp, pm)
+    tr = _traction(pair, pp, pm)
+    rr = _roughening(pair, pp, pm)
     if scan_radii is None:
         scan_radii = default_radii(jnorm if jnorm > 0 else 1.0)
     scan_p = weierstrass_scan(model, pair.fp, scan_radii, scan_resolution)

@@ -10,7 +10,7 @@ import pytest
 
 from gradjump import forking
 from gradjump.cli import main
-from gradjump.config import RunConfig
+from gradjump.config import COMMANDS, RunConfig
 import gradjump as gj
 
 from conftest import REF_PARAMS
@@ -791,6 +791,67 @@ class TestScanGridCap:
                 cfg.scan_settings(d)
 
 
+#: a bench config per command, with the exit code it gives
+COMMAND_CONFIGS = {
+    "check": ("check_maxwell.json", 0),
+    "sweep-h": ("sweep_2d.json", 0),
+    "path-dt": ("path_dt.json", 0),
+    "envelope": ("envelope.json", 0),
+    "antiplane": ("antiplane.json", 0),
+    "scan": ("scan_2d.json", 0),
+}
+
+
+class TestParser:
+    """One parser: the command and its four options, in either order."""
+
+    def test_version(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"gradjump {gj.__version__}\n"
+
+    def test_help_names_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        for command in COMMANDS:
+            assert command in out
+        for option in ("--config", "--seed", "--out", "--format"):
+            assert option in out
+
+    @staticmethod
+    def artifacts(out: Path) -> dict:
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_command_takes_the_four_options(self, tmp_path, capsys, command):
+        config, expected = COMMAND_CONFIGS[command]
+        out = tmp_path / "out"
+        code, stdout, err = run(capsys, command, "--config", str(BENCH_CONFIGS / config),
+                                "--seed", "3", "--out", str(out), "--format", "csv")
+        assert (code, err) == (expected, "")
+        assert stdout
+        assert f"{command.replace('-', '_')}.json" in self.artifacts(out)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_options_before_the_command(self, tmp_path, capsys, command):
+        config, expected = COMMAND_CONFIGS[command]
+        options = ["--config", str(BENCH_CONFIGS / config), "--seed", "5", "--format", "csv"]
+        after, before = tmp_path / "after", tmp_path / "before"
+        code_a, stdout_a, _ = run(capsys, command, *options, "--out", str(after))
+        code_b, stdout_b, _ = run(capsys, "--out", str(before), *options, command)
+        assert code_a == code_b == expected
+        assert stdout_a == stdout_b
+        assert self.artifacts(after) == self.artifacts(before)
+
+    def test_options_first_check_on_the_3d_pair_fails_its_verdicts(self, capsys):
+        code, stdout, err = run(capsys, "--config", str(BENCH_CONFIGS / "scan_3d.json"), "check")
+        assert (code, err) == (1, "")
+        assert json.loads(stdout)["verdicts"]["all_ok"] is False
+
+
 class TestUsageErrors:
     """Usage and --out errors give exit 2, one JSON error line and no artifacts."""
 
@@ -809,6 +870,11 @@ class TestUsageErrors:
             (["check", "--config", "{cfg}", "--bogus"], "--bogus"),
             (["frobnicate", "--config", "{cfg}"], "frobnicate"),
             (["check"], "--config"),
+            # the same errors with the options before the command
+            (["--config", "{cfg}", "--seed", "abc", "check"], "--seed"),
+            (["--format", "xml", "--config", "{cfg}", "check"], "--format"),
+            (["--config", "{cfg}", "frobnicate"], "frobnicate"),
+            ([], "--config"),
         ],
     )
     def test_argparse_error(self, tmp_path, capsys, argv, key):

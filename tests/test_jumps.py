@@ -1,13 +1,17 @@
 import itertools
 import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gradjump as gj
+from gradjump.config import RunConfig
 
 from conftest import REF_PARAMS, ValueOnlyQuadratic
+
+BENCH_CONFIGS = Path(__file__).resolve().parent.parent / "bench" / "configs"
 
 
 def random_antiplane_pair(rng, smooth_guard=0.05):
@@ -470,3 +474,102 @@ class TestDiagnose:
         diag = gj.diagnose(model, pair, scan_resolution=8).to_dict()
         assert diag["weierstrass_method"] == "grid"
         assert diag["weierstrass_min_plus"] >= -1e-10
+
+
+def bench_case(name):
+    cfg = RunConfig.from_file("check", BENCH_CONFIGS / f"{name}.json")
+    model = cfg.model()
+    return model, cfg.pair(model)
+
+
+#: (model, pair) builders: the two bench check pairs, then the conftest pairs
+#: and a value-only model, whose stress is a central difference
+STRESS_CASES = {
+    "scan_3d": lambda: bench_case("scan_3d"),
+    "check_maxwell": lambda: bench_case("check_maxwell"),
+    "antiplane_eq": lambda: (gj.AntiplaneDoubleWell(gj.AntiplaneParams(**REF_PARAMS)),
+                             gj.InterfacePair.from_gradients([[1.0, 0.0]], [[2.0, 0.0]])),
+    "antiplane_noneq": lambda: (gj.AntiplaneDoubleWell(gj.AntiplaneParams(**REF_PARAMS)),
+                                gj.InterfacePair.from_gradients([[1.0, 0.0]], [[2.2, 0.0]])),
+    "value_only": lambda: (ValueOnlyQuadratic(1, 2),
+                           gj.InterfacePair.from_gradients([[1.0, 0.0]], [[2.2, 0.5]])),
+}
+
+
+class TestOneStressPerEndpoint:
+    """The jump code computes P+ and P- once per call, and its quantities
+    equal the public functions' bit for bit."""
+
+    @pytest.fixture(params=sorted(STRESS_CASES))
+    def case(self, request):
+        return STRESS_CASES[request.param]()
+
+    @staticmethod
+    def count_gradient_calls(model, monkeypatch):
+        """Record, per model.gradient call, whether a model method that takes
+        its own stress (``rank_one_minimum``, ``excess``) made it."""
+        calls, inside = [], []
+        gradient = model.gradient
+
+        def counted(f):
+            calls.append(bool(inside))
+            return gradient(f)
+
+        def own_stress(method):
+            def wrapped(*args):
+                inside.append(method)
+                try:
+                    return method(*args)
+                finally:
+                    inside.pop()
+            return wrapped
+
+        monkeypatch.setattr(model, "gradient", counted)
+        for name in ("rank_one_minimum", "excess"):
+            monkeypatch.setattr(model, name, own_stress(getattr(model, name)))
+        return calls
+
+    @pytest.mark.parametrize("name, total", [("scan_3d", 2), ("check_maxwell", 4)])
+    def test_diagnose_computes_two_stresses(self, monkeypatch, name, total):
+        # the min-of-quadratics exact minimum takes the stress at its F itself
+        model, pair = bench_case(name)
+        calls = self.count_gradient_calls(model, monkeypatch)
+        gj.diagnose(model, pair)
+        assert calls.count(False) == 2
+        assert len(calls) == total
+
+    def test_each_caller_computes_two_stresses(self, case, monkeypatch):
+        model, pair = case
+        calls = self.count_gradient_calls(model, monkeypatch)
+        for run in (
+            lambda: gj.diagnose(model, pair, scan_resolution=8),
+            lambda: gj.taylor_residual(model, pair, np.full(pair.m, 0.01), np.zeros(pair.d)),
+            lambda: gj.normality_gap(model, pair),
+            lambda: gj.check_affine_formula(model, pair, grid_size=11),
+        ):
+            calls.clear()
+            run()
+            assert calls.count(False) == 2
+
+    def test_bitwise_equal_to_the_public_functions(self, case):
+        model, pair = case
+        p_star = gj.maxwell_force(model, pair)
+        frak_n = gj.interchange_force(model, pair)
+        traction = gj.traction_residual(model, pair)
+        roughening = gj.roughening_residual(model, pair)
+
+        diag = gj.diagnose(model, pair, scan_resolution=8)
+        assert (diag.p_star, diag.frak_n) == (p_star, frak_n)
+        assert np.array_equal(diag.traction_residual, traction)
+        assert np.array_equal(diag.roughening_residual, roughening)
+
+        assert gj.normality_gap(model, pair) == frak_n - 2.0 * abs(p_star)
+
+        xi, eta = np.linspace(0.01, 0.02, pair.m), np.linspace(-0.01, 0.01, pair.d)
+        for side in (+1, -1):
+            _, rhs = gj.taylor_residual(model, pair, xi, eta, side)
+            assert rhs == (-side * p_star + 0.5 * frak_n
+                           + float(traction @ xi) + float(roughening @ eta))
+
+        report = gj.check_affine_formula(model, pair, grid_size=11)
+        assert (report.p_star, report.frak_n) == (p_star, frak_n)
