@@ -43,9 +43,10 @@ class QuadratureConfig:
     (seed, stratum id, scramble id), so totals are bitwise-reproducible
     regardless of evaluation order.  sampler="rqmc" uses scrambled Sobol
     points (default); "mc" uses plain pseudo-random points, with error
-    bars of classical 1/sqrt(N) size.  Only sampled models read seed,
-    budgets, stratification and sampler: the isotropic kind and the
-    min-of-quadratics kinds in d = 2 take a deterministic rule
+    bars of classical 1/sqrt(N) size.  Seed, budgets, stratification and
+    sampler act only on the estimates and sweeps of non-isotropic models
+    in d = 3 and on ``quadrature.estimate_region_measures``: the isotropic
+    kind and every model in d = 2 take a deterministic rule
     (``quadrature._takes_cubature``), which honours max_error alone.
     """
 

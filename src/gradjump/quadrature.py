@@ -6,7 +6,7 @@ split into the interface-linear part, which integrates exactly to
 piecewise constant and Phi vanishes on the sphere), plus a pointwise-excess
 remainder.
 
-For the isotropic kind, and for the min-of-quadratics kinds in d = 2
+For the isotropic kind, and for every model in d = 2
 (``_takes_cubature``), the remainder is integrated by a deterministic
 piecewise product Gauss rule (``_cubature``): f(z) + f(-z) over the half
 ball s_n > 0, with the pieces split where the cutoffs kink and sine
@@ -17,17 +17,16 @@ w = rho sinh(u).  The isotropic excess is a polynomial in the field
 gradient, smooth on every piece, and its error bar is the distance to one
 coarser rule (``_CUBATURE_RULES``).  Where the two-well kinds switch wells
 the rule converges only algebraically, so they take a finer rule and the
-larger distance to two coarser ones as the bar (``_TWO_WELL_RULES``).
-Seed, sampler and budgets play no part there, and a sweep of such
-estimates runs in one process.  Every other model (the two-well kinds in
-d = 3, a subclass whose rank-one kernel is not the built-in closed form) is
-sampled as below.
+larger distance to two coarser ones as the bar (``_TWO_WELL_RULES``); so
+does every other model in d = 2, whose smoothness is unknown.  Seed,
+sampler and budgets play no part there.  Every other model (a
+non-isotropic one in d = 3) is sampled as below.
 
-The sampled remainder integrand is supported on
-thin sets, so sampling uses a deterministic mixture of uniform proposals:
-the whole ball, an |z.n| <= h slab, an |z.nu| <= sqrt(h) strip, their corner
-overlap, and the |z| >= 1 - sqrt(h) shell.  Mirrored (antithetic) pairs
-cancel the leading fluctuations.
+The sampled remainder integrand is supported on thin sets, so sampling
+uses a deterministic mixture of uniform proposals: the whole ball, an
+|z.n| <= h slab, an |z.nu| <= sqrt(h) strip, their corner overlap, and
+the |z| >= 1 - sqrt(h) shell.  Mirrored (antithetic) pairs cancel the
+leading fluctuations.
 
 Each pair (z, -z) is evaluated in one pass that rests on two exact mirror
 identities of the field: the frame gradient is odd, g(-z) = -g(z) bit for
@@ -67,29 +66,15 @@ for bit that of scipy's ``qmc.Sobol(d, scramble=True)`` seeded with the
 not imported at run time (only the rate fit's rarely taken fallback loads
 ``scipy.optimize``).  The scramble does not depend on h or on the number
 of points, so it is built once per (d, seed, stratum id, scramble id) and
-kept in a small cache (``_sobol_scramble``, read-only arrays); each
-process of a sweep builds each one at its first h and reuses it at its
-others.  A batch is evaluated in row blocks of _BLOCK_ROWS pairs, so the
-estimator's temporaries stay small enough for the allocator to reuse them
-instead of mapping fresh pages on every call.  rqmc carries each batch's
-row-order sum from block to block and mc writes every block into one
-array per stratum, so the totals do not depend on the block size.
+kept in a small cache (``_sobol_scramble``, read-only arrays); a sweep
+builds each one at its first h and reuses it at its others.  A batch is
+evaluated in row blocks of _BLOCK_ROWS pairs, so the estimator's
+temporaries stay small enough for the allocator to reuse them instead of
+mapping fresh pages on every call.  rqmc carries each batch's row-order
+sum from block to block and mc writes every block into one array per
+stratum, so the totals do not depend on the block size.
 
-A sampled sweep runs on two processes: ``limit_sweep`` forks one child
-(``forking._fork_stream``) that estimates every other h of the grid,
-grid[1::2], in grid order and sends each result back through a pipe as
-soon as it has it, while this process estimates grid[0::2].  The parent
-still calls ``energy_increment`` once per h, in grid order; at an h the
-child owns it hands over the stream (the keyword-only ``_stream``) and
-gets the child's result back, checked against that h, with no fork, exit
-or wait per h.  Each estimate is computed whole by one process, with the
-same code and summation order, so the results are bit for bit the same
-whatever the CPU count; with fewer than two usable CPUs, no ``os.fork``
-or a failed fork the sweep runs serially.  On an early exit (an error,
-an error cap, an interrupt) the parent kills the child without waiting
-for its current h and reaps it.  An estimate outside a sweep
-(``energy_increment`` alone, ``estimate_region_measures``) runs in the
-calling process.
+Every estimate, and every sweep of them, runs in the calling process.
 """
 
 from __future__ import annotations
@@ -101,9 +86,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energies import EnergyModel, IsotropicThetaEnergy, MinQuadraticsEnergy
-from .errors import GradJumpError, NonconvergenceError, QuadratureError
-from .forking import _ForkStream, _fork_stream
+from .energies import EnergyModel, IsotropicThetaEnergy
+from .errors import NonconvergenceError, QuadratureError
 from .interchange import (
     InterchangeField,
     InterchangeParams,
@@ -131,11 +115,16 @@ _BLOCK_ROWS = 4096
 #: and of the coarser rule whose distance from it is the error bar
 _CUBATURE_RULES = ((16, 6), (12, 4))
 
-#: Gauss nodes per axis (s_n and s_nu) of the two-well kinds' cubature in
-#: d = 2 and of the two coarser rules whose larger distance from it is the
-#: error bar; where the wells switch the rule converges only algebraically,
-#: and the distance to one coarser rule can understate its error
+#: Gauss nodes per axis (s_n and s_nu) of the cubature of every model in
+#: d = 2 but the isotropic kind, and of the two coarser rules whose larger
+#: distance from it is the error bar; where the two-well kinds switch wells
+#: the rule converges only algebraically, and the distance to one coarser
+#: rule can understate its error
 _TWO_WELL_RULES = ((64,), (48,), (32,))
+
+#: largest chi2/dof of a sampled sweep's series fit; above it the fit does
+#: not describe the data
+_CHI2_CAP = 25.0
 
 #: Sobol direction numbers of dimensions 1-3 at 30 bits (Joe and Kuo,
 #: "Constructing Sobol sequences with better two-dimensional projections",
@@ -703,18 +692,13 @@ def _takes_cubature(model: EnergyModel) -> bool:
     deterministic rule instead of sampling it.
 
     It does for the isotropic kind, whose excess is a polynomial in the
-    field gradient and so smooth on every piece of the rule, and in d = 2
-    for every model whose kernel is the closed min-of-quadratics one (the
-    quadratic, min-of-quadratics and anti-plane two-well kinds).  Where
-    their wells switch the rule converges only algebraically, but at the
+    field gradient and so smooth on every piece of the rule, and for every
+    model in d = 2, whatever its rank-one kernel.  Where the two-well
+    kinds switch wells the rule converges only algebraically, but at the
     sizes of ``_TWO_WELL_RULES`` its error stays below the default
-    sampler's error bars at a seventh of the evaluations.  The decision
-    follows the kernel that runs: a subclass that replaces it, such as a
-    value-only model on the stack form, keeps sampling, and so do the
-    two-well kinds in d = 3."""
-    if isinstance(model, IsotropicThetaEnergy):
-        return True
-    return model.d == 2 and type(model).rank_one_excess is MinQuadraticsEnergy.rank_one_excess
+    sampler's error bars at a seventh of the evaluations.  Only the
+    non-isotropic models in d = 3 are sampled."""
+    return model.d == 2 or isinstance(model, IsotropicThetaEnergy)
 
 
 def _excess_integrand(model, pair, fld, t):
@@ -740,30 +724,23 @@ def _excess_integrand(model, pair, fld, t):
 
 
 def energy_increment(
-    model: EnergyModel, pair: InterfacePair, params: InterchangeParams,
-    *, _stream: _ForkStream | None = None,
+    model: EnergyModel, pair: InterfacePair, params: InterchangeParams
 ) -> VariationResult:
     """Estimate Delta E(t, h) for the interchange field of ``pair``.
 
     The interface-linear term is integrated exactly and used as a control
     variate; the rest only carries the pointwise excess, which vanishes
-    where the field gradient does.  For the isotropic kind and the
-    min-of-quadratics kinds in d = 2 (``_takes_cubature``) the excess is
-    integrated by the deterministic rule, ``mc_error`` is its largest
-    distance to the kind's coarser rules (``_CUBATURE_RULES``,
-    ``_TWO_WELL_RULES``) and the quadrature config's seed, sampler and
-    budgets play no part; otherwise it is sampled, deterministically for a
-    fixed seed.  ``method`` says which: "cubature", "rqmc" or "mc".
+    where the field gradient does.  For the isotropic kind and every model
+    in d = 2 (``_takes_cubature``) the excess is integrated by the
+    deterministic rule, ``mc_error`` is its largest distance to the coarser
+    rules (``_CUBATURE_RULES`` for the isotropic kind, ``_TWO_WELL_RULES``
+    for the rest) and the quadrature config's seed, sampler and budgets
+    play no part; a non-isotropic model in d = 3 is sampled,
+    deterministically for a fixed seed.  ``method`` says which:
+    "cubature", "rqmc" or "mc".  The estimate runs in the calling process.
     Raises QuadratureError if a configured error cap is exceeded, if h is
-    too small for double precision or if the estimate is not finite.  ``_stream`` is the child
-    of ``limit_sweep``: when it is given, the estimate is the stream's next
-    result, which the child computed whole.
+    too small for double precision or if the estimate is not finite.
     """
-    if _stream is not None:
-        res = _stream.take()
-        if res.h != params.h:
-            raise GradJumpError(f"the sweep's child sent h = {res.h!r} for h = {params.h!r}")
-        return res
     fld = InterchangeField(pair, params)
     h, t = params.h, params.t
     frak_n = frobenius(model.gradient(pair.fp) - model.gradient(pair.fm), np.outer(pair.a, pair.n))
@@ -898,7 +875,6 @@ def limit_sweep(
     pair: InterfacePair,
     params: InterchangeParams,
     h_grid,
-    chi2_cap: float = 25.0,
 ) -> SweepResult:
     """Extrapolate Delta E(h)/h to h = 0 over a decreasing grid.
 
@@ -914,14 +890,14 @@ def limit_sweep(
     shift of the limit between the chosen fit order k and the one below
     it; ``limit_error`` carries only the estimates' error bars.
 
-    Sampled estimates are taken on two processes (see the module notes);
-    a cubature (``_takes_cubature``) runs in this one.
+    The estimates are taken in this process, one ``energy_increment``
+    call per h in grid order.
 
-    Raises NonconvergenceError when the fit residual exceeds ``chi2_cap``
-    or the rate fit fails.  The cap tests the fit against the sampling
-    noise, so it applies to sampled estimates only: a cubature's values
-    carry almost none, and their residual is truncation, which
-    ``limit_model_error`` reports.
+    Raises NonconvergenceError when the fit's chi2/dof exceeds
+    ``_CHI2_CAP`` or the rate fit fails.  The cap tests the fit against
+    the sampling noise, so it applies to sampled sweeps only: a
+    cubature's values carry almost none, and their residual is
+    truncation, which ``limit_model_error`` reports.
     """
     h_grid = np.asarray(h_grid, dtype=float).reshape(-1)
     if h_grid.size < 4:
@@ -932,22 +908,11 @@ def limit_sweep(
     values = np.empty_like(h_grid)
     errors = np.empty_like(h_grid)
     n_evals = 0
-    grid = [params.with_h(float(h)) for h in h_grid]
-    sampled = not _takes_cubature(model)
-    # one child estimates grid[1::2] while this process estimates
-    # grid[0::2]; energy_increment is called at each h, in grid order
-    stream = None
-    if sampled:
-        stream = _fork_stream(functools.partial(energy_increment, model, pair), grid[1::2])
-    try:
-        for i, (h, params_h) in enumerate(zip(h_grid, grid)):
-            res = energy_increment(model, pair, params_h, _stream=stream if i % 2 else None)
-            values[i] = res.delta_e / h
-            errors[i] = res.mc_error / h
-            n_evals += res.n_evals
-    finally:
-        if stream is not None:
-            stream.close()
+    for i, h in enumerate(h_grid):
+        res = energy_increment(model, pair, params.with_h(float(h)))
+        values[i] = res.delta_e / h
+        errors[i] = res.mc_error / h
+        n_evals += res.n_evals
     scale = 1.0 + float(np.max(np.abs(values)))
     sigma = np.maximum(errors, 1e-14 * scale)
 
@@ -961,7 +926,7 @@ def limit_sweep(
     if order == 4:
         fits[4] = series_fit(4)
     coef, cov, chi2_red, dof = fits[order]
-    if sampled and dof > 0 and chi2_red > chi2_cap:
+    if res.method != "cubature" and dof > 0 and chi2_red > _CHI2_CAP:
         raise NonconvergenceError(
             f"sqrt(h)-series fit does not describe the data: chi2/dof = {chi2_red:.2f}"
         )

@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gradjump import forking
 from gradjump.cli import main
 from gradjump.config import COMMANDS, RunConfig
 import gradjump as gj
@@ -192,28 +191,6 @@ class TestSweepH:
         lines = err.splitlines()
         assert len(lines) == 1
         assert message in json.loads(lines[0])["error"]
-
-    # the bench's sweeps take the cubature; the 3-D two-well pair is sampled
-    @pytest.mark.parametrize("name", ["sweep_2d", "sweep_3d", "two_well_3d"])
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_forked_and_serial_outputs_byte_identical(self, tmp_path, capsys, monkeypatch,
-                                                      name, fmt):
-        if name == "two_well_3d":
-            payload = dict(self.payload(), **TWO_WELL_3D, quadrature={})
-        else:
-            payload = json.loads((BENCH_CONFIGS / f"{name}.json").read_text())
-        payload["quadrature"].update(SMALL_QUAD)
-        cfg = write_config(tmp_path, payload)
-        outputs = []
-        for cpus in (2, 1):
-            monkeypatch.setattr(forking, "_usable_cpus", lambda: cpus)
-            out = tmp_path / f"cpus{cpus}"
-            code, stdout, _ = run(capsys, "sweep-h", "--config", cfg, "--format", fmt,
-                                  "--out", str(out))
-            artifacts = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-            outputs.append((code, stdout, artifacts))
-        assert outputs[0][0] == 0 and outputs[0][2]
-        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize(
         "change", [{"t": 0}, {"pair": {"f_minus": [[2.2, 0.0]], "a": [0.0], "n": [1.0, 0.0]}}]
@@ -920,8 +897,8 @@ class TestRunConfig:
 
 
 #: a fresh interpreter reports the scipy modules, and the process-pool modules
-#: a forking estimator does without, that it holds after importing the CLI and
-#: after each sweep-h run given on its command line
+#: the one-process estimator does without, that it holds after importing the
+#: CLI and after each sweep-h run given on its command line
 SCIPY_PROBE = """
 import contextlib, io, json, sys
 roots = ("scipy", "multiprocessing", "concurrent")

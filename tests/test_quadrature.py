@@ -1,9 +1,6 @@
-import dataclasses
-import functools
 import json
 import math
 import os
-import time
 import warnings
 
 import numpy as np
@@ -13,7 +10,7 @@ from scipy.stats import qmc
 from scipy.stats._sobol import _initialize_v
 
 import gradjump as gj
-from gradjump import cli, forking, quadrature
+from gradjump import cli, quadrature
 from gradjump.errors import NonconvergenceError
 from gradjump.interchange import InterchangeField, classify_codes
 from gradjump.quadrature import REGION_KEYS, interface_profile
@@ -129,20 +126,19 @@ class TestScrambleCache:
         assert np.array_equal(quadrature._sobol(2, 64, 0, 0, 0)[0],
                               quadrature._sobol_scramble(2, 0, 0, 0)[0] * 2.0**-30)
 
-    def test_forked_estimate_leaves_every_scramble_in_the_parent(self, monkeypatch):
-        # the parent estimates the sweep's first h whole, so it builds and
-        # keeps every stratum's scrambles, as the child does its own; the
-        # 2-D two-well pair is sampled here, as it is not by default
-        monkeypatch.setattr(forking, "_usable_cpus", lambda: 2)
-        monkeypatch.setattr(quadrature, "_takes_cubature", lambda model: False)
-        model, pair, params, _, _ = TestFusedPass.case(2, "rqmc")
+    def test_a_sweep_leaves_every_scramble_in_this_process(self):
+        # the sweep estimates every h here, so it builds each stratum's
+        # scrambles at its first h, reuses them at the others and keeps them
+        model, pair, params = TestSampledSweep.case()
         quadrature._sobol_scramble.cache_clear()
-        gj.limit_sweep(model, pair, params, [0.1, 0.05, 0.025, 0.0125])
+        sweep = gj.limit_sweep(model, pair, params, TestSampledSweep.GRID)
+        assert sweep.method == "rqmc"
         info = quadrature._sobol_scramble.cache_info()
-        assert info.currsize == len(quadrature._STRATUM_IDS) * quadrature.N_SCRAMBLES
+        per_h = len(quadrature._STRATUM_IDS) * quadrature.N_SCRAMBLES
+        assert (info.currsize, info.misses, info.hits) == (per_h, per_h, 3 * per_h)
         for sid in quadrature._STRATUM_IDS.values():
             for j in range(quadrature.N_SCRAMBLES):
-                quadrature._sobol_scramble(2, params.quad.seed, sid, j)
+                quadrature._sobol_scramble(3, params.quad.seed, sid, j)
         assert quadrature._sobol_scramble.cache_info().misses == info.misses
 
     def test_cli_sweep_cold_then_warm(self, tmp_path, capsys):
@@ -456,20 +452,26 @@ class TestEnergyIncrement:
         brute = float(np.sum((vals - wbar)[inside])) * (2.0 / n) ** 2
         assert res.delta_e == pytest.approx(brute, abs=5 * res.mc_error + 5e-4)
 
-    def test_value_only_model_runs_on_stack_form(self, monkeypatch):
+    def test_value_only_model_runs_on_stack_form(self):
         # a subclass that defines only value() has no closed-form kernel:
         # the base-class stack form serves the estimator and the scan
         model = ValueOnlyQuadratic(1, 2)
         assert type(model).rank_one_excess is gj.EnergyModel.rank_one_excess
         quadratic = gj.QuadraticEnergy(1, 2, mu=1.0)
         pair = gj.InterfacePair.from_jump([[0.4, -0.2]], [1.0], [1.0, 0.0])
+        # in d = 2 both take the two-well rule; the central-difference
+        # stress of a quadratic is exact up to rounding
+        for h in (0.05, 0.0125):
+            res, ref = (gj.energy_increment(m, pair, gj.InterchangeParams(h=h))
+                        for m in (model, quadratic))
+            assert (res.method, ref.method) == ("cubature", "cubature")
+            assert res.delta_e == pytest.approx(ref.delta_e, rel=1e-12, abs=0.0), h
+        # in d = 3 both are sampled, on the same points
+        pair = gj.InterfacePair.from_jump([[0.4, -0.2, 0.1]], [1.0], [1.0, 0.0, 0.0])
         params = gj.InterchangeParams(h=0.05, quad=small_quad(seed=3))
-        res = gj.energy_increment(model, pair, params)
-        # the stack form is sampled; the closed form, sampled too, on the same points
-        assert res.method == "rqmc"
-        monkeypatch.setattr(quadrature, "_takes_cubature", lambda model: False)
-        ref = gj.energy_increment(quadratic, pair, params)
-        # the central-difference stress of a quadratic is exact up to rounding
+        res, ref = (gj.energy_increment(m, pair, params)
+                    for m in (ValueOnlyQuadratic(1, 3), gj.QuadraticEnergy(1, 3, mu=1.0)))
+        assert (res.method, ref.method) == ("rqmc", "rqmc")
         assert res.delta_e == pytest.approx(ref.delta_e, rel=1e-6)
         scan = gj.weierstrass_scan(model, [[0.3, 0.1]], [0.5, 1.0, 2.0], resolution=8)
         assert scan.min_value == pytest.approx(0.5 * 0.5**2, abs=1e-8)
@@ -638,11 +640,9 @@ class TestCubature:
         with pytest.raises(gj.QuadratureError, match="too small"):
             gj.energy_increment(model, pair, gj.InterchangeParams(h=1e-100, nu=nu))
 
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_a_sweep_runs_in_one_process(self, monkeypatch, cpus):
+    def test_a_sweep_runs_in_one_process(self, monkeypatch):
         # one energy_increment call per h, in grid order, whose n_evals add
         # up to the sweep's, as the bench tracer reads them; no fork
-        monkeypatch.setattr(forking, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(os, "fork", _no_fork)
         real = quadrature.energy_increment
         calls = []
@@ -670,6 +670,16 @@ class TestCubature:
         assert sweep.chi2_red > 25.0
         target = gj.interchange_limit_target(**self.SWEEP_3D)
         assert abs(sweep.limit - target) <= 2.0 * sweep.limit_total_error
+
+
+class StackFormTwoWell(gj.AntiplaneDoubleWell):
+    """The anti-plane two-well kind on the base-class stack-form kernel."""
+
+    rank_one_excess = gj.EnergyModel.rank_one_excess
+
+
+def _no_fork():
+    raise AssertionError("os.fork called")
 
 
 class TestTwoWellCubature:
@@ -743,9 +753,8 @@ class TestTwoWellCubature:
             gj.energy_increment(**self.CRITERION_1, params=gj.InterchangeParams(h=1e-100))
 
     def test_routing_follows_the_kernel_that_runs(self):
-        class StackFormTwoWell(gj.MinQuadraticsEnergy):
-            rank_one_excess = gj.EnergyModel.rank_one_excess
-
+        # every model in d = 2 takes the rule, whatever its kernel; in
+        # d = 3 only the isotropic kind does
         class ValueOverride(gj.MinQuadraticsEnergy):
             def value(self, f):
                 return super().value(f)
@@ -755,12 +764,24 @@ class TestTwoWellCubature:
             gj.QuadraticEnergy(2, 2): True,
             gj.MinQuadraticsEnergy(2, 2, [(1.0, 0.0), (2.0, -1.0)]): True,
             ValueOverride(1, 2, [(1.0, 0.0)]): True,
+            StackFormTwoWell(gj.AntiplaneParams(**REF_PARAMS)): True,
+            ValueOnlyQuadratic(1, 2): True,
+            gj.IsotropicThetaEnergy(gj.IsotropicParams(3, 1.0, (1.0, 0.0, -2.0, 0.0, 1.0))): True,
             gj.AntiplaneDoubleWell(gj.AntiplaneParams(**REF_PARAMS), d=3): False,
             gj.QuadraticEnergy(1, 3): False,
-            StackFormTwoWell(1, 2, [(1.0, 0.0)]): False,
-            ValueOnlyQuadratic(1, 2): False,
+            ValueOnlyQuadratic(1, 3): False,
         }
         assert {m: quadrature._takes_cubature(m) for m in takes} == takes
+
+    def test_stack_form_matches_the_closed_kernel(self):
+        # the same two wells on the base-class stack form take the same
+        # rule, and each h agrees with the closed kernel's to rounding
+        model, pair = self.CRITERION_1.values()
+        stack_form = StackFormTwoWell(model.params)
+        params = gj.InterchangeParams(h=0.1)
+        closed, stacked = (gj.limit_sweep(m, pair, params, self.H_GRID) for m in (model, stack_form))
+        assert (closed.method, stacked.method) == ("cubature", "cubature")
+        np.testing.assert_allclose(stacked.values, closed.values, rtol=1e-12, atol=0.0)
 
 
 class TestRateFit:
@@ -888,168 +909,35 @@ class TestLimitSweep:
         assert d["n_evals"] == sweep.n_evals == 4 * per_h
 
 
-def _no_fork():
-    raise AssertionError("os.fork called")
 
 
-class TestForkMap:
-    """``_fork_stream``: one forked child computes fn(x) for every item, in
-    order, and sends each result as soon as it has it."""
-
-    @pytest.fixture(autouse=True)
-    def two_cpus(self, monkeypatch):
-        # fork on any host, also one pinned to a single CPU
-        monkeypatch.setattr(forking, "_usable_cpus", lambda: 2)
-
-    @staticmethod
-    def assert_no_child_left():
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_results_in_item_order(self, n):
-        with forking._fork_stream(lambda x: (x * x, os.getpid()), range(n)) as stream:
-            out = [stream.take() for _ in range(n)]
-        assert [v for v, _ in out] == [x * x for x in range(n)]
-        # every item, a single one too, runs in the one child
-        pids = {pid for _, pid in out}
-        assert len(pids) == 1 and os.getpid() not in pids
-        self.assert_no_child_left()
-
-    @pytest.mark.parametrize(
-        "exc", [gj.QuadratureError("error cap exceeded"), ValueError("bad item")]
-    )
-    def test_child_exception_arrives_with_type_and_message(self, exc):
-        def fn(x):
-            if x == 3:
-                raise exc
-            return x
-
-        with forking._fork_stream(fn, range(5)) as stream:
-            assert [stream.take() for _ in range(3)] == [0, 1, 2]
-            with pytest.raises(type(exc), match=str(exc)):
-                stream.take()
-        self.assert_no_child_left()
-
-    @pytest.mark.parametrize(
-        "odd_item, code", [(lambda: os._exit(3), 3), (lambda: lambda: None, 0)]  # unpicklable
-    )
-    def test_child_ending_without_result(self, odd_item, code):
-        fn = lambda x: odd_item() if x == 1 else x
-        with forking._fork_stream(fn, range(3)) as stream:
-            assert stream.take() == 0
-            with pytest.raises(gj.GradJumpError, match=f"exit code {code} and no result"):
-                stream.take()
-        self.assert_no_child_left()
-
-    def test_parent_exception_reaps_a_child_blocked_on_the_pipe(self):
-        # the child's results are larger than a pipe buffer and the parent,
-        # which raises, never reads them: closing the stream stops the child
-        with pytest.raises(ValueError, match="parent share"):
-            with forking._fork_stream(lambda x: bytes(1 << 22), range(2)):
-                raise ValueError("parent share")
-        self.assert_no_child_left()
-
-    def test_serial_when_fork_fails(self, monkeypatch):
-        model, pair, params, _, _ = TestFusedPass.case(2)
-        grid = [0.1, 0.05, 0.025, 0.0125]
-        forked = (gj.energy_increment(model, pair, params).to_dict(),
-                  gj.limit_sweep(model, pair, params, grid).to_dict())
-
-        def fork():
-            raise BlockingIOError("no process to spare")
-
-        monkeypatch.setattr(os, "fork", fork)
-        assert forking._fork_stream(lambda x: x + 1, range(5)) is None
-        # every stratum then runs in this process, with the same bits
-        serial = (gj.energy_increment(model, pair, params).to_dict(),
-                  gj.limit_sweep(model, pair, params, grid).to_dict())
-        assert repr(serial) == repr(forked)
-
-    def test_serial_without_a_second_item_or_cpu(self, monkeypatch):
-        monkeypatch.setattr(os, "fork", _no_fork)
-        model, pair, params, _, _ = TestFusedPass.case(2)
-        # an estimate outside a sweep is a single item: it runs here
-        gj.energy_increment(model, pair, params)
-        gj.estimate_region_measures(pair, params)
-        monkeypatch.setattr(forking, "_usable_cpus", lambda: 1)
-        assert forking._fork_stream(lambda x: x + 1, range(5)) is None
-        gj.energy_increment(model, pair, params)
-        gj.limit_sweep(model, pair, params, [0.1, 0.05, 0.025, 0.0125])
-
-
-class TestSweepStream:
-    """A sweep forks one child, which streams the estimates of every other h."""
+class TestSampledSweep:
+    """A sampled sweep, as of the criterion-1 pair in d = 3, runs in this
+    process."""
 
     GRID = [0.1, 0.05, 0.025, 0.0125]
 
-    @pytest.fixture(autouse=True)
-    def two_cpus(self, monkeypatch):
-        monkeypatch.setattr(forking, "_usable_cpus", lambda: 2)
+    @staticmethod
+    def case():
+        """(model, pair, params) of the criterion-1 pair in d = 3, sampled at small budgets."""
+        model = gj.AntiplaneDoubleWell(gj.AntiplaneParams(**REF_PARAMS), d=3)
+        pair = gj.InterfacePair.from_gradients([[1.0, 0.0, 0.0]], [[2.2, 0.0, 0.0]])
+        return model, pair, gj.InterchangeParams(h=0.1, quad=small_quad(seed=5))
 
-    @pytest.fixture(autouse=True)
-    def sampled(self, monkeypatch):
-        """The 2-D two-well pair of case(2) sampled: its cubature never forks."""
-        monkeypatch.setattr(quadrature, "_takes_cubature", lambda model: False)
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """The os.fork calls made in this process."""
-        calls = []
-        real_fork = os.fork
-
-        def fork():
-            calls.append(1)
-            return real_fork()
-
-        monkeypatch.setattr(os, "fork", fork)
-        return calls
-
-    def test_a_sweep_forks_once_and_a_lone_estimate_never(self, monkeypatch, forks):
-        model, pair, params, _, _ = TestFusedPass.case(2)
-        gj.limit_sweep(model, pair, params, self.GRID)
-        assert len(forks) == 1
+    def test_a_sweep_makes_no_fork(self, monkeypatch):
         monkeypatch.setattr(os, "fork", _no_fork)
-        gj.energy_increment(model, pair, params)
-        gj.estimate_region_measures(pair, params)
+        model, pair, params = self.case()
+        assert gj.limit_sweep(model, pair, params, self.GRID).method == "rqmc"
 
-    @pytest.mark.parametrize("n", [4, 5])
-    def test_the_child_estimates_every_other_h(self, monkeypatch, n):
-        # the parent hands the stream over at grid[1::2] and estimates the
-        # rest itself; a grid of odd length leaves it the extra h
-        model, pair, params, _, _ = TestFusedPass.case(2)
-        grid = [0.1 * 2.0**-k for k in range(n)]
-        real = quadrature.energy_increment
-        parent, taken = os.getpid(), []
-
-        def energy_increment(model, pair, params_h, **kwargs):
-            if os.getpid() == parent:
-                taken.append(kwargs.get("_stream") is not None)
-            return real(model, pair, params_h, **kwargs)
-
-        monkeypatch.setattr(quadrature, "energy_increment", energy_increment)
-        quadrature.limit_sweep(model, pair, params, grid)
-        assert taken == [k % 2 == 1 for k in range(n)]
-
-    def test_a_result_for_another_h_is_an_error(self):
-        model, pair, params, _, _ = TestFusedPass.case(2)
-        child = functools.partial(quadrature.energy_increment, model, pair)
-        with forking._fork_stream(child, [params.with_h(0.1)]) as stream:
-            with pytest.raises(gj.GradJumpError, match="sent h = 0.1 for h = 0.05"):
-                quadrature.energy_increment(model, pair, params.with_h(0.05), _stream=stream)
-        TestForkMap.assert_no_child_left()
-
-    @pytest.mark.parametrize("cpus", [1, 2])
-    def test_energy_increment_once_per_h_through_the_module_global(self, monkeypatch, cpus):
+    def test_energy_increment_once_per_h_through_the_module_global(self, monkeypatch):
         # the contract the bench tracer reads: one call per h, in grid
         # order, whose n_evals add up to the sweep's
-        monkeypatch.setattr(forking, "_usable_cpus", lambda: cpus)
-        model, pair, params, _, _ = TestFusedPass.case(2)
+        model, pair, params = self.case()
         real = quadrature.energy_increment
         calls = []
 
-        def energy_increment(model, pair, params_h, **kwargs):
-            res = real(model, pair, params_h, **kwargs)
+        def energy_increment(model, pair, params_h):
+            res = real(model, pair, params_h)
             calls.append((params_h.h, res.n_evals))
             return res
 
@@ -1058,157 +946,23 @@ class TestSweepStream:
         assert [h for h, _ in calls] == self.GRID
         assert sum(n for _, n in calls) == sweep.n_evals
 
-    def test_other_estimates_during_a_sweep_run_here(self, monkeypatch, forks):
-        # an estimate called without the sweep's stream neither forks nor
-        # takes the sweep's results
-        model, pair, params, _, _ = TestFusedPass.case(2)
-        real = quadrature.energy_increment
-        parent, lone = os.getpid(), []
-
-        def energy_increment(model, pair, params_h, **kwargs):
-            if os.getpid() == parent:
-                lone.append(real(model, pair, params_h).to_dict())
-            return real(model, pair, params_h, **kwargs)
-
-        monkeypatch.setattr(quadrature, "energy_increment", energy_increment)
-        sweep = quadrature.limit_sweep(model, pair, params, self.GRID)
-        assert len(forks) == 1
-        monkeypatch.setattr(quadrature, "energy_increment", real)
-        serial = gj.limit_sweep(model, pair, params, self.GRID)
-        assert repr(sweep.to_dict()) == repr(serial.to_dict())
-        alone = [real(model, pair, params.with_h(h)).to_dict() for h in self.GRID]
-        assert repr(lone) == repr(alone)
-
-    def test_error_cap_at_the_first_h_kills_the_child(self, monkeypatch):
-        # the child would take a minute over the second h: the parent must
-        # not wait for it once the first h has failed
-        real = quadrature.energy_increment
-        parent = os.getpid()
-
-        def slow(model, pair, params_h, **kwargs):
-            if os.getpid() != parent:
-                time.sleep(60)
-            return real(model, pair, params_h, **kwargs)
-
-        monkeypatch.setattr(quadrature, "energy_increment", slow)
-        model, pair, params, _, _ = TestFusedPass.case(2)
-        quad = dataclasses.replace(params.quad, max_error=1e-30)
-        params = dataclasses.replace(params, quad=quad)
-        start = time.monotonic()
-        with pytest.raises(gj.QuadratureError, match="exceeds cap"):
-            gj.limit_sweep(model, pair, params, self.GRID)
-        assert time.monotonic() - start < 30.0
-        TestForkMap.assert_no_child_left()
-
-    def test_interrupt_kills_the_child(self, monkeypatch):
-        model, pair, params, _, _ = TestFusedPass.case(2)
-        real = quadrature.energy_increment
-
-        def energy_increment(model, pair, params_h, **kwargs):
-            if params_h.h == self.GRID[1]:
-                raise KeyboardInterrupt
-            return real(model, pair, params_h, **kwargs)
-
-        monkeypatch.setattr(quadrature, "energy_increment", energy_increment)
-        with pytest.raises(KeyboardInterrupt):
-            quadrature.limit_sweep(model, pair, params, self.GRID)
-        TestForkMap.assert_no_child_left()
-
-    def test_child_exception_at_a_later_h(self, monkeypatch):
-        real = quadrature.energy_increment
-        parent = os.getpid()
-
-        def failing(model, pair, params_h, **kwargs):
-            if os.getpid() != parent and params_h.h == self.GRID[3]:
-                raise ValueError(f"child failed at h = {params_h.h}")
-            return real(model, pair, params_h, **kwargs)
-
-        monkeypatch.setattr(quadrature, "energy_increment", failing)
-        model, pair, params, _, _ = TestFusedPass.case(2)
-        with pytest.raises(ValueError, match="child failed at h = 0.0125"):
-            gj.limit_sweep(model, pair, params, self.GRID)
-        TestForkMap.assert_no_child_left()
+    def test_chi2_cap_applies_to_sampled_sweeps_only(self, monkeypatch):
+        # with a cap of 0 any residual is a misfit; five points leave the
+        # fit a degree of freedom at every order
+        monkeypatch.setattr(quadrature, "_CHI2_CAP", 0.0)
+        grid = [0.1 * 2.0**-k for k in range(5)]
+        with pytest.raises(NonconvergenceError, match="does not describe the data"):
+            gj.limit_sweep(*self.case(), grid)
+        sweep = gj.limit_sweep(**TestCubature.SWEEP_3D, params=gj.InterchangeParams(h=0.1),
+                               h_grid=grid)
+        assert sweep.method == "cubature" and sweep.chi2_red > 0.0
 
     @pytest.mark.parametrize("h", [1e-100, 1e-200])
     def test_too_small_h_is_a_quadrature_error(self, h):
         # the shell's measure 1 - (1 - sqrt(h))^d rounds to 0 below h ~ 3e-33
-        model, pair, params, _, _ = TestFusedPass.case(2)
+        model, pair, params = self.case()
         grid = [h, h / 2, h / 4, h / 8]
         with pytest.raises(gj.QuadratureError, match="too small"):
             gj.limit_sweep(model, pair, params, grid)
         with pytest.raises(gj.QuadratureError, match="too small"):
             gj.estimate_region_measures(pair, params.with_h(h))
-        TestForkMap.assert_no_child_left()
-
-
-class TestForkedMatchesSerial:
-    """Forked and serial estimates carry the same bits."""
-
-    @pytest.fixture(autouse=True)
-    def sampled(self, monkeypatch):
-        """The isotropic kind of case(3) sampled: its cubature never forks."""
-        monkeypatch.setattr(quadrature, "_takes_cubature", lambda model: False)
-
-    @staticmethod
-    def both(monkeypatch, run):
-        monkeypatch.setattr(forking, "_usable_cpus", lambda: 2)
-        forked = run()
-        monkeypatch.setattr(forking, "_usable_cpus", lambda: 1)
-        monkeypatch.setattr(os, "fork", _no_fork)
-        return forked, run()
-
-    @staticmethod
-    def quad(sampler, strata):
-        return gj.QuadratureConfig(
-            seed=5, samples_bulk=2048, samples_slab=8192, stratification=strata, sampler=sampler
-        )
-
-    @pytest.mark.parametrize(
-        "strata", [(), ("slab",), ("slab", "strip", "corner", "shell")]
-    )
-    @pytest.mark.parametrize("sampler", ["rqmc", "mc"])
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_energy_increment(self, monkeypatch, d, sampler, strata):
-        # an estimate a forked child computes and the parent takes from its
-        # stream, as a sweep does at grid[1::2], against a lone one
-        model, pair, params, _, _ = TestFusedPass.case(d, sampler)
-        params = gj.InterchangeParams(h=params.h, t=params.t, quad=self.quad(sampler, strata))
-        monkeypatch.setattr(forking, "_usable_cpus", lambda: 2)
-        child = functools.partial(gj.energy_increment, model, pair)
-        with forking._fork_stream(child, [params]) as stream:
-            forked = gj.energy_increment(model, pair, params, _stream=stream).to_dict()
-        monkeypatch.setattr(os, "fork", _no_fork)
-        serial = gj.energy_increment(model, pair, params).to_dict()
-        # repr tells the bits of every float apart, -0.0 from 0.0 too
-        assert repr(forked) == repr(serial)
-
-    @pytest.mark.parametrize(
-        "d, sampler, strata, n",
-        [
-            # all five strata on 4 points keep the bare id "d-sampler"
-            pytest.param(d, sampler, strata, n, id="-".join(
-                [str(d), sampler] + ([label] if label else []) + ([] if n == 4 else [f"{n}pts"])
-            ))
-            for d in (2, 3)
-            for sampler in ("rqmc", "mc")
-            for label, strata in (("", ("slab", "strip", "corner", "shell")),
-                                  ("bulk", ()), ("slab", ("slab",)))
-            for n in (4, 5)
-        ],
-    )
-    def test_limit_sweep(self, monkeypatch, d, sampler, strata, n):
-        model, pair, params, _, _ = TestFusedPass.case(d, sampler)
-        params = gj.InterchangeParams(h=params.h, t=params.t, quad=self.quad(sampler, strata))
-        grid = [0.1 * 2.0**-k for k in range(n)]
-        forked, serial = self.both(
-            monkeypatch, lambda: gj.limit_sweep(model, pair, params, grid).to_dict()
-        )
-        assert repr(forked) == repr(serial)
-
-    @pytest.mark.parametrize("sampler", ["rqmc", "mc"])
-    def test_region_measures(self, monkeypatch, eq_pair, sampler):
-        params = gj.InterchangeParams(h=0.05, quad=small_quad(seed=9, sampler=sampler))
-        forked, serial = self.both(
-            monkeypatch, lambda: gj.estimate_region_measures(eq_pair, params)
-        )
-        assert repr(forked) == repr(serial)

@@ -9,8 +9,8 @@ process, with its command from COMMANDS, at every seed and in both
 ``--format`` choices, with ``--out`` a fresh temporary directory.  One line
 ``<config> <seed> <format> <sha256>`` is printed per run.  The digest
 covers the exit code, stdout, stderr and every artifact, by name and
-content.  Two trees, or one tree under two CPU settings, that print the
-same lines wrote the same bytes; ``diff`` the outputs to compare them.
+content.  Two trees that print the same lines wrote the same bytes;
+``diff`` the outputs to compare them.
 """
 
 from __future__ import annotations
