@@ -129,9 +129,9 @@ class TestScrambleCache:
     def test_a_sweep_leaves_every_scramble_in_this_process(self):
         # the sweep estimates every h here, so it builds each stratum's
         # scrambles at its first h, reuses them at the others and keeps them
-        model, pair, params = TestSampledSweep.case()
+        model, pair, params = TestSweepStream.case()
         quadrature._sobol_scramble.cache_clear()
-        sweep = gj.limit_sweep(model, pair, params, TestSampledSweep.GRID)
+        sweep = gj.limit_sweep(model, pair, params, TestSweepStream.GRID)
         assert sweep.method == "rqmc"
         info = quadrature._sobol_scramble.cache_info()
         per_h = len(quadrature._STRATUM_IDS) * quadrature.N_SCRAMBLES
@@ -640,9 +640,12 @@ class TestCubature:
         with pytest.raises(gj.QuadratureError, match="too small"):
             gj.energy_increment(model, pair, gj.InterchangeParams(h=1e-100, nu=nu))
 
-    def test_a_sweep_runs_in_one_process(self, monkeypatch):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_a_sweep_runs_in_one_process(self, monkeypatch, cpus):
         # one energy_increment call per h, in grid order, whose n_evals add
-        # up to the sweep's, as the bench tracer reads them; no fork
+        # up to the sweep's, as the bench tracer reads them; no fork, on one
+        # usable CPU as on two
+        _report_cpus(monkeypatch, cpus)
         monkeypatch.setattr(os, "fork", _no_fork)
         real = quadrature.energy_increment
         calls = []
@@ -680,6 +683,13 @@ class StackFormTwoWell(gj.AntiplaneDoubleWell):
 
 def _no_fork():
     raise AssertionError("os.fork called")
+
+
+def _report_cpus(monkeypatch, cpus):
+    """Make os report `cpus` usable CPUs."""
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
 
 
 class TestTwoWellCubature:
@@ -911,9 +921,9 @@ class TestLimitSweep:
 
 
 
-class TestSampledSweep:
-    """A sampled sweep, as of the criterion-1 pair in d = 3, runs in this
-    process."""
+class TestSweepStream:
+    """A sampled sweep, as of the criterion-1 pair in d = 3, estimates one h
+    after the other, in grid order, in this process."""
 
     GRID = [0.1, 0.05, 0.025, 0.0125]
 
@@ -929,9 +939,12 @@ class TestSampledSweep:
         model, pair, params = self.case()
         assert gj.limit_sweep(model, pair, params, self.GRID).method == "rqmc"
 
-    def test_energy_increment_once_per_h_through_the_module_global(self, monkeypatch):
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_energy_increment_once_per_h_through_the_module_global(self, monkeypatch, cpus):
         # the contract the bench tracer reads: one call per h, in grid
-        # order, whose n_evals add up to the sweep's
+        # order, whose n_evals add up to the sweep's, on one usable CPU as
+        # on two
+        _report_cpus(monkeypatch, cpus)
         model, pair, params = self.case()
         real = quadrature.energy_increment
         calls = []
