@@ -92,7 +92,7 @@ def cmd_check(cfg: RunConfig):
     model = cfg.model()
     pair = cfg.pair(model)
     tol_abs, tol_rel = cfg.tolerances()
-    resolution, radii = cfg.scan_settings(model.d)
+    resolution, radii = cfg.scan_settings()
     diag = diagnose(model, pair, tol_abs, tol_rel, radii, resolution)
     return (0 if diag.all_ok else 1), diag.to_dict(), []
 
@@ -197,7 +197,7 @@ def cmd_antiplane(cfg: RunConfig):
 def cmd_scan(cfg: RunConfig):
     model = cfg.model()
     points = cfg.scan_points((model.m, model.d))
-    resolution, radii = cfg.scan_settings(model.d)
+    resolution, radii = cfg.scan_settings()
     results = []
     any_unstable = False
     for i, point in enumerate(points):

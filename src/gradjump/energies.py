@@ -531,9 +531,13 @@ class IsotropicParams:
     @functools.cached_property
     def _derivatives(self) -> tuple:
         """Coefficients of f^(j) for j = 0 .. max(len(f_coeffs) - 1, 1),
-        built once."""
-        poly = np.polynomial.polynomial
-        return tuple(poly.polyder(self.f_coeffs, j) for j in range(max(len(self.f_coeffs), 2)))
+        built once, each from the one before as polyder forms it: c_k k for
+        k >= 1, and a single zero once the constant is differentiated."""
+        derivatives = [np.array(self.f_coeffs)]
+        while len(derivatives) < max(len(self.f_coeffs), 2):
+            c = derivatives[-1]
+            derivatives.append(c[1:] * np.arange(1, len(c)) if len(c) > 1 else c * 0)
+        return tuple(derivatives)
 
     def f_prime(self, theta):
         return np.polynomial.polynomial.polyval(theta, self._derivatives[1])

@@ -550,20 +550,29 @@ def _chord(radius: float, x: np.ndarray) -> np.ndarray:
 
 
 def _half_disk_rule(h: float, n: int):
-    """(s_n, s_nu, weights) of a piecewise product rule over the part of
-    the half disk s_n > 0, s_n^2 + s_nu^2 < 1 where the field can move.
+    """(s_n, s_nu, weights, flat) of a piecewise product rule over the part
+    of the half disk s_n > 0, s_n^2 + s_nu^2 < 1 where the field can move.
 
-    The pieces are iterated, s_nu outside and s_n inside, with n
-    sine-substituted Gauss nodes per axis on each.  For s_nu > 0 (the fold
-    keeps z) the field moves only in the slab s_n < h, where phi kinks at
-    s_n = h; for s_nu < 0 (the fold mirrors z) phi is 1 and does not kink.
-    So s_n splits at h on the s_nu > 0 side, which it also tops, and on
-    both sides at the circle rho = 1 - sqrt(h), where zeta kinks; its top
-    is the circle rho = 1.  s_nu splits at 0, at +-sqrt(h), where rho
-    kinks, at +-(1 - sqrt(h)) and +-1, where the circles meet s_n = 0, and
-    for s_nu > 0 where they meet s_n = h.  Within a piece the s_n knots
-    keep their order, and each square-root end, where a circle meets an
-    axis, is an end of a piece.
+    s_n, s_nu and weights have shape (pieces, n, n), indexed by piece, s_nu
+    node and s_n node, with n sine-substituted Gauss nodes per axis on each
+    piece.  For s_nu > 0 (the fold keeps z) the field moves only in the
+    slab s_n < h, where phi kinks at s_n = h; for s_nu < 0 (the fold
+    mirrors z) phi is 1 and does not kink.  So s_n splits at h on the
+    s_nu > 0 side, which it also tops, and on both sides at the circle
+    rho = 1 - sqrt(h), where zeta kinks; its top is the circle rho = 1.
+    s_nu splits at 0, at +-sqrt(h), where rho kinks, at +-(1 - sqrt(h)) and
+    +-1, where the circles meet s_n = 0, and for s_nu > 0 where they meet
+    s_n = h.  Within a piece the s_n knots keep their order, and each
+    square-root end, where a circle meets an axis, is an end of a piece.
+
+    ``flat`` (pieces,) marks the pieces in the core rho < 1 - sqrt(h) off
+    the corner 0 < s_nu < sqrt(h).  On them the frame gradient of the field
+    is one constant: (-1, 0) for s_nu > sqrt(h), (0, -sqrt(h)) for
+    -sqrt(h) < s_nu < 0 and 0 for s_nu < -sqrt(h).
+
+    Which knots bound each piece is decided on Python scalars at the
+    middle of its s_nu segment; the nodes of all pieces are then formed
+    in one broadcast.
     """
     sh = math.sqrt(h)
     r1 = 1.0 - sh
@@ -571,25 +580,43 @@ def _half_disk_rule(h: float, n: int):
     both_sides = (sh, r1, 1.0)
     slab_side = [float(_chord(1.0, h))] + ([float(_chord(r1, h))] if h < r1 else [])
     edges = sorted({0.0, *both_sides, *(-c for c in both_sides), *slab_side})
-    s_n, s_nu, weights = [], [], []
+    # per piece: its s_nu segment, the knots at its s_n ends (0: s_n = 0,
+    # 1: rho = 1, 2: rho = 1 - sqrt(h), 3: s_n = h) and whether it is flat
+    segments, lo_knot, hi_knot, flat = [], [], [], []
     for a, b in zip(edges, edges[1:]):
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        nu = mid + half * x
-        # (value at mid, value at each node) of every s_n knot
+        mid = 0.5 * (a + b)
         top = float(_chord(1.0, mid))
-        knots = [(0.0, np.zeros(n)), (top, _chord(1.0, nu))]
+        knots = [(0.0, 0), (top, 1)]
+        core_top = -1.0  # below every knot where the segment misses the core
         if abs(mid) < r1:
-            knots.append((float(_chord(r1, mid)), _chord(r1, nu)))
+            core_top = float(_chord(r1, mid))
+            knots.append((core_top, 2))
         if mid > 0.0:
-            knots.append((h, np.full(n, h)))
+            knots.append((h, 3))
             top = min(h, top)
-        ends = [at for at_mid, at in sorted(knots, key=lambda k: k[0]) if at_mid <= top]
-        for lo, hi in zip(ends, ends[1:]):
-            centre, half_n = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            s_n.append((centre[:, None] + half_n[:, None] * x).ravel())
-            s_nu.append(np.repeat(nu, n))
-            weights.append(((half * wx * half_n)[:, None] * wx).ravel())
-    return np.concatenate(s_n), np.concatenate(s_nu), np.concatenate(weights)
+        ends = [(at_mid, k) for at_mid, k in sorted(knots, key=lambda k: k[0]) if at_mid <= top]
+        for (_, lo), (at_mid, hi) in zip(ends, ends[1:]):
+            segments.append((a, b))
+            lo_knot.append(lo)
+            hi_knot.append(hi)
+            flat.append(at_mid <= core_top and not 0.0 < mid < sh)
+    a, b = np.array(segments).T
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    nu = mid[:, None] + half[:, None] * x
+    # every knot at every s_nu node; rho = 1 - sqrt(h) only where it is one
+    knot_at = np.zeros((4,) + nu.shape)
+    knot_at[1] = _chord(1.0, nu)
+    inner = np.abs(mid) < r1
+    knot_at[2, inner] = _chord(r1, nu[inner])
+    knot_at[3] = h
+    pieces = np.arange(nu.shape[0])
+    lo, hi = knot_at[lo_knot, pieces], knot_at[hi_knot, pieces]
+    centre, half_n = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    s_n = half_n[:, :, None] * x
+    s_n += centre[:, :, None]  # centre + half_n x, with one (pieces, n, n) array
+    s_nu = np.broadcast_to(nu[:, :, None], s_n.shape)
+    weights = (half[:, None] * wx * half_n)[:, :, None] * wx
+    return s_n, s_nu, weights, np.array(flat)
 
 
 def _cubature(fld: InterchangeField, integrand, n: int, n_w: int | None = None):
@@ -606,12 +633,17 @@ def _cubature(fld: InterchangeField, integrand, n: int, n_w: int | None = None):
     takes Gauss nodes in u, w = rho sinh(u), which keeps the branch points
     of |z| at w = +-i rho a distance pi/2 from the real axis: n_w nodes on
     each part of the u interval, split into equal parts of length <= 1
-    (one part for h below about 0.12).  Nodes are evaluated in blocks of at
-    most _BLOCK_ROWS rows.
+    (one part for h below about 0.12).
+
+    On a flat piece of the rule the frame gradient, and so the integrand,
+    is one value at every w = 0 row, so those rows collapse to one, at the
+    piece's middle node, with their summed weight; in d = 2 that row is
+    the whole node, in d = 3 the core, and the shell rows stay.  The rows
+    are evaluated in blocks of at most _BLOCK_ROWS.
     """
     h, d = fld.h, fld.pair.d
-    s_n, s_nu, weights = _half_disk_rule(h, n)
-    per_node = 1
+    s_n, s_nu, weights, flat = _half_disk_rule(h, n)
+    plane = weights  # the weight of each node's row at w = 0
     if d == 3:
         r1 = 1.0 - math.sqrt(h)
         rho2 = s_n * s_n + s_nu * s_nu
@@ -624,35 +656,47 @@ def _cubature(fld: InterchangeField, integrand, n: int, n_w: int | None = None):
         u_unit = ((np.arange(parts)[:, None] + 0.5 * (1.0 + t)) / parts).ravel()
         u_weights = np.tile(0.5 * wt / parts, parts)
         n_shell = u_unit.size
-        per_node += 2 * n_shell
-        core_weights = 2.0 * weights * core
         # dw = rho cosh(u) du
         shell_weights = weights * u_span * rho
+        plane = 2.0 * weights * core
+    mid = n // 2
+    keep = np.repeat(~flat, n * n).reshape(s_n.shape)
+    keep[flat, mid, mid] = True
+    plane[flat, mid, mid] = plane[flat].sum(axis=(1, 2))
+
+    def blocks():
+        """(coords, weights) of at most _BLOCK_ROWS rows: every kept node at
+        w = 0, then in d = 3 each node's shell at w > 0 and at w < 0."""
+        node_n, node_nu, wts = s_n[keep], s_nu[keep], plane[keep]
+        for i in range(0, wts.size, _BLOCK_ROWS):
+            coords = np.zeros((min(_BLOCK_ROWS, wts.size - i), d))
+            coords[:, 0] = node_n[i:i + _BLOCK_ROWS]
+            coords[:, 1] = node_nu[i:i + _BLOCK_ROWS]
+            yield coords, wts[i:i + _BLOCK_ROWS]
+        if d == 2:
+            return
+        node_n, node_nu, lo, span, r, shell = (
+            a.reshape(-1, 1) for a in (s_n, s_nu, u_lo, u_span, rho, shell_weights))
+        step = _BLOCK_ROWS // (2 * n_shell)
+        for i in range(0, s_n.size, step):
+            part = slice(i, i + step)
+            u = lo[part] + span[part] * u_unit
+            w = r[part] * np.sinh(u)
+            coords = np.empty((w.shape[0], 2, n_shell, d))
+            coords[..., 0] = node_n[part, :, None]
+            coords[..., 1] = node_nu[part, :, None]
+            coords[:, 0, :, 2] = w
+            coords[:, 1, :, 2] = -w
+            wts = np.empty((w.shape[0], 2, n_shell))
+            wts[:, 0] = shell[part] * u_weights * np.cosh(u)
+            wts[:, 1] = wts[:, 0]
+            yield coords.reshape(-1, d), wts.reshape(-1)
+
     total, rows = 0.0, 0
-    step = _BLOCK_ROWS // per_node
-    for i in range(0, s_n.size, step):
-        part = slice(i, i + step)
-        m = min(step, s_n.size - i)
-        # per node: the core at w = 0, then the shell at w > 0 and at w < 0
-        coords = np.empty((m, per_node, d))
-        coords[:, :, 0] = s_n[part, None]
-        coords[:, :, 1] = s_nu[part, None]
-        wts = np.empty((m, per_node))
-        if d == 3:
-            u = u_lo[part, None] + u_span[part, None] * u_unit
-            w = rho[part, None] * np.sinh(u)
-            coords[:, 0, 2] = 0.0
-            coords[:, 1:1 + n_shell, 2] = w
-            coords[:, 1 + n_shell:, 2] = -w
-            wts[:, 0] = core_weights[part]
-            wts[:, 1:1 + n_shell] = shell_weights[part, None] * u_weights * np.cosh(u)
-            wts[:, 1 + n_shell:] = wts[:, 1:1 + n_shell]
-        else:
-            wts[:, 0] = weights[part]
-        coords = coords.reshape(-1, d)
+    for coords, wts in blocks():
         g = _mirrored_gradient(coords, _radius(coords), h)
         f_z, f_mirror = integrand(coords, g)
-        total += float(wts.reshape(-1) @ (f_z + f_mirror))
+        total += float(wts @ (f_z + f_mirror))
         rows += coords.shape[0]
     return total, 2 * rows
 
@@ -817,12 +861,23 @@ class SweepResult:
 
 
 def _weighted_poly_fit(x, y, sigma, order):
+    """(coefficients, covariance, chi2) of the weighted least-squares
+    polynomial of ``order`` coefficients, ascending.
+
+    The design A is weighted by 1 / sigma, its columns are scaled to unit
+    norm, and it is solved by QR.  The Gram matrix A^T A of a sqrt(h)
+    series has a condition number of 1e7 to 1e9, the square of A's, and
+    inverting it would lose that many digits where QR loses A's.  The
+    covariance (A^T A)^-1 is R^-1 R^-T, with the scaling undone.
+    """
     w = 1.0 / sigma**2
     design = np.vander(x, order, increasing=True)
-    gram = design.T @ (w[:, None] * design)
-    rhs = design.T @ (w * y)
-    cov = np.linalg.inv(gram)
-    coef = cov @ rhs
+    weighted = design / sigma[:, None]
+    scale = np.linalg.norm(weighted, axis=0)
+    q, r = np.linalg.qr(weighted / scale)
+    r_inv = np.linalg.inv(r)
+    coef = r_inv @ (q.T @ (y / sigma)) / scale
+    cov = (r_inv @ r_inv.T) / np.outer(scale, scale)
     resid = y - design @ coef
     chi2 = float(np.sum(w * resid**2))
     return coef, cov, chi2

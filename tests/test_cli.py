@@ -702,72 +702,6 @@ class TestNumericFrontDoor:
         self.rejected(tmp_path, capsys, command, payload, key)
 
 
-class TestScanGridCap:
-    """A scan grid of more than MAX_SCAN_ROWS rows (directions v x radii)
-    is a config error, found before the grid is allocated."""
-
-    HUGE_RADII = {"lo": 0.001, "hi": 10.0, "num": 2**20}
-
-    @pytest.fixture
-    def address_space_cap(self):
-        """This process's address space capped 1 GiB above its present size,
-        so that a grid the check lets through fails at once instead of
-        paging in memory."""
-        resource = pytest.importorskip("resource")
-        if not os.path.exists("/proc/self/statm"):
-            pytest.skip("needs /proc/self/statm to read the process size")
-        with open("/proc/self/statm") as statm:
-            size = int(statm.read().split()[0]) * os.sysconf("SC_PAGE_SIZE")
-        soft, hard = resource.getrlimit(resource.RLIMIT_AS)
-        cap = size + 2**30
-        if hard != resource.RLIM_INFINITY:
-            cap = min(cap, hard)
-        resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
-        yield
-        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
-
-    @pytest.mark.parametrize(
-        "command, payload",
-        [
-            # 256^2 directions x 2^20 radii: 1.5 TiB of world grid
-            ("scan", {"model": ISOTROPIC_3D, "points": [np.eye(3).tolist()],
-                      "resolution": 256, "radii": HUGE_RADII}),
-            ("check", {"model": MODEL, "pair": EQ_PAIR,
-                       "scan": {"resolution": 256, "radii": HUGE_RADII}}),
-        ],
-    )
-    def test_too_many_rows(self, tmp_path, capsys, address_space_cap, command, payload):
-        cfg = write_config(tmp_path, payload)
-        code, stdout, err = run(capsys, command, "--config", cfg)
-        assert code == 2
-        assert stdout == ""
-        assert "rows" in error_line(err)
-
-    @pytest.mark.parametrize(
-        "d, resolution, radii, ok",
-        [
-            (2, 4, {"lo": 0.1, "hi": 1.0, "num": 2**20}, True),
-            (2, 5, {"lo": 0.1, "hi": 1.0, "num": 2**20}, False),
-            (3, 256, {"lo": 0.1, "hi": 1.0, "num": 64}, True),
-            (3, 256, {"lo": 0.1, "hi": 1.0, "num": 65}, False),
-            (3, 256, [1.0] * 64, True),
-            (3, 256, [1.0] * 65, False),
-            (1, 256, {"lo": 0.1, "hi": 1.0, "num": 2**20}, True),
-        ],
-    )
-    def test_the_cap_is_inclusive(self, d, resolution, radii, ok):
-        from gradjump.config import MAX_SCAN_ROWS
-
-        assert MAX_SCAN_ROWS == 2**22
-        cfg = RunConfig("scan", {"model": MODEL, "points": [[[0.5, 0.0]]],
-                                 "resolution": resolution, "radii": radii})
-        if ok:
-            assert cfg.scan_settings(d)[0] == resolution
-        else:
-            with pytest.raises(gj.ConfigError, match="rows"):
-                cfg.scan_settings(d)
-
-
 #: a bench config per command, with the exit code it gives
 COMMAND_CONFIGS = {
     "check": ("check_maxwell.json", 0),

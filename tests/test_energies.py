@@ -116,7 +116,7 @@ class TestIsotropic:
         e2 = np.linalg.norm(fd_gradient(self.model.value, f, 1e-3) - exact)
         assert e2 <= 0.4 * e1 + 1e-13
 
-    def test_taylor_builds_the_derivatives_once(self, monkeypatch, rng):
+    def test_taylor_builds_the_derivatives_once(self, rng):
         poly = np.polynomial.polynomial
         params = gj.IsotropicParams(3, 0.8, (0.5, -1.0, -2.0, 0.3, 1.0))
         thetas = rng.normal(size=5)
@@ -126,13 +126,28 @@ class TestIsotropic:
              for j in range(5)]
             for th in thetas
         ]
-        calls = []
-        real = poly.polyder
-        monkeypatch.setattr(poly, "polyder", lambda *a: calls.append(a) or real(*a))
+        assert "_derivatives" not in vars(params)
+        built = []
         for th, coeffs in zip(thetas, expected):
             assert params.taylor(th).tolist() == coeffs
-        assert len(calls) == 5  # one per j, at the first call
+            built.append(vars(params)["_derivatives"])
+        # built at the first call, and the same tuple read at every later one
+        assert all(b is built[0] for b in built) and len(built[0]) == 5
 
+    @pytest.mark.parametrize("degree", range(9))
+    def test_derivatives_equal_polyder_bit_for_bit(self, rng, degree):
+        poly = np.polynomial.polynomial
+        for _ in range(20):
+            coeffs = rng.normal(size=degree + 1) * 10.0 ** rng.integers(-3, 4, size=degree + 1)
+            zeros = rng.random(degree + 1) < 0.2
+            coeffs[zeros] = np.copysign(0.0, coeffs[zeros])  # zeros of either sign
+            params = gj.IsotropicParams(3, 0.8, tuple(coeffs))
+            derivatives = params._derivatives
+            assert len(derivatives) == max(len(params.f_coeffs), 2)
+            for j, dcoef in enumerate(derivatives):
+                reference = poly.polyder(params.f_coeffs, j)
+                assert (dcoef.dtype, dcoef.shape) == (reference.dtype, reference.shape)
+                assert dcoef.tobytes() == reference.tobytes(), (j, params.f_coeffs)
 
     def test_gradient_reads_the_cached_derivative(self, monkeypatch, rng):
         poly = np.polynomial.polynomial

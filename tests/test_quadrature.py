@@ -794,6 +794,110 @@ class TestTwoWellCubature:
         np.testing.assert_allclose(stacked.values, closed.values, rtol=1e-12, atol=0.0)
 
 
+class TestHalfDiskRule:
+    """The nodes of the piecewise rule, and the one row that each of its
+    flat pieces (constant field gradient) takes."""
+
+    #: the h grid of the bench's sweeps
+    PINNED = [0.1, 0.05, 0.025, 0.0125]
+
+    @pytest.mark.parametrize("h", PINNED + [0.25, 0.3, 0.6, 0.9])
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_weights_sum_to_the_area_where_the_field_moves(self, n, h):
+        # the quarter disk s_nu < 0 and the slab 0 < s_n < h of the half disk
+        area = 0.25 * math.pi + 0.5 * (h * math.sqrt(1.0 - h * h) + math.asin(h))
+        weights = quadrature._half_disk_rule(h, n)[2]
+        assert abs(weights.sum() - area) <= 1e-14 * area
+
+    @pytest.mark.parametrize("h", PINNED + [0.25, 0.9, 1e-4, 1e-6])
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_flat_pieces_have_the_analytic_constant_gradient(self, n, h):
+        s_n, s_nu, _, flat = quadrature._half_disk_rule(h, n)
+        sh, r1 = math.sqrt(h), 1.0 - math.sqrt(h)
+        assert flat.any()
+        for p in np.flatnonzero(flat):
+            coords = np.stack([s_n[p].ravel(), s_nu[p].ravel()], axis=1)
+            r = np.linalg.norm(coords, axis=1)
+            g = quadrature._mirrored_gradient(coords, r, h)
+            nu = s_nu[p, 0, 0]
+            assert nu < 0.0 or nu > sh  # off the corner
+            assert np.all(r < r1 + 1e-15)  # in the core
+            constant = (-1.0, 0.0) if nu > 0.0 else (0.0, -sh) if nu > -sh else (0.0, 0.0)
+            # a node off the constant lies on the piece's edge to rounding
+            off = np.any(g != constant, axis=1)
+            margin = np.minimum.reduce([
+                coords[off, 0], np.abs(h - coords[off, 0]), np.abs(r[off] - r1),
+                np.abs(np.abs(coords[off, 1]) - sh),
+            ])
+            assert np.all(margin <= 1e-15), (p, coords[off][:4])
+
+    @staticmethod
+    def cases():
+        """The closed two-well kernel, its stack form, a value-only model in
+        d = 2 and the isotropic kind in d = 3."""
+        model, pair = TestTwoWellCubature.CRITERION_1.values()
+        value_only = gj.InterfacePair.from_jump([[2.2, 0.3]], [-1.2], [1.0, 0.0])
+        return {
+            "two-well": (model, pair, 64, None),
+            "stack-form": (StackFormTwoWell(model.params), pair, 48, None),
+            "value-only": (ValueOnlyQuadratic(1, 2), value_only, 16, None),
+            "isotropic-3d": (*TestCubature.SWEEP_3D.values(), *quadrature._CUBATURE_RULES[0]),
+        }
+
+    @pytest.mark.parametrize("h", [0.1, 0.0125, 0.6])
+    @pytest.mark.parametrize("name", ["two-well", "stack-form", "value-only", "isotropic-3d"])
+    def test_one_row_per_flat_piece_matches_the_full_rule(self, monkeypatch, name, h):
+        model, pair, n, n_w = self.cases()[name]
+        params = gj.InterchangeParams(h=h)
+        fld = InterchangeField(pair, params)
+        integrand = quadrature._excess_integrand(model, pair, fld, 1.0)
+        collapsed, collapsed_evals = quadrature._cubature(fld, integrand, n, n_w)
+        real = quadrature._half_disk_rule
+
+        def no_flat_piece(h, n):
+            s_n, s_nu, weights, flat = real(h, n)
+            return s_n, s_nu, weights, np.zeros_like(flat)
+
+        monkeypatch.setattr(quadrature, "_half_disk_rule", no_flat_piece)
+        full, full_evals = quadrature._cubature(fld, integrand, n, n_w)
+        assert abs(collapsed - full) <= 1e-13 * abs(full)
+        assert collapsed_evals < full_evals
+
+
+class TestSeriesFit:
+    """The weighted least-squares fit of the sqrt(h) series."""
+
+    @pytest.mark.parametrize(
+        "h_grid, sigma, coef",
+        [
+            # sweep_2d's grid and error bars, and its fit's coefficients
+            ([0.1, 0.05, 0.025, 0.0125], [3.4e-5, 1.55e-4, 1.6e-4, 1.15e-4],
+             [-0.2364483, 5.8704736, -4.0028241, 1.7]),
+            # sweep_3d's grid with bars falling as fast as the cubature's
+            ([0.1, 0.05, 0.025, 0.0125], [2.7e-6, 3e-7, 5e-8, 1e-8],
+             [-0.5538657, 2.2023034, -2.6968087, 0.9]),
+            (TestTwoWellCubature.H_GRID, [3.4e-5, 1.55e-4, 1.6e-4, 1.15e-4, 8e-5, 5e-5],
+             [-0.2364483, 5.8704736, -4.0028241, 1.7]),
+        ],
+    )
+    def test_an_exact_series_returns_its_coefficients(self, h_grid, sigma, coef):
+        # the Gram matrix's condition number here is 1e8 and more, which
+        # inverting it would square into the coefficients
+        x, coef = np.sqrt(h_grid), np.array(coef)
+        y = coef[0] + coef[1] * x + coef[2] * x**2 + coef[3] * x**3
+        fit, cov, chi2 = quadrature._weighted_poly_fit(x, y, np.array(sigma), 4)
+        np.testing.assert_allclose(fit, coef, rtol=1e-10, atol=0.0)
+        assert chi2 <= 1e-12
+
+    def test_covariance_is_the_inverse_gram(self, rng):
+        x = np.linspace(0.1, 1.0, 7)
+        sigma = rng.uniform(0.5, 2.0, 7)
+        _, cov, _ = quadrature._weighted_poly_fit(x, rng.normal(size=7), sigma, 3)
+        design = np.vander(x, 3, increasing=True)
+        gram = design.T @ (design / sigma[:, None] ** 2)
+        np.testing.assert_allclose(cov, np.linalg.inv(gram), rtol=1e-12)
+
+
 class TestRateFit:
     """The three-parameter fallback of the rate fit, taken when at most two
     remainders stand clear of the noise."""
