@@ -23,7 +23,11 @@ closed forms in p = a.G, (F^T a).G and |G|^2, since
 Each closed form is exactly 0 where G = 0, as the stack form is.  The
 estimator asks for both points of an antithetic pair, steps +s and -s, in
 one call (the kernel's ``mirror`` index), so the closed forms compute the
-parts that do not depend on the sign of s once.  The isotropic kind's
+parts that do not depend on the sign of s once.  Each side's index is an
+array, one base per row, or one base for the whole call.  Every row of
+the cubature that carries weight lies on the + side, so it passes one
+base per side, and the closed forms then evaluate those bases alone;
+per-row arrays serve the sampler.  The isotropic kind's
 second stage owns N-row scratch arrays that every call reuses, so a call
 allocates one fresh array per side, its result; at s = 1 it uses p for
 x = s p and p^2 for x^2, which are the same bits.
@@ -67,10 +71,26 @@ def fd_gradient(value_fn, f: np.ndarray, step: float = FD_STEP) -> np.ndarray:
     return grad
 
 
+def _one_base(index):
+    """The base of every row for a kernel index that names one base (an
+    int, None for base 0), or None for an index array."""
+    if index is None:
+        return 0
+    return int(index) if isinstance(index, (int, np.integer)) else None
+
+
 def _per_row(table: np.ndarray, index):
-    """Entries of a per-base table for each row: table[index], or the only
-    entry when index is None (a single base)."""
-    return table[0] if index is None else table.take(index, axis=0)
+    """Entries of a per-base table for each row: table.take(index) for an
+    index array, or the one entry of every row for a single base."""
+    base = _one_base(index)
+    return table.take(index, axis=0) if base is None else table[base]
+
+
+def _bases_used(index, n_bases: int):
+    """The bases the rows of a kernel call take: every base for an index
+    array, the one base for a single base."""
+    base = _one_base(index)
+    return range(n_bases) if base is None else (base,)
 
 
 def _horner(coeffs, x: float) -> float:
@@ -214,16 +234,22 @@ class EnergyModel:
 
             W(F_k + s a (x) g_i) - W(F_k) - s (P_k, a (x) g_i),  k = index[i],
 
-        with every row on base 0 when index is None.  Given a second index
-        array ``mirror`` it returns the pair (those values, the same at -s
-        on the bases mirror[i]): both points of an antithetic pair in one
-        call, each bit for bit what its one-sided call returns.  Each
-        row's value is bit for bit the same whether ``excess`` is called
-        once or many times on one first stage.  The closed forms share the
-        work that does not depend on the sign of s between the two sides.
-        This body keeps g, forms the (N, m, d) stacks and calls
-        ``value_many``, one side at a time; kinds with a closed form
-        override it.
+        where ``index`` is an (N,) array, one base per row, or a single
+        base for every row: an int, with None for base 0.  A single base
+        gives the bits of the array that holds it on every row, and the
+        closed forms then evaluate that base alone.  Given ``mirror``, an
+        index of either form, it returns the pair (those values, the same
+        at -s on the bases mirror[i]): both points of an antithetic pair in
+        one call, each bit for bit what its one-sided call returns.  Every
+        row of the cubature that carries weight lies on one side of the
+        interface, so it makes one such call per block with an int on each
+        side; per-row arrays serve the sampler, whose pairs straddle the
+        interface either way.  Each row's
+        value is bit for bit the same whether ``excess`` is called once or
+        many times on one first stage.  The closed forms share the work
+        that does not depend on the sign of s between the two sides.  This
+        body keeps g, forms the (N, m, d) stacks and calls ``value_many``,
+        one side at a time; kinds with a closed form override it.
         """
         bases = np.asarray(bases, dtype=float)
         wbars = np.array([self.value(f) for f in bases])
@@ -323,11 +349,12 @@ class MinQuadraticsEnergy(EnergyModel):
         left in the increment.  The two sides of a mirrored call share
         (F^T a) per branch and the s^2 term, whose bits are the same at -s.
 
-        The kernel evaluates every base on every row with scalar
-        coefficients and then picks each row's base, which is cheaper than
-        gathering per-row copies of the (K, branches) tables.
-        The two sides also share each branch's s ((mu_b F - P)^T a).g: the
-        -s side subtracts it, and (-s) x == -(s x) exactly.
+        The kernel evaluates each base the call's rows use on every row,
+        with scalar coefficients, and then picks each row's base, which is
+        cheaper than gathering per-row copies of the (K, branches) tables;
+        a single-base side evaluates its base alone.  A base that both
+        sides use shares each branch's s ((mu_b F - P)^T a).g between them:
+        the -s side subtracts it, and (-s) x == -(s x) exactly.
         """
         bases = np.asarray(bases, dtype=float)
         bvals = np.stack([self.branch_values(f) for f in bases])  # (K, branches)
@@ -335,47 +362,46 @@ class MinQuadraticsEnergy(EnergyModel):
         stresses = np.stack([self.gradient(f) for f in bases])
         slopes = self._mus[None, :, None, None] * bases[:, None] - stresses[:, None]
 
-        def per_base(cols, s, mirrored, lin, quad):
-            """Per base, the minimum over the branches on every row at step
-            s, and at -s when mirrored: (values at s, values at -s or Nones).
+        def at_base(k, cols, s, lin, live, mqs, plus, minus):
+            """The minimum over the branches on every row from base k:
+            (values at s if plus, values at -s if minus), None for a side
+            not asked for.
 
-            Each base skips the offsets and linear terms that are zero for
-            it: every branch value starts from mu_b quad >= +0, so adding
-            +-0 changes no bit.
+            It skips the offsets and the columns of the linear terms that
+            are zero for base k, and the factor s at s = 1: every branch
+            value starts from mu_b quad >= +0, so a skipped +-0, which can
+            change at most the sign of a zero step, changes no bit of the
+            value, and 1 x == x.
             """
-            mqs = [mu * quad for mu in self._mus]
-            live = lin.any(axis=2).tolist()
-            plus, minus = [], []
-            for k in range(len(bases)):
-                at_plus = at_minus = None
-                for b, val in enumerate(mqs):
-                    if offsets[k][b] != 0.0:
-                        val = val + offsets[k][b]
-                    val_plus, val_minus = val, (val if mirrored else None)
-                    if live[k][b]:
-                        step = cols[0] * lin[k, b, 0]
-                        for c in range(1, len(cols)):
-                            step += cols[c] * lin[k, b, c]
+            at_plus = at_minus = None
+            for b, val in enumerate(mqs):
+                if offsets[k][b] != 0.0:
+                    val = val + offsets[k][b]
+                val_plus = val_minus = val
+                terms = [c for c, nonzero in enumerate(live[k][b]) if nonzero]
+                if terms:
+                    step = cols[terms[0]] * lin[k, b, terms[0]]
+                    for c in terms[1:]:
+                        step += cols[c] * lin[k, b, c]
+                    if s != 1.0:
                         step *= s
-                        val_plus = val + step
-                        val_minus = val - step if mirrored else None
-                    if at_plus is None:
-                        at_plus, at_minus = val_plus, val_minus
-                    else:
-                        # out of place: a value may be shared by bases and sides
-                        at_plus = np.minimum(at_plus, val_plus)
-                        if mirrored:
-                            at_minus = np.minimum(at_minus, val_minus)
-                plus.append(at_plus)
-                minus.append(at_minus)
-            return plus, minus
+                    val_plus = val + step if plus else None
+                    val_minus = val - step if minus else None
+                # out of place: a value may be shared by bases and sides
+                if plus:
+                    at_plus = val_plus if b == 0 else np.minimum(at_plus, val_plus)
+                if minus:
+                    at_minus = val_minus if b == 0 else np.minimum(at_minus, val_minus)
+            return at_plus, at_minus
 
-        def pick(per_base_values, index):
-            if index is None:
-                return per_base_values[0]
-            if len(per_base_values) == 2:
-                return np.where(index, per_base_values[1], per_base_values[0])
-            return np.choose(index, per_base_values)
+        def pick(values, index):
+            """Each row's value from ``values`` (base -> values on every row)."""
+            base = _one_base(index)
+            if base is not None:
+                return values[base]
+            if len(values) == 2:
+                return np.where(index, values[1], values[0])
+            return np.choose(index, [values[k] for k in range(len(values))])
 
         def kernel(g):
             # contiguous columns, read by several branches and calls
@@ -384,8 +410,15 @@ class MinQuadraticsEnergy(EnergyModel):
             def excess(a, s, index=None, mirror=None):
                 a = np.asarray(a, dtype=float)
                 lin = np.einsum("kbmd,m->kbd", slopes, a)
+                live = (lin != 0.0).tolist()
                 quad = (0.5 * s * s * float(a @ a)) * sq
-                plus, minus = per_base(cols, s, mirror is not None, lin, quad)
+                mqs = [mu * quad for mu in self._mus]
+                on_plus = _bases_used(index, len(bases))
+                on_minus = () if mirror is None else _bases_used(mirror, len(bases))
+                plus, minus = {}, {}
+                for k in sorted({*on_plus, *on_minus}):
+                    plus[k], minus[k] = at_base(
+                        k, cols, s, lin, live, mqs, k in on_plus, k in on_minus)
                 if mirror is None:
                     return pick(plus, index)
                 return pick(plus, index), pick(minus, mirror)
@@ -648,7 +681,9 @@ class IsotropicThetaEnergy(EnergyModel):
         sides of a mirrored call share p, |g|^2 and the mu s^2 terms, whose
         bits are the same at -s; x only flips its sign, and x^2 keeps its
         bits.  The second stage writes p, x, p^2, x^2 and the Taylor tail
-        into its scratch rows with ``out=``.
+        into its scratch rows with ``out=``.  A side on one base (an int
+        index) reads each Taylor coefficient as a scalar; an index array
+        takes it row by row.
         """
         mu, d = self.params.mu, self.d
         # Taylor coefficients of f from the quadratic term up, one row per base

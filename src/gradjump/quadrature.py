@@ -10,10 +10,13 @@ For the isotropic kind, and for every model in d = 2
 (``_takes_cubature``), the remainder is integrated by a deterministic
 piecewise product Gauss rule (``_cubature``): f(z) + f(-z) over the half
 ball s_n > 0, with the pieces split where the cutoffs kink and sine
-substitutions at the square-root ends of the pieces (``_half_disk_rule``).
-In d = 3 the core |z| < 1 - sqrt(h), where the field does not depend on w,
-adds its value times the chord, and the shell takes Gauss nodes in
-w = rho sinh(u).  The isotropic excess is a polynomial in the field
+substitutions at the square-root ends of the pieces (``_half_disk_pieces``).
+A flat piece, where the field gradient is constant, takes one row.  In
+d = 2 the rule forms only the rows it evaluates (``_half_disk_rule``).  In
+d = 3 it forms every node (``_half_disk_nodes``): the core
+|z| < 1 - sqrt(h), where the field does not depend on w, adds its value
+times the chord, and the shell takes Gauss nodes in w = rho sinh(u) at
+every node.  The isotropic excess is a polynomial in the field
 gradient, smooth on every piece, and its error bar is the distance to one
 coarser rule (``_CUBATURE_RULES``).  Where the two-well kinds switch wells
 the rule converges only algebraically, so they take a finer rule and the
@@ -47,9 +50,14 @@ a closed form in a.G, (F^T a).G and |G|^2 for the quadratic,
 min-of-quadratics and isotropic kinds and the (N, m, d) stack form for the
 rest; each is exactly 0 where g = 0.  One kernel call returns both sides
 of a block (its ``mirror`` index), so the closed forms compute the parts
-that do not depend on the sign of the step once.  Region codes are
-computed only by ``estimate_region_measures``, which draws the same points
-from the same streams.
+that do not depend on the sign of the step once.  A sampled pair straddles
+the interface either way, so the sampler passes each row's two bases as
+per-row index arrays read off s_n.  Every row of the cubature that
+carries weight lies at s_n > 0, so it makes one call per block with a
+single base per side, the + base for z and the - base for -z, and the
+closed forms evaluate those two bases alone.  Region codes are computed
+only by ``estimate_region_measures``, which draws the same points from
+the same streams.
 
 Each stratum draws N_SCRAMBLES batches, either scrambled Sobol points
 (default; the independent scrambles give an unbiased estimate with an
@@ -284,7 +292,8 @@ def _pairs_per_scramble(budget_evals: int) -> int:
 
 @dataclass(frozen=True)
 class VariationResult:
-    """Monte Carlo estimate of the energy increment."""
+    """Estimate of the energy increment, by the cubature or by sampling
+    (``method``), with its error bar ``mc_error``."""
 
     delta_e: float
     mc_error: float
@@ -543,27 +552,34 @@ def _sine_gauss(n: int):
     return rule
 
 
-def _chord(radius: float, x: np.ndarray) -> np.ndarray:
-    """sqrt(radius^2 - x^2), factored against cancellation near |x| = radius."""
-    ax = np.abs(x)
-    return np.sqrt((radius - ax) * (radius + ax))
+def _chord(radius: float, x):
+    """sqrt(radius^2 - x^2), factored against cancellation near |x| = radius;
+    a float for a float x, by math.sqrt, which rounds as np.sqrt does."""
+    ax = abs(x)
+    square = (radius - ax) * (radius + ax)
+    return math.sqrt(square) if isinstance(square, float) else np.sqrt(square)
 
 
-def _half_disk_rule(h: float, n: int):
-    """(s_n, s_nu, weights, flat) of a piecewise product rule over the part
-    of the half disk s_n > 0, s_n^2 + s_nu^2 < 1 where the field can move.
+def _half_disk_pieces(h: float, n: int):
+    """(nu, centre, half_n, weight_nu, flat): the pieces of a piecewise
+    product rule over the part of the half disk s_n > 0,
+    s_n^2 + s_nu^2 < 1 where the field can move, with n sine-substituted
+    Gauss nodes x, wx (``_sine_gauss``) per axis on each piece.
 
-    s_n, s_nu and weights have shape (pieces, n, n), indexed by piece, s_nu
-    node and s_n node, with n sine-substituted Gauss nodes per axis on each
-    piece.  For s_nu > 0 (the fold keeps z) the field moves only in the
-    slab s_n < h, where phi kinks at s_n = h; for s_nu < 0 (the fold
-    mirrors z) phi is 1 and does not kink.  So s_n splits at h on the
-    s_nu > 0 side, which it also tops, and on both sides at the circle
-    rho = 1 - sqrt(h), where zeta kinks; its top is the circle rho = 1.
-    s_nu splits at 0, at +-sqrt(h), where rho kinks, at +-(1 - sqrt(h)) and
-    +-1, where the circles meet s_n = 0, and for s_nu > 0 where they meet
-    s_n = h.  Within a piece the s_n knots keep their order, and each
-    square-root end, where a circle meets an axis, is an end of a piece.
+    Each array but ``flat`` has shape (pieces, n), indexed by piece and
+    s_nu node: the s_nu nodes, and at each of them the centre and half
+    length of the piece's s_n interval and the s_nu weight times that half
+    length.  Node (i, j) of a piece lies at s_nu = nu_i,
+    s_n = centre_i + half_n_i x_j, with weight weight_nu_i wx_j.  For
+    s_nu > 0 (the fold keeps z) the field moves only in the slab s_n < h,
+    where phi kinks at s_n = h; for s_nu < 0 (the fold mirrors z) phi is 1
+    and does not kink.  So s_n splits at h on the s_nu > 0 side, which it
+    also tops, and on both sides at the circle rho = 1 - sqrt(h), where
+    zeta kinks; its top is the circle rho = 1.  s_nu splits at 0, at
+    +-sqrt(h), where rho kinks, at +-(1 - sqrt(h)) and +-1, where the
+    circles meet s_n = 0, and for s_nu > 0 where they meet s_n = h.  Within
+    a piece the s_n knots keep their order, and each square-root end,
+    where a circle meets an axis, is an end of a piece.
 
     ``flat`` (pieces,) marks the pieces in the core rho < 1 - sqrt(h) off
     the corner 0 < s_nu < sqrt(h).  On them the frame gradient of the field
@@ -571,25 +587,24 @@ def _half_disk_rule(h: float, n: int):
     -sqrt(h) < s_nu < 0 and 0 for s_nu < -sqrt(h).
 
     Which knots bound each piece is decided on Python scalars at the
-    middle of its s_nu segment; the nodes of all pieces are then formed
-    in one broadcast.
+    middle of its s_nu segment.
     """
     sh = math.sqrt(h)
     r1 = 1.0 - sh
     x, wx = _sine_gauss(n)
     both_sides = (sh, r1, 1.0)
-    slab_side = [float(_chord(1.0, h))] + ([float(_chord(r1, h))] if h < r1 else [])
+    slab_side = [_chord(1.0, h)] + ([_chord(r1, h)] if h < r1 else [])
     edges = sorted({0.0, *both_sides, *(-c for c in both_sides), *slab_side})
     # per piece: its s_nu segment, the knots at its s_n ends (0: s_n = 0,
     # 1: rho = 1, 2: rho = 1 - sqrt(h), 3: s_n = h) and whether it is flat
     segments, lo_knot, hi_knot, flat = [], [], [], []
     for a, b in zip(edges, edges[1:]):
         mid = 0.5 * (a + b)
-        top = float(_chord(1.0, mid))
+        top = _chord(1.0, mid)
         knots = [(0.0, 0), (top, 1)]
         core_top = -1.0  # below every knot where the segment misses the core
         if abs(mid) < r1:
-            core_top = float(_chord(r1, mid))
+            core_top = _chord(r1, mid)
             knots.append((core_top, 2))
         if mid > 0.0:
             knots.append((h, 3))
@@ -611,12 +626,56 @@ def _half_disk_rule(h: float, n: int):
     knot_at[3] = h
     pieces = np.arange(nu.shape[0])
     lo, hi = knot_at[lo_knot, pieces], knot_at[hi_knot, pieces]
-    centre, half_n = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    half_n = 0.5 * (hi - lo)
+    return nu, 0.5 * (lo + hi), half_n, half[:, None] * wx * half_n, np.array(flat)
+
+
+def _half_disk_nodes(h: float, n: int):
+    """(s_n, s_nu, weights, flat): every node of every piece of
+    ``_half_disk_pieces``, with s_n, s_nu and weights of shape
+    (pieces, n, n), indexed by piece, s_nu node and s_n node and formed in
+    one broadcast, and the flat pieces."""
+    nu, centre, half_n, weight_nu, flat = _half_disk_pieces(h, n)
+    x, wx = _sine_gauss(n)
     s_n = half_n[:, :, None] * x
     s_n += centre[:, :, None]  # centre + half_n x, with one (pieces, n, n) array
-    s_nu = np.broadcast_to(nu[:, :, None], s_n.shape)
-    weights = (half[:, None] * wx * half_n)[:, :, None] * wx
-    return s_n, s_nu, weights, np.array(flat)
+    return s_n, np.broadcast_to(nu[:, :, None], s_n.shape), weight_nu[:, :, None] * wx, flat
+
+
+def _half_disk_rule(h: float, n: int):
+    """(coords, weights) of the rows at w = 0 that the cubature evaluates:
+    coords (rows, 2) holds (s_n, s_nu), in piece order, column-major so
+    that each coordinate is read contiguously.
+
+    A piece that is not flat (``_half_disk_pieces``) gives each of its
+    n x n nodes, s_nu node by s_nu node.  On a flat piece the integrand is
+    one value at every node, so the piece gives one row: its middle node
+    (n // 2, n // 2), with the piece's summed weight.  The other nodes of
+    the flat pieces are not formed.  Each row has the bits that
+    ``_half_disk_nodes`` gives the same node, and a flat piece's weight is
+    the same sum of its node weights.
+    """
+    nu, centre, half_n, weight_nu, flat = _half_disk_pieces(h, n)
+    x, wx = _sine_gauss(n)
+    nn, mid = n * n, n // 2
+    columns = np.empty((2, int(np.where(flat, 1, nn).sum())))
+    weights = np.empty(columns.shape[1])
+    flat_weights = iter((weight_nu[flat][:, :, None] * wx).sum(axis=(1, 2)).tolist())
+    start = 0
+    for p, is_flat in enumerate(flat.tolist()):
+        if is_flat:
+            columns[:, start] = half_n[p, mid] * x[mid] + centre[p, mid], nu[p, mid]
+            weights[start] = next(flat_weights)
+            start += 1
+            continue
+        # the piece's rows as (n, n) views, written in place
+        rows = slice(start, start + nn)
+        s_n = np.multiply(half_n[p, :, None], x, out=columns[0, rows].reshape(n, n))
+        s_n += centre[p, :, None]
+        columns[1, rows].reshape(n, n)[...] = nu[p, :, None]
+        np.multiply(weight_nu[p, :, None], wx, out=weights[rows].reshape(n, n))
+        start += nn
+    return columns.T, weights
 
 
 def _cubature(fld: InterchangeField, integrand, n: int, n_w: int | None = None):
@@ -625,26 +684,33 @@ def _cubature(fld: InterchangeField, integrand, n: int, n_w: int | None = None):
 
     ``integrand`` is ``_excess_integrand``'s: f(z) and f(-z) from the frame
     gradient at z.  Their sum over the half ball s_n > 0 is the integral
-    over the ball.  In d = 3 each node (s_n, s_nu) of ``_half_disk_rule``,
-    at rho^2 = s_n^2 + s_nu^2, adds the core |z| < 1 - sqrt(h), where the
-    field does not depend on w, as its value at w = 0 times the chord
-    2 sqrt((1 - sqrt(h))^2 - rho^2) (0 outside the core's disk), and the
-    shell on either side of it, out to |w| = sqrt(1 - rho^2).  The shell
-    takes Gauss nodes in u, w = rho sinh(u), which keeps the branch points
-    of |z| at w = +-i rho a distance pi/2 from the real axis: n_w nodes on
-    each part of the u interval, split into equal parts of length <= 1
-    (one part for h below about 0.12).
+    over the ball.  Every row evaluated has s_n > 0, so each block is one
+    kernel call with z on the + base and -z on the - base.  (A piece's
+    s_n interval can have length 0 at an s_nu node that rounds onto a
+    circle, h = 1e-6 at n >= 16 say; its rows then sit at s_n = 0 with
+    weight 0, and their base does not matter.)  In d = 3 each
+    node (s_n, s_nu) of ``_half_disk_nodes``, at rho^2 = s_n^2 + s_nu^2,
+    adds the core |z| < 1 - sqrt(h), where the field does not depend on w,
+    as its value at w = 0 times the chord 2 sqrt((1 - sqrt(h))^2 - rho^2)
+    (0 outside the core's disk), and the shell on either side of it, out
+    to |w| = sqrt(1 - rho^2).  The shell takes Gauss nodes in u,
+    w = rho sinh(u), which keeps the branch points of |z| at w = +-i rho a
+    distance pi/2 from the real axis: n_w nodes on each part of the u
+    interval, split into equal parts of length <= 1 (one part for h below
+    about 0.12).
 
     On a flat piece of the rule the frame gradient, and so the integrand,
     is one value at every w = 0 row, so those rows collapse to one, at the
     piece's middle node, with their summed weight; in d = 2 that row is
-    the whole node, in d = 3 the core, and the shell rows stay.  The rows
-    are evaluated in blocks of at most _BLOCK_ROWS.
+    the whole node (``_half_disk_rule`` forms only the rows evaluated), in
+    d = 3 the core, and the shell rows stay.  The rows are evaluated in
+    blocks of at most _BLOCK_ROWS.
     """
     h, d = fld.h, fld.pair.d
-    s_n, s_nu, weights, flat = _half_disk_rule(h, n)
-    plane = weights  # the weight of each node's row at w = 0
-    if d == 3:
+    if d == 2:
+        at_plane, plane = _half_disk_rule(h, n)
+    else:
+        s_n, s_nu, weights, flat = _half_disk_nodes(h, n)
         r1 = 1.0 - math.sqrt(h)
         rho2 = s_n * s_n + s_nu * s_nu
         rho = np.sqrt(rho2)
@@ -658,21 +724,22 @@ def _cubature(fld: InterchangeField, integrand, n: int, n_w: int | None = None):
         n_shell = u_unit.size
         # dw = rho cosh(u) du
         shell_weights = weights * u_span * rho
+        # the core's weight at w = 0; each flat piece's row is its middle node
         plane = 2.0 * weights * core
-    mid = n // 2
-    keep = np.repeat(~flat, n * n).reshape(s_n.shape)
-    keep[flat, mid, mid] = True
-    plane[flat, mid, mid] = plane[flat].sum(axis=(1, 2))
+        mid = n // 2
+        keep = np.repeat(~flat, n * n).reshape(s_n.shape)
+        keep[flat, mid, mid] = True
+        plane[flat, mid, mid] = plane[flat].sum(axis=(1, 2))
+        plane = plane[keep]
+        at_plane = np.zeros((plane.size, d))
+        at_plane[:, 0] = s_n[keep]
+        at_plane[:, 1] = s_nu[keep]
 
     def blocks():
-        """(coords, weights) of at most _BLOCK_ROWS rows: every kept node at
+        """(coords, weights) of at most _BLOCK_ROWS rows: every row at
         w = 0, then in d = 3 each node's shell at w > 0 and at w < 0."""
-        node_n, node_nu, wts = s_n[keep], s_nu[keep], plane[keep]
-        for i in range(0, wts.size, _BLOCK_ROWS):
-            coords = np.zeros((min(_BLOCK_ROWS, wts.size - i), d))
-            coords[:, 0] = node_n[i:i + _BLOCK_ROWS]
-            coords[:, 1] = node_nu[i:i + _BLOCK_ROWS]
-            yield coords, wts[i:i + _BLOCK_ROWS]
+        for i in range(0, plane.size, _BLOCK_ROWS):
+            yield at_plane[i:i + _BLOCK_ROWS], plane[i:i + _BLOCK_ROWS]
         if d == 2:
             return
         node_n, node_nu, lo, span, r, shell = (
@@ -695,7 +762,7 @@ def _cubature(fld: InterchangeField, integrand, n: int, n_w: int | None = None):
     total, rows = 0.0, 0
     for coords, wts in blocks():
         g = _mirrored_gradient(coords, _radius(coords), h)
-        f_z, f_mirror = integrand(coords, g)
+        f_z, f_mirror = integrand(coords, g, s_n_positive=True)
         total += float(wts @ (f_z + f_mirror))
         rows += coords.shape[0]
     return total, 2 * rows
@@ -740,7 +807,8 @@ def _takes_cubature(model: EnergyModel) -> bool:
     model in d = 2, whatever its rank-one kernel.  Where the two-well
     kinds switch wells the rule converges only algebraically, but at the
     sizes of ``_TWO_WELL_RULES`` its error stays below the default
-    sampler's error bars at a seventh of the evaluations.  Only the
+    sampler's error bars at about a tenth of the evaluations (103,960
+    against 1,081,344 per h on the criterion-1 pair).  Only the
     non-isotropic models in d = 3 are sampled."""
     return model.d == 2 or isinstance(model, IsotropicThetaEnergy)
 
@@ -749,19 +817,27 @@ def _excess_integrand(model, pair, fld, t):
     """Pointwise excess W(Fbar + t grad Phi) - W(Fbar) - t (P(Fbar), grad Phi)
     at z and -z from the frame gradient g at z.
 
-    Returns ``excess(coords, g) -> (f(z), f(-z))``.  grad Phi = a (x) G with
-    the world vector G = frame^T g, so both values come from one two-sided
-    call of the model's rank-one kernel on the bases (F-, F+).  The mirror
-    point sits on the other side of the interface (s_n < 0 means -z is on
-    the + side) and its gradient is -g, so its step is negated, not
-    recomputed.
+    Returns ``excess(coords, g, s_n_positive=False) -> (f(z), f(-z))``.
+    grad Phi = a (x) G with the world vector G = frame^T g, so both values
+    come from one two-sided call of the model's rank-one kernel on the
+    bases (F-, F+).  The mirror point sits on the other side of the
+    interface (s_n < 0 means -z is on the + side) and its gradient is -g,
+    so its step is negated, not recomputed.  Each row's two bases are read
+    off its s_n, as per-row index arrays.  With ``s_n_positive`` the
+    caller vouches that every row that carries weight has s_n > 0, as the
+    cubature's rows do, and the call takes the + base for z and the - base
+    for -z throughout: on every row at s_n > 0 the bits of the per-row
+    arrays.
     """
     # index 1 selects the + side, 0 the - side
     kernel = model.rank_one_excess(np.stack([pair.fm, pair.fp]))
 
-    def excess(coords: np.ndarray, g: np.ndarray):
-        s_n = coords[:, 0].copy()  # two compares on a contiguous copy beat two strided ones
-        plus, mirror_plus = (s_n > 0.0).astype(np.intp), (s_n < 0.0).astype(np.intp)
+    def excess(coords: np.ndarray, g: np.ndarray, s_n_positive: bool = False):
+        if s_n_positive:
+            plus, mirror_plus = 1, 0
+        else:
+            s_n = coords[:, 0].copy()  # two compares on a contiguous copy beat two strided ones
+            plus, mirror_plus = (s_n > 0.0).astype(np.intp), (s_n < 0.0).astype(np.intp)
         return kernel(g @ fld.frame)(pair.a, t, plus, mirror=mirror_plus)
 
     return excess

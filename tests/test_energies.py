@@ -334,25 +334,28 @@ class TestRankOneExcess:
         return excess
 
     @pytest.mark.parametrize("kind", [k for k in CLOSED_FORMS if not k.startswith("isotropic")])
-    @pytest.mark.parametrize("wells", ["mixed", "shared"])
+    @pytest.mark.parametrize("wells", ["mixed", "shared", "on-axis"])
     def test_zero_term_skips_are_bitwise(self, rng, kind, wells):
         model = CLOSED_FORMS[kind]()
         # |F|^2 of 0.1, 1.5 and 4 puts the bases of the three-branch model on
         # three different wells; "shared" keeps every base on branch 0, so
-        # that branch's offsets are all zero
-        sq = [0.1, 1.5, 4.0] if wells == "mixed" else [0.1, 0.2, 0.3]
+        # that branch's offsets are all zero; "on-axis" puts every base on
+        # the first column, so the other columns of the linear terms are
+        # zero, as on the criterion-1 pair
+        sq = [0.1, 0.2, 0.3] if wells == "shared" else [0.1, 1.5, 4.0]
         dirs = rng.normal(size=(3, model.m, model.d))
+        if wells == "on-axis":
+            dirs[:, :, 1:] = 0.0
         bases = dirs * np.sqrt(sq / np.sum(dirs**2, axis=(1, 2)))[:, None, None]
         kernel, reference = model.rank_one_excess(bases), self.every_term_kernel(model, bases)
-        for _ in range(4):
+        for s in (1.0, *rng.uniform(-1.5, 1.5, size=3)):
             a = rng.normal(size=model.m)
             # steps up to |g| ~ 6 cross from every base's well into the others
             g = rng.normal(size=(400, model.d)) * rng.uniform(0.0, 3.0, size=(400, 1))
             g[:20] = 0.0
-            s = rng.uniform(-1.5, 1.5)
             index = rng.integers(0, 3, size=400)
-            assert np.array_equal(kernel(g)(a, s, index), reference(a, g, s, index))
-            assert np.array_equal(kernel(g)(a, s), reference(a, g, s, np.zeros(400, dtype=int)))
+            self.assert_same_bits(kernel(g)(a, s, index), reference(a, g, s, index))
+            self.assert_same_bits(kernel(g)(a, s), reference(a, g, s, np.zeros(400, dtype=int)))
 
     #: the closed forms, an isotropic model whose f has no Taylor tail (f
     #: linear, so the kernel is the mu s^2 terms alone) and the stack form
@@ -433,6 +436,15 @@ class TestRankOneExcess:
                 fresh_plus, fresh_minus = fresh(a, s, index, mirror=mirror)
                 self.assert_same_bits(plus, fresh_plus)
                 self.assert_same_bits(minus, fresh_minus)
+                # one base per side, as an int: the bits of the per-row
+                # array that holds it on every row
+                k, m = rng.integers(0, 3, size=2)
+                on_k, on_m = np.full(n, k), np.full(n, m)
+                self.assert_same_bits(stage(a, s, int(k)), fresh(a, s, on_k))
+                plus, minus = stage(a, s, int(k), mirror=int(m))
+                fresh_plus, fresh_minus = fresh(a, s, on_k, mirror=on_m)
+                self.assert_same_bits(plus, fresh_plus)
+                self.assert_same_bits(minus, fresh_minus)
 
     @staticmethod
     def isotropic_stage(rng, n_coeffs, d, layout, n=300):
@@ -451,26 +463,33 @@ class TestRankOneExcess:
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("n_coeffs", range(1, 7))
     def test_isotropic_scratch_keeps_every_term_bits(self, rng, n_coeffs, d, layout):
-        # 20 calls on one second stage, which reuses its scratch rows: each
+        # 30 calls on one second stage, which reuses its scratch rows: each
         # result has the bits of the out-of-place kernel and stays as it was
-        # returned while later calls run
+        # returned while later calls run; an int index gives the bits of
+        # the per-row array that holds it
         model, bases, g, stage = self.isotropic_stage(rng, n_coeffs, d, layout)
         reference = self.every_term_kernel(model, bases)
         on_base_0 = np.zeros(len(g), dtype=int)
         returned = []
-        for call in range(20):
+        for call in range(30):
             s = (1.0, 0.5, -1.0)[call % 3]
             a = rng.normal(size=d)
             index = rng.integers(0, 3, size=len(g))
             mirror = rng.integers(0, 3, size=len(g))
-            kind = call % 4
+            k, m = (int(base) for base in rng.integers(0, 3, size=2))
+            kind = call % 6
             if kind == 0:
                 results = [(stage(a, s), reference(a, g, s, on_base_0))]
             elif kind == 1:
                 results = [(stage(a, s, index), reference(a, g, s, index))]
+            elif kind == 4:
+                results = [(stage(a, s, k), reference(a, g, s, np.full(len(g), k)))]
             else:
+                if kind == 5:
+                    index, mirror = k, m
                 plus, minus = stage(a, s, index, mirror=mirror)
                 assert not np.shares_memory(plus, minus)
+                index, mirror = np.broadcast_to(index, len(g)), np.broadcast_to(mirror, len(g))
                 results = [(plus, reference(a, g, s, index)), (minus, reference(a, g, -s, mirror))]
             for got, want in results:
                 self.assert_same_bits(got, want)

@@ -804,15 +804,16 @@ class TestHalfDiskRule:
     @pytest.mark.parametrize("h", PINNED + [0.25, 0.3, 0.6, 0.9])
     @pytest.mark.parametrize("n", [32, 64])
     def test_weights_sum_to_the_area_where_the_field_moves(self, n, h):
-        # the quarter disk s_nu < 0 and the slab 0 < s_n < h of the half disk
+        # the quarter disk s_nu < 0 and the slab 0 < s_n < h of the half
+        # disk, by every node and by the rows the cubature evaluates
         area = 0.25 * math.pi + 0.5 * (h * math.sqrt(1.0 - h * h) + math.asin(h))
-        weights = quadrature._half_disk_rule(h, n)[2]
-        assert abs(weights.sum() - area) <= 1e-14 * area
+        for weights in (quadrature._half_disk_nodes(h, n)[2], quadrature._half_disk_rule(h, n)[1]):
+            assert abs(weights.sum() - area) <= 1e-14 * area
 
     @pytest.mark.parametrize("h", PINNED + [0.25, 0.9, 1e-4, 1e-6])
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_flat_pieces_have_the_analytic_constant_gradient(self, n, h):
-        s_n, s_nu, _, flat = quadrature._half_disk_rule(h, n)
+        s_n, s_nu, _, flat = quadrature._half_disk_nodes(h, n)
         sh, r1 = math.sqrt(h), 1.0 - math.sqrt(h)
         assert flat.any()
         for p in np.flatnonzero(flat):
@@ -831,6 +832,24 @@ class TestHalfDiskRule:
             ])
             assert np.all(margin <= 1e-15), (p, coords[off][:4])
 
+    @pytest.mark.parametrize("n", [4, 8, 12, 16, 32, 48, 64])
+    def test_rows_are_the_gathered_nodes_bit_for_bit(self, n):
+        # the rows the rule forms are those that boolean masks gather from
+        # every node: each node of a piece that is not flat and the middle
+        # node of a flat one, with the piece's summed weight, in node order
+        for h in self.PINNED + [1e-12, 1e-6, 0.25, 0.38, 0.6, 0.9]:
+            s_n, s_nu, weights, flat = quadrature._half_disk_nodes(h, n)
+            mid = n // 2
+            keep = np.repeat(~flat, n * n).reshape(s_n.shape)
+            keep[flat, mid, mid] = True
+            summed = weights.copy()
+            summed[flat, mid, mid] = weights[flat].sum(axis=(1, 2))
+            coords, row_weights = quadrature._half_disk_rule(h, n)
+            assert coords.shape == (keep.sum(), 2)
+            for got, want in ((coords[:, 0], s_n[keep]), (coords[:, 1], s_nu[keep]),
+                              (row_weights, summed[keep])):
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), h
+
     @staticmethod
     def cases():
         """The closed two-well kernel, its stack form, a value-only model in
@@ -841,6 +860,7 @@ class TestHalfDiskRule:
             "two-well": (model, pair, 64, None),
             "stack-form": (StackFormTwoWell(model.params), pair, 48, None),
             "value-only": (ValueOnlyQuadratic(1, 2), value_only, 16, None),
+            "isotropic-2d": (*TestCubature.general(2)[:2], *quadrature._CUBATURE_RULES[0]),
             "isotropic-3d": (*TestCubature.SWEEP_3D.values(), *quadrature._CUBATURE_RULES[0]),
         }
 
@@ -852,16 +872,66 @@ class TestHalfDiskRule:
         fld = InterchangeField(pair, params)
         integrand = quadrature._excess_integrand(model, pair, fld, 1.0)
         collapsed, collapsed_evals = quadrature._cubature(fld, integrand, n, n_w)
-        real = quadrature._half_disk_rule
+        real = quadrature._half_disk_pieces
 
         def no_flat_piece(h, n):
-            s_n, s_nu, weights, flat = real(h, n)
-            return s_n, s_nu, weights, np.zeros_like(flat)
+            *pieces, flat = real(h, n)
+            return (*pieces, np.zeros_like(flat))
 
-        monkeypatch.setattr(quadrature, "_half_disk_rule", no_flat_piece)
+        monkeypatch.setattr(quadrature, "_half_disk_pieces", no_flat_piece)
         full, full_evals = quadrature._cubature(fld, integrand, n, n_w)
         assert abs(collapsed - full) <= 1e-13 * abs(full)
         assert collapsed_evals < full_evals
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n", [4, 8, 12, 16, 32, 48, 64])
+    def test_every_row_with_weight_has_positive_s_n(self, monkeypatch, n, d):
+        # what lets each block take one base per side, the + base for z and
+        # the - base for -z: every w = 0 row and, in d = 3, every shell row
+        # lies at s_n > 0, but for rows of weight 0, whose base does not
+        # matter.  Those sit at s_n = 0 where a piece's s_n interval has
+        # length 0: at the s_nu nodes that round onto 1 - sqrt(h) = 0.999
+        # for h = 1e-6 and n >= 16.  The integrand is 1 at z on every row at
+        # s_n <= 0 and 0 elsewhere, so the total is their summed weight.
+        s_n = []
+
+        def gradient(coords, r, h):
+            s_n.append(coords[:, 0].copy())
+            return np.zeros_like(coords)
+
+        def integrand(coords, g, s_n_positive=False):
+            assert s_n_positive
+            return (coords[:, 0] <= 0.0).astype(float), np.zeros(len(coords))
+
+        monkeypatch.setattr(quadrature, "_mirrored_gradient", gradient)
+        pair = (TestCubature.SWEEP_3D if d == 3 else TestTwoWellCubature.CRITERION_1)["pair"]
+        for h in (1e-12, 1e-6, 0.0125, 0.1, 0.38, 0.6, 0.9):
+            s_n.clear()
+            fld = InterchangeField(pair, gj.InterchangeParams(h=h))
+            total, evals = quadrature._cubature(fld, integrand, n, 6 if d == 3 else None)
+            rows = np.concatenate(s_n)
+            assert 2 * rows.size == evals
+            assert np.all(rows >= 0.0) and total == 0.0, (h, np.sum(rows == 0.0))
+            if h != 1e-6 or n < 16:
+                assert np.all(rows > 0.0), h
+
+    @pytest.mark.parametrize("t", [1.0, 0.7])
+    @pytest.mark.parametrize("h", [0.1, 0.0125, 0.6, 1e-6])
+    @pytest.mark.parametrize(
+        "name", ["two-well", "stack-form", "value-only", "isotropic-2d", "isotropic-3d"])
+    def test_one_base_per_side_equals_per_row_sides(self, name, h, t):
+        # the per-row side arrays, read off s_n as the sampler reads them,
+        # give the cubature's total bit for bit; at h = 1e-6 the rows of
+        # weight 0 at s_n = 0 take base 0 on both sides there
+        model, pair, n, n_w = self.cases()[name]
+        fld = InterchangeField(pair, gj.InterchangeParams(h=h, t=t))
+        integrand = quadrature._excess_integrand(model, pair, fld, t)
+
+        def per_row_sides(coords, g, s_n_positive=False):
+            return integrand(coords, g)
+
+        one_base = quadrature._cubature(fld, integrand, n, n_w)
+        assert one_base == quadrature._cubature(fld, per_row_sides, n, n_w)
 
 
 class TestSeriesFit:

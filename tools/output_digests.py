@@ -4,13 +4,18 @@ Run from the repository root:
 
     PYTHONPATH=src python3 tools/output_digests.py --seeds 0 7
 
-Each ``bench/configs/*.json`` is run through ``gradjump.cli.main`` in this
-process, with its command from COMMANDS, at every seed and in both
-``--format`` choices, with ``--out`` a fresh temporary directory.  One line
-``<config> <seed> <format> <sha256>`` is printed per run.  The digest
-covers the exit code, stdout, stderr and every artifact, by name and
-content.  Two trees that print the same lines wrote the same bytes;
-``diff`` the outputs to compare them.
+Each ``bench/configs/*.json``, then each ``tools/configs/*.json``, is run
+through ``gradjump.cli.main`` in this process, with its command from
+COMMANDS, at every seed and in both ``--format`` choices, with ``--out`` a
+fresh temporary directory.  One line ``<config> <seed> <format> <sha256>``
+is printed per run.  The digest covers the exit code, stdout, stderr and
+every artifact, by name and content.  Two trees that print the same lines
+wrote the same bytes; ``diff`` the outputs to compare them.
+
+``tools/configs`` holds configs that reach code no benchmark config
+reaches: ``sweep_two_well_3d.json`` is the criterion-1 pair in d = 3,
+whose sweep samples (rqmc at the default budgets, about 0.4 s a run)
+where every bench sweep takes the cubature.
 """
 
 from __future__ import annotations
@@ -25,7 +30,9 @@ from pathlib import Path
 
 from gradjump import cli
 
-CONFIGS = Path(__file__).resolve().parent.parent / "bench" / "configs"
+TOOLS = Path(__file__).resolve().parent
+#: the directories of configs, in the order they are run
+CONFIG_DIRS = (TOOLS.parent / "bench" / "configs", TOOLS / "configs")
 
 #: the command each config is written for
 COMMANDS = {
@@ -37,6 +44,7 @@ COMMANDS = {
     "scan_3d.json": "check",
     "sweep_2d.json": "sweep-h",
     "sweep_3d.json": "sweep-h",
+    "sweep_two_well_3d.json": "sweep-h",
 }
 
 FORMATS = ("json", "csv")
@@ -65,7 +73,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 7])
     args = parser.parse_args(argv)
-    configs = sorted(CONFIGS.glob("*.json"))
+    configs = [config for folder in CONFIG_DIRS for config in sorted(folder.glob("*.json"))]
     unknown = [c.name for c in configs if c.name not in COMMANDS]
     if unknown:
         parser.error(f"no command listed for {unknown}; add them to COMMANDS")
