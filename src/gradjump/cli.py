@@ -164,7 +164,14 @@ def cmd_envelope(cfg: RunConfig):
 
 def cmd_antiplane(cfg: RunConfig):
     params = cfg.antiplane_params()
-    analysis = antiplane_analyze(params)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        analysis = antiplane_analyze(params)
+    binodal = {
+        key: getattr(analysis, key)
+        for key in ("eps_plus", "eps_minus", "sigma_star", "yield_radius", "offset")
+    }
+    if not all(np.isfinite(list(binodal.values()))):
+        raise ConfigError(f"the two-well parameters overflow double precision: {binodal}")
     model = AntiplaneDoubleWell(params)
     rs = cfg.envelope_grid()
     fs = np.stack([rs, np.zeros_like(rs)], axis=1)[:, None, :]

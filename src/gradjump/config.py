@@ -253,7 +253,8 @@ class RunConfig:
         return model_from_config(self.data.get("model"))
 
     def pair(self, model: EnergyModel) -> InterfacePair:
-        """The interface pair, read at the model's shape (m, d)."""
+        """The interface pair, read at the model's shape (m, d), with a
+        finite energy at F+ and at F-."""
         raw = self.data.get("pair")
         jump_form = isinstance(raw, dict) and ("a" in raw or "n" in raw)
         sides = ("f_minus", "a", "n") if jump_form else ("f_minus", "f_plus")
@@ -268,8 +269,15 @@ class RunConfig:
                 # named here, before InterfacePair refuses an F+ that overflows
                 with np.errstate(over="ignore"):
                     _check_norm(fm + np.outer(a, n), "f_minus + a (x) n")
-                return InterfacePair.from_jump(fm, a, n, tol)
-            return InterfacePair.from_gradients(_gradient(raw, "f_plus", shape), fm, tol)
+                pair = InterfacePair.from_jump(fm, a, n, tol)
+            else:
+                pair = InterfacePair.from_gradients(_gradient(raw, "f_plus", shape), fm, tol)
+        for side, f in (("F+", pair.fp), ("F-", pair.fm)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                energy = model.value(f)
+            if not np.isfinite(energy):
+                raise ConfigError(f"pair: the energy at {side} is not finite ({energy})")
+        return pair
 
     def quadrature(self) -> QuadratureConfig:
         raw = _check_keys(

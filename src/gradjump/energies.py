@@ -20,14 +20,11 @@ closed forms in p = a.G, (F^T a).G and |G|^2, since
     tr(a (x) G) = a.G,
     |dev sym(a (x) G)|^2 = |a|^2 |G|^2 / 2 + (a.G)^2 (1/2 - 1/d).
 
-Each closed form is exactly 0 where G = 0, as the stack form is.  The
-estimator asks for both points of an antithetic pair, steps +s and -s, in
-one call (the kernel's ``mirror`` index), so the closed forms compute the
-parts that do not depend on the sign of s once.  Each side's index is an
-array, one base per row, or one base for the whole call.  Every row of
-the cubature that carries weight lies on the + side, so it passes one
-base per side, and the closed forms then evaluate those bases alone;
-per-row arrays serve the sampler.  The isotropic kind's
+Each closed form is exactly 0 where G = 0, as the stack form is.  A call
+evaluates one base, an int, on every row.  The estimator asks for both
+points of an antithetic pair, step +s on one base and -s on another, in
+one call (the kernel's ``mirror`` base), so the closed forms compute the
+parts that do not depend on the sign of s once.  The isotropic kind's
 second stage owns N-row scratch arrays that every call reuses, so a call
 allocates one fresh array per side, its result; at s = 1 it uses p for
 x = s p and p^2 for x^2, which are the same bits.
@@ -69,28 +66,6 @@ def fd_gradient(value_fn, f: np.ndarray, step: float = FD_STEP) -> np.ndarray:
         bump[idx] = step
         grad[idx] = (value_fn(f + bump) - value_fn(f - bump)) / (2.0 * step)
     return grad
-
-
-def _one_base(index):
-    """The base of every row for a kernel index that names one base (an
-    int, None for base 0), or None for an index array."""
-    if index is None:
-        return 0
-    return int(index) if isinstance(index, (int, np.integer)) else None
-
-
-def _per_row(table: np.ndarray, index):
-    """Entries of a per-base table for each row: table.take(index) for an
-    index array, or the one entry of every row for a single base."""
-    base = _one_base(index)
-    return table.take(index, axis=0) if base is None else table[base]
-
-
-def _bases_used(index, n_bases: int):
-    """The bases the rows of a kernel call take: every base for an index
-    array, the one base for a single base."""
-    base = _one_base(index)
-    return range(n_bases) if base is None else (base,)
 
 
 def _horner(coeffs, x: float) -> float:
@@ -175,15 +150,15 @@ def _top_singular(b: np.ndarray):
     return sigma, -(b @ v) / sigma, v
 
 
-def _dot_rows(g: np.ndarray, vecs: np.ndarray, index) -> np.ndarray:
-    """Row dot products g_i . vecs[index_i] for a (K, d) table of vectors.
+def _dot_rows(g: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Row dot products g_i . vec for a (d,) vector.
 
     Column by column, so each row's value does not depend on the rows
     evaluated with it.
     """
-    out = g[:, 0] * _per_row(vecs[:, 0], index)
+    out = g[:, 0] * vec[0]
     for k in range(1, g.shape[1]):
-        out += g[:, k] * _per_row(vecs[:, k], index)
+        out += g[:, k] * vec[k]
     return out
 
 
@@ -230,40 +205,35 @@ class EnergyModel:
         P_k = ``gradient(F_k)``.  The kernel has two stages.
         ``rank_one_excess(bases)(g)``, for N world vectors g_i (an (N, d)
         array), does the work that depends on g alone and returns
-        ``excess(a, s, index=None, mirror=None)``, which gives
+        ``excess(a, s, index=0, mirror=None)``, which gives
 
-            W(F_k + s a (x) g_i) - W(F_k) - s (P_k, a (x) g_i),  k = index[i],
+            W(F_k + s a (x) g_i) - W(F_k) - s (P_k, a (x) g_i),  k = index,
 
-        where ``index`` is an (N,) array, one base per row, or a single
-        base for every row: an int, with None for base 0.  A single base
-        gives the bits of the array that holds it on every row, and the
-        closed forms then evaluate that base alone.  Given ``mirror``, an
-        index of either form, it returns the pair (those values, the same
-        at -s on the bases mirror[i]): both points of an antithetic pair in
-        one call, each bit for bit what its one-sided call returns.  Every
-        row of the cubature that carries weight lies on one side of the
-        interface, so it makes one such call per block with an int on each
-        side; per-row arrays serve the sampler, whose pairs straddle the
-        interface either way.  Each row's
-        value is bit for bit the same whether ``excess`` is called once or
-        many times on one first stage.  The closed forms share the work
-        that does not depend on the sign of s between the two sides.  This
-        body keeps g, forms the (N, m, d) stacks and calls ``value_many``,
-        one side at a time; kinds with a closed form override it.
+        on every row.  Given ``mirror``, another base, it returns the pair
+        (those values, the same at -s on the base mirror): both points of
+        an antithetic pair in one call, each bit for bit what its
+        one-sided call returns.  The estimator's rows all lie on the + side
+        of the interface, so it makes one such call per block, with z on
+        the + base and -z on the - base.  Each row's value is bit for bit
+        the same whether ``excess`` is called once or many times on one
+        first stage.  The closed forms share the work that does not depend
+        on the sign of s between the two sides.  This body keeps g, forms
+        the (N, m, d) stacks and calls ``value_many``, one side at a time;
+        kinds with a closed form override it.
         """
         bases = np.asarray(bases, dtype=float)
         wbars = np.array([self.value(f) for f in bases])
         stresses = np.stack([self.gradient(f) for f in bases])
 
         def kernel(g):
-            def excess(a, s, index=None, mirror=None):
+            def excess(a, s, index=0, mirror=None):
                 if mirror is not None:
                     return excess(a, s, index), excess(a, -s, mirror)
                 a = np.asarray(a, dtype=float)
                 step = (s * a)[None, :, None] * g[:, None, :]
-                vals = self.value_many(_per_row(bases, index) + step)
-                lin = s * _dot_rows(g, np.einsum("kmd,m->kd", stresses, a), index)
-                return vals - _per_row(wbars, index) - lin
+                vals = self.value_many(bases[index] + step)
+                lin = s * _dot_rows(g, np.einsum("kmd,m->kd", stresses, a)[index])
+                return vals - wbars[index] - lin
 
             return excess
 
@@ -348,13 +318,8 @@ class MinQuadraticsEnergy(EnergyModel):
         vanishes bit for bit, g = 0 gives exactly 0 and no cancellation is
         left in the increment.  The two sides of a mirrored call share
         (F^T a) per branch and the s^2 term, whose bits are the same at -s.
-
-        The kernel evaluates each base the call's rows use on every row,
-        with scalar coefficients, and then picks each row's base, which is
-        cheaper than gathering per-row copies of the (K, branches) tables;
-        a single-base side evaluates its base alone.  A base that both
-        sides use shares each branch's s ((mu_b F - P)^T a).g between them:
-        the -s side subtracts it, and (-s) x == -(s x) exactly.
+        Each side evaluates its one base on every row, with scalar
+        coefficients.
         """
         bases = np.asarray(bases, dtype=float)
         bvals = np.stack([self.branch_values(f) for f in bases])  # (K, branches)
@@ -362,10 +327,8 @@ class MinQuadraticsEnergy(EnergyModel):
         stresses = np.stack([self.gradient(f) for f in bases])
         slopes = self._mus[None, :, None, None] * bases[:, None] - stresses[:, None]
 
-        def at_base(k, cols, s, lin, live, mqs, plus, minus):
-            """The minimum over the branches on every row from base k:
-            (values at s if plus, values at -s if minus), None for a side
-            not asked for.
+        def at_base(k, cols, s, lin, live, mqs):
+            """The minimum over the branches on every row from base k at s.
 
             It skips the offsets and the columns of the linear terms that
             are zero for base k, and the factor s at s = 1: every branch
@@ -373,11 +336,9 @@ class MinQuadraticsEnergy(EnergyModel):
             change at most the sign of a zero step, changes no bit of the
             value, and 1 x == x.
             """
-            at_plus = at_minus = None
             for b, val in enumerate(mqs):
                 if offsets[k][b] != 0.0:
                     val = val + offsets[k][b]
-                val_plus = val_minus = val
                 terms = [c for c, nonzero in enumerate(live[k][b]) if nonzero]
                 if terms:
                     step = cols[terms[0]] * lin[k, b, terms[0]]
@@ -385,43 +346,28 @@ class MinQuadraticsEnergy(EnergyModel):
                         step += cols[c] * lin[k, b, c]
                     if s != 1.0:
                         step *= s
-                    val_plus = val + step if plus else None
-                    val_minus = val - step if minus else None
-                # out of place: a value may be shared by bases and sides
-                if plus:
-                    at_plus = val_plus if b == 0 else np.minimum(at_plus, val_plus)
-                if minus:
-                    at_minus = val_minus if b == 0 else np.minimum(at_minus, val_minus)
-            return at_plus, at_minus
-
-        def pick(values, index):
-            """Each row's value from ``values`` (base -> values on every row)."""
-            base = _one_base(index)
-            if base is not None:
-                return values[base]
-            if len(values) == 2:
-                return np.where(index, values[1], values[0])
-            return np.choose(index, [values[k] for k in range(len(values))])
+                    val = val + step
+                # out of place: mu_b quad is shared by both sides
+                at = val if b == 0 else np.minimum(at, val)
+            return at
 
         def kernel(g):
             # contiguous columns, read by several branches and calls
             cols, sq = np.ascontiguousarray(g.T), row_sq_norms(g)
 
-            def excess(a, s, index=None, mirror=None):
+            def excess(a, s, index=0, mirror=None):
                 a = np.asarray(a, dtype=float)
                 lin = np.einsum("kbmd,m->kbd", slopes, a)
                 live = (lin != 0.0).tolist()
                 quad = (0.5 * s * s * float(a @ a)) * sq
                 mqs = [mu * quad for mu in self._mus]
-                on_plus = _bases_used(index, len(bases))
-                on_minus = () if mirror is None else _bases_used(mirror, len(bases))
-                plus, minus = {}, {}
-                for k in sorted({*on_plus, *on_minus}):
-                    plus[k], minus[k] = at_base(
-                        k, cols, s, lin, live, mqs, k in on_plus, k in on_minus)
+                plus = at_base(index, cols, s, lin, live, mqs)
                 if mirror is None:
-                    return pick(plus, index)
-                return pick(plus, index), pick(minus, mirror)
+                    return plus
+                minus = at_base(mirror, cols, -s, lin, live, mqs)
+                # one branch with no offset or linear term on either side
+                # leaves both sides mu quad itself
+                return plus, (minus.copy() if minus is plus else minus)
 
             return excess
 
@@ -681,24 +627,23 @@ class IsotropicThetaEnergy(EnergyModel):
         sides of a mirrored call share p, |g|^2 and the mu s^2 terms, whose
         bits are the same at -s; x only flips its sign, and x^2 keeps its
         bits.  The second stage writes p, x, p^2, x^2 and the Taylor tail
-        into its scratch rows with ``out=``.  A side on one base (an int
-        index) reads each Taylor coefficient as a scalar; an index array
-        takes it row by row.
+        into its scratch rows with ``out=``, and reads each Taylor
+        coefficient of its base as a scalar.
         """
         mu, d = self.params.mu, self.d
-        # Taylor coefficients of f from the quadratic term up, one row per base
-        tails = np.stack([self.params.taylor(np.trace(f))[2:] for f in bases])
-        n_tail = tails.shape[1]
+        # Taylor coefficients of f from the quadratic term up, one list per base
+        tails = [self.params.taylor(np.trace(f))[2:].tolist() for f in bases]
 
-        def add_tail(out, x, xx, index, poly):
-            """out + x^2 (c_2 + x (c_3 + ...)) on the bases index, in place,
-            given xx = x^2 and the scratch row poly."""
-            if n_tail == 1:
-                out += np.multiply(xx, _per_row(tails[:, 0], index), out=poly)
-            elif n_tail:
-                np.multiply(x, _per_row(tails[:, -1], index), out=poly)
-                for j in range(n_tail - 2, -1, -1):
-                    poly += _per_row(tails[:, j], index)
+        def add_tail(out, x, xx, k, poly):
+            """out + x^2 (c_2 + x (c_3 + ...)) on base k, in place, given
+            xx = x^2 and the scratch row poly."""
+            tail = tails[k]
+            if len(tail) == 1:
+                out += np.multiply(xx, tail[0], out=poly)
+            elif tail:
+                np.multiply(x, tail[-1], out=poly)
+                for j in range(len(tail) - 2, -1, -1):
+                    poly += tail[j]
                     if j:
                         poly *= x
                 out += np.multiply(poly, xx, out=poly)
@@ -711,7 +656,7 @@ class IsotropicThetaEnergy(EnergyModel):
             # rows p, p^2, x, x^2 and one for the tail and other products
             p, pp, x_s, xx_s, tmp = np.empty((5, len(g)))
 
-            def excess(a, s, index=None, mirror=None):
+            def excess(a, s, index=0, mirror=None):
                 a = np.asarray(a, dtype=float)
                 np.multiply(g[:, 0], a[0], out=p)
                 for k in range(1, d):

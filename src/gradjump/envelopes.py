@@ -240,7 +240,8 @@ def antiplane_analyze(params: AntiplaneParams) -> AntiplaneAnalysis:
     Raises EmptyBinodalError when the wells cannot exchange stability.
     """
     params.require_binodal()
-    jw, jmu = params.jump_w, params.jump_mu
+    # numpy scalars: a denominator that underflows to 0 gives inf, not ZeroDivisionError
+    jw, jmu = np.float64(params.jump_w), np.float64(params.jump_mu)
     eps_p = np.sqrt(-2.0 * jw * params.mu_minus / (jmu * params.mu_plus))
     eps_m = np.sqrt(-2.0 * jw * params.mu_plus / (jmu * params.mu_minus))
     sigma_star = float(np.sqrt(-2.0 * jw * params.mu_plus * params.mu_minus / jmu))

@@ -12,8 +12,9 @@ linear ramps (only their endpoint values matter for the h -> 0 limits, the
 linear choice keeps gradients piecewise constant).  Since rho vanishes for
 negative arguments, at most one term of the mirror pair is nonzero, so the
 gradient is one evaluation of the + term at the sign-folded point
-sign(z.nu) (z.n, z.nu).  Everything here is exact pointwise kinematics; the
-Monte Carlo integration lives in ``quadrature``.
+sign(z.nu) (z.n, z.nu).  Everything here is exact pointwise kinematics;
+the integral of the energy increment over the ball, by the deterministic
+cubature or by sampling, lives in ``quadrature``.
 """
 
 from __future__ import annotations

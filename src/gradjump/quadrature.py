@@ -49,15 +49,14 @@ excess from the model's rank-one kernel ``EnergyModel.rank_one_excess``,
 a closed form in a.G, (F^T a).G and |G|^2 for the quadratic,
 min-of-quadratics and isotropic kinds and the (N, m, d) stack form for the
 rest; each is exactly 0 where g = 0.  One kernel call returns both sides
-of a block (its ``mirror`` index), so the closed forms compute the parts
-that do not depend on the sign of the step once.  A sampled pair straddles
-the interface either way, so the sampler passes each row's two bases as
-per-row index arrays read off s_n.  Every row of the cubature that
-carries weight lies at s_n > 0, so it makes one call per block with a
-single base per side, the + base for z and the - base for -z, and the
-closed forms evaluate those two bases alone.  Region codes are computed
-only by ``estimate_region_measures``, which draws the same points from
-the same streams.
+of a block (its ``mirror`` base), so the closed forms compute the parts
+that do not depend on the sign of the step once.  Every row of the
+cubature lies at s_n >= 0, and the sampler folds each pair onto that
+side, passing -z and -g for a row at s_n < 0 (the pair's two values only
+swap).  So every block is one call with one base per side, the + base for
+z and the - base for -z.  Region codes are computed only by
+``estimate_region_measures``, which draws the same points from the same
+streams.
 
 Each stratum draws N_SCRAMBLES batches, either scrambled Sobol points
 (default; the independent scrambles give an unbiased estimate with an
@@ -507,14 +506,18 @@ def _energy_estimate(fld: InterchangeField, quad: QuadratureConfig, integrand) -
     over the ball.
 
     ``integrand(coords, g)`` returns the pair (f(z), f(-z)) of residual
-    values for frame coordinates z with frame gradient g; the gradient at
-    -z is exactly -g.  Contract: the integrand vanishes wherever g = 0.
-    The excess integrand meets it exactly, since its step t a (x) g and its
-    linear term are then both zero.  So the integrand and the mixture pdf
-    are evaluated only on the rows where the field moves (g != 0), and
-    every other pair contributes an exact zero.  The gradient is evaluated
-    only on the rows that can move (``_moving_candidates``); a second
-    compaction drops any of them where g = 0 after all.
+    values for frame coordinates z at s_n >= 0 with frame gradient g; the
+    gradient at -z is exactly -g.  Each pair is folded onto the + side
+    before the call: a row with s_n < 0 passes -z and -g, which is exact,
+    since 0.5 (f(z) + f(-z)) / q(z) is symmetric in z <-> -z, the gradient
+    is odd bit for bit and q reads only |z|.  Contract: the integrand
+    vanishes wherever g = 0.  The excess integrand meets it exactly, since
+    its step t a (x) g and its linear term are then both zero.  So the
+    integrand and the mixture pdf are evaluated only on the rows where the
+    field moves (g != 0), and every other pair contributes an exact zero.
+    The gradient is evaluated only on the rows that can move
+    (``_moving_candidates``); a second compaction drops any of them where
+    g = 0 after all.
     """
     h, d = fld.h, fld.pair.d
 
@@ -531,6 +534,9 @@ def _energy_estimate(fld: InterchangeField, quad: QuadratureConfig, integrand) -
             keep = np.flatnonzero(moved)
             rows, r_z = rows.take(keep), r_z.take(keep)
             z, g = z.take(keep, axis=0), g.take(keep, axis=0)
+        below = (z[:, 0] < 0.0)[:, None]
+        np.negative(z, out=z, where=below)
+        np.negative(g, out=g, where=below)
         f_z, f_mirror = integrand(z, g)
         out = np.zeros(coords.shape[0])
         out[rows] = 0.5 * (f_z + f_mirror) / pdf(z, r_z)
@@ -684,12 +690,12 @@ def _cubature(fld: InterchangeField, integrand, n: int, n_w: int | None = None):
 
     ``integrand`` is ``_excess_integrand``'s: f(z) and f(-z) from the frame
     gradient at z.  Their sum over the half ball s_n > 0 is the integral
-    over the ball.  Every row evaluated has s_n > 0, so each block is one
-    kernel call with z on the + base and -z on the - base.  (A piece's
-    s_n interval can have length 0 at an s_nu node that rounds onto a
-    circle, h = 1e-6 at n >= 16 say; its rows then sit at s_n = 0 with
-    weight 0, and their base does not matter.)  In d = 3 each
-    node (s_n, s_nu) of ``_half_disk_nodes``, at rho^2 = s_n^2 + s_nu^2,
+    over the ball.  Every row that carries weight has s_n > 0, so each
+    block is one kernel call with z on the + base and -z on the - base.
+    (A piece's s_n interval can have length 0 at an s_nu node that rounds
+    onto a circle, h = 1e-6 at n >= 16 say; its rows then sit at s_n = 0
+    with weight 0.)  In d = 3 each node (s_n, s_nu) of
+    ``_half_disk_nodes``, at rho^2 = s_n^2 + s_nu^2,
     adds the core |z| < 1 - sqrt(h), where the field does not depend on w,
     as its value at w = 0 times the chord 2 sqrt((1 - sqrt(h))^2 - rho^2)
     (0 outside the core's disk), and the shell on either side of it, out
@@ -762,7 +768,7 @@ def _cubature(fld: InterchangeField, integrand, n: int, n_w: int | None = None):
     total, rows = 0.0, 0
     for coords, wts in blocks():
         g = _mirrored_gradient(coords, _radius(coords), h)
-        f_z, f_mirror = integrand(coords, g, s_n_positive=True)
+        f_z, f_mirror = integrand(coords, g)
         total += float(wts @ (f_z + f_mirror))
         rows += coords.shape[0]
     return total, 2 * rows
@@ -815,30 +821,21 @@ def _takes_cubature(model: EnergyModel) -> bool:
 
 def _excess_integrand(model, pair, fld, t):
     """Pointwise excess W(Fbar + t grad Phi) - W(Fbar) - t (P(Fbar), grad Phi)
-    at z and -z from the frame gradient g at z.
+    at z and -z from the frame gradient g at z, for rows at s_n >= 0.
 
-    Returns ``excess(coords, g, s_n_positive=False) -> (f(z), f(-z))``.
-    grad Phi = a (x) G with the world vector G = frame^T g, so both values
-    come from one two-sided call of the model's rank-one kernel on the
-    bases (F-, F+).  The mirror point sits on the other side of the
-    interface (s_n < 0 means -z is on the + side) and its gradient is -g,
-    so its step is negated, not recomputed.  Each row's two bases are read
-    off its s_n, as per-row index arrays.  With ``s_n_positive`` the
-    caller vouches that every row that carries weight has s_n > 0, as the
-    cubature's rows do, and the call takes the + base for z and the - base
-    for -z throughout: on every row at s_n > 0 the bits of the per-row
-    arrays.
+    Returns ``excess(coords, g) -> (f(z), f(-z))``.  grad Phi = a (x) G
+    with the world vector G = frame^T g, so both values come from one
+    two-sided call of the model's rank-one kernel: z on the + base F+ and
+    -z, whose gradient is -g, on the - base F-, with its step negated, not
+    recomputed.  The coordinates play no part: the caller passes only rows
+    at s_n >= 0, as the cubature's rows are and as the sampler folds its
+    pairs.  A row at s_n = 0 thus takes F+ for z and F- for -z.
     """
-    # index 1 selects the + side, 0 the - side
+    # base 1 is the + side, 0 the - side
     kernel = model.rank_one_excess(np.stack([pair.fm, pair.fp]))
 
-    def excess(coords: np.ndarray, g: np.ndarray, s_n_positive: bool = False):
-        if s_n_positive:
-            plus, mirror_plus = 1, 0
-        else:
-            s_n = coords[:, 0].copy()  # two compares on a contiguous copy beat two strided ones
-            plus, mirror_plus = (s_n > 0.0).astype(np.intp), (s_n < 0.0).astype(np.intp)
-        return kernel(g @ fld.frame)(pair.a, t, plus, mirror=mirror_plus)
+    def excess(coords: np.ndarray, g: np.ndarray):
+        return kernel(g @ fld.frame)(pair.a, t, 1, mirror=0)
 
     return excess
 

@@ -387,6 +387,25 @@ class TestAntiplane:
         assert code == 1
         assert "sign condition" in err
 
+    @pytest.mark.parametrize(
+        "params",
+        [
+            # [w] overflows: the binodal radii are inf and the yield radius NaN
+            {"mu_plus": 2, "mu_minus": 1, "w_plus": -1e308, "w_minus": 1e308},
+            # mu+ / mu- underflows: eps_minus is inf
+            {"mu_plus": 1e-300, "mu_minus": 1, "w_plus": 1e300, "w_minus": 0},
+            # [mu] mu+ underflows to 0 in a denominator
+            {"mu_plus": 1e-320, "mu_minus": 1e-154, "w_plus": 1e-154, "w_minus": -1.0},
+        ],
+    )
+    def test_binodal_data_that_overflow_are_config_errors(self, tmp_path, capsys, params):
+        cfg = write_config(tmp_path, {"params": params})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(capsys, "antiplane", "--config", cfg)
+        assert (code, stdout) == (2, "")
+        assert error_line(err).startswith("the two-well parameters overflow double precision")
+
     @pytest.mark.parametrize("count", [0, -3, "16"])
     def test_bad_mechanisms_is_config_error(self, tmp_path, capsys, count):
         cfg = write_config(tmp_path, {"params": REF_PARAMS, "mechanisms": count})
@@ -653,6 +672,29 @@ class TestNumericFrontDoor:
         code, stdout, err = run(capsys, command, "--config", cfg)
         assert (code, stdout) == (2, "")
         assert error_line(err).startswith(f"{key} overflows double precision")
+
+    #: a pair whose endpoints are finite and whose energy at F+ is not: f
+    #: overflows at tr F+ = 1e100, mu/2 |F|^2 at |F+| = 1e10
+    INFINITE_ENERGY_PAIRS = {
+        "isotropic-3d": {"model": ISOTROPIC_3D, "pair": {
+            "f_minus": np.zeros((3, 3)).tolist(), "a": [1e100, 0.0, 0.0], "n": [1.0, 0.0, 0.0]}},
+        "quadratic": {"model": {"kind": "quadratic", "m": 1, "d": 2, "params": {"mu": 1e300}},
+                      "pair": {"f_plus": [[1e10, 0.0]], "f_minus": [[1.0, 0.0]]}},
+    }
+
+    @pytest.mark.parametrize("command", ["check", "envelope", "path-dt", "sweep-h"])
+    @pytest.mark.parametrize("pair", INFINITE_ENERGY_PAIRS)
+    def test_pair_whose_energy_is_not_finite(self, tmp_path, capsys, command, pair):
+        # refused as scan refuses such a point, with no RuntimeWarning
+        payload = self.INFINITE_ENERGY_PAIRS[pair]
+        if command == "sweep-h":
+            payload = {**payload, "h_grid": SWEEP["h_grid"]}
+        cfg = write_config(tmp_path, payload)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(capsys, command, "--config", cfg)
+        assert (code, stdout) == (2, "")
+        assert error_line(err) == "pair: the energy at F+ is not finite (inf)"
 
     def test_negative_seed_flag(self, tmp_path, capsys):
         self.rejected(tmp_path, capsys, "sweep-h", SWEEP, "seed", "--seed", "-1")

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -262,10 +263,10 @@ class TestRankOneExcess:
             a = rng.normal(size=model.m)
             g = rng.normal(size=(500, model.d))
             s = rng.uniform(-1.5, 1.5)
-            index = rng.integers(0, 3, size=500)
-            np.testing.assert_allclose(
-                kernel(g)(a, s, index), stack(g)(a, s, index), rtol=1e-12, atol=1e-12
-            )
+            for k in range(3):
+                np.testing.assert_allclose(
+                    kernel(g)(a, s, k), stack(g)(a, s, k), rtol=1e-12, atol=1e-12
+                )
             np.testing.assert_allclose(kernel(g)(a, s), stack(g)(a, s), rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("kind", CLOSED_FORMS)
@@ -276,37 +277,37 @@ class TestRankOneExcess:
         g = np.zeros((60, model.d))
         g[::2, 0] = -0.0
         g[::3, -1] = -0.0
-        index = rng.integers(0, 2, size=60)
         for s in (0.7, -1.3):
             a = rng.normal(size=model.m)
-            assert np.all(kernel(g)(a, s, index) == 0.0)
+            for k in range(2):
+                assert np.all(kernel(g)(a, s, k) == 0.0)
             assert np.all(kernel(g)(a, s) == 0.0)
 
     @staticmethod
     def every_term_kernel(model, bases):
         """The closed-form kernel with every term written out, one fresh
-        array per operation, as ``excess(a, g, s, index)``.
+        array per operation, as ``excess(a, g, s, k)`` on base k.
 
         Min-of-quadratics: no zero offset skipped; every branch's value
         starts from its offset e_b and adds mu_b quad, then its linear term
         where that is nonzero for some base.  Isotropic: x = s p is formed
-        at every s, and the Taylor coefficients are gathered per row.
+        at every s.
         """
         if isinstance(model, gj.IsotropicThetaEnergy):
             mu, d = model.params.mu, model.d
             tails = np.stack([model.params.taylor(np.trace(f))[2:] for f in bases])
 
-            def isotropic(a, g, s, index):
+            def isotropic(a, g, s, k):
                 p = g[:, 0] * a[0]
-                for k in range(1, d):
-                    p = p + g[:, k] * a[k]
+                for c in range(1, d):
+                    p = p + g[:, c] * a[c]
                 x = s * p
                 out = (0.5 * mu * s * s * float(a @ a)) * row_sq_norms(g)
                 out = out + (mu * s * s * (0.5 - 1.0 / d)) * (p * p)
                 if tails.shape[1]:
-                    poly = tails[index, -1]
+                    poly = tails[k, -1]
                     for j in range(tails.shape[1] - 2, -1, -1):
-                        poly = poly * x + tails[index, j]
+                        poly = poly * x + tails[k, j]
                     out = out + (x * x) * poly
                 return out
 
@@ -317,16 +318,16 @@ class TestRankOneExcess:
         stresses = np.stack([model.gradient(f) for f in bases])
         slopes = mus[None, :, None, None] * bases[:, None] - stresses[:, None]
 
-        def excess(a, g, s, index):
+        def excess(a, g, s, k):
             lin = np.einsum("kbmd,m->kbd", slopes, a)
             quad = (0.5 * s * s * float(a @ a)) * row_sq_norms(g)
             out = None
             for b, mu in enumerate(mus):
-                val = offsets[index, b] + mu * quad
+                val = offsets[k, b] + mu * quad
                 if np.any(lin[:, b]):
-                    dot = g[:, 0] * lin[index, b, 0]
-                    for k in range(1, g.shape[1]):
-                        dot += g[:, k] * lin[index, b, k]
+                    dot = g[:, 0] * lin[k, b, 0]
+                    for c in range(1, g.shape[1]):
+                        dot += g[:, c] * lin[k, b, c]
                     val += s * dot
                 out = val if out is None else np.minimum(out, val)
             return out
@@ -353,9 +354,9 @@ class TestRankOneExcess:
             # steps up to |g| ~ 6 cross from every base's well into the others
             g = rng.normal(size=(400, model.d)) * rng.uniform(0.0, 3.0, size=(400, 1))
             g[:20] = 0.0
-            index = rng.integers(0, 3, size=400)
-            self.assert_same_bits(kernel(g)(a, s, index), reference(a, g, s, index))
-            self.assert_same_bits(kernel(g)(a, s), reference(a, g, s, np.zeros(400, dtype=int)))
+            for k in range(3):
+                self.assert_same_bits(kernel(g)(a, s, k), reference(a, g, s, k))
+            self.assert_same_bits(kernel(g)(a, s), reference(a, g, s, 0))
 
     #: the closed forms, an isotropic model whose f has no Taylor tail (f
     #: linear, so the kernel is the mu s^2 terms alone) and the stack form
@@ -389,15 +390,13 @@ class TestRankOneExcess:
             g[:40] = 0.0
             g[:40:2, 0] = -0.0
             g[:40:3, -1] = -0.0
-            index = rng.integers(0, 3, size=n)
-            mirror = rng.integers(0, 3, size=n)
-            # rows on the interface, s_n = 0: both sides on base 0
-            index[20:80] = mirror[20:80] = 0
-            plus, minus = kernel(g)(a, s, index, mirror=mirror)
-            assert not np.shares_memory(plus, minus)
-            self.assert_same_bits(plus, kernel(g)(a, s, index))
-            self.assert_same_bits(minus, kernel(g)(a, -s, mirror))
-            assert np.all(plus[:40] == 0.0) and np.all(minus[:40] == 0.0)
+            # every pair of bases, one base on both sides among them
+            for k, m in itertools.product(range(3), repeat=2):
+                plus, minus = kernel(g)(a, s, k, mirror=m)
+                assert not np.shares_memory(plus, minus)
+                self.assert_same_bits(plus, kernel(g)(a, s, k))
+                self.assert_same_bits(minus, kernel(g)(a, -s, m))
+                assert np.all(plus[:40] == 0.0) and np.all(minus[:40] == 0.0)
 
     #: every kernel kind: the closed forms, the base-class stack form on a
     #: closed-form model and on a subclass that defines only value()
@@ -425,26 +424,17 @@ class TestRankOneExcess:
         g[:20] = 0.0
         g[:20:2, 0] = -0.0
         stage = kernel(np.asarray(g, order=layout))
-        index = rng.integers(0, 3, size=n)
-        mirror = rng.integers(0, 3, size=n)
         for s in (1.0, -0.7, *rng.uniform(-1.5, 1.5, size=3)):
             for a in rng.normal(size=(4, model.m)):
                 fresh = kernel_of(model)(bases)(g.copy())
                 self.assert_same_bits(stage(a, s), fresh(a, s))
-                self.assert_same_bits(stage(a, s, index), fresh(a, s, index))
-                plus, minus = stage(a, s, index, mirror=mirror)
-                fresh_plus, fresh_minus = fresh(a, s, index, mirror=mirror)
-                self.assert_same_bits(plus, fresh_plus)
-                self.assert_same_bits(minus, fresh_minus)
-                # one base per side, as an int: the bits of the per-row
-                # array that holds it on every row
-                k, m = rng.integers(0, 3, size=2)
-                on_k, on_m = np.full(n, k), np.full(n, m)
-                self.assert_same_bits(stage(a, s, int(k)), fresh(a, s, on_k))
-                plus, minus = stage(a, s, int(k), mirror=int(m))
-                fresh_plus, fresh_minus = fresh(a, s, on_k, mirror=on_m)
-                self.assert_same_bits(plus, fresh_plus)
-                self.assert_same_bits(minus, fresh_minus)
+                for k in range(3):
+                    self.assert_same_bits(stage(a, s, k), fresh(a, s, k))
+                for k, m in itertools.product(range(3), repeat=2):
+                    plus, minus = stage(a, s, k, mirror=m)
+                    fresh_plus, fresh_minus = fresh(a, s, k, mirror=m)
+                    self.assert_same_bits(plus, fresh_plus)
+                    self.assert_same_bits(minus, fresh_minus)
 
     @staticmethod
     def isotropic_stage(rng, n_coeffs, d, layout, n=300):
@@ -465,32 +455,23 @@ class TestRankOneExcess:
     def test_isotropic_scratch_keeps_every_term_bits(self, rng, n_coeffs, d, layout):
         # 30 calls on one second stage, which reuses its scratch rows: each
         # result has the bits of the out-of-place kernel and stays as it was
-        # returned while later calls run; an int index gives the bits of
-        # the per-row array that holds it
+        # returned while later calls run
         model, bases, g, stage = self.isotropic_stage(rng, n_coeffs, d, layout)
         reference = self.every_term_kernel(model, bases)
-        on_base_0 = np.zeros(len(g), dtype=int)
         returned = []
         for call in range(30):
             s = (1.0, 0.5, -1.0)[call % 3]
             a = rng.normal(size=d)
-            index = rng.integers(0, 3, size=len(g))
-            mirror = rng.integers(0, 3, size=len(g))
             k, m = (int(base) for base in rng.integers(0, 3, size=2))
-            kind = call % 6
+            kind = call % 4
             if kind == 0:
-                results = [(stage(a, s), reference(a, g, s, on_base_0))]
+                results = [(stage(a, s), reference(a, g, s, 0))]
             elif kind == 1:
-                results = [(stage(a, s, index), reference(a, g, s, index))]
-            elif kind == 4:
-                results = [(stage(a, s, k), reference(a, g, s, np.full(len(g), k)))]
+                results = [(stage(a, s, k), reference(a, g, s, k))]
             else:
-                if kind == 5:
-                    index, mirror = k, m
-                plus, minus = stage(a, s, index, mirror=mirror)
+                plus, minus = stage(a, s, k, mirror=m)
                 assert not np.shares_memory(plus, minus)
-                index, mirror = np.broadcast_to(index, len(g)), np.broadcast_to(mirror, len(g))
-                results = [(plus, reference(a, g, s, index)), (minus, reference(a, g, -s, mirror))]
+                results = [(plus, reference(a, g, s, k)), (minus, reference(a, g, -s, m))]
             for got, want in results:
                 self.assert_same_bits(got, want)
                 returned.append((got, want))
@@ -499,7 +480,7 @@ class TestRankOneExcess:
 
     @pytest.mark.parametrize("n_coeffs", range(1, 7))
     def test_isotropic_one_sided_call_allocates_its_result_alone(self, rng, n_coeffs):
-        # the scan's call: one base, no index; the stage's scratch holds p,
+        # the scan's call: base 0, no mirror; the stage's scratch holds p,
         # x, p^2, x^2 and the tail, so a warm stage's call peaks at the one
         # N-row array it returns (an out-of-place kernel peaks at about six)
         model, _, _, stage = self.isotropic_stage(rng, n_coeffs, 3, "F", n=4096)

@@ -170,15 +170,17 @@ def energy_pass(fld, quad, integrand):
 
 def reference_residual(model, pair, fld, t):
     """Pointwise excess at one point set, gradient evaluated there, from the
-    (N, m, d) stacks and value_many."""
+    (N, m, d) stacks and value_many, on the + side where ``plus_side``
+    (by default where s_n > 0)."""
     a = pair.a
     w_plus, w_minus = model.value(pair.fp), model.value(pair.fm)
     c_plus = fld.frame @ (model.gradient(pair.fp).T @ a)
     c_minus = fld.frame @ (model.gradient(pair.fm).T @ a)
 
-    def residual(coords):
+    def residual(coords, plus_side=None):
         _, g_frame = fld.scalar_gradient(coords)
-        plus_side = coords[:, 0] > 0.0
+        if plus_side is None:
+            plus_side = coords[:, 0] > 0.0
         g_world = g_frame @ fld.frame
         base = np.where(plus_side[:, None, None], pair.fp, pair.fm)
         vals = model.value_many(base + t * a[None, :, None] * g_world[:, None, :])
@@ -190,11 +192,16 @@ def reference_residual(model, pair, fld, t):
 
 
 def pointwise_residual(fld, integrand):
-    """The estimator's integrand at one point set, gradient evaluated there."""
+    """The estimator's integrand at one point set, gradient evaluated there:
+    f(z) from the pair folded onto s_n >= 0 as the sampler folds it, the
+    second value of the pair (-z, -g) where s_n < 0."""
 
     def residual(coords):
         _, g = fld.scalar_gradient(coords)
-        return integrand(coords, g)[0]
+        below = coords[:, 0] < 0.0
+        sign = np.where(below, -1.0, 1.0)[:, None]
+        f_z, f_mirror = integrand(sign * coords, sign * g)
+        return np.where(below, f_mirror, f_z)
 
     return residual
 
@@ -281,17 +288,40 @@ class TestFusedPass:
     @pytest.mark.parametrize("d", [2, 3])
     def test_integrand_pair_matches_pointwise_reference(self, rng, d):
         model, pair, params, fld, integrand = self.case(d)
+        # the rows the integrand is given, s_n >= 0, among them the
+        # interface s_n = 0, where z takes F+ and -z (at s_n = -0) F-
         coords = rng.uniform(-1.0, 1.0, size=(3000, d))
-        # include the interface s_n = 0, which belongs to neither side's "+"
-        coords[:1000, 0] = rng.choice([0.0, params.h, -params.h], size=1000)
+        coords[:, 0] = np.abs(coords[:, 0])
+        coords[:1000, 0] = rng.choice([0.0, params.h], size=1000)
         _, g = fld.scalar_gradient(coords)
         f_z, f_mirror = integrand(coords, g)
-        # the mirror value is the integrand at -z with gradient -g, bit for bit
-        assert np.array_equal(f_mirror, integrand(-coords, -g)[0])
         # the closed-form kernel against the stack form, to a tolerance fixed from eps
         residual = reference_residual(model, pair, fld, params.t)
-        np.testing.assert_allclose(f_z, residual(coords), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(
+            f_z, residual(coords, coords[:, 0] >= 0.0), rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(f_mirror, residual(-coords), rtol=1e-12, atol=1e-12)
+        # on the interface z and -z take different bases, so their values differ
+        on_interface = (coords[:, 0] == 0.0) & np.any(g != 0.0, axis=1)
+        assert on_interface.sum() > 100
+        assert np.all(f_z[on_interface] != f_mirror[on_interface])
+
+    @pytest.mark.parametrize("kind", ["antiplane-2", "stack-form-2", "isotropic-3"])
+    def test_folded_pair_swaps_the_pair_bit_for_bit(self, rng, kind):
+        # a pair drawn at s_n < 0 and passed as (-z, -g) gives the values
+        # its own sides give: z on F- at step +t, -z on F+ at -t
+        model, pair, params, fld, integrand = self.case(int(kind[-1]))
+        if kind == "stack-form-2":
+            model = StackFormTwoWell(model.params)
+            integrand = quadrature._excess_integrand(model, pair, fld, params.t)
+        coords = rng.uniform(-1.0, 1.0, size=(3000, pair.d))
+        coords[:, 0] = -np.abs(coords[:, 0])
+        coords[:1000, 0] = -params.h
+        _, g = fld.scalar_gradient(coords)
+        f_minus_z, f_z = integrand(-coords, -g)
+        stage = model.rank_one_excess(np.stack([pair.fm, pair.fp]))(g @ fld.frame)
+        assert np.array_equal(f_z.view(np.int64), stage(pair.a, params.t, 0).view(np.int64))
+        assert np.array_equal(
+            f_minus_z.view(np.int64), stage(pair.a, -params.t, 1).view(np.int64))
 
     @pytest.mark.parametrize("sampler", ["rqmc", "mc"])
     @pytest.mark.parametrize("d", [2, 3])
@@ -324,6 +354,45 @@ class TestFusedPass:
         assert measures == {
             k: (float(ref_mean[1 + j]), float(ref_err[1 + j])) for j, k in enumerate(REGION_KEYS)
         }
+
+    @pytest.mark.parametrize("sampler", ["rqmc", "mc"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_integrand_sees_only_folded_rows(self, d, sampler):
+        # every pair reaches the integrand folded onto s_n >= 0, with the
+        # field's gradient at the folded point, bit for bit
+        model, pair, params, fld, integrand = self.case(d, sampler)
+        seen = []
+
+        def recording(coords, g):
+            seen.append((coords.copy(), g.copy()))
+            return integrand(coords, g)
+
+        assert energy_pass(fld, params.quad, recording) == energy_pass(
+            fld, params.quad, integrand)
+        coords = np.concatenate([c for c, _ in seen])
+        g = np.concatenate([grad for _, grad in seen])
+        assert np.all(coords[:, 0] >= 0.0)
+        assert np.array_equal(g, fld.scalar_gradient(coords)[1])
+        assert np.all(np.any(g != 0.0, axis=1))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_fold_negates_exactly_the_rows_below_the_interface(self, rng, d):
+        # a drawn row at s_n = 0 is passed as drawn, so z takes F+ and -z F-
+        model, pair, params, fld, integrand = self.case(d)
+        coords = rng.uniform(-1.0, 1.0, size=(400, d))
+        coords[:200, 0] = 0.0
+        seen = []
+
+        def recording(z, g):
+            seen.append(z.copy())
+            return integrand(z, g)
+
+        estimate = quadrature._energy_estimate(fld, params.quad, recording)
+        estimate.pair_estimates(coords, estimate.pdf)
+        moving = coords[np.any(fld.scalar_gradient(coords)[1] != 0.0, axis=1)]
+        assert np.sum(moving[:, 0] == 0.0) > 50
+        folded = moving * np.where(moving[:, :1] < 0.0, -1.0, 1.0)
+        assert np.array_equal(seen[0].view(np.int64), folded.view(np.int64))
 
     @pytest.mark.parametrize("sampler", ["rqmc", "mc"])
     @pytest.mark.parametrize("d", [2, 3])
@@ -367,6 +436,7 @@ class TestFusedPass:
             fld = InterchangeField(pair, params)
             integrand = quadrature._excess_integrand(model, pair, fld, 1.0)
         coords = rng.uniform(-1.0, 1.0, size=(4000, pair.d))
+        coords[:, 0] = np.abs(coords[:, 0])  # the integrand's rows have s_n >= 0
         coords[:500, 0] = 0.0  # on the interface
         _, g = fld.scalar_gradient(coords)
         still = ~np.any(g != 0.0, axis=1)
@@ -899,8 +969,7 @@ class TestHalfDiskRule:
             s_n.append(coords[:, 0].copy())
             return np.zeros_like(coords)
 
-        def integrand(coords, g, s_n_positive=False):
-            assert s_n_positive
+        def integrand(coords, g):
             return (coords[:, 0] <= 0.0).astype(float), np.zeros(len(coords))
 
         monkeypatch.setattr(quadrature, "_mirrored_gradient", gradient)
@@ -920,16 +989,21 @@ class TestHalfDiskRule:
     @pytest.mark.parametrize(
         "name", ["two-well", "stack-form", "value-only", "isotropic-2d", "isotropic-3d"])
     def test_one_base_per_side_equals_per_row_sides(self, name, h, t):
-        # the per-row side arrays, read off s_n as the sampler reads them,
-        # give the cubature's total bit for bit; at h = 1e-6 the rows of
-        # weight 0 at s_n = 0 take base 0 on both sides there
+        # each row's sides read off its s_n, by one-sided calls on each base
+        # masked together, give the cubature's total bit for bit; at
+        # h = 1e-6 the rows of weight 0 at s_n = 0 take F- on both sides there
         model, pair, n, n_w = self.cases()[name]
         fld = InterchangeField(pair, gj.InterchangeParams(h=h, t=t))
+        kernel = model.rank_one_excess(np.stack([pair.fm, pair.fp]))
+
+        def per_row_sides(coords, g):
+            stage = kernel(g @ fld.frame)
+            s_n = coords[:, 0]
+            f_z = np.where(s_n > 0.0, stage(pair.a, t, 1), stage(pair.a, t, 0))
+            f_mirror = np.where(s_n < 0.0, stage(pair.a, -t, 1), stage(pair.a, -t, 0))
+            return f_z, f_mirror
+
         integrand = quadrature._excess_integrand(model, pair, fld, t)
-
-        def per_row_sides(coords, g, s_n_positive=False):
-            return integrand(coords, g)
-
         one_base = quadrature._cubature(fld, integrand, n, n_w)
         assert one_base == quadrature._cubature(fld, per_row_sides, n, n_w)
 
