@@ -41,6 +41,7 @@ from .errors import (
     EmptyBinodalError,
     GradJumpError,
     IncompatiblePairError,
+    LaminateError,
     NonconvergenceError,
     NonsmoothPointError,
     OutOfRegionError,

@@ -175,14 +175,17 @@ def cmd_antiplane(cfg: RunConfig):
     model = AntiplaneDoubleWell(params)
     rs = cfg.envelope_grid()
     fs = np.stack([rs, np.zeros_like(rs)], axis=1)[:, None, :]
-    w_vals = model.value_many(fs)
-    qw_vals = analysis.qw_radial(rs)
-
     n_mech = cfg.mechanisms()
     gaps = []
-    for angle in np.linspace(0.0, 2.0 * np.pi, n_mech, endpoint=False):
-        pair = mechanism_pair(analysis, [np.cos(angle), np.sin(angle)])
-        gaps.append(tangency_gap(analysis, yield_plane(model, pair)))
+    # mu/2 |F|^2 can overflow, on the grid or at a binodal radius, for
+    # moduli near 1e154 and beyond; a non-finite value never ships (see
+    # _render)
+    with np.errstate(over="ignore", invalid="ignore"):
+        w_vals = model.value_many(fs)
+        qw_vals = analysis.qw_radial(rs)
+        for angle in np.linspace(0.0, 2.0 * np.pi, n_mech, endpoint=False):
+            pair = mechanism_pair(analysis, [np.cos(angle), np.sin(angle)])
+            gaps.append(tangency_gap(analysis, yield_plane(model, pair)))
     summary = dict(analysis.to_dict())
     summary.update({"n_mechanisms": n_mech, "max_tangency_gap": float(np.max(gaps))})
 

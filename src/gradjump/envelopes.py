@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energies import AntiplaneParams, EnergyModel
-from .errors import NonconvergenceError, OutOfRegionError
+from .errors import LaminateError, NonconvergenceError, OutOfRegionError
 from .jumps import InterfacePair, _interchange, _maxwell, _stresses
 from .tensors import as_matrix, frobenius
 
@@ -283,7 +283,7 @@ class LaminateState:
         if float(np.max(np.abs(mix - self.f_macro))) > 1e-12 * (
             1.0 + float(np.max(np.abs(self.f_macro)))
         ):
-            raise ValueError("volume fractions do not reproduce the macroscopic gradient")
+            raise LaminateError("volume fractions do not reproduce the macroscopic gradient")
 
 
 def laminate_from_macro(analysis: AntiplaneAnalysis, f0) -> LaminateState:

@@ -39,6 +39,12 @@ class EmptyBinodalError(GradJumpError):
     """Well parameters admit no two-phase region (sign condition fails)."""
 
 
+class LaminateError(GradJumpError, ValueError):
+    """Volume fractions and phase gradients do not reproduce the
+    macroscopic gradient (in double precision, say, when a binodal radius
+    underflows to 0)."""
+
+
 class NonconvergenceError(GradJumpError):
     """An extrapolation or fit did not converge to the requested tolerance."""
 

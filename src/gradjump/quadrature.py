@@ -8,22 +8,33 @@ remainder.
 
 For the isotropic kind, and for every model in d = 2
 (``_takes_cubature``), the remainder is integrated by a deterministic
-piecewise product Gauss rule (``_cubature``): f(z) + f(-z) over the half
-ball s_n > 0, with the pieces split where the cutoffs kink and sine
-substitutions at the square-root ends of the pieces (``_half_disk_pieces``).
-A flat piece, where the field gradient is constant, takes one row.  In
-d = 2 the rule forms only the rows it evaluates (``_half_disk_rule``).  In
-d = 3 it forms every node (``_half_disk_nodes``): the core
-|z| < 1 - sqrt(h), where the field does not depend on w, adds its value
-times the chord, and the shell takes Gauss nodes in w = rho sinh(u) at
-every node.  The isotropic excess is a polynomial in the field
-gradient, smooth on every piece, and its error bar is the distance to one
-coarser rule (``_CUBATURE_RULES``).  Where the two-well kinds switch wells
-the rule converges only algebraically, so they take a finer rule and the
-larger distance to two coarser ones as the bar (``_TWO_WELL_RULES``); so
-does every other model in d = 2, whose smoothness is unknown.  Seed,
-sampler and budgets play no part there.  Every other model (a
-non-isotropic one in d = 3) is sampled as below.
+piecewise product Gauss rule: f(z) + f(-z) over the half ball s_n > 0,
+with the pieces split where the cutoffs kink (``_half_disk_layout``, once
+per h) and sine substitutions at the square-root ends of the pieces
+(``_half_disk_pieces``, for any set of pieces at any node count).  A flat
+piece, where the field gradient is constant, takes one row.
+
+In d = 2 every piece takes its own node count and its own error bar
+(``_piecewise_cubature``).  One pass integrates every piece at 16 and at
+12 nodes per axis; a piece whose two values differ by more than
+_ESCALATION_TOL of its own value takes 64, 48 and 32 nodes in one further
+pass (``_PIECE_RULES``).  Those are the pieces where the two-well kinds
+switch wells and the rule converges only algebraically: the corner
+0 < s_nu < sqrt(h), 0 < s_n < h and the slab ring by the unit circle on
+the criterion-1 pair.  The estimate is the sum of each piece's finest
+value and the bar the sum of each piece's own: the larger distance to its
+48- and 32-node values where it took them, else |I16 - I12|.  The rule
+forms only the rows it evaluates (``_half_disk_rows``), and none of
+weight 0.
+
+In d = 3, for the isotropic kind, the rule forms every node
+(``_half_disk_nodes``, ``_cubature``): the core |z| < 1 - sqrt(h), where
+the field does not depend on w, adds its value times the chord, and the
+shell takes Gauss nodes in w = rho sinh(u) at every node.  The isotropic
+excess is a polynomial in the field gradient, smooth on every piece, and
+its error bar is the distance to one coarser rule (``_CUBATURE_RULES``).
+Seed, sampler and budgets play no part in either rule.  Every other model
+(a non-isotropic one in d = 3) is sampled as below.
 
 The sampled remainder integrand is supported on thin sets, so sampling
 uses a deterministic mixture of uniform proposals: the whole ball, an
@@ -90,6 +101,7 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -119,15 +131,21 @@ N_SCRAMBLES = 8
 _BLOCK_ROWS = 4096
 
 #: Gauss nodes per axis (s_n and s_nu, w) of the isotropic kind's cubature
-#: and of the coarser rule whose distance from it is the error bar
+#: in d = 3 and of the coarser rule whose distance from it is the error bar
 _CUBATURE_RULES = ((16, 6), (12, 4))
 
-#: Gauss nodes per axis (s_n and s_nu) of the cubature of every model in
-#: d = 2 but the isotropic kind, and of the two coarser rules whose larger
-#: distance from it is the error bar; where the two-well kinds switch wells
-#: the rule converges only algebraically, and the distance to one coarser
-#: rule can understate its error
-_TWO_WELL_RULES = ((64,), (48,), (32,))
+#: sine-Gauss nodes per axis (s_n and s_nu) of the cubature in d = 2: every
+#: piece takes the first two, and a piece whose two values differ by more
+#: than _ESCALATION_TOL of its own value takes the last three.  Where the
+#: two-well kinds switch wells a piece converges only algebraically, and
+#: the distance to one coarser rule can understate its error, so such a
+#: piece's bar is the larger distance to two
+_PIECE_RULES = ((16, 12), (64, 48, 32))
+
+#: relative distance between a piece's 16- and 12-node values above which it
+#: takes the finer rules; on the Maxwell and criterion-1 pairs the smooth
+#: pieces sit below 4e-8 and the pieces where the wells switch above 3e-3
+_ESCALATION_TOL = 1e-6
 
 #: largest chi2/dof of a sampled sweep's series fit; above it the fit does
 #: not describe the data
@@ -183,7 +201,7 @@ def interface_profile(h: float, d: int) -> float:
     if d == 2:
         return 2.0 * big_r
     if d == 3:
-        nodes, weights = _gauss_legendre()
+        nodes, weights = _gauss_legendre(32)
         lo, hi = sorted((sh, big_r))
         total = 0.0
         for a, b in ((0.0, lo), (lo, hi), (hi, 1.0)):
@@ -206,10 +224,12 @@ def interface_profile(h: float, d: int) -> float:
     raise ValueError("interface profile supports d = 2 or 3")
 
 
-@functools.lru_cache(maxsize=8)
-def _gauss_legendre(n: int = 32):
+@functools.lru_cache(maxsize=16)
+def _gauss_legendre(n: int):
     """n-point Gauss-Legendre nodes and weights on [-1, 1], as read-only
-    arrays built on first use: numpy.polynomial costs a few ms to import."""
+    arrays built on first use: numpy.polynomial costs a few ms to import.
+    A process that runs both cubatures keeps 7: 16, 12, 64, 48 and 32 under
+    the sine-Gauss rules, 6 and 4 in w (32 is also the interface profile's)."""
     rule = np.polynomial.legendre.leggauss(n)
     for arr in rule:
         arr.setflags(write=False)
@@ -545,11 +565,12 @@ def _energy_estimate(fld: InterchangeField, quad: QuadratureConfig, integrand) -
     return _Estimate(fld, quad, pair_estimates)
 
 
-@functools.lru_cache(maxsize=4)
+@functools.lru_cache(maxsize=8)
 def _sine_gauss(n: int):
     """The n-point Gauss rule on [-1, 1] after the substitution
     x = sin(pi u / 2): read-only nodes and weights for an integrand with
-    square-root ends, which the substitution makes smooth."""
+    square-root ends, which the substitution makes smooth.  The cubature
+    uses the 5 node counts of _PIECE_RULES at every h."""
     t, w = _gauss_legendre(n)
     theta = 0.5 * math.pi * t
     rule = np.sin(theta), 0.5 * math.pi * w * np.cos(theta)
@@ -566,43 +587,47 @@ def _chord(radius: float, x):
     return math.sqrt(square) if isinstance(square, float) else np.sqrt(square)
 
 
-def _half_disk_pieces(h: float, n: int):
-    """(nu, centre, half_n, weight_nu, flat): the pieces of a piecewise
-    product rule over the part of the half disk s_n > 0,
-    s_n^2 + s_nu^2 < 1 where the field can move, with n sine-substituted
-    Gauss nodes x, wx (``_sine_gauss``) per axis on each piece.
+class _Layout(NamedTuple):
+    """The pieces of the half-disk rule at one h (``_half_disk_layout``):
+    each piece's s_nu segment [a, b], the knots at its s_n ends (0: s_n = 0,
+    1: rho = 1, 2: rho = 1 - sqrt(h), 3: s_n = h) and whether it is flat."""
 
-    Each array but ``flat`` has shape (pieces, n), indexed by piece and
-    s_nu node: the s_nu nodes, and at each of them the centre and half
-    length of the piece's s_n interval and the s_nu weight times that half
-    length.  Node (i, j) of a piece lies at s_nu = nu_i,
-    s_n = centre_i + half_n_i x_j, with weight weight_nu_i wx_j.  For
-    s_nu > 0 (the fold keeps z) the field moves only in the slab s_n < h,
-    where phi kinks at s_n = h; for s_nu < 0 (the fold mirrors z) phi is 1
-    and does not kink.  So s_n splits at h on the s_nu > 0 side, which it
-    also tops, and on both sides at the circle rho = 1 - sqrt(h), where
-    zeta kinks; its top is the circle rho = 1.  s_nu splits at 0, at
+    h: float
+    a: np.ndarray
+    b: np.ndarray
+    lo_knot: np.ndarray
+    hi_knot: np.ndarray
+    flat: np.ndarray
+
+
+def _half_disk_layout(h: float) -> _Layout:
+    """The pieces of a piecewise product rule over the part of the half disk
+    s_n > 0, s_n^2 + s_nu^2 < 1 where the field can move, which do not
+    depend on the number of nodes.
+
+    For s_nu > 0 (the fold keeps z) the field moves only in the slab
+    s_n < h, where phi kinks at s_n = h; for s_nu < 0 (the fold mirrors z)
+    phi is 1 and does not kink.  So s_n splits at h on the s_nu > 0 side,
+    which it also tops, and on both sides at the circle rho = 1 - sqrt(h),
+    where zeta kinks; its top is the circle rho = 1.  s_nu splits at 0, at
     +-sqrt(h), where rho kinks, at +-(1 - sqrt(h)) and +-1, where the
     circles meet s_n = 0, and for s_nu > 0 where they meet s_n = h.  Within
-    a piece the s_n knots keep their order, and each square-root end,
-    where a circle meets an axis, is an end of a piece.
+    a piece the s_n knots keep their order, and each square-root end, where
+    a circle meets an axis, is an end of a piece.
 
-    ``flat`` (pieces,) marks the pieces in the core rho < 1 - sqrt(h) off
-    the corner 0 < s_nu < sqrt(h).  On them the frame gradient of the field
-    is one constant: (-1, 0) for s_nu > sqrt(h), (0, -sqrt(h)) for
+    ``flat`` marks the pieces in the core rho < 1 - sqrt(h) off the corner
+    0 < s_nu < sqrt(h).  On them the frame gradient of the field is one
+    constant: (-1, 0) for s_nu > sqrt(h), (0, -sqrt(h)) for
     -sqrt(h) < s_nu < 0 and 0 for s_nu < -sqrt(h).
 
-    Which knots bound each piece is decided on Python scalars at the
-    middle of its s_nu segment.
+    Which knots bound each piece is decided on Python scalars at the middle
+    of its s_nu segment.
     """
     sh = math.sqrt(h)
     r1 = 1.0 - sh
-    x, wx = _sine_gauss(n)
     both_sides = (sh, r1, 1.0)
     slab_side = [_chord(1.0, h)] + ([_chord(r1, h)] if h < r1 else [])
     edges = sorted({0.0, *both_sides, *(-c for c in both_sides), *slab_side})
-    # per piece: its s_nu segment, the knots at its s_n ends (0: s_n = 0,
-    # 1: rho = 1, 2: rho = 1 - sqrt(h), 3: s_n = h) and whether it is flat
     segments, lo_knot, hi_knot, flat = [], [], [], []
     for a, b in zip(edges, edges[1:]):
         mid = 0.5 * (a + b)
@@ -622,6 +647,23 @@ def _half_disk_pieces(h: float, n: int):
             hi_knot.append(hi)
             flat.append(at_mid <= core_top and not 0.0 < mid < sh)
     a, b = np.array(segments).T
+    return _Layout(h, a, b, np.array(lo_knot), np.array(hi_knot), np.array(flat))
+
+
+def _half_disk_pieces(layout: _Layout, n: int, pieces: np.ndarray):
+    """(nu, centre, half_n, weight_nu) of the chosen pieces of ``layout``
+    with n sine-substituted Gauss nodes x, wx (``_sine_gauss``) per axis,
+    formed in one broadcast.
+
+    Each array has shape (len(pieces), n), indexed by piece and s_nu node:
+    the s_nu nodes, and at each of them the centre and half length of the
+    piece's s_n interval and the s_nu weight times that half length.  Node
+    (i, j) of a piece lies at s_nu = nu_i, s_n = centre_i + half_n_i x_j,
+    with weight weight_nu_i wx_j.
+    """
+    h, r1 = layout.h, 1.0 - math.sqrt(layout.h)
+    x, wx = _sine_gauss(n)
+    a, b = layout.a[pieces], layout.b[pieces]
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     nu = mid[:, None] + half[:, None] * x
     # every knot at every s_nu node; rho = 1 - sqrt(h) only where it is one
@@ -630,124 +672,176 @@ def _half_disk_pieces(h: float, n: int):
     inner = np.abs(mid) < r1
     knot_at[2, inner] = _chord(r1, nu[inner])
     knot_at[3] = h
-    pieces = np.arange(nu.shape[0])
-    lo, hi = knot_at[lo_knot, pieces], knot_at[hi_knot, pieces]
+    rows = np.arange(nu.shape[0])
+    lo, hi = knot_at[layout.lo_knot[pieces], rows], knot_at[layout.hi_knot[pieces], rows]
     half_n = 0.5 * (hi - lo)
-    return nu, 0.5 * (lo + hi), half_n, half[:, None] * wx * half_n, np.array(flat)
+    return nu, 0.5 * (lo + hi), half_n, half[:, None] * wx * half_n
 
 
-def _half_disk_nodes(h: float, n: int):
-    """(s_n, s_nu, weights, flat): every node of every piece of
-    ``_half_disk_pieces``, with s_n, s_nu and weights of shape
-    (pieces, n, n), indexed by piece, s_nu node and s_n node and formed in
-    one broadcast, and the flat pieces."""
-    nu, centre, half_n, weight_nu, flat = _half_disk_pieces(h, n)
+def _half_disk_nodes(layout: _Layout, n: int):
+    """(s_n, s_nu, weights): every node of every piece of ``layout`` at n
+    nodes per axis, each of shape (pieces, n, n), indexed by piece, s_nu
+    node and s_n node and formed in one broadcast."""
+    nu, centre, half_n, weight_nu = _half_disk_pieces(layout, n, np.arange(layout.flat.size))
     x, wx = _sine_gauss(n)
     s_n = half_n[:, :, None] * x
     s_n += centre[:, :, None]  # centre + half_n x, with one (pieces, n, n) array
-    return s_n, np.broadcast_to(nu[:, :, None], s_n.shape), weight_nu[:, :, None] * wx, flat
+    return s_n, np.broadcast_to(nu[:, :, None], s_n.shape), weight_nu[:, :, None] * wx
 
 
-def _half_disk_rule(h: float, n: int):
-    """(coords, weights) of the rows at w = 0 that the cubature evaluates:
-    coords (rows, 2) holds (s_n, s_nu), in piece order, column-major so
-    that each coordinate is read contiguously.
+def _half_disk_rows(layout: _Layout, n: int, pieces: np.ndarray):
+    """(coords, weights, piece) of the rows at w = 0 that the cubature in
+    d = 2 evaluates for the chosen pieces of ``layout`` at n nodes per axis:
+    coords (rows, 2) holds (s_n, s_nu), column-major so that each
+    coordinate is read contiguously, and ``piece`` each row's position in
+    ``pieces``.
 
-    A piece that is not flat (``_half_disk_pieces``) gives each of its
-    n x n nodes, s_nu node by s_nu node.  On a flat piece the integrand is
-    one value at every node, so the piece gives one row: its middle node
-    (n // 2, n // 2), with the piece's summed weight.  The other nodes of
-    the flat pieces are not formed.  Each row has the bits that
-    ``_half_disk_nodes`` gives the same node, and a flat piece's weight is
-    the same sum of its node weights.
+    A piece that is not flat gives each of its n x n nodes, s_nu node by
+    s_nu node, but those at an s_nu node where its s_n interval has length
+    0 (one that rounds onto a circle, h = 1e-6 at n >= 16 say), which would
+    sit at s_n = 0 with weight 0.  On a flat piece the integrand is one
+    value at every node, so the piece gives one row: its middle node
+    (n // 2, n // 2), with the piece's summed weight.  The pieces that are
+    not flat come first, in the order of ``pieces``, then the flat ones.
+    Each row has the bits that ``_half_disk_nodes`` gives the same node,
+    and a flat piece's weight is the same sum of its node weights.
     """
-    nu, centre, half_n, weight_nu, flat = _half_disk_pieces(h, n)
+    nu, centre, half_n, weight_nu = _half_disk_pieces(layout, n, pieces)
     x, wx = _sine_gauss(n)
-    nn, mid = n * n, n // 2
-    columns = np.empty((2, int(np.where(flat, 1, nn).sum())))
-    weights = np.empty(columns.shape[1])
-    flat_weights = iter((weight_nu[flat][:, :, None] * wx).sum(axis=(1, 2)).tolist())
-    start = 0
-    for p, is_flat in enumerate(flat.tolist()):
-        if is_flat:
-            columns[:, start] = half_n[p, mid] * x[mid] + centre[p, mid], nu[p, mid]
-            weights[start] = next(flat_weights)
-            start += 1
-            continue
-        # the piece's rows as (n, n) views, written in place
-        rows = slice(start, start + nn)
-        s_n = np.multiply(half_n[p, :, None], x, out=columns[0, rows].reshape(n, n))
-        s_n += centre[p, :, None]
-        columns[1, rows].reshape(n, n)[...] = nu[p, :, None]
-        np.multiply(weight_nu[p, :, None], wx, out=weights[rows].reshape(n, n))
-        start += nn
-    return columns.T, weights
+    flat, mid = layout.flat[pieces], n // 2
+    # the s_nu nodes that give rows: those of the pieces that are not flat
+    # where the s_n interval has a length, then each flat piece's middle one
+    at = ~flat[:, None] & (half_n > 0.0)
+    size = n * int(np.count_nonzero(at))
+    columns = np.empty((2, size + int(np.count_nonzero(flat))))
+    s_n = columns[0, :size].reshape(-1, n)
+    np.multiply(half_n[at][:, None], x, out=s_n)
+    s_n += centre[at][:, None]  # centre + half_n x, as _half_disk_nodes forms it
+    columns[1, :size] = np.repeat(nu[at], n)
+    columns[0, size:] = half_n[flat, mid] * x[mid] + centre[flat, mid]
+    columns[1, size:] = nu[flat, mid]
+    weights = np.concatenate([
+        (weight_nu[at][:, None] * wx).ravel(), (weight_nu[flat][:, :, None] * wx).sum(axis=(1, 2))])
+    piece = np.concatenate([np.repeat(np.nonzero(at)[0], n), np.flatnonzero(flat)])
+    return columns.T, weights, piece
+
+
+def _pair_values(h: float, integrand, coords: np.ndarray) -> np.ndarray:
+    """f(z) + f(-z) at rows z of the cubature, from the frame gradient at z."""
+    f_z, f_mirror = integrand(coords, _mirrored_gradient(coords, _radius(coords), h))
+    return f_z + f_mirror
+
+
+def _piece_integrals(fld: InterchangeField, integrand, layout: _Layout, nodes, pieces):
+    """(integrals, evaluations): the excess over each chosen piece of
+    ``layout`` at each node count of ``nodes``, as an array
+    (len(nodes), len(pieces)), from one pass over all their rows
+    (``_half_disk_rows``) in blocks of at most _BLOCK_ROWS.
+
+    ``integrand`` is ``_excess_integrand``'s: f(z) and f(-z) from the frame
+    gradient at z.  Their sum over the half disk s_n > 0 is the integral
+    over the disk.  Every row has s_n > 0, so each block is one kernel call
+    with z on the + base and -z on the - base.
+    """
+    rules = [_half_disk_rows(layout, n, pieces) for n in nodes]
+    columns = np.concatenate([coords.T for coords, _, _ in rules], axis=1)
+    weights = np.concatenate([w for _, w, _ in rules])
+    label = np.concatenate([k * len(pieces) + piece for k, (_, _, piece) in enumerate(rules)])
+    values = np.empty(weights.size)
+    for i in range(0, weights.size, _BLOCK_ROWS):
+        values[i:i + _BLOCK_ROWS] = _pair_values(fld.h, integrand, columns[:, i:i + _BLOCK_ROWS].T)
+    values *= weights
+    integrals = np.bincount(label, weights=values, minlength=len(nodes) * len(pieces))
+    return integrals.reshape(len(nodes), len(pieces)), 2 * weights.size
+
+
+def _piecewise_cubature(fld: InterchangeField, integrand):
+    """(integral, error bar, evaluations) of the excess over the disk, d = 2.
+
+    Every piece of the rule is integrated at both node counts of
+    _PIECE_RULES[0] in one pass; the pieces whose two values differ by more
+    than _ESCALATION_TOL of the 16-node one are integrated again at every
+    node count of _PIECE_RULES[1], in one further pass.  The integral is
+    the sum of each piece's finest value and the bar the sum of each
+    piece's own: the larger distance from its finest value to its two
+    coarser ones where it took the finer rules, else the distance between
+    its two values.
+    """
+    coarse, fine = _PIECE_RULES
+    layout = _half_disk_layout(fld.h)
+    (value, coarser), n_evals = _piece_integrals(
+        fld, integrand, layout, coarse, np.arange(layout.flat.size))
+    bar = np.abs(value - coarser)
+    switch = np.flatnonzero(bar > _ESCALATION_TOL * np.abs(value))
+    if switch.size:
+        integrals, more = _piece_integrals(fld, integrand, layout, fine, switch)
+        value[switch] = integrals[0]
+        bar[switch] = np.abs(integrals[0] - integrals[1:]).max(axis=0)
+        n_evals += more
+    return float(value.sum()), float(bar.sum()), n_evals
 
 
 def _cubature(fld: InterchangeField, integrand, n: int, n_w: int | None = None):
-    """(integral, evaluations) of the excess over the ball by a
-    deterministic rule with n nodes per axis in s_n and s_nu and n_w in w.
+    """(integral, evaluations) of the excess over the ball by the whole rule
+    with n nodes per axis in s_n and s_nu and, in d = 3, n_w in w.
 
-    ``integrand`` is ``_excess_integrand``'s: f(z) and f(-z) from the frame
-    gradient at z.  Their sum over the half ball s_n > 0 is the integral
-    over the ball.  Every row that carries weight has s_n > 0, so each
-    block is one kernel call with z on the + base and -z on the - base.
-    (A piece's s_n interval can have length 0 at an s_nu node that rounds
-    onto a circle, h = 1e-6 at n >= 16 say; its rows then sit at s_n = 0
-    with weight 0.)  In d = 3 each node (s_n, s_nu) of
-    ``_half_disk_nodes``, at rho^2 = s_n^2 + s_nu^2,
-    adds the core |z| < 1 - sqrt(h), where the field does not depend on w,
-    as its value at w = 0 times the chord 2 sqrt((1 - sqrt(h))^2 - rho^2)
-    (0 outside the core's disk), and the shell on either side of it, out
-    to |w| = sqrt(1 - rho^2).  The shell takes Gauss nodes in u,
-    w = rho sinh(u), which keeps the branch points of |z| at w = +-i rho a
-    distance pi/2 from the real axis: n_w nodes on each part of the u
-    interval, split into equal parts of length <= 1 (one part for h below
-    about 0.12).
+    In d = 2 that is every piece of ``_piece_integrals`` at n nodes,
+    summed.  In d = 3 each node (s_n, s_nu) of ``_half_disk_nodes``, at
+    rho^2 = s_n^2 + s_nu^2, adds the core |z| < 1 - sqrt(h), where the
+    field does not depend on w, as its value at w = 0 times the chord
+    2 sqrt((1 - sqrt(h))^2 - rho^2) (0 outside the core's disk), and the
+    shell on either side of it, out to |w| = sqrt(1 - rho^2).  The shell
+    takes Gauss nodes in u, w = rho sinh(u), which keeps the branch points
+    of |z| at w = +-i rho a distance pi/2 from the real axis: n_w nodes on
+    each part of the u interval, split into equal parts of length <= 1 (one
+    part for h below about 0.12).  Each block is one kernel call with z on
+    the + base and -z on the - base: every row that carries weight has
+    s_n > 0.  (A piece's s_n interval can have length 0 at an s_nu node
+    that rounds onto a circle, h = 1e-6 at n >= 16 say; its rows then sit
+    at s_n = 0 with weight 0.)
 
     On a flat piece of the rule the frame gradient, and so the integrand,
-    is one value at every w = 0 row, so those rows collapse to one, at the
-    piece's middle node, with their summed weight; in d = 2 that row is
-    the whole node (``_half_disk_rule`` forms only the rows evaluated), in
-    d = 3 the core, and the shell rows stay.  The rows are evaluated in
-    blocks of at most _BLOCK_ROWS.
+    is one value at every w = 0 row, so the core's rows collapse to one, at
+    the piece's middle node, with their summed weight, and the shell rows
+    stay.  The rows are evaluated in blocks of at most _BLOCK_ROWS.
     """
     h, d = fld.h, fld.pair.d
+    layout = _half_disk_layout(h)
     if d == 2:
-        at_plane, plane = _half_disk_rule(h, n)
-    else:
-        s_n, s_nu, weights, flat = _half_disk_nodes(h, n)
-        r1 = 1.0 - math.sqrt(h)
-        rho2 = s_n * s_n + s_nu * s_nu
-        rho = np.sqrt(rho2)
-        core = np.sqrt(np.maximum(r1 * r1 - rho2, 0.0))
-        u_lo = np.arcsinh(core / rho)
-        u_span = np.arcsinh(np.sqrt(np.maximum(1.0 - rho2, 0.0)) / rho) - u_lo
-        parts = max(1, math.ceil(float(np.max(u_span))))
-        t, wt = _gauss_legendre(n_w)
-        u_unit = ((np.arange(parts)[:, None] + 0.5 * (1.0 + t)) / parts).ravel()
-        u_weights = np.tile(0.5 * wt / parts, parts)
-        n_shell = u_unit.size
-        # dw = rho cosh(u) du
-        shell_weights = weights * u_span * rho
-        # the core's weight at w = 0; each flat piece's row is its middle node
-        plane = 2.0 * weights * core
-        mid = n // 2
-        keep = np.repeat(~flat, n * n).reshape(s_n.shape)
-        keep[flat, mid, mid] = True
-        plane[flat, mid, mid] = plane[flat].sum(axis=(1, 2))
-        plane = plane[keep]
-        at_plane = np.zeros((plane.size, d))
-        at_plane[:, 0] = s_n[keep]
-        at_plane[:, 1] = s_nu[keep]
+        integrals, n_evals = _piece_integrals(
+            fld, integrand, layout, (n,), np.arange(layout.flat.size))
+        return float(integrals.sum()), n_evals
+    s_n, s_nu, weights = _half_disk_nodes(layout, n)
+    flat = layout.flat
+    r1 = 1.0 - math.sqrt(h)
+    rho2 = s_n * s_n + s_nu * s_nu
+    rho = np.sqrt(rho2)
+    core = np.sqrt(np.maximum(r1 * r1 - rho2, 0.0))
+    u_lo = np.arcsinh(core / rho)
+    u_span = np.arcsinh(np.sqrt(np.maximum(1.0 - rho2, 0.0)) / rho) - u_lo
+    parts = max(1, math.ceil(float(np.max(u_span))))
+    t, wt = _gauss_legendre(n_w)
+    u_unit = ((np.arange(parts)[:, None] + 0.5 * (1.0 + t)) / parts).ravel()
+    u_weights = np.tile(0.5 * wt / parts, parts)
+    n_shell = u_unit.size
+    # dw = rho cosh(u) du
+    shell_weights = weights * u_span * rho
+    # the core's weight at w = 0; each flat piece's row is its middle node
+    plane = 2.0 * weights * core
+    mid = n // 2
+    keep = np.repeat(~flat, n * n).reshape(s_n.shape)
+    keep[flat, mid, mid] = True
+    plane[flat, mid, mid] = plane[flat].sum(axis=(1, 2))
+    plane = plane[keep]
+    at_plane = np.zeros((plane.size, d))
+    at_plane[:, 0] = s_n[keep]
+    at_plane[:, 1] = s_nu[keep]
 
     def blocks():
         """(coords, weights) of at most _BLOCK_ROWS rows: every row at
-        w = 0, then in d = 3 each node's shell at w > 0 and at w < 0."""
+        w = 0, then each node's shell at w > 0 and at w < 0."""
         for i in range(0, plane.size, _BLOCK_ROWS):
             yield at_plane[i:i + _BLOCK_ROWS], plane[i:i + _BLOCK_ROWS]
-        if d == 2:
-            return
         node_n, node_nu, lo, span, r, shell = (
             a.reshape(-1, 1) for a in (s_n, s_nu, u_lo, u_span, rho, shell_weights))
         step = _BLOCK_ROWS // (2 * n_shell)
@@ -767,9 +861,7 @@ def _cubature(fld: InterchangeField, integrand, n: int, n_w: int | None = None):
 
     total, rows = 0.0, 0
     for coords, wts in blocks():
-        g = _mirrored_gradient(coords, _radius(coords), h)
-        f_z, f_mirror = integrand(coords, g)
-        total += float(wts @ (f_z + f_mirror))
+        total += float(wts @ _pair_values(h, integrand, coords))
         rows += coords.shape[0]
     return total, 2 * rows
 
@@ -811,11 +903,12 @@ def _takes_cubature(model: EnergyModel) -> bool:
     It does for the isotropic kind, whose excess is a polynomial in the
     field gradient and so smooth on every piece of the rule, and for every
     model in d = 2, whatever its rank-one kernel.  Where the two-well
-    kinds switch wells the rule converges only algebraically, but at the
-    sizes of ``_TWO_WELL_RULES`` its error stays below the default
-    sampler's error bars at about a tenth of the evaluations (103,960
-    against 1,081,344 per h on the criterion-1 pair).  Only the
-    non-isotropic models in d = 3 are sampled."""
+    kinds switch wells a piece converges only algebraically, but at the
+    finer sizes of ``_PIECE_RULES``, which only those pieces take, its
+    error stays below the default sampler's error bars at about a
+    thirtieth of the evaluations (35,312 against 1,081,344 per h on the
+    criterion-1 pair at t = 1).  Only the non-isotropic models in d = 3
+    are sampled."""
     return model.d == 2 or isinstance(model, IsotropicThetaEnergy)
 
 
@@ -848,12 +941,13 @@ def energy_increment(
     The interface-linear term is integrated exactly and used as a control
     variate; the rest only carries the pointwise excess, which vanishes
     where the field gradient does.  For the isotropic kind and every model
-    in d = 2 (``_takes_cubature``) the excess is integrated by the
-    deterministic rule, ``mc_error`` is its largest distance to the coarser
-    rules (``_CUBATURE_RULES`` for the isotropic kind, ``_TWO_WELL_RULES``
-    for the rest) and the quadrature config's seed, sampler and budgets
-    play no part; a non-isotropic model in d = 3 is sampled,
-    deterministically for a fixed seed.  ``method`` says which:
+    in d = 2 (``_takes_cubature``) the excess is integrated by a
+    deterministic rule and the quadrature config's seed, sampler and
+    budgets play no part.  In d = 2 each piece of the rule takes its own
+    node count and its own bar, and ``mc_error`` is the sum of the bars
+    (``_piecewise_cubature``); in d = 3 it is the distance to the coarser
+    rule of ``_CUBATURE_RULES``.  A non-isotropic model in d = 3 is
+    sampled, deterministically for a fixed seed.  ``method`` says which:
     "cubature", "rqmc" or "mc".  The estimate runs in the calling process.
     Raises QuadratureError if a configured error cap is exceeded, if h is
     too small for double precision or if the estimate is not finite.
@@ -870,10 +964,13 @@ def energy_increment(
                 f"the shell 1 - sqrt(h) < |z| < 1 is empty at h = {h!r}: "
                 "h is too small for double precision"
             )
-        rules = _CUBATURE_RULES if isinstance(model, IsotropicThetaEnergy) else _TWO_WELL_RULES
-        (mean, n_evals), *coarser = (_cubature(fld, integrand, *nodes) for nodes in rules)
-        mc_error = max(abs(mean - coarse) for coarse, _ in coarser)
-        n_evals, method = n_evals + sum(n for _, n in coarser), "cubature"
+        if pair.d == 2:
+            mean, mc_error, n_evals = _piecewise_cubature(fld, integrand)
+        else:
+            (mean, n_evals), (coarse, coarse_evals) = (
+                _cubature(fld, integrand, *nodes) for nodes in _CUBATURE_RULES)
+            mc_error, n_evals = abs(mean - coarse), n_evals + coarse_evals
+        method = "cubature"
         if not (math.isfinite(mean) and math.isfinite(mc_error)):
             raise QuadratureError(f"the estimate at h = {h!r} is not finite")
     else:

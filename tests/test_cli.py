@@ -406,6 +406,27 @@ class TestAntiplane:
         assert (code, stdout) == (2, "")
         assert error_line(err).startswith("the two-well parameters overflow double precision")
 
+    @pytest.mark.parametrize(
+        "params, path, message",
+        [
+            # eps_plus underflows to 0, so no laminate reproduces |F| = 0.5:
+            # this ended in a ValueError traceback
+            ({"mu_plus": 1e-154, "mu_minus": 1e154, "w_plus": 1e-154, "w_minus": -1.0},
+             [[[0.5, 0.0]]], "volume fractions do not reproduce the macroscopic gradient"),
+            # mu+ r^2 / 2 overflows on the envelope grid, and the wells tie
+            # at F = 0: this printed RuntimeWarnings before its error line
+            ({"mu_plus": 1e308, "mu_minus": 1e-154, "w_plus": 0.0, "w_minus": 1e-154},
+             None, "branch tie at |F|^2 = 0"),
+        ],
+    )
+    def test_extreme_moduli_are_analysis_failures(self, tmp_path, capsys, params, path, message):
+        payload = {"params": params} if path is None else {"params": params, "path": path}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(capsys, "antiplane", "--config", write_config(tmp_path, payload))
+        assert (code, stdout) == (1, "")
+        assert error_line(err).startswith(message)
+
     @pytest.mark.parametrize("count", [0, -3, "16"])
     def test_bad_mechanisms_is_config_error(self, tmp_path, capsys, count):
         cfg = write_config(tmp_path, {"params": REF_PARAMS, "mechanisms": count})

@@ -529,7 +529,7 @@ class TestEnergyIncrement:
         assert type(model).rank_one_excess is gj.EnergyModel.rank_one_excess
         quadratic = gj.QuadraticEnergy(1, 2, mu=1.0)
         pair = gj.InterfacePair.from_jump([[0.4, -0.2]], [1.0], [1.0, 0.0])
-        # in d = 2 both take the two-well rule; the central-difference
+        # in d = 2 both take the cubature; the central-difference
         # stress of a quadratic is exact up to rounding
         for h in (0.05, 0.0125):
             res, ref = (gj.energy_increment(m, pair, gj.InterchangeParams(h=h))
@@ -645,15 +645,16 @@ class TestCubature:
     @pytest.mark.parametrize("h", [0.9, 0.5, 0.1, 0.0125, 1e-4])
     @pytest.mark.parametrize("d", [2, 3])
     def test_against_a_finer_rule(self, d, h, t):
-        # 24 nodes per axis in s_n and s_nu and 9 in w: 1.5 times the rule's
+        # 1.5 times the rule's finest nodes per axis at every piece: 96 in
+        # d = 2; 24 in s_n and s_nu and 9 in w in d = 3
         model, pair, nu = self.general(d)
         params = gj.InterchangeParams(h=h, t=t, nu=nu)
         res = gj.energy_increment(model, pair, params)
         assert res.method == "cubature"
         fld = InterchangeField(pair, params)
         integrand = quadrature._excess_integrand(model, pair, fld, t)
-        nodes, n_w = quadrature._CUBATURE_RULES[0]
-        exact_part = res.delta_e - quadrature._cubature(fld, integrand, nodes, n_w)[0]
+        nodes, n_w = quadrature._CUBATURE_RULES[0] if d == 3 else (quadrature._PIECE_RULES[1][0], 0)
+        exact_part = t * (-gj.interchange_force(model, pair) * h * interface_profile(h, d))
         finer = exact_part + quadrature._cubature(fld, integrand, 3 * nodes // 2, 3 * n_w // 2)[0]
         assert abs(res.delta_e - finer) <= 1e-8 * abs(finer)
         assert res.mc_error >= abs(res.delta_e - finer)
@@ -703,6 +704,16 @@ class TestCubature:
             res = gj.energy_increment(**case, params=gj.InterchangeParams(h=0.05))
             assert max(rows) <= quadrature._BLOCK_ROWS
             assert 2 * sum(rows) == res.n_evals
+
+    def test_a_new_h_makes_no_cache_misses(self):
+        # the unit rules of both cubatures, every node count of them, stay
+        # cached from one h to the next
+        caches = (quadrature._sine_gauss, quadrature._gauss_legendre)
+        for h in (0.1, 0.05):
+            misses = [cache.cache_info().misses for cache in caches]
+            for case in (self.SWEEP_3D, TestTwoWellCubature.CRITERION_1):
+                gj.energy_increment(**case, params=gj.InterchangeParams(h=h))
+        assert [cache.cache_info().misses for cache in caches] == misses
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_too_small_h_is_a_quadrature_error(self, d):
@@ -763,9 +774,10 @@ def _report_cpus(monkeypatch, cpus):
 
 
 class TestTwoWellCubature:
-    """The min-of-quadratics kinds' Delta E in d = 2 by the same rule, at
-    64 nodes per axis, with the larger distance to the 48- and 32-node
-    rules as the error bar."""
+    """The min-of-quadratics kinds' Delta E in d = 2 by the same rule: each
+    piece at 16 and 12 nodes per axis, and the pieces where the wells
+    switch at 64, with the larger distance to the 48- and 32-node rules as
+    their error bar."""
 
     CRITERION_1 = dict(
         model=gj.AntiplaneDoubleWell(gj.AntiplaneParams(**REF_PARAMS)),
@@ -832,6 +844,68 @@ class TestTwoWellCubature:
         with pytest.raises(gj.QuadratureError, match="too small"):
             gj.energy_increment(**self.CRITERION_1, params=gj.InterchangeParams(h=1e-100))
 
+    @pytest.mark.parametrize("t", [1.0, 0.1])
+    def test_only_the_pieces_where_the_wells_switch_take_the_finer_rules(self, monkeypatch, t):
+        # on the criterion-1 pair at t = 1: the corner 0 < s_nu < sqrt(h),
+        # 0 < s_n < h and the slab ring 1 - sqrt(h) < s_nu < sqrt(1 - h^2),
+        # 0 < s_n < h; at t = 0.1 no well switches
+        real = quadrature._piece_integrals
+        finer = []
+
+        def piece_integrals(fld, integrand, layout, nodes, pieces):
+            if nodes == quadrature._PIECE_RULES[1]:
+                finer.append(np.stack([layout.a[pieces], layout.b[pieces],
+                                       layout.lo_knot[pieces], layout.hi_knot[pieces]], axis=1))
+            return real(fld, integrand, layout, nodes, pieces)
+
+        monkeypatch.setattr(quadrature, "_piece_integrals", piece_integrals)
+        for h in self.H_GRID:
+            finer.clear()
+            gj.energy_increment(**self.CRITERION_1, params=gj.InterchangeParams(h=h, t=t))
+            sh = math.sqrt(h)
+            switching = [(0.0, sh, 0, 3), (1.0 - sh, math.sqrt(1.0 - h * h), 0, 3)]
+            assert len(finer) == (t == 1.0), h
+            assert all(np.allclose(pieces, switching, rtol=1e-15, atol=0.0) for pieces in finer), h
+
+    @pytest.mark.parametrize("t", [1.0, 0.7, 0.1])
+    @pytest.mark.parametrize("name", ["maxwell", "criterion-1", *(f"random-{k}" for k in range(4))])
+    def test_evaluations_per_h(self, name, t):
+        model, pair = self.pairs()[name]
+        cap = 40_000 if name == "criterion-1" else 110_000
+        for h in self.H_GRID:
+            res = gj.energy_increment(model, pair, gj.InterchangeParams(h=h, t=t))
+            assert res.n_evals <= cap, h
+
+    @pytest.mark.parametrize("h, t", [(0.1, 1.0), (0.0125, 0.7), (0.05, 0.1)])
+    @pytest.mark.parametrize("name", ["criterion-1", "random-1"])
+    def test_estimate_and_bar_are_sums_over_the_pieces(self, name, h, t):
+        # each piece's finest value and its own bar: the larger distance to
+        # the 48- and 32-node values where its 16- and 12-node values differ
+        # by more than the tolerance, else the distance between those two
+        model, pair = self.pairs()[name]
+        params = gj.InterchangeParams(h=h, t=t)
+        res = gj.energy_increment(model, pair, params)
+        fld = InterchangeField(pair, params)
+        integrand = quadrature._excess_integrand(model, pair, fld, t)
+        layout = quadrature._half_disk_layout(h)
+        every = np.arange(layout.flat.size)
+        (i16, i12), _ = quadrature._piece_integrals(fld, integrand, layout, (16, 12), every)
+        (i64, i48, i32), _ = quadrature._piece_integrals(fld, integrand, layout, (64, 48, 32), every)
+        switch = np.abs(i16 - i12) > quadrature._ESCALATION_TOL * np.abs(i16)
+        value = np.where(switch, i64, i16).sum()
+        bar = np.where(switch, np.maximum(np.abs(i64 - i48), np.abs(i64 - i32)),
+                       np.abs(i16 - i12)).sum()
+        ff_exact = -gj.interchange_force(model, pair) * h * interface_profile(h, 2)
+        assert res.delta_e - t * ff_exact == pytest.approx(value, rel=1e-13)
+        assert res.mc_error == pytest.approx(bar, rel=1e-13)
+        rows = 16 * 16 + 12 * 12
+        assert res.n_evals == 2 * (rows * (~layout.flat).sum() + 2 * layout.flat.sum()
+                                   + (64 * 64 + 48 * 48 + 32 * 32) * switch.sum())
+        # never below the whole rule's bar on the same pieces
+        whole = np.where(switch, i64, i16)
+        assert res.mc_error >= max(abs(whole.sum() - np.where(switch, i48, i12).sum()),
+                                   abs(whole.sum() - np.where(switch, i32, i12).sum()))
+
     def test_routing_follows_the_kernel_that_runs(self):
         # every model in d = 2 takes the rule, whatever its kernel; in
         # d = 3 only the isotropic kind does
@@ -871,19 +945,34 @@ class TestHalfDiskRule:
     #: the h grid of the bench's sweeps
     PINNED = [0.1, 0.05, 0.025, 0.0125]
 
+    @staticmethod
+    def nodes(h, n):
+        """(s_n, s_nu, weights, flat): every node of every piece at h."""
+        layout = quadrature._half_disk_layout(h)
+        return (*quadrature._half_disk_nodes(layout, n), layout.flat)
+
+    @staticmethod
+    def rows(h, n, pieces=None):
+        """(coords, weights, piece) of the rows the cubature in d = 2 forms
+        for the chosen pieces at h, every piece by default."""
+        layout = quadrature._half_disk_layout(h)
+        if pieces is None:
+            pieces = np.arange(layout.flat.size)
+        return quadrature._half_disk_rows(layout, n, np.asarray(pieces))
+
     @pytest.mark.parametrize("h", PINNED + [0.25, 0.3, 0.6, 0.9])
     @pytest.mark.parametrize("n", [32, 64])
     def test_weights_sum_to_the_area_where_the_field_moves(self, n, h):
         # the quarter disk s_nu < 0 and the slab 0 < s_n < h of the half
         # disk, by every node and by the rows the cubature evaluates
         area = 0.25 * math.pi + 0.5 * (h * math.sqrt(1.0 - h * h) + math.asin(h))
-        for weights in (quadrature._half_disk_nodes(h, n)[2], quadrature._half_disk_rule(h, n)[1]):
+        for weights in (self.nodes(h, n)[2], self.rows(h, n)[1]):
             assert abs(weights.sum() - area) <= 1e-14 * area
 
     @pytest.mark.parametrize("h", PINNED + [0.25, 0.9, 1e-4, 1e-6])
     @pytest.mark.parametrize("n", [16, 32, 64])
     def test_flat_pieces_have_the_analytic_constant_gradient(self, n, h):
-        s_n, s_nu, _, flat = quadrature._half_disk_nodes(h, n)
+        s_n, s_nu, _, flat = self.nodes(h, n)
         sh, r1 = math.sqrt(h), 1.0 - math.sqrt(h)
         assert flat.any()
         for p in np.flatnonzero(flat):
@@ -904,21 +993,40 @@ class TestHalfDiskRule:
 
     @pytest.mark.parametrize("n", [4, 8, 12, 16, 32, 48, 64])
     def test_rows_are_the_gathered_nodes_bit_for_bit(self, n):
-        # the rows the rule forms are those that boolean masks gather from
-        # every node: each node of a piece that is not flat and the middle
-        # node of a flat one, with the piece's summed weight, in node order
+        # the rows the rule forms for any set of pieces are those that
+        # boolean masks gather from every node of those pieces: each node
+        # of weight > 0 of a piece that is not flat, in node order, then
+        # the middle node of each flat one, with the piece's summed weight
         for h in self.PINNED + [1e-12, 1e-6, 0.25, 0.38, 0.6, 0.9]:
-            s_n, s_nu, weights, flat = quadrature._half_disk_nodes(h, n)
+            s_n, s_nu, weights, flat = self.nodes(h, n)
             mid = n // 2
-            keep = np.repeat(~flat, n * n).reshape(s_n.shape)
-            keep[flat, mid, mid] = True
-            summed = weights.copy()
-            summed[flat, mid, mid] = weights[flat].sum(axis=(1, 2))
-            coords, row_weights = quadrature._half_disk_rule(h, n)
-            assert coords.shape == (keep.sum(), 2)
-            for got, want in ((coords[:, 0], s_n[keep]), (coords[:, 1], s_nu[keep]),
-                              (row_weights, summed[keep])):
-                assert np.array_equal(got.view(np.int64), want.view(np.int64)), h
+            every = np.arange(flat.size)
+            for pieces in (every, every[::2], every[~flat], every[flat], every[::-3]):
+                coords, row_weights, piece = self.rows(h, n, pieces)
+                keep = ~flat[pieces, None, None] & (weights[pieces] > 0.0)
+                is_flat = flat[pieces]
+                want = [np.concatenate([a[pieces][keep], a[pieces][is_flat, mid, mid]])
+                        for a in (s_n, s_nu)]
+                want.append(np.concatenate([weights[pieces][keep],
+                                            weights[pieces][is_flat].sum(axis=(1, 2))]))
+                assert coords.shape == (want[0].size, 2)
+                assert np.array_equal(piece, np.concatenate([np.nonzero(keep)[0],
+                                                             np.flatnonzero(is_flat)]))
+                for got, expected in zip((coords[:, 0], coords[:, 1], row_weights), want):
+                    assert np.array_equal(got.view(np.int64), expected.view(np.int64)), h
+
+    @pytest.mark.parametrize("n, dropped", [(4, 0), (8, 0), (12, 0), (16, 16), (32, 32),
+                                            (48, 96), (64, 192)])
+    def test_no_row_of_weight_zero(self, n, dropped):
+        # at h = 1e-6 the s_nu nodes next to 1 - sqrt(h) that round onto
+        # that circle give the sliver piece there an s_n interval of length
+        # 0: n rows at n = 16, 2 n at n = 32 and 48, 3 n at n = 64; the
+        # rule forms no row at them
+        for h in self.PINNED + [1e-12, 1e-6, 0.38, 0.6, 0.9]:
+            coords, weights, _ = self.rows(h, n)
+            assert np.all(weights > 0.0) and np.all(coords[:, 0] > 0.0), h
+            flat = quadrature._half_disk_layout(h).flat
+            assert n * n * (~flat).sum() + flat.sum() - weights.size == (dropped if h == 1e-6 else 0)
 
     @staticmethod
     def cases():
@@ -942,13 +1050,13 @@ class TestHalfDiskRule:
         fld = InterchangeField(pair, params)
         integrand = quadrature._excess_integrand(model, pair, fld, 1.0)
         collapsed, collapsed_evals = quadrature._cubature(fld, integrand, n, n_w)
-        real = quadrature._half_disk_pieces
+        real = quadrature._half_disk_layout
 
-        def no_flat_piece(h, n):
-            *pieces, flat = real(h, n)
-            return (*pieces, np.zeros_like(flat))
+        def no_flat_piece(h):
+            layout = real(h)
+            return layout._replace(flat=np.zeros_like(layout.flat))
 
-        monkeypatch.setattr(quadrature, "_half_disk_pieces", no_flat_piece)
+        monkeypatch.setattr(quadrature, "_half_disk_layout", no_flat_piece)
         full, full_evals = quadrature._cubature(fld, integrand, n, n_w)
         assert abs(collapsed - full) <= 1e-13 * abs(full)
         assert collapsed_evals < full_evals
@@ -958,10 +1066,11 @@ class TestHalfDiskRule:
     def test_every_row_with_weight_has_positive_s_n(self, monkeypatch, n, d):
         # what lets each block take one base per side, the + base for z and
         # the - base for -z: every w = 0 row and, in d = 3, every shell row
-        # lies at s_n > 0, but for rows of weight 0, whose base does not
-        # matter.  Those sit at s_n = 0 where a piece's s_n interval has
-        # length 0: at the s_nu nodes that round onto 1 - sqrt(h) = 0.999
-        # for h = 1e-6 and n >= 16.  The integrand is 1 at z on every row at
+        # lies at s_n > 0, but in d = 3 for rows of weight 0, whose base
+        # does not matter.  Those sit at s_n = 0 where a piece's s_n
+        # interval has length 0: at the s_nu nodes that round onto
+        # 1 - sqrt(h) = 0.999 for h = 1e-6 and n >= 16; in d = 2 the rule
+        # forms no such row.  The integrand is 1 at z on every row at
         # s_n <= 0 and 0 elsewhere, so the total is their summed weight.
         s_n = []
 
@@ -981,7 +1090,7 @@ class TestHalfDiskRule:
             rows = np.concatenate(s_n)
             assert 2 * rows.size == evals
             assert np.all(rows >= 0.0) and total == 0.0, (h, np.sum(rows == 0.0))
-            if h != 1e-6 or n < 16:
+            if d == 2 or h != 1e-6 or n < 16:
                 assert np.all(rows > 0.0), h
 
     @pytest.mark.parametrize("t", [1.0, 0.7])
