@@ -170,7 +170,8 @@ def cmd_antiplane(cfg: RunConfig):
         key: getattr(analysis, key)
         for key in ("eps_plus", "eps_minus", "sigma_star", "yield_radius", "offset")
     }
-    if not all(np.isfinite(list(binodal.values()))):
+    # the mechanism pairs take |F|^2 at the outer radius: above ~1.3e154 it overflows
+    if not all(np.isfinite([*binodal.values(), analysis.eps_minus * analysis.eps_minus])):
         raise ConfigError(f"the two-well parameters overflow double precision: {binodal}")
     model = AntiplaneDoubleWell(params)
     rs = cfg.envelope_grid()

@@ -10,6 +10,7 @@ implemented here and cross-checked numerically in the test suite.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -234,6 +235,23 @@ class AntiplaneAnalysis:
         }
 
 
+def _root_of_ratio(numerator, denominator):
+    """sqrt(prod(numerator) / prod(denominator)), each product taken left to
+    right, on the factors' mantissas with their exponents (``math.frexp``)
+    added apart: the ratio cannot under- or overflow where its root is a
+    double, and wherever each step of the direct form is a normal double the
+    two agree bit for bit, as scaling by a power of 2 is exact there."""
+
+    def split(factors):
+        parts = [math.frexp(factor) for factor in factors]
+        return math.prod(m for m, _ in parts), sum(e for _, e in parts)
+
+    (m_num, e_num), (m_den, e_den) = split(numerator), split(denominator)
+    exponent = e_num - e_den
+    ratio = m_num / m_den * (2.0 if exponent % 2 else 1.0)
+    return np.ldexp(math.sqrt(ratio), exponent // 2)
+
+
 def antiplane_analyze(params: AntiplaneParams) -> AntiplaneAnalysis:
     """Binodal radii, relaxed envelope, and yield radius of the two-well energy.
 
@@ -242,9 +260,10 @@ def antiplane_analyze(params: AntiplaneParams) -> AntiplaneAnalysis:
     params.require_binodal()
     # numpy scalars: a denominator that underflows to 0 gives inf, not ZeroDivisionError
     jw, jmu = np.float64(params.jump_w), np.float64(params.jump_mu)
-    eps_p = np.sqrt(-2.0 * jw * params.mu_minus / (jmu * params.mu_plus))
-    eps_m = np.sqrt(-2.0 * jw * params.mu_plus / (jmu * params.mu_minus))
-    sigma_star = float(np.sqrt(-2.0 * jw * params.mu_plus * params.mu_minus / jmu))
+    # each ratio can under- or overflow where its root is a double
+    eps_p = _root_of_ratio((-2.0 * jw, params.mu_minus), (jmu, params.mu_plus))
+    eps_m = _root_of_ratio((-2.0 * jw, params.mu_plus), (jmu, params.mu_minus))
+    sigma_star = float(_root_of_ratio((-2.0 * jw, params.mu_plus, params.mu_minus), (jmu,)))
     offset = (params.mu_plus * params.w_plus - params.mu_minus * params.w_minus) / jmu
     if eps_p < eps_m:
         inner = (params.mu_plus, params.w_plus)

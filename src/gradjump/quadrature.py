@@ -14,27 +14,25 @@ per h) and sine substitutions at the square-root ends of the pieces
 (``_half_disk_pieces``, for any set of pieces at any node count).  A flat
 piece, where the field gradient is constant, takes one row.
 
-In d = 2 every piece takes its own node count and its own error bar
-(``_piecewise_cubature``).  One pass integrates every piece at 16 and at
-12 nodes per axis; a piece whose two values differ by more than
-_ESCALATION_TOL of its own value takes 64, 48 and 32 nodes in one further
-pass (``_PIECE_RULES``).  Those are the pieces where the two-well kinds
+Every piece takes its own node count and its own error bar
+(``_piecewise_cubature``).  One pass integrates every piece at the two
+coarse node counts of _PIECE_RULES[d]; a piece whose two values differ by
+more than _ESCALATION_TOL of its own value takes the finer ones in one
+further pass.  In d = 2 those are the pieces where the two-well kinds
 switch wells and the rule converges only algebraically: the corner
 0 < s_nu < sqrt(h), 0 < s_n < h and the slab ring by the unit circle on
 the criterion-1 pair.  The estimate is the sum of each piece's finest
 value and the bar the sum of each piece's own: the larger distance to its
-48- and 32-node values where it took them, else |I16 - I12|.  The rule
-forms only the rows it evaluates (``_half_disk_rows``), and none of
-weight 0.
+coarser values where it took the finer ones, else the distance between
+its two coarse values.  The rule forms only the rows it evaluates
+(``_half_disk_rows``), and none of weight 0.
 
-In d = 3, for the isotropic kind, the rule forms every node
-(``_half_disk_nodes``, ``_cubature``): the core |z| < 1 - sqrt(h), where
-the field does not depend on w, adds its value times the chord, and the
-shell takes Gauss nodes in w = rho sinh(u) at every node.  The isotropic
-excess is a polynomial in the field gradient, smooth on every piece, and
-its error bar is the distance to one coarser rule (``_CUBATURE_RULES``).
-Seed, sampler and budgets play no part in either rule.  Every other model
-(a non-isotropic one in d = 3) is sampled as below.
+In d = 3 (the isotropic kind, whose excess is a polynomial in the field
+gradient and smooth on every piece) each node (s_n, s_nu) gives a row at
+w = 0 for the core |z| < 1 - sqrt(h), where the field does not depend on
+w, weighted by the core's chord through it, and the shell's rows in
+w = rho sinh(u) (``_shell_blocks``).  Seed, sampler and budgets play no
+part in the rule; every other model (non-isotropic, d = 3) is sampled.
 
 The sampled remainder integrand is supported on thin sets, so sampling
 uses a deterministic mixture of uniform proposals: the whole ball, an
@@ -130,19 +128,18 @@ N_SCRAMBLES = 8
 #: temporary of a block stays under 128 KiB, glibc's default mmap threshold
 _BLOCK_ROWS = 4096
 
-#: Gauss nodes per axis (s_n and s_nu, w) of the isotropic kind's cubature
-#: in d = 3 and of the coarser rule whose distance from it is the error bar
-_CUBATURE_RULES = ((16, 6), (12, 4))
-
-#: sine-Gauss nodes per axis (s_n and s_nu) of the cubature in d = 2: every
+#: sine-Gauss nodes per axis (s_n and s_nu) of the cubature in each d: every
 #: piece takes the first two, and a piece whose two values differ by more
-#: than _ESCALATION_TOL of its own value takes the last three.  Where the
-#: two-well kinds switch wells a piece converges only algebraically, and
-#: the distance to one coarser rule can understate its error, so such a
-#: piece's bar is the larger distance to two
-_PIECE_RULES = ((16, 12), (64, 48, 32))
+#: than _ESCALATION_TOL of its own value takes the rest.  Where the two-well
+#: kinds switch wells (d = 2) a piece converges only algebraically, and the
+#: distance to one coarser rule can understate its error, so such a piece's
+#: bar is the larger distance to two
+_PIECE_RULES = {2: ((16, 12), (64, 48, 32)), 3: ((12, 8), (16, 12))}
 
-#: relative distance between a piece's 16- and 12-node values above which it
+#: Gauss nodes in u per part of each shell line w = rho sinh(u), d = 3
+_SHELL_NODES = 6
+
+#: relative distance between a piece's two coarse values above which it
 #: takes the finer rules; on the Maxwell and criterion-1 pairs the smooth
 #: pieces sit below 4e-8 and the pieces where the wells switch above 3e-3
 _ESCALATION_TOL = 1e-6
@@ -228,8 +225,8 @@ def interface_profile(h: float, d: int) -> float:
 def _gauss_legendre(n: int):
     """n-point Gauss-Legendre nodes and weights on [-1, 1], as read-only
     arrays built on first use: numpy.polynomial costs a few ms to import.
-    A process that runs both cubatures keeps 7: 16, 12, 64, 48 and 32 under
-    the sine-Gauss rules, 6 and 4 in w (32 is also the interface profile's)."""
+    A process that runs both cubatures keeps 7: sine-Gauss 8, 12, 16, 32, 48
+    and 64, and 6 in u (32 is also the interface profile's)."""
     rule = np.polynomial.legendre.leggauss(n)
     for arr in rule:
         arr.setflags(write=False)
@@ -570,7 +567,7 @@ def _sine_gauss(n: int):
     """The n-point Gauss rule on [-1, 1] after the substitution
     x = sin(pi u / 2): read-only nodes and weights for an integrand with
     square-root ends, which the substitution makes smooth.  The cubature
-    uses the 5 node counts of _PIECE_RULES at every h."""
+    uses the node counts of _PIECE_RULES, 6 over both d, at every h."""
     t, w = _gauss_legendre(n)
     theta = 0.5 * math.pi * t
     rule = np.sin(theta), 0.5 * math.pi * w * np.cos(theta)
@@ -678,52 +675,100 @@ def _half_disk_pieces(layout: _Layout, n: int, pieces: np.ndarray):
     return nu, 0.5 * (lo + hi), half_n, half[:, None] * wx * half_n
 
 
-def _half_disk_nodes(layout: _Layout, n: int):
-    """(s_n, s_nu, weights): every node of every piece of ``layout`` at n
-    nodes per axis, each of shape (pieces, n, n), indexed by piece, s_nu
-    node and s_n node and formed in one broadcast."""
-    nu, centre, half_n, weight_nu = _half_disk_pieces(layout, n, np.arange(layout.flat.size))
-    x, wx = _sine_gauss(n)
-    s_n = half_n[:, :, None] * x
-    s_n += centre[:, :, None]  # centre + half_n x, with one (pieces, n, n) array
-    return s_n, np.broadcast_to(nu[:, :, None], s_n.shape), weight_nu[:, :, None] * wx
-
-
-def _half_disk_rows(layout: _Layout, n: int, pieces: np.ndarray):
-    """(coords, weights, piece) of the rows at w = 0 that the cubature in
-    d = 2 evaluates for the chosen pieces of ``layout`` at n nodes per axis:
-    coords (rows, 2) holds (s_n, s_nu), column-major so that each
-    coordinate is read contiguously, and ``piece`` each row's position in
-    ``pieces``.
+def _half_disk_rows(layout: _Layout, n: int, pieces: np.ndarray, d: int = 2):
+    """(coords, weights, piece, shell): the rows at w = 0 that the cubature
+    evaluates for the chosen pieces of ``layout`` at n nodes per axis in s_n
+    and s_nu, coords (rows, d) column-major (w = 0 in d = 3) and ``piece``
+    each row's position in ``pieces``, and in d = 3 ``shell``,
+    (s_n, s_nu, weight, piece) of every node that carries weight, for
+    ``_shell_blocks`` (None in d = 2).
 
     A piece that is not flat gives each of its n x n nodes, s_nu node by
     s_nu node, but those at an s_nu node where its s_n interval has length
-    0 (one that rounds onto a circle, h = 1e-6 at n >= 16 say), which would
-    sit at s_n = 0 with weight 0.  On a flat piece the integrand is one
-    value at every node, so the piece gives one row: its middle node
-    (n // 2, n // 2), with the piece's summed weight.  The pieces that are
-    not flat come first, in the order of ``pieces``, then the flat ones.
-    Each row has the bits that ``_half_disk_nodes`` gives the same node,
-    and a flat piece's weight is the same sum of its node weights.
+    0 (one that rounds onto a circle, h = 1e-6 at n >= 16 say).  In d = 3 a
+    row at w = 0 stands for the chord through its node of the core
+    |z| < 1 - sqrt(h), where the field does not depend on w: its weight
+    takes the chord's length, and a node outside the core gives no row.  A
+    flat piece, where the integrand is one value at every w = 0 node, gives
+    one row: its middle node (n // 2, n // 2) with the piece's summed
+    weight.  The pieces that are not flat come first, in the order of
+    ``pieces``, then the flat ones.
     """
     nu, centre, half_n, weight_nu = _half_disk_pieces(layout, n, pieces)
     x, wx = _sine_gauss(n)
     flat, mid = layout.flat[pieces], n // 2
-    # the s_nu nodes that give rows: those of the pieces that are not flat
-    # where the s_n interval has a length, then each flat piece's middle one
-    at = ~flat[:, None] & (half_n > 0.0)
-    size = n * int(np.count_nonzero(at))
-    columns = np.empty((2, size + int(np.count_nonzero(flat))))
-    s_n = columns[0, :size].reshape(-1, n)
-    np.multiply(half_n[at][:, None], x, out=s_n)
-    s_n += centre[at][:, None]  # centre + half_n x, as _half_disk_nodes forms it
-    columns[1, :size] = np.repeat(nu[at], n)
+    r1 = 1.0 - math.sqrt(layout.h)
+
+    def nodes(chosen):
+        """(s_n, s_nu, weight, piece) of the nodes of the chosen pieces at
+        the s_nu nodes where their s_n interval has a length."""
+        at = chosen[:, None] & (half_n > 0.0)
+        s_n = half_n[at][:, None] * x + centre[at][:, None]
+        return (s_n.ravel(), np.repeat(nu[at], n), (weight_nu[at][:, None] * wx).ravel(),
+                np.repeat(np.nonzero(at)[0], n))
+
+    def times_chord(weight, s_n, s_nu):
+        """weight times the length of the core's chord through (s_n, s_nu)."""
+        return weight * 2.0 * np.sqrt(np.maximum(r1 * r1 - (s_n * s_n + s_nu * s_nu), 0.0))
+
+    s_n, s_nu, weights, piece = nodes(~flat)
+    flat_weights = weight_nu[flat][:, :, None] * wx  # at every node of each flat piece
+    shell = None
+    if d == 3:
+        shell = tuple(map(np.concatenate, zip((s_n, s_nu, weights, piece), nodes(flat))))
+        weights = times_chord(weights, s_n, s_nu)
+        kept = weights > 0.0
+        s_n, s_nu, weights, piece = (a[kept] for a in (s_n, s_nu, weights, piece))
+        flat_s_n = half_n[flat][:, :, None] * x + centre[flat][:, :, None]
+        flat_weights = times_chord(flat_weights, flat_s_n, nu[flat][:, :, None])
+    size = weights.size
+    columns = np.zeros((d, size + int(np.count_nonzero(flat))))
+    columns[0, :size] = s_n
+    columns[1, :size] = s_nu
     columns[0, size:] = half_n[flat, mid] * x[mid] + centre[flat, mid]
     columns[1, size:] = nu[flat, mid]
-    weights = np.concatenate([
-        (weight_nu[at][:, None] * wx).ravel(), (weight_nu[flat][:, :, None] * wx).sum(axis=(1, 2))])
-    piece = np.concatenate([np.repeat(np.nonzero(at)[0], n), np.flatnonzero(flat)])
-    return columns.T, weights, piece
+    weights = np.concatenate([weights, flat_weights.sum(axis=(1, 2))])
+    return columns.T, weights, np.concatenate([piece, np.flatnonzero(flat)]), shell
+
+
+def _shell_blocks(h: float, s_n, s_nu, weight, n_w: int):
+    """(nodes, coords, weights) of the shell rows of the given nodes, d = 3,
+    in blocks of whole nodes and at most _BLOCK_ROWS rows: the nodes' slice,
+    their rows (rows, 3) and the rows' weights (nodes, rows per node).
+
+    At a node, at rho = |(s_n, s_nu)|, the shell runs on either side of
+    w = 0 from the core's chord, |w| = sqrt((1 - sqrt(h))^2 - rho^2) (0
+    outside the core), to the sphere, |w| = sqrt(1 - rho^2), factored
+    against cancellation.  It takes n_w Gauss nodes in u, w = rho sinh(u),
+    on each of equal parts of length <= 1 of the u interval, which keeps the
+    branch points of |z| at w = +-i rho a distance pi/2 from the real axis.
+    The longest interval, arccosh(1 / (1 - sqrt(h))) at rho = 1 - sqrt(h),
+    sets the parts of every node's (one for h below about 0.12).  Each node
+    gives its rows at w > 0, then those at w < 0.
+    """
+    r1 = 1.0 - math.sqrt(h)
+    parts = max(1, math.ceil(math.acosh(1.0 / r1)))
+    t, wt = _gauss_legendre(n_w)
+    u_unit = ((np.arange(parts)[:, None] + 0.5 * (1.0 + t)) / parts).ravel()
+    u_weights = np.tile(0.5 * wt / parts, parts)
+    k = u_unit.size
+    rho2 = s_n * s_n + s_nu * s_nu
+    rho = np.sqrt(rho2)
+    sphere = _chord(1.0, s_nu)
+    u_lo = np.arcsinh(np.sqrt(np.maximum(r1 * r1 - rho2, 0.0)) / rho)
+    u_span = np.arcsinh(np.sqrt(np.maximum((sphere - s_n) * (sphere + s_n), 0.0)) / rho) - u_lo
+    shell = weight * u_span * rho  # dw = rho cosh(u) du
+    step = _BLOCK_ROWS // (2 * k)
+    for i in range(0, s_n.size, step):
+        part = slice(i, i + step)
+        u = u_lo[part, None] + u_span[part, None] * u_unit
+        w = rho[part, None] * np.sinh(u)
+        coords = np.empty((3, w.shape[0], 2, k))
+        coords[0] = s_n[part, None, None]
+        coords[1] = s_nu[part, None, None]
+        coords[2] = np.stack([w, -w], axis=1)
+        wts = np.tile(shell[part, None] * u_weights * np.cosh(u), 2)
+        yield part, coords.reshape(3, -1).T, wts
 
 
 def _pair_values(h: float, integrand, coords: np.ndarray) -> np.ndarray:
@@ -732,42 +777,57 @@ def _pair_values(h: float, integrand, coords: np.ndarray) -> np.ndarray:
     return f_z + f_mirror
 
 
-def _piece_integrals(fld: InterchangeField, integrand, layout: _Layout, nodes, pieces):
+def _piece_integrals(fld: InterchangeField, integrand, layout: _Layout, nodes, pieces,
+                     n_w: int = _SHELL_NODES):
     """(integrals, evaluations): the excess over each chosen piece of
-    ``layout`` at each node count of ``nodes``, as an array
-    (len(nodes), len(pieces)), from one pass over all their rows
-    (``_half_disk_rows``) in blocks of at most _BLOCK_ROWS.
+    ``layout`` at each node count of ``nodes`` (and in d = 3 n_w nodes per
+    part in u), as an array (len(nodes), len(pieces)), from one pass over
+    all their rows in blocks of at most _BLOCK_ROWS: the rows at w = 0
+    (``_half_disk_rows``), then in d = 3 the shell rows (``_shell_blocks``).
 
     ``integrand`` is ``_excess_integrand``'s: f(z) and f(-z) from the frame
-    gradient at z.  Their sum over the half disk s_n > 0 is the integral
-    over the disk.  Every row has s_n > 0, so each block is one kernel call
+    gradient at z.  Their sum over the half ball s_n > 0 is the integral
+    over the ball.  Every row has s_n > 0, so each block is one kernel call
     with z on the + base and -z on the - base.
     """
-    rules = [_half_disk_rows(layout, n, pieces) for n in nodes]
-    columns = np.concatenate([coords.T for coords, _, _ in rules], axis=1)
-    weights = np.concatenate([w for _, w, _ in rules])
-    label = np.concatenate([k * len(pieces) + piece for k, (_, _, piece) in enumerate(rules)])
+    h, d = fld.h, fld.pair.d
+    rules = [_half_disk_rows(layout, n, pieces, d) for n in nodes]
+    columns = np.concatenate([coords.T for coords, *_ in rules], axis=1)
+    weights = np.concatenate([w for _, w, _, _ in rules])
+    labels = [k * len(pieces) + piece for k, (_, _, piece, _) in enumerate(rules)]
     values = np.empty(weights.size)
     for i in range(0, weights.size, _BLOCK_ROWS):
-        values[i:i + _BLOCK_ROWS] = _pair_values(fld.h, integrand, columns[:, i:i + _BLOCK_ROWS].T)
+        values[i:i + _BLOCK_ROWS] = _pair_values(h, integrand, columns[:, i:i + _BLOCK_ROWS].T)
     values *= weights
-    integrals = np.bincount(label, weights=values, minlength=len(nodes) * len(pieces))
-    return integrals.reshape(len(nodes), len(pieces)), 2 * weights.size
+    rows, sums = weights.size, [values]
+    if d == 3:
+        # each shell node's sum over its rows, added after the rows at w = 0,
+        # so a piece's value does not depend on the other pieces of the pass
+        s_n, s_nu, weight, _ = (np.concatenate(a) for a in zip(*(s for *_, s in rules)))
+        shell = np.empty(s_n.size)
+        for part, coords, wts in _shell_blocks(h, s_n, s_nu, weight, n_w):
+            shell[part] = (wts * _pair_values(h, integrand, coords).reshape(wts.shape)).sum(axis=1)
+            rows += wts.size
+        sums.append(shell)
+        labels += [k * len(pieces) + s[3] for k, (*_, s) in enumerate(rules)]
+    integrals = np.bincount(np.concatenate(labels), weights=np.concatenate(sums),
+                            minlength=len(nodes) * len(pieces))
+    return integrals.reshape(len(nodes), len(pieces)), 2 * rows
 
 
 def _piecewise_cubature(fld: InterchangeField, integrand):
-    """(integral, error bar, evaluations) of the excess over the disk, d = 2.
+    """(integral, error bar, evaluations) of the excess over the ball.
 
-    Every piece of the rule is integrated at both node counts of
-    _PIECE_RULES[0] in one pass; the pieces whose two values differ by more
-    than _ESCALATION_TOL of the 16-node one are integrated again at every
-    node count of _PIECE_RULES[1], in one further pass.  The integral is
+    Every piece of the rule is integrated at both node counts of the first
+    rule of _PIECE_RULES[d] in one pass; the pieces whose two values differ
+    by more than _ESCALATION_TOL of the first one are integrated again at
+    every node count of the second, in one further pass.  The integral is
     the sum of each piece's finest value and the bar the sum of each
-    piece's own: the larger distance from its finest value to its two
-    coarser ones where it took the finer rules, else the distance between
-    its two values.
+    piece's own: the larger distance from its finest value to its coarser
+    ones where it took the finer rules, else the distance between its two
+    values.
     """
-    coarse, fine = _PIECE_RULES
+    coarse, fine = _PIECE_RULES[fld.pair.d]
     layout = _half_disk_layout(fld.h)
     (value, coarser), n_evals = _piece_integrals(
         fld, integrand, layout, coarse, np.arange(layout.flat.size))
@@ -781,89 +841,14 @@ def _piecewise_cubature(fld: InterchangeField, integrand):
     return float(value.sum()), float(bar.sum()), n_evals
 
 
-def _cubature(fld: InterchangeField, integrand, n: int, n_w: int | None = None):
-    """(integral, evaluations) of the excess over the ball by the whole rule
-    with n nodes per axis in s_n and s_nu and, in d = 3, n_w in w.
-
-    In d = 2 that is every piece of ``_piece_integrals`` at n nodes,
-    summed.  In d = 3 each node (s_n, s_nu) of ``_half_disk_nodes``, at
-    rho^2 = s_n^2 + s_nu^2, adds the core |z| < 1 - sqrt(h), where the
-    field does not depend on w, as its value at w = 0 times the chord
-    2 sqrt((1 - sqrt(h))^2 - rho^2) (0 outside the core's disk), and the
-    shell on either side of it, out to |w| = sqrt(1 - rho^2).  The shell
-    takes Gauss nodes in u, w = rho sinh(u), which keeps the branch points
-    of |z| at w = +-i rho a distance pi/2 from the real axis: n_w nodes on
-    each part of the u interval, split into equal parts of length <= 1 (one
-    part for h below about 0.12).  Each block is one kernel call with z on
-    the + base and -z on the - base: every row that carries weight has
-    s_n > 0.  (A piece's s_n interval can have length 0 at an s_nu node
-    that rounds onto a circle, h = 1e-6 at n >= 16 say; its rows then sit
-    at s_n = 0 with weight 0.)
-
-    On a flat piece of the rule the frame gradient, and so the integrand,
-    is one value at every w = 0 row, so the core's rows collapse to one, at
-    the piece's middle node, with their summed weight, and the shell rows
-    stay.  The rows are evaluated in blocks of at most _BLOCK_ROWS.
-    """
-    h, d = fld.h, fld.pair.d
-    layout = _half_disk_layout(h)
-    if d == 2:
-        integrals, n_evals = _piece_integrals(
-            fld, integrand, layout, (n,), np.arange(layout.flat.size))
-        return float(integrals.sum()), n_evals
-    s_n, s_nu, weights = _half_disk_nodes(layout, n)
-    flat = layout.flat
-    r1 = 1.0 - math.sqrt(h)
-    rho2 = s_n * s_n + s_nu * s_nu
-    rho = np.sqrt(rho2)
-    core = np.sqrt(np.maximum(r1 * r1 - rho2, 0.0))
-    u_lo = np.arcsinh(core / rho)
-    u_span = np.arcsinh(np.sqrt(np.maximum(1.0 - rho2, 0.0)) / rho) - u_lo
-    parts = max(1, math.ceil(float(np.max(u_span))))
-    t, wt = _gauss_legendre(n_w)
-    u_unit = ((np.arange(parts)[:, None] + 0.5 * (1.0 + t)) / parts).ravel()
-    u_weights = np.tile(0.5 * wt / parts, parts)
-    n_shell = u_unit.size
-    # dw = rho cosh(u) du
-    shell_weights = weights * u_span * rho
-    # the core's weight at w = 0; each flat piece's row is its middle node
-    plane = 2.0 * weights * core
-    mid = n // 2
-    keep = np.repeat(~flat, n * n).reshape(s_n.shape)
-    keep[flat, mid, mid] = True
-    plane[flat, mid, mid] = plane[flat].sum(axis=(1, 2))
-    plane = plane[keep]
-    at_plane = np.zeros((plane.size, d))
-    at_plane[:, 0] = s_n[keep]
-    at_plane[:, 1] = s_nu[keep]
-
-    def blocks():
-        """(coords, weights) of at most _BLOCK_ROWS rows: every row at
-        w = 0, then each node's shell at w > 0 and at w < 0."""
-        for i in range(0, plane.size, _BLOCK_ROWS):
-            yield at_plane[i:i + _BLOCK_ROWS], plane[i:i + _BLOCK_ROWS]
-        node_n, node_nu, lo, span, r, shell = (
-            a.reshape(-1, 1) for a in (s_n, s_nu, u_lo, u_span, rho, shell_weights))
-        step = _BLOCK_ROWS // (2 * n_shell)
-        for i in range(0, s_n.size, step):
-            part = slice(i, i + step)
-            u = lo[part] + span[part] * u_unit
-            w = r[part] * np.sinh(u)
-            coords = np.empty((w.shape[0], 2, n_shell, d))
-            coords[..., 0] = node_n[part, :, None]
-            coords[..., 1] = node_nu[part, :, None]
-            coords[:, 0, :, 2] = w
-            coords[:, 1, :, 2] = -w
-            wts = np.empty((w.shape[0], 2, n_shell))
-            wts[:, 0] = shell[part] * u_weights * np.cosh(u)
-            wts[:, 1] = wts[:, 0]
-            yield coords.reshape(-1, d), wts.reshape(-1)
-
-    total, rows = 0.0, 0
-    for coords, wts in blocks():
-        total += float(wts @ _pair_values(h, integrand, coords))
-        rows += coords.shape[0]
-    return total, 2 * rows
+def _cubature(fld: InterchangeField, integrand, n: int, n_w: int | None = _SHELL_NODES):
+    """(integral, evaluations) of the excess over the ball by the whole rule:
+    every piece of ``_piece_integrals`` at n nodes per axis in s_n and s_nu
+    and, in d = 3, n_w per part in u, summed."""
+    layout = _half_disk_layout(fld.h)
+    integrals, n_evals = _piece_integrals(
+        fld, integrand, layout, (n,), np.arange(layout.flat.size), n_w)
+    return float(integrals.sum()), n_evals
 
 
 def estimate_region_measures(pair: InterfacePair, params: InterchangeParams) -> dict:
@@ -943,10 +928,9 @@ def energy_increment(
     where the field gradient does.  For the isotropic kind and every model
     in d = 2 (``_takes_cubature``) the excess is integrated by a
     deterministic rule and the quadrature config's seed, sampler and
-    budgets play no part.  In d = 2 each piece of the rule takes its own
-    node count and its own bar, and ``mc_error`` is the sum of the bars
-    (``_piecewise_cubature``); in d = 3 it is the distance to the coarser
-    rule of ``_CUBATURE_RULES``.  A non-isotropic model in d = 3 is
+    budgets play no part.  Each piece of the rule takes its own node count
+    and its own bar, and ``mc_error`` is the sum of the bars
+    (``_piecewise_cubature``).  A non-isotropic model in d = 3 is
     sampled, deterministically for a fixed seed.  ``method`` says which:
     "cubature", "rqmc" or "mc".  The estimate runs in the calling process.
     Raises QuadratureError if a configured error cap is exceeded, if h is
@@ -964,12 +948,7 @@ def energy_increment(
                 f"the shell 1 - sqrt(h) < |z| < 1 is empty at h = {h!r}: "
                 "h is too small for double precision"
             )
-        if pair.d == 2:
-            mean, mc_error, n_evals = _piecewise_cubature(fld, integrand)
-        else:
-            (mean, n_evals), (coarse, coarse_evals) = (
-                _cubature(fld, integrand, *nodes) for nodes in _CUBATURE_RULES)
-            mc_error, n_evals = abs(mean - coarse), n_evals + coarse_evals
+        mean, mc_error, n_evals = _piecewise_cubature(fld, integrand)
         method = "cubature"
         if not (math.isfinite(mean) and math.isfinite(mc_error)):
             raise QuadratureError(f"the estimate at h = {h!r} is not finite")

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -392,9 +393,10 @@ class TestAntiplane:
         [
             # [w] overflows: the binodal radii are inf and the yield radius NaN
             {"mu_plus": 2, "mu_minus": 1, "w_plus": -1e308, "w_minus": 1e308},
-            # mu+ / mu- underflows: eps_minus is inf
+            # the outer radius 1.4e300 is a double, but not its square
             {"mu_plus": 1e-300, "mu_minus": 1, "w_plus": 1e300, "w_minus": 0},
-            # [mu] mu+ underflows to 0 in a denominator
+            # mu+ is subnormal, and the square of the outer radius 1.4e160
+            # overflows
             {"mu_plus": 1e-320, "mu_minus": 1e-154, "w_plus": 1e-154, "w_minus": -1.0},
         ],
     )
@@ -409,8 +411,9 @@ class TestAntiplane:
     @pytest.mark.parametrize(
         "params, path, message",
         [
-            # eps_plus underflows to 0, so no laminate reproduces |F| = 0.5:
-            # this ended in a ValueError traceback
+            # the outer phase's volume fraction 3.5e-78 is lost where
+            # theta = 1 - 3.5e-78 rounds to 1, so no laminate reproduces
+            # |F| = 0.5: this ended in a ValueError traceback
             ({"mu_plus": 1e-154, "mu_minus": 1e154, "w_plus": 1e-154, "w_minus": -1.0},
              [[[0.5, 0.0]]], "volume fractions do not reproduce the macroscopic gradient"),
             # mu+ r^2 / 2 overflows on the envelope grid, and the wells tie
@@ -426,6 +429,19 @@ class TestAntiplane:
             code, stdout, err = run(capsys, "antiplane", "--config", write_config(tmp_path, payload))
         assert (code, stdout) == (1, "")
         assert error_line(err).startswith(message)
+
+    def test_a_radius_whose_ratio_underflows_is_reported(self, tmp_path, capsys):
+        # the ratio under the inner root, 2e-462, underflows to 0, where the
+        # root 1.4e-231 is a double
+        params = {"mu_plus": 1e-154, "mu_minus": 1e154, "w_plus": 1e-154, "w_minus": -1.0}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, _ = run(capsys, "antiplane", "--config",
+                                  write_config(tmp_path, {"params": params}))
+        assert code == 0
+        summary = json.loads(stdout)
+        assert summary["eps_plus"] == pytest.approx(math.sqrt(2.0) * 1e-231, rel=1e-15)
+        assert summary["eps_minus"] == pytest.approx(math.sqrt(2.0) * 1e77, rel=1e-15)
 
     @pytest.mark.parametrize("count", [0, -3, "16"])
     def test_bad_mechanisms_is_config_error(self, tmp_path, capsys, count):

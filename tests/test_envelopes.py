@@ -1,3 +1,5 @@
+import decimal
+
 import numpy as np
 import pytest
 
@@ -189,6 +191,48 @@ class TestAntiplaneAnalyze:
             assert getattr(swapped, attr) == pytest.approx(getattr(analysis, attr))
         rs = np.linspace(0, 3, 301)
         np.testing.assert_allclose(swapped.qw_radial(rs), analysis.qw_radial(rs), atol=1e-12)
+
+    @pytest.mark.parametrize(
+        "params",
+        [
+            REF_PARAMS,
+            dict(mu_plus=3.7, mu_minus=0.3, w_plus=-0.4, w_minus=1.1),
+            # the ratio under the outer root, 2e-462, underflows to 0
+            dict(mu_plus=1e-154, mu_minus=1e154, w_plus=1e-154, w_minus=-1.0),
+            # the ratios 2e600 and 4e-620 overflow and underflow
+            dict(mu_plus=1e-300, mu_minus=1e10, w_plus=1e300, w_minus=0.0),
+        ],
+    )
+    def test_radii_are_the_exact_roots(self, params):
+        # against the roots in 40-digit decimal arithmetic of the same [w]
+        # and [mu]; the stress sigma* too
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            p = gj.AntiplaneParams(**params)
+            jw, jmu = (decimal.Decimal(v) for v in (p.jump_w, p.jump_mu))
+            mu_p, mu_m = decimal.Decimal(p.mu_plus), decimal.Decimal(p.mu_minus)
+            radii = sorted(float((-2 * jw * a / (jmu * b)).sqrt())
+                           for a, b in ((mu_m, mu_p), (mu_p, mu_m)))
+            sigma = float((-2 * jw * mu_p * mu_m / jmu).sqrt())
+        analysis = gj.antiplane_analyze(p)
+        got = (analysis.eps_plus, analysis.eps_minus, analysis.sigma_star)
+        assert all(g > 0.0 for g in got)
+        np.testing.assert_allclose(got, [*radii, sigma], rtol=4e-16, atol=0.0)
+
+    def test_radii_are_the_direct_roots_where_those_are_normal(self, rng):
+        # so every output of the bench's antiplane config keeps its bits
+        for _ in range(200):
+            mu_p, mu_m = rng.uniform(0.1, 10.0, 2)
+            w_p, w_m = rng.uniform(-5.0, 5.0, 2)
+            if (w_p - w_m) * (mu_p - mu_m) >= 0.0:
+                w_p, w_m = w_m, w_p
+            p = gj.AntiplaneParams(mu_plus=mu_p, mu_minus=mu_m, w_plus=w_p, w_minus=w_m)
+            jw, jmu = np.float64(p.jump_w), np.float64(p.jump_mu)
+            direct = sorted([np.sqrt(-2.0 * jw * mu_m / (jmu * mu_p)),
+                             np.sqrt(-2.0 * jw * mu_p / (jmu * mu_m))])
+            analysis = gj.antiplane_analyze(p)
+            assert [analysis.eps_plus, analysis.eps_minus] == direct
+            assert analysis.sigma_star == np.sqrt(-2.0 * jw * mu_p * mu_m / jmu)
 
     def test_empty_binodal_rejected(self):
         with pytest.raises(gj.EmptyBinodalError):

@@ -625,6 +625,10 @@ class TestCubature:
         model=gj.IsotropicThetaEnergy(gj.IsotropicParams(3, 1.0, (1.0, 0.0, -2.0, 0.0, 1.0))),
         pair=gj.InterfacePair.from_jump(0.1 * np.eye(3), [0.5, 0.2, 0.1], [1.0, 0.0, 0.0]),
     )
+    #: the finest rule in d = 3: nodes per axis in s_n and s_nu, and per part in u
+    FINEST_3D = (quadrature._PIECE_RULES[3][1][0], quadrature._SHELL_NODES)
+    #: the h grid of the bench's sweeps
+    PINNED = [0.1, 0.05, 0.025, 0.0125]
 
     @staticmethod
     def general(d):
@@ -646,14 +650,14 @@ class TestCubature:
     @pytest.mark.parametrize("d", [2, 3])
     def test_against_a_finer_rule(self, d, h, t):
         # 1.5 times the rule's finest nodes per axis at every piece: 96 in
-        # d = 2; 24 in s_n and s_nu and 9 in w in d = 3
+        # d = 2; 24 in s_n and s_nu and 9 per part in u in d = 3
         model, pair, nu = self.general(d)
         params = gj.InterchangeParams(h=h, t=t, nu=nu)
         res = gj.energy_increment(model, pair, params)
         assert res.method == "cubature"
         fld = InterchangeField(pair, params)
         integrand = quadrature._excess_integrand(model, pair, fld, t)
-        nodes, n_w = quadrature._CUBATURE_RULES[0] if d == 3 else (quadrature._PIECE_RULES[1][0], 0)
+        nodes, n_w = quadrature._PIECE_RULES[d][1][0], quadrature._SHELL_NODES if d == 3 else 0
         exact_part = t * (-gj.interchange_force(model, pair) * h * interface_profile(h, d))
         finer = exact_part + quadrature._cubature(fld, integrand, 3 * nodes // 2, 3 * n_w // 2)[0]
         assert abs(res.delta_e - finer) <= 1e-8 * abs(finer)
@@ -745,6 +749,59 @@ class TestCubature:
             assert [h for h, _, _ in calls] == grid
             assert sum(n for _, n, _ in calls) == sweep.n_evals
             assert {m for _, _, m in calls} == {"cubature"} and sweep.method == "cubature"
+
+    def test_evaluations_per_h_in_d3(self):
+        # no piece takes the finer rules on the bench's sweep_3d pair at the
+        # pinned h: 55,344 evaluations per h
+        for h in self.PINNED:
+            res = gj.energy_increment(**self.SWEEP_3D, params=gj.InterchangeParams(h=h))
+            assert res.n_evals <= 60_000, h
+
+    @pytest.mark.parametrize("t", [0.7, 1.0])
+    @pytest.mark.parametrize("case", ["sweep-3d", "general"])
+    def test_bar_bounds_a_finer_rule_on_the_pinned_grid_in_d3(self, case, t):
+        # 1.5 times the finest rule, 24 nodes in s_n and s_nu and 9 per part
+        # in u.  At h = 0.025 the slab piece sqrt(h) < s_nu < the core's
+        # chord at s_n = h converges only algebraically (the core's chord
+        # vanishes at its corner), and the bar is closest to the distance
+        model, pair, nu = (*self.SWEEP_3D.values(), None) if case == "sweep-3d" else self.general(3)
+        nodes, n_w = self.FINEST_3D
+        for h in self.PINNED:
+            params = gj.InterchangeParams(h=h, t=t, nu=nu)
+            res = gj.energy_increment(model, pair, params)
+            fld = InterchangeField(pair, params)
+            integrand = quadrature._excess_integrand(model, pair, fld, t)
+            exact_part = t * (-gj.interchange_force(model, pair) * h * interface_profile(h, 3))
+            finer = exact_part + quadrature._cubature(
+                fld, integrand, 3 * nodes // 2, 3 * n_w // 2)[0]
+            assert res.mc_error >= abs(res.delta_e - finer), h
+
+    @pytest.mark.parametrize("h", [0.5, 1e-4])
+    def test_estimate_and_bar_are_sums_over_the_pieces_in_d3(self, h):
+        # on the general pair some pieces' 12- and 8-node values differ by
+        # more than the tolerance (4 pieces at both h; at h = 0.5 the shell
+        # takes two parts in u); those take the 16- and 12-node rules, and
+        # each piece's finest value and its own bar add up as in d = 2
+        model, pair, nu = self.general(3)
+        params = gj.InterchangeParams(h=h, t=1.0, nu=nu)
+        res = gj.energy_increment(model, pair, params)
+        fld = InterchangeField(pair, params)
+        integrand = quadrature._excess_integrand(model, pair, fld, 1.0)
+        layout = quadrature._half_disk_layout(h)
+        every = np.arange(layout.flat.size)
+        coarse, fine = quadrature._PIECE_RULES[3]
+        (i12, i8), coarse_evals = quadrature._piece_integrals(fld, integrand, layout, coarse, every)
+        switch = np.abs(i12 - i8) > quadrature._ESCALATION_TOL * np.abs(i12)
+        assert switch.any() and not switch.all()
+        (i16, i12_again), fine_evals = quadrature._piece_integrals(
+            fld, integrand, layout, fine, np.flatnonzero(switch))
+        np.testing.assert_array_equal(i12_again, i12[switch])
+        value, bar = i12.copy(), np.abs(i12 - i8)
+        value[switch], bar[switch] = i16, np.abs(i16 - i12_again)
+        ff_exact = -gj.interchange_force(model, pair) * h * interface_profile(h, 3)
+        assert res.delta_e - ff_exact == pytest.approx(value.sum(), rel=1e-13)
+        assert res.mc_error == pytest.approx(bar.sum(), rel=1e-13)
+        assert res.n_evals == coarse_evals + fine_evals
 
     def test_no_chi2_cap_on_exact_values(self):
         # the residual of exact values is truncation, which the cap would
@@ -853,7 +910,7 @@ class TestTwoWellCubature:
         finer = []
 
         def piece_integrals(fld, integrand, layout, nodes, pieces):
-            if nodes == quadrature._PIECE_RULES[1]:
+            if nodes == quadrature._PIECE_RULES[2][1]:
                 finer.append(np.stack([layout.a[pieces], layout.b[pieces],
                                        layout.lo_knot[pieces], layout.hi_knot[pieces]], axis=1))
             return real(fld, integrand, layout, nodes, pieces)
@@ -947,9 +1004,14 @@ class TestHalfDiskRule:
 
     @staticmethod
     def nodes(h, n):
-        """(s_n, s_nu, weights, flat): every node of every piece at h."""
+        """(s_n, s_nu, weights, flat): every node of every piece at h, each of
+        shape (pieces, n, n), indexed by piece, s_nu node and s_n node."""
         layout = quadrature._half_disk_layout(h)
-        return (*quadrature._half_disk_nodes(layout, n), layout.flat)
+        nu, centre, half_n, weight_nu = quadrature._half_disk_pieces(
+            layout, n, np.arange(layout.flat.size))
+        x, wx = quadrature._sine_gauss(n)
+        s_n = half_n[:, :, None] * x + centre[:, :, None]
+        return s_n, np.broadcast_to(nu[:, :, None], s_n.shape), weight_nu[:, :, None] * wx, layout.flat
 
     @staticmethod
     def rows(h, n, pieces=None):
@@ -958,7 +1020,9 @@ class TestHalfDiskRule:
         layout = quadrature._half_disk_layout(h)
         if pieces is None:
             pieces = np.arange(layout.flat.size)
-        return quadrature._half_disk_rows(layout, n, np.asarray(pieces))
+        coords, weights, piece, shell = quadrature._half_disk_rows(layout, n, np.asarray(pieces))
+        assert shell is None
+        return coords, weights, piece
 
     @pytest.mark.parametrize("h", PINNED + [0.25, 0.3, 0.6, 0.9])
     @pytest.mark.parametrize("n", [32, 64])
@@ -1038,8 +1102,8 @@ class TestHalfDiskRule:
             "two-well": (model, pair, 64, None),
             "stack-form": (StackFormTwoWell(model.params), pair, 48, None),
             "value-only": (ValueOnlyQuadratic(1, 2), value_only, 16, None),
-            "isotropic-2d": (*TestCubature.general(2)[:2], *quadrature._CUBATURE_RULES[0]),
-            "isotropic-3d": (*TestCubature.SWEEP_3D.values(), *quadrature._CUBATURE_RULES[0]),
+            "isotropic-2d": (*TestCubature.general(2)[:2], *TestCubature.FINEST_3D),
+            "isotropic-3d": (*TestCubature.SWEEP_3D.values(), *TestCubature.FINEST_3D),
         }
 
     @pytest.mark.parametrize("h", [0.1, 0.0125, 0.6])
@@ -1065,12 +1129,12 @@ class TestHalfDiskRule:
     @pytest.mark.parametrize("n", [4, 8, 12, 16, 32, 48, 64])
     def test_every_row_with_weight_has_positive_s_n(self, monkeypatch, n, d):
         # what lets each block take one base per side, the + base for z and
-        # the - base for -z: every w = 0 row and, in d = 3, every shell row
-        # lies at s_n > 0, but in d = 3 for rows of weight 0, whose base
-        # does not matter.  Those sit at s_n = 0 where a piece's s_n
-        # interval has length 0: at the s_nu nodes that round onto
-        # 1 - sqrt(h) = 0.999 for h = 1e-6 and n >= 16; in d = 2 the rule
-        # forms no such row.  The integrand is 1 at z on every row at
+        # the - base for -z: every row, at w = 0 and in d = 3 in the shell,
+        # lies at s_n > 0.  No row carries weight 0 either: none sits at
+        # s_n = 0 where a piece's s_n interval has length 0 (at the s_nu
+        # nodes that round onto 1 - sqrt(h) = 0.999 for h = 1e-6 and
+        # n >= 16), nor, in d = 3, at w = 0 outside the core, where the
+        # core's chord is 0.  The integrand is 1 at z on every row at
         # s_n <= 0 and 0 elsewhere, so the total is their summed weight.
         s_n = []
 
@@ -1089,9 +1153,14 @@ class TestHalfDiskRule:
             total, evals = quadrature._cubature(fld, integrand, n, 6 if d == 3 else None)
             rows = np.concatenate(s_n)
             assert 2 * rows.size == evals
-            assert np.all(rows >= 0.0) and total == 0.0, (h, np.sum(rows == 0.0))
-            if d == 2 or h != 1e-6 or n < 16:
-                assert np.all(rows > 0.0), h
+            assert np.all(rows > 0.0) and total == 0.0, (h, np.sum(rows == 0.0))
+            layout = quadrature._half_disk_layout(h)
+            _, weights, _, shell = quadrature._half_disk_rows(
+                layout, n, np.arange(layout.flat.size), d)
+            if d == 3:
+                blocks = quadrature._shell_blocks(h, *shell[:3], 6)
+                weights = np.concatenate([weights, *(w.ravel() for _, _, w in blocks)])
+            assert 2 * weights.size == evals and np.all(weights > 0.0), h
 
     @pytest.mark.parametrize("t", [1.0, 0.7])
     @pytest.mark.parametrize("h", [0.1, 0.0125, 0.6, 1e-6])
