@@ -6,33 +6,28 @@ isotropic model f(tr F) + mu |dev sym F|^2.  Each has one closed-form
 stress ``gradient``; central differences serve only subclasses that define
 ``value()`` alone.
 
-The estimator and the grid search of the Weierstrass scan only ever
-evaluate W along rank-one lines F + s a (x) G.  ``EnergyModel.rank_one_excess``
-serves both, in two stages: the first takes the N vectors G and does the
-work that depends on them alone, once for the grid's whole set of
-directions and radii, and the second evaluates a
-direction a and step s.  Its base-class body forms the (N, m, d) stacks
-and calls ``value_many`` (the path for user subclasses, and the test
-reference).  The min-of-quadratics and isotropic kinds override it with
-closed forms in p = a.G, (F^T a).G and |G|^2, since
+The estimator evaluates W only along rank-one lines F + s a (x) G, on both
+sides of an interface.  ``EnergyModel.rank_one_excess(fp, fm, a, t)``
+returns the kernel ``excess(g)``, which gives the pointwise excess on
+N world vectors G at once, at step +t from F+ and -t from F-; the work
+that depends on the pair, a and t alone is done once, when the kernel is
+built.  Its base-class body forms the (N, m, d) stacks and calls
+``value_many`` (the path for user subclasses, and the test reference).
+The min-of-quadratics and isotropic kinds override it with closed forms in
+p = a.G, (F^T a).G and |G|^2, since
 
     |F + s a (x) G|^2 = |F|^2 + 2 s (F^T a).G + s^2 |a|^2 |G|^2,
     tr(a (x) G) = a.G,
     |dev sym(a (x) G)|^2 = |a|^2 |G|^2 / 2 + (a.G)^2 (1/2 - 1/d).
 
-Each closed form is exactly 0 where G = 0, as the stack form is.  A call
-evaluates one base, an int, on every row.  The estimator asks for both
-points of an antithetic pair, step +s on one base and -s on another, in
-one call (the kernel's ``mirror`` base), so the closed forms compute the
-parts that do not depend on the sign of s once.  The isotropic kind's
-second stage owns N-row scratch arrays that every call reuses, so a call
-allocates one fresh array per side, its result; at s = 1 it uses p for
-x = s p and p^2 for x^2, which are the same bits.
+Each closed form is exactly 0 where G = 0, as the stack form is, and
+computes the parts that do not depend on the sign of the step once for
+both sides.
 
 ``EnergyModel.rank_one_minimum`` gives the least excess at F over every
 rank-one increment r u (x) v, the Weierstrass condition that
 ``jumps.weierstrass_scan`` tests.  Its base-class body searches a finite
-grid of u, v and r through ``rank_one_excess``; the built-in kinds
+grid of u, v and r on (N, m, d) stacks; the built-in kinds
 override it with the exact minimum over all unit u, v and every r in a
 window [r_lo, r_hi]: one singular value per branch for the
 min-of-quadratics kinds, and two polynomial pieces in x = r (u.v) for the
@@ -198,46 +193,37 @@ class EnergyModel:
         h = self._check(h)
         return self.value(f + h) - self.value(f) - frobenius(self.gradient(f), h)
 
-    def rank_one_excess(self, bases):
-        """Kernel for the excess of W along rank-one lines from a few bases.
+    def rank_one_excess(self, fp, fm, a, t):
+        """Kernel for the excess of W on both sides of an interface.
 
-        ``bases`` is a (K, m, d) stack of gradients F_k, with stresses
-        P_k = ``gradient(F_k)``.  The kernel has two stages.
-        ``rank_one_excess(bases)(g)``, for N world vectors g_i (an (N, d)
-        array), does the work that depends on g alone and returns
-        ``excess(a, s, index=0, mirror=None)``, which gives
+        ``fp`` and ``fm`` are (m, d) gradients F+ and F-, with stresses
+        P+- = ``gradient(F+-)``, ``a`` an (m,) vector and ``t`` a step.
+        Returns ``excess(g)``, which for N world vectors g_i (an (N, d)
+        array) gives the pair of rows
 
-            W(F_k + s a (x) g_i) - W(F_k) - s (P_k, a (x) g_i),  k = index,
+            W(F+ + t a (x) g_i) - W(F+) - t (P+, a (x) g_i),
+            W(F- - t a (x) g_i) - W(F-) + t (P-, a (x) g_i),
 
-        on every row.  Given ``mirror``, another base, it returns the pair
-        (those values, the same at -s on the base mirror): both points of
-        an antithetic pair in one call, each bit for bit what its
-        one-sided call returns.  The estimator's rows all lie on the + side
-        of the interface, so it makes one such call per block, with z on
-        the + base and -z on the - base.  Each row's value is bit for bit
-        the same whether ``excess`` is called once or many times on one
-        first stage.  The closed forms share the work that does not depend
-        on the sign of s between the two sides.  This body keeps g, forms
-        the (N, m, d) stacks and calls ``value_many``, one side at a time;
-        kinds with a closed form override it.
+        the two points of an antithetic pair of the estimator, as fresh
+        arrays.  This body forms the (N, m, d) stacks and calls
+        ``value_many``, one side at a time; kinds with a closed form
+        override it.
         """
-        bases = np.asarray(bases, dtype=float)
-        wbars = np.array([self.value(f) for f in bases])
-        stresses = np.stack([self.gradient(f) for f in bases])
+        a = np.asarray(a, dtype=float)
+        sides = [
+            (np.asarray(f, dtype=float), s, self.value(f), self.gradient(f).T @ a)
+            for f, s in ((fp, t), (fm, -t))
+        ]
 
-        def kernel(g):
-            def excess(a, s, index=0, mirror=None):
-                if mirror is not None:
-                    return excess(a, s, index), excess(a, -s, mirror)
-                a = np.asarray(a, dtype=float)
-                step = (s * a)[None, :, None] * g[:, None, :]
-                vals = self.value_many(bases[index] + step)
-                lin = s * _dot_rows(g, np.einsum("kmd,m->kd", stresses, a)[index])
-                return vals - wbars[index] - lin
+        def excess(g):
+            return tuple(
+                self.value_many(f + (s * a)[None, :, None] * g[:, None, :])
+                - wbar
+                - s * _dot_rows(g, lin)
+                for f, s, wbar, lin in sides
+            )
 
-            return excess
-
-        return kernel
+        return excess
 
     def rank_one_minimum(self, f, radii, resolution: int):
         """Least excess at F over rank-one increments r u (x) v, |u| = |v| = 1.
@@ -245,22 +231,25 @@ class EnergyModel:
         ``f`` is an (m, d) matrix and ``radii`` a nonempty 1-D array of
         finite positive radii.  Returns (value, u, v, r, method).  This body
         searches the grid sphere_grid(m, resolution) x sphere_grid(d,
-        resolution) x radii through ``rank_one_excess``, one kernel call per
-        u (method "grid"), so a nonnegative value certifies the rank-one
+        resolution) x radii, one (N, m, d) stack of ``value_many`` per u
+        (method "grid"), so a nonnegative value certifies the rank-one
         condition on that grid only; ties resolve to the lexicographically
         first entry.  Kinds with a closed form override it with the minimum
         over every unit u, v and every r in the window [min radii,
         max radii] (method "exact"), where ``resolution`` plays no part.
         """
         us, vs = sphere_grid(self.m, resolution), sphere_grid(self.d, resolution)
-        # row j * len(radii) + k holds radii[k] * vs[j], column-major so that
-        # the kernel reads each component contiguously; one batch per u
-        world = np.asfortranarray((radii[None, :, None] * vs[:, None, :]).reshape(-1, self.d))
-        excess = self.rank_one_excess(f[None])(world)
+        # row j * len(radii) + k holds radii[k] * vs[j]
+        world = (radii[None, :, None] * vs[:, None, :]).reshape(-1, self.d)
+        wbar, stress = self.value(f), self.gradient(f)
 
         best = (np.inf, 0, 0, 0)
         for iu, u in enumerate(us):
-            vals = excess(u, 1.0)
+            vals = (
+                self.value_many(f + u[None, :, None] * world[:, None, :])
+                - wbar
+                - _dot_rows(world, stress.T @ u)
+            )
             i = int(np.argmin(vals))
             if vals[i] < best[0]:
                 best = (float(vals[i]), iu, i // radii.size, i % radii.size)
@@ -309,69 +298,58 @@ class MinQuadraticsEnergy(EnergyModel):
             vals = np.minimum(vals, 0.5 * (s * mu) + w)
         return vals
 
-    def rank_one_excess(self, bases):
+    def rank_one_excess(self, fp, fm, a, t):
         """Closed form over the branches b, with e_b = W_b(F) - W(F) >= 0:
 
-            min_b ( e_b + s ((mu_b F - P)^T a).g + mu_b s^2 |a|^2 |g|^2 / 2 ).
+            min_b ( e_b + s ((mu_b F - P)^T a).g + mu_b s^2 |a|^2 |g|^2 / 2 ),
 
-        On a base's active branch e_b = 0 and P = mu_b F, so the linear term
-        vanishes bit for bit, g = 0 gives exactly 0 and no cancellation is
-        left in the increment.  The two sides of a mirrored call share
-        (F^T a) per branch and the s^2 term, whose bits are the same at -s.
-        Each side evaluates its one base on every row, with scalar
-        coefficients.
+        s = t on F+ and -t on F-.  On a side's active branch e_b = 0 and
+        P = mu_b F, so the linear term vanishes bit for bit, g = 0 gives
+        exactly 0 and no cancellation is left in the increment.  The two
+        sides share the s^2 term, whose bits are the same at -t.  Each side
+        skips its zero offsets and the columns of its linear terms that are
+        zero: every branch value starts from mu_b quad >= +0, so a skipped
+        +-0, which can change at most the sign of a zero step, changes no
+        bit of the value.
         """
-        bases = np.asarray(bases, dtype=float)
-        bvals = np.stack([self.branch_values(f) for f in bases])  # (K, branches)
-        offsets = (bvals - bvals.min(axis=1, keepdims=True)).tolist()  # e_b per base
-        stresses = np.stack([self.gradient(f) for f in bases])
-        slopes = self._mus[None, :, None, None] * bases[:, None] - stresses[:, None]
+        a = np.asarray(a, dtype=float)
+        half = 0.5 * t * t * float(a @ a)
+        sides = []
+        for f, s in ((fp, t), (fm, -t)):
+            f = self._check(f)
+            vals = self.branch_values(f)
+            lin = np.einsum("bmd,m->bd", self._mus[:, None, None] * f - self.gradient(f), a)
+            # per branch: its offset e_b and the (column, coefficient) of
+            # each nonzero linear term
+            terms = [[(c, x) for c, x in enumerate(row) if x != 0.0] for row in lin.tolist()]
+            sides.append((s, list(zip((vals - vals.min()).tolist(), terms))))
 
-        def at_base(k, cols, s, lin, live, mqs):
-            """The minimum over the branches on every row from base k at s.
-
-            It skips the offsets and the columns of the linear terms that
-            are zero for base k, and the factor s at s = 1: every branch
-            value starts from mu_b quad >= +0, so a skipped +-0, which can
-            change at most the sign of a zero step, changes no bit of the
-            value, and 1 x == x.
-            """
-            for b, val in enumerate(mqs):
-                if offsets[k][b] != 0.0:
-                    val = val + offsets[k][b]
-                terms = [c for c, nonzero in enumerate(live[k][b]) if nonzero]
+        def at_side(s, branches, cols, mqs):
+            """The minimum over the branches on every row, out of place:
+            mu_b quad is shared by both sides."""
+            for b, ((offset, terms), val) in enumerate(zip(branches, mqs)):
+                if offset != 0.0:
+                    val = val + offset
                 if terms:
-                    step = cols[terms[0]] * lin[k, b, terms[0]]
-                    for c in terms[1:]:
-                        step += cols[c] * lin[k, b, c]
-                    if s != 1.0:
-                        step *= s
+                    (c, x), *rest = terms
+                    step = cols[c] * x
+                    for c, x in rest:
+                        step += cols[c] * x
+                    step *= s
                     val = val + step
-                # out of place: mu_b quad is shared by both sides
                 at = val if b == 0 else np.minimum(at, val)
             return at
 
-        def kernel(g):
-            # contiguous columns, read by several branches and calls
-            cols, sq = np.ascontiguousarray(g.T), row_sq_norms(g)
+        def excess(g):
+            # contiguous columns, read by several branches
+            cols, quad = np.ascontiguousarray(g.T), half * row_sq_norms(g)
+            mqs = [mu * quad for mu in self._mus]
+            plus, minus = (at_side(s, branches, cols, mqs) for s, branches in sides)
+            # one branch with no offset or linear term on either side
+            # leaves both sides mu quad itself
+            return plus, (minus.copy() if minus is plus else minus)
 
-            def excess(a, s, index=0, mirror=None):
-                a = np.asarray(a, dtype=float)
-                lin = np.einsum("kbmd,m->kbd", slopes, a)
-                live = (lin != 0.0).tolist()
-                quad = (0.5 * s * s * float(a @ a)) * sq
-                mqs = [mu * quad for mu in self._mus]
-                plus = at_base(index, cols, s, lin, live, mqs)
-                if mirror is None:
-                    return plus
-                minus = at_base(mirror, cols, -s, lin, live, mqs)
-                # one branch with no offset or linear term on either side
-                # leaves both sides mu quad itself
-                return plus, (minus.copy() if minus is plus else minus)
-
-            return excess
-
-        return kernel
+        return excess
 
     def rank_one_minimum(self, f, radii, resolution: int):
         """Exact minimum over the radius window [r_lo, r_hi] = [min radii,
@@ -452,8 +430,10 @@ class AntiplaneParams:
         return self.mu_plus - self.mu_minus
 
     def require_binodal(self):
-        """The two-phase region is nonempty iff [w] and [mu] have opposite signs."""
-        if self.jump_w * self.jump_mu >= 0.0:
+        """The two-phase region is nonempty iff [w] and [mu] have opposite
+        signs.  The signs are compared, not their product, which underflows
+        for small jumps."""
+        if self.jump_w == 0.0 or (self.jump_w > 0.0) == (self.jump_mu > 0.0):
             raise EmptyBinodalError(
                 "sign condition failed: (w+ - w-) (mu+ - mu-) must be negative"
             )
@@ -615,65 +595,45 @@ class IsotropicThetaEnergy(EnergyModel):
             return value, u, v, r_lo, "exact"
         return value, math.copysign(1.0, x) * v, v, abs(x), "exact"
 
-    def rank_one_excess(self, bases):
-        """Closed form in p = a.g and |g|^2, with x = s p:
+    def rank_one_excess(self, fp, fm, a, t):
+        """Closed form in p = a.g and |g|^2, with x = s p, s = t on F+ and
+        -t on F-:
 
             f(theta + x) - f(theta) - f'(theta) x
-              + mu s^2 (|a|^2 |g|^2 / 2 + p^2 (1/2 - 1/d)),
+              + mu t^2 (|a|^2 |g|^2 / 2 + p^2 (1/2 - 1/d)),
 
         the first line summed as x^2 (c_2 + x (c_3 + ...)) from the Taylor
-        coefficients c_j of f at each base's theta, which is exact for a
+        coefficients c_j of f at each side's theta, which is exact for a
         polynomial and free of the cancellation of the difference.  The two
-        sides of a mirrored call share p, |g|^2 and the mu s^2 terms, whose
-        bits are the same at -s; x only flips its sign, and x^2 keeps its
-        bits.  The second stage writes p, x, p^2, x^2 and the Taylor tail
-        into its scratch rows with ``out=``, and reads each Taylor
-        coefficient of its base as a scalar.
+        sides share p, |g|^2 and the mu t^2 terms; x only flips its sign,
+        and x^2 keeps its bits.
         """
         mu, d = self.params.mu, self.d
-        # Taylor coefficients of f from the quadratic term up, one list per base
-        tails = [self.params.taylor(np.trace(f))[2:].tolist() for f in bases]
+        a = np.asarray(a, dtype=float)
+        # Taylor coefficients of f from the quadratic term up, one list per side
+        tail_p, tail_m = (self.params.taylor(np.trace(f))[2:].tolist() for f in (fp, fm))
+        quad = 0.5 * mu * t * t * float(a @ a)
+        shear = mu * t * t * (0.5 - 1.0 / d)
 
-        def add_tail(out, x, xx, k, poly):
-            """out + x^2 (c_2 + x (c_3 + ...)) on base k, in place, given
-            xx = x^2 and the scratch row poly."""
-            tail = tails[k]
-            if len(tail) == 1:
-                out += np.multiply(xx, tail[0], out=poly)
-            elif tail:
-                np.multiply(x, tail[-1], out=poly)
-                for j in range(len(tail) - 2, -1, -1):
-                    poly += tail[j]
-                    if j:
-                        poly *= x
-                out += np.multiply(poly, xx, out=poly)
-            return out
+        def with_tail(out, x, xx, tail):
+            """out + x^2 (c_2 + x (c_3 + ...)), given xx = x^2."""
+            if not tail:
+                return out
+            poly = tail[-1]
+            for c in reversed(tail[:-1]):
+                poly = poly * x + c
+            return out + xx * poly
 
-        def kernel(g):
-            # g's columns stay views: contiguous when g is column-major, as
-            # the scan lays it out, with no copy for a single call
-            sq = row_sq_norms(g)
-            # rows p, p^2, x, x^2 and one for the tail and other products
-            p, pp, x_s, xx_s, tmp = np.empty((5, len(g)))
+        def excess(g):
+            p = g[:, 0] * a[0]
+            for k in range(1, d):
+                p = p + g[:, k] * a[k]
+            pp = p * p
+            x = p * t
+            xx = x * x
+            out = quad * row_sq_norms(g) + pp * shear
+            plus, minus = with_tail(out, x, xx, tail_p), with_tail(out, -x, xx, tail_m)
+            # a linear f leaves both sides the mu t^2 terms themselves
+            return plus, (minus.copy() if minus is plus else minus)
 
-            def excess(a, s, index=0, mirror=None):
-                a = np.asarray(a, dtype=float)
-                np.multiply(g[:, 0], a[0], out=p)
-                for k in range(1, d):
-                    np.add(p, np.multiply(g[:, k], a[k], out=tmp), out=p)
-                np.multiply(p, p, out=pp)
-                x, xx = p, pp
-                if s != 1:
-                    x, xx = np.multiply(p, s, out=x_s), np.multiply(x_s, x_s, out=xx_s)
-                out = (0.5 * mu * s * s * float(a @ a)) * sq
-                out += np.multiply(pp, mu * s * s * (0.5 - 1.0 / d), out=tmp)
-                if mirror is None:
-                    return add_tail(out, x, xx, index, tmp)
-                minus = out.copy()
-                add_tail(out, x, xx, index, tmp)
-                # (-x)^2 has the bits of x^2
-                return out, add_tail(minus, np.negative(x, out=x), xx, mirror, tmp)
-
-            return excess
-
-        return kernel
+        return excess

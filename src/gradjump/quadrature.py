@@ -58,12 +58,11 @@ excess from the model's rank-one kernel ``EnergyModel.rank_one_excess``,
 a closed form in a.G, (F^T a).G and |G|^2 for the quadratic,
 min-of-quadratics and isotropic kinds and the (N, m, d) stack form for the
 rest; each is exactly 0 where g = 0.  One kernel call returns both sides
-of a block (its ``mirror`` base), so the closed forms compute the parts
-that do not depend on the sign of the step once.  Every row of the
-cubature lies at s_n >= 0, and the sampler folds each pair onto that
-side, passing -z and -g for a row at s_n < 0 (the pair's two values only
-swap).  So every block is one call with one base per side, the + base for
-z and the - base for -z.  Region codes are computed only by
+of a block, z at step +t from F+ and -z at -t from F-, so the closed forms
+compute the parts that do not depend on the sign of the step once.  Every
+row of the cubature lies at s_n >= 0, and the sampler folds each pair onto
+that side, passing -z and -g for a row at s_n < 0 (the pair's two values
+only swap).  So every block is one kernel call.  Region codes are computed only by
 ``estimate_region_measures``, which draws the same points from the same
 streams.
 
@@ -788,7 +787,7 @@ def _piece_integrals(fld: InterchangeField, integrand, layout: _Layout, nodes, p
     ``integrand`` is ``_excess_integrand``'s: f(z) and f(-z) from the frame
     gradient at z.  Their sum over the half ball s_n > 0 is the integral
     over the ball.  Every row has s_n > 0, so each block is one kernel call
-    with z on the + base and -z on the - base.
+    with z on F+ and -z on F-.
     """
     h, d = fld.h, fld.pair.d
     rules = [_half_disk_rows(layout, n, pieces, d) for n in nodes]
@@ -902,18 +901,17 @@ def _excess_integrand(model, pair, fld, t):
     at z and -z from the frame gradient g at z, for rows at s_n >= 0.
 
     Returns ``excess(coords, g) -> (f(z), f(-z))``.  grad Phi = a (x) G
-    with the world vector G = frame^T g, so both values come from one
-    two-sided call of the model's rank-one kernel: z on the + base F+ and
-    -z, whose gradient is -g, on the - base F-, with its step negated, not
-    recomputed.  The coordinates play no part: the caller passes only rows
-    at s_n >= 0, as the cubature's rows are and as the sampler folds its
-    pairs.  A row at s_n = 0 thus takes F+ for z and F- for -z.
+    with the world vector G = frame^T g, so both values come from one call
+    of the model's rank-one kernel: z on F+ at step +t and -z, whose
+    gradient is -g, on F- at step -t.  The coordinates play no part: the
+    caller passes only rows at s_n >= 0, as the cubature's rows are and as
+    the sampler folds its pairs.  A row at s_n = 0 thus takes F+ for z and
+    F- for -z.
     """
-    # base 1 is the + side, 0 the - side
-    kernel = model.rank_one_excess(np.stack([pair.fm, pair.fp]))
+    kernel = model.rank_one_excess(pair.fp, pair.fm, pair.a, t)
 
     def excess(coords: np.ndarray, g: np.ndarray):
-        return kernel(g @ fld.frame)(pair.a, t, 1, mirror=0)
+        return kernel(g @ fld.frame)
 
     return excess
 

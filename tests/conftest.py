@@ -45,8 +45,8 @@ def quadratic():
 
 class ValueOnlyQuadratic(gj.EnergyModel):
     """W(F) = |F|^2 / 2 through value() alone, so that every other method is
-    the base class's: the value_many loop, the central-difference gradient
-    and the stack-form rank_one_excess."""
+    the base class's: the value_many loop, the central-difference gradient,
+    the stack-form rank_one_excess and the grid rank_one_minimum."""
 
     kind = "value_only_quadratic"
 

@@ -388,6 +388,19 @@ class TestAntiplane:
         assert code == 1
         assert "sign condition" in err
 
+    def test_small_jumps_pass_the_sign_condition(self, tmp_path, capsys):
+        # [w] [mu] = -1e-400 underflowed to -0.0 and failed the sign
+        # condition.  The binodal is now found, and the mechanism pairs stop
+        # at the branch tie test instead: its absolute floor of 1e-10 counts
+        # the two wells at |F| = 1, 1e-200 and 1.5e-200, as tied
+        params = {"mu_plus": 2e-200, "mu_minus": 1e-200, "w_plus": 0.0, "w_minus": 1e-200}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(capsys, "antiplane", "--config",
+                                    write_config(tmp_path, {"params": params}))
+        assert (code, stdout) == (1, "")
+        assert error_line(err).startswith("branch tie at |F|^2 = 1:")
+
     @pytest.mark.parametrize(
         "params",
         [

@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -244,123 +243,15 @@ class TestRankOneExcess:
     """Closed-form kernels against the base-class (N, m, d) stack form.
 
     The arithmetic differs, so they agree to a tolerance fixed from float64
-    eps; where the increment vanishes both are exactly zero.  Bases of
+    eps; where the increment vanishes both are exactly zero.  Gradients of
     moderate size keep the stack form's own cancellation, about eps |W(F)|,
-    well inside that tolerance.
+    well inside that tolerance.  Each kernel returns the + side, F+ at
+    step +t, and the - side, F- at -t.
     """
 
-    @staticmethod
-    def kernels(model, bases):
-        return model.rank_one_excess(bases), gj.EnergyModel.rank_one_excess(model, bases)
-
-    @pytest.mark.parametrize("kind", CLOSED_FORMS)
-    def test_closed_form_matches_stack_form(self, rng, kind):
-        model = CLOSED_FORMS[kind]()
-        assert type(model).rank_one_excess is not gj.EnergyModel.rank_one_excess
-        bases = 0.5 * rng.normal(size=(3, model.m, model.d))
-        kernel, stack = self.kernels(model, bases)
-        for _ in range(4):
-            a = rng.normal(size=model.m)
-            g = rng.normal(size=(500, model.d))
-            s = rng.uniform(-1.5, 1.5)
-            for k in range(3):
-                np.testing.assert_allclose(
-                    kernel(g)(a, s, k), stack(g)(a, s, k), rtol=1e-12, atol=1e-12
-                )
-            np.testing.assert_allclose(kernel(g)(a, s), stack(g)(a, s), rtol=1e-12, atol=1e-12)
-
-    @pytest.mark.parametrize("kind", CLOSED_FORMS)
-    def test_exact_zero_where_g_vanishes(self, rng, kind):
-        model = CLOSED_FORMS[kind]()
-        bases = rng.normal(size=(2, model.m, model.d))
-        kernel, _ = self.kernels(model, bases)
-        g = np.zeros((60, model.d))
-        g[::2, 0] = -0.0
-        g[::3, -1] = -0.0
-        for s in (0.7, -1.3):
-            a = rng.normal(size=model.m)
-            for k in range(2):
-                assert np.all(kernel(g)(a, s, k) == 0.0)
-            assert np.all(kernel(g)(a, s) == 0.0)
-
-    @staticmethod
-    def every_term_kernel(model, bases):
-        """The closed-form kernel with every term written out, one fresh
-        array per operation, as ``excess(a, g, s, k)`` on base k.
-
-        Min-of-quadratics: no zero offset skipped; every branch's value
-        starts from its offset e_b and adds mu_b quad, then its linear term
-        where that is nonzero for some base.  Isotropic: x = s p is formed
-        at every s.
-        """
-        if isinstance(model, gj.IsotropicThetaEnergy):
-            mu, d = model.params.mu, model.d
-            tails = np.stack([model.params.taylor(np.trace(f))[2:] for f in bases])
-
-            def isotropic(a, g, s, k):
-                p = g[:, 0] * a[0]
-                for c in range(1, d):
-                    p = p + g[:, c] * a[c]
-                x = s * p
-                out = (0.5 * mu * s * s * float(a @ a)) * row_sq_norms(g)
-                out = out + (mu * s * s * (0.5 - 1.0 / d)) * (p * p)
-                if tails.shape[1]:
-                    poly = tails[k, -1]
-                    for j in range(tails.shape[1] - 2, -1, -1):
-                        poly = poly * x + tails[k, j]
-                    out = out + (x * x) * poly
-                return out
-
-            return isotropic
-        mus = np.array([mu for mu, _ in model.branches])
-        bvals = np.stack([model.branch_values(f) for f in bases])
-        offsets = bvals - bvals.min(axis=1, keepdims=True)
-        stresses = np.stack([model.gradient(f) for f in bases])
-        slopes = mus[None, :, None, None] * bases[:, None] - stresses[:, None]
-
-        def excess(a, g, s, k):
-            lin = np.einsum("kbmd,m->kbd", slopes, a)
-            quad = (0.5 * s * s * float(a @ a)) * row_sq_norms(g)
-            out = None
-            for b, mu in enumerate(mus):
-                val = offsets[k, b] + mu * quad
-                if np.any(lin[:, b]):
-                    dot = g[:, 0] * lin[k, b, 0]
-                    for c in range(1, g.shape[1]):
-                        dot += g[:, c] * lin[k, b, c]
-                    val += s * dot
-                out = val if out is None else np.minimum(out, val)
-            return out
-
-        return excess
-
-    @pytest.mark.parametrize("kind", [k for k in CLOSED_FORMS if not k.startswith("isotropic")])
-    @pytest.mark.parametrize("wells", ["mixed", "shared", "on-axis"])
-    def test_zero_term_skips_are_bitwise(self, rng, kind, wells):
-        model = CLOSED_FORMS[kind]()
-        # |F|^2 of 0.1, 1.5 and 4 puts the bases of the three-branch model on
-        # three different wells; "shared" keeps every base on branch 0, so
-        # that branch's offsets are all zero; "on-axis" puts every base on
-        # the first column, so the other columns of the linear terms are
-        # zero, as on the criterion-1 pair
-        sq = [0.1, 0.2, 0.3] if wells == "shared" else [0.1, 1.5, 4.0]
-        dirs = rng.normal(size=(3, model.m, model.d))
-        if wells == "on-axis":
-            dirs[:, :, 1:] = 0.0
-        bases = dirs * np.sqrt(sq / np.sum(dirs**2, axis=(1, 2)))[:, None, None]
-        kernel, reference = model.rank_one_excess(bases), self.every_term_kernel(model, bases)
-        for s in (1.0, *rng.uniform(-1.5, 1.5, size=3)):
-            a = rng.normal(size=model.m)
-            # steps up to |g| ~ 6 cross from every base's well into the others
-            g = rng.normal(size=(400, model.d)) * rng.uniform(0.0, 3.0, size=(400, 1))
-            g[:20] = 0.0
-            for k in range(3):
-                self.assert_same_bits(kernel(g)(a, s, k), reference(a, g, s, k))
-            self.assert_same_bits(kernel(g)(a, s), reference(a, g, s, 0))
-
     #: the closed forms, an isotropic model whose f has no Taylor tail (f
-    #: linear, so the kernel is the mu s^2 terms alone) and the stack form
-    MIRRORED_KINDS = {
+    #: linear, so the kernel is the mu t^2 terms alone) and the stack form
+    KERNEL_KINDS = {
         **CLOSED_FORMS,
         "isotropic-linear-f": lambda: gj.IsotropicThetaEnergy(
             gj.IsotropicParams(2, 0.6, (0.5, -1.0))
@@ -374,135 +265,144 @@ class TestRankOneExcess:
         assert x.dtype == y.dtype == np.float64 and x.shape == y.shape
         assert np.array_equal(x.view(np.int64), y.view(np.int64))
 
-    @pytest.mark.parametrize("kind", MIRRORED_KINDS)
-    def test_mirrored_call_is_two_one_sided_calls(self, rng, kind):
-        model = self.MIRRORED_KINDS[kind]()
-        # |F|^2 of 0.1, 1.5 and 4 puts the bases of the min-of-quadratics
-        # models on different wells, and steps up to |g| ~ 6 cross them
-        dirs = rng.normal(size=(3, model.m, model.d))
-        bases = dirs * np.sqrt([0.1, 1.5, 4.0] / np.sum(dirs**2, axis=(1, 2)))[:, None, None]
-        kernel = model.rank_one_excess(bases)
-        n = 300
-        for s in (0.8, -1.3, rng.uniform(-1.5, 1.5)):
+    @pytest.mark.parametrize("kind", CLOSED_FORMS)
+    def test_closed_form_matches_stack_form(self, rng, kind):
+        model = CLOSED_FORMS[kind]()
+        assert type(model).rank_one_excess is not gj.EnergyModel.rank_one_excess
+        for _ in range(4):
+            fp, fm = 0.5 * rng.normal(size=(2, model.m, model.d))
             a = rng.normal(size=model.m)
-            g = rng.normal(size=(n, model.d)) * rng.uniform(0.0, 3.0, size=(n, 1))
-            # rows that do not move, with signed zeros as the mirror step -g makes them
-            g[:40] = 0.0
-            g[:40:2, 0] = -0.0
-            g[:40:3, -1] = -0.0
-            # every pair of bases, one base on both sides among them
-            for k, m in itertools.product(range(3), repeat=2):
-                plus, minus = kernel(g)(a, s, k, mirror=m)
-                assert not np.shares_memory(plus, minus)
-                self.assert_same_bits(plus, kernel(g)(a, s, k))
-                self.assert_same_bits(minus, kernel(g)(a, -s, m))
-                assert np.all(plus[:40] == 0.0) and np.all(minus[:40] == 0.0)
+            g = rng.normal(size=(500, model.d))
+            t = rng.uniform(-1.5, 1.5)
+            kernel = model.rank_one_excess(fp, fm, a, t)
+            stack = gj.EnergyModel.rank_one_excess(model, fp, fm, a, t)
+            for got, want in zip(kernel(g), stack(g), strict=True):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
-    #: every kernel kind: the closed forms, the base-class stack form on a
-    #: closed-form model and on a subclass that defines only value()
-    STAGED_KINDS = {
-        **{kind: (make, lambda model: model.rank_one_excess) for kind, make in CLOSED_FORMS.items()},
-        "stack-form-isotropic-3": (
-            CLOSED_FORMS["isotropic-3"],
-            lambda model: lambda bases: gj.EnergyModel.rank_one_excess(model, bases),
-        ),
-        "value-only-2x2": (lambda: ValueOnlyQuadratic(2, 2), lambda model: model.rank_one_excess),
-    }
-
-    @pytest.mark.parametrize("layout", ["C", "F"])
-    @pytest.mark.parametrize("kind", STAGED_KINDS)
-    def test_one_first_stage_serves_many_calls(self, rng, kind, layout):
-        # the scan calls one first stage per direction u on a column-major
-        # grid; every call gives the bits of a fresh stage on a row-major copy
-        make, kernel_of = self.STAGED_KINDS[kind]
-        model = make()
-        dirs = rng.normal(size=(3, model.m, model.d))
-        bases = dirs * np.sqrt([0.1, 1.5, 4.0] / np.sum(dirs**2, axis=(1, 2)))[:, None, None]
-        kernel = kernel_of(model)(bases)
-        n = 200
-        g = rng.normal(size=(n, model.d)) * rng.uniform(0.0, 3.0, size=(n, 1))
-        g[:20] = 0.0
-        g[:20:2, 0] = -0.0
-        stage = kernel(np.asarray(g, order=layout))
-        for s in (1.0, -0.7, *rng.uniform(-1.5, 1.5, size=3)):
-            for a in rng.normal(size=(4, model.m)):
-                fresh = kernel_of(model)(bases)(g.copy())
-                self.assert_same_bits(stage(a, s), fresh(a, s))
-                for k in range(3):
-                    self.assert_same_bits(stage(a, s, k), fresh(a, s, k))
-                for k, m in itertools.product(range(3), repeat=2):
-                    plus, minus = stage(a, s, k, mirror=m)
-                    fresh_plus, fresh_minus = fresh(a, s, k, mirror=m)
-                    self.assert_same_bits(plus, fresh_plus)
-                    self.assert_same_bits(minus, fresh_minus)
+    @pytest.mark.parametrize("kind", KERNEL_KINDS)
+    def test_exact_zero_where_g_vanishes(self, rng, kind):
+        model = self.KERNEL_KINDS[kind]()
+        g = np.zeros((60, model.d))
+        g[::2, 0] = -0.0
+        g[::3, -1] = -0.0
+        for t in (1.0, 0.7, -1.3):
+            fp, fm = rng.normal(size=(2, model.m, model.d))
+            plus, minus = model.rank_one_excess(fp, fm, rng.normal(size=model.m), t)(g)
+            assert not np.shares_memory(plus, minus)
+            assert np.all(plus == 0.0) and np.all(minus == 0.0)
 
     @staticmethod
-    def isotropic_stage(rng, n_coeffs, d, layout, n=300):
-        """An isotropic model whose f has ``n_coeffs`` coefficients (no
-        Taylor tail below 3, up to four tail terms at 6), three bases and
-        one second stage on n vectors g, some of them signed zeros."""
+    def every_term_kernel(model, fp, fm, a, t):
+        """The closed-form kernel with every term written out, one fresh
+        array per operation, as ``excess(g) -> (plus, minus)``.
+
+        Min-of-quadratics: no zero offset skipped; every branch's value
+        starts from its offset e_b and adds mu_b quad, then its linear term
+        where that is nonzero on either side.  Isotropic: each side forms
+        every term itself.
+        """
+        bases, steps = np.array([fp, fm], dtype=float), (t, -t)
+        if isinstance(model, gj.IsotropicThetaEnergy):
+            mu, d = model.params.mu, model.d
+            tails = [model.params.taylor(np.trace(f))[2:] for f in bases]
+
+            def isotropic(g):
+                p = g[:, 0] * a[0]
+                for c in range(1, d):
+                    p = p + g[:, c] * a[c]
+                sides = []
+                for tail, s in zip(tails, steps):
+                    x = s * p
+                    out = (0.5 * mu * s * s * float(a @ a)) * row_sq_norms(g)
+                    out = out + (mu * s * s * (0.5 - 1.0 / d)) * (p * p)
+                    if tail.size:
+                        poly = tail[-1]
+                        for j in range(tail.size - 2, -1, -1):
+                            poly = poly * x + tail[j]
+                        out = out + (x * x) * poly
+                    sides.append(out)
+                return tuple(sides)
+
+            return isotropic
+        mus = np.array([mu for mu, _ in model.branches])
+        bvals = np.stack([model.branch_values(f) for f in bases])
+        offsets = bvals - bvals.min(axis=1, keepdims=True)
+        stresses = np.stack([model.gradient(f) for f in bases])
+        slopes = mus[None, :, None, None] * bases[:, None] - stresses[:, None]
+        lin = np.einsum("kbmd,m->kbd", slopes, a)
+
+        def excess(g):
+            quad = (0.5 * t * t * float(a @ a)) * row_sq_norms(g)
+            sides = []
+            for k, s in enumerate(steps):
+                out = None
+                for b, mu in enumerate(mus):
+                    val = offsets[k, b] + mu * quad
+                    if np.any(lin[:, b]):
+                        dot = g[:, 0] * lin[k, b, 0]
+                        for c in range(1, g.shape[1]):
+                            dot += g[:, c] * lin[k, b, c]
+                        val += s * dot
+                    out = val if out is None else np.minimum(out, val)
+                sides.append(out)
+            return tuple(sides)
+
+        return excess
+
+    def assert_every_term_bits(self, model, fp, fm, a, t, g):
+        got = model.rank_one_excess(fp, fm, a, t)(g)
+        assert not np.shares_memory(*got)
+        for side, want in zip(got, self.every_term_kernel(model, fp, fm, a, t)(g), strict=True):
+            self.assert_same_bits(side, want)
+
+    @pytest.mark.parametrize("kind", [k for k in CLOSED_FORMS if not k.startswith("isotropic")])
+    @pytest.mark.parametrize("wells", ["mixed", "shared", "on-axis"])
+    def test_zero_term_skips_are_bitwise(self, rng, kind, wells):
+        model = CLOSED_FORMS[kind]()
+        # |F|^2 of 0.1, 1.5 and 4 puts the gradients of the three-branch
+        # model on three different wells; "shared" keeps every gradient on
+        # branch 0, so that branch's offsets are all zero; "on-axis" puts
+        # every gradient on the first column, so the other columns of the
+        # linear terms are zero, as on the criterion-1 pair
+        sq = [0.1, 0.2, 0.3] if wells == "shared" else [0.1, 1.5, 4.0]
+        dirs = rng.normal(size=(3, model.m, model.d))
+        if wells == "on-axis":
+            dirs[:, :, 1:] = 0.0
+        fs = dirs * np.sqrt(sq / np.sum(dirs**2, axis=(1, 2)))[:, None, None]
+        for t in (1.0, *rng.uniform(-1.5, 1.5, size=3)):
+            a = rng.normal(size=model.m)
+            # steps up to |g| ~ 6 cross from every well into the others
+            g = rng.normal(size=(400, model.d)) * rng.uniform(0.0, 3.0, size=(400, 1))
+            g[:20] = 0.0
+            # every pair of gradients, one gradient on both sides among them
+            for i, j in itertools.product(range(3), repeat=2):
+                self.assert_every_term_bits(model, fs[i], fs[j], a, t, g)
+
+    @pytest.mark.parametrize("t", [1.0, 0.5])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("n_coeffs", range(1, 7))
+    def test_isotropic_keeps_every_term_bits(self, rng, n_coeffs, d, t):
+        # f with n_coeffs coefficients: no Taylor tail below 3, up to four
+        # tail terms at 6
         model = gj.IsotropicThetaEnergy(gj.IsotropicParams(d, 0.7, rng.normal(size=n_coeffs)))
-        bases = 0.4 * rng.normal(size=(3, d, d))
+        n = 300
         g = rng.normal(size=(n, d)) * rng.uniform(0.0, 3.0, size=(n, 1))
         g[:20] = 0.0
         g[:20:2, 0] = -0.0
-        g = np.asarray(g, order=layout)
-        return model, bases, g, model.rank_one_excess(bases)(g)
-
-    @pytest.mark.parametrize("layout", ["C", "F"])
-    @pytest.mark.parametrize("d", [2, 3])
-    @pytest.mark.parametrize("n_coeffs", range(1, 7))
-    def test_isotropic_scratch_keeps_every_term_bits(self, rng, n_coeffs, d, layout):
-        # 30 calls on one second stage, which reuses its scratch rows: each
-        # result has the bits of the out-of-place kernel and stays as it was
-        # returned while later calls run
-        model, bases, g, stage = self.isotropic_stage(rng, n_coeffs, d, layout)
-        reference = self.every_term_kernel(model, bases)
-        returned = []
-        for call in range(30):
-            s = (1.0, 0.5, -1.0)[call % 3]
-            a = rng.normal(size=d)
-            k, m = (int(base) for base in rng.integers(0, 3, size=2))
-            kind = call % 4
-            if kind == 0:
-                results = [(stage(a, s), reference(a, g, s, 0))]
-            elif kind == 1:
-                results = [(stage(a, s, k), reference(a, g, s, k))]
-            else:
-                plus, minus = stage(a, s, k, mirror=m)
-                assert not np.shares_memory(plus, minus)
-                results = [(plus, reference(a, g, s, k)), (minus, reference(a, g, -s, m))]
-            for got, want in results:
-                self.assert_same_bits(got, want)
-                returned.append((got, want))
-        for got, want in returned:
-            self.assert_same_bits(got, want)
-
-    @pytest.mark.parametrize("n_coeffs", range(1, 7))
-    def test_isotropic_one_sided_call_allocates_its_result_alone(self, rng, n_coeffs):
-        # the scan's call: base 0, no mirror; the stage's scratch holds p,
-        # x, p^2, x^2 and the tail, so a warm stage's call peaks at the one
-        # N-row array it returns (an out-of-place kernel peaks at about six)
-        model, _, _, stage = self.isotropic_stage(rng, n_coeffs, 3, "F", n=4096)
-        stage(rng.normal(size=3), 1.0)
-        for s in (1.0, 0.5, -1.0):
-            a = rng.normal(size=3)
-            tracemalloc.start()
-            try:
-                vals = stage(a, s)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
-            assert peak <= vals.nbytes + 4096, (s, peak / vals.nbytes)
+        for _ in range(5):
+            fp, fm = 0.4 * rng.normal(size=(2, d, d))
+            self.assert_every_term_bits(model, fp, fm, rng.normal(size=d), t, g)
 
     def test_branch_switch_is_seen(self):
-        # from the stiff well at |F| = 1 a step to |F| = 3 ends on the soft well
+        # from the stiff well at |F| = 1 a step to |F| = 3 ends on the soft
+        # well; the step back to |F| = 1 stays on the stiff one
         model = gj.MinQuadraticsEnergy(1, 2, [(2.0, 0.0), (1.0, 1.0)])
-        base = np.array([[[1.0, 0.0]]])
-        kernel = model.rank_one_excess(base)
-        val = kernel(np.array([[2.0, 0.0]]))([1.0], 1.0)
-        assert val[0] == pytest.approx(model.excess(base[0], [[2.0, 0.0]]), abs=1e-14)
-        assert val[0] == pytest.approx(5.5 - 1.0 - 4.0)
+        f = np.array([[1.0, 0.0]])
+        plus, minus = model.rank_one_excess(f, f, [1.0], 1.0)(np.array([[2.0, 0.0]]))
+        assert plus[0] == pytest.approx(model.excess(f, [[2.0, 0.0]]), abs=1e-14)
+        assert plus[0] == pytest.approx(5.5 - 1.0 - 4.0)
+        assert minus[0] == pytest.approx(model.excess(f, [[-2.0, 0.0]]), abs=1e-14)
+        assert minus[0] == pytest.approx(1.0 - 1.0 + 4.0)
 
 
 class TestBoundedBelow:

@@ -240,6 +240,17 @@ class TestAntiplaneAnalyze:
                 gj.AntiplaneParams(mu_plus=2.0, mu_minus=1.0, w_plus=1.0, w_minus=0.0)
             )
 
+    def test_small_jumps_compare_signs_not_their_product(self):
+        # [w] [mu] = -1e-400 underflows to -0.0; the reference pair's jumps
+        # scaled by 1e-200 keep its radii 1 and 2
+        analysis = gj.antiplane_analyze(gj.AntiplaneParams(2e-200, 1e-200, 0.0, 1e-200))
+        assert analysis.eps_plus == pytest.approx(1.0, rel=1e-15)
+        assert analysis.eps_minus == pytest.approx(2.0, rel=1e-15)
+        # a zero [w], and small jumps of the same sign, are still refused
+        for w_plus, w_minus in ((1e-200, 1e-200), (1e-200, 0.0), (0.0, -5e-324)):
+            with pytest.raises(gj.EmptyBinodalError):
+                gj.AntiplaneParams(2e-200, 1e-200, w_plus, w_minus).require_binodal()
+
     def test_against_dense_radial_convexification(self, analysis, antiplane):
         rs = np.linspace(0.0, 3.0, 6001)
         w = antiplane.value_many(np.stack([rs, np.zeros_like(rs)], axis=1)[:, None, :])

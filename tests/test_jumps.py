@@ -196,9 +196,14 @@ class TestWeierstrassScan:
         assert scan.u.shape == (2,) and scan.v.shape == (2,)
         assert scan.method == "exact"
         # the base-class grid on a 2 x 2 model that defines only value()
-        scan_value_only = gj.weierstrass_scan(ValueOnlyQuadratic(2, 2), np.eye(2), [0.1, 1.0], 8)
+        value_only = ValueOnlyQuadratic(2, 2)
+        scan_value_only = gj.weierstrass_scan(value_only, np.eye(2), [0.1, 1.0], 8)
         assert scan_value_only.min_value >= -1e-10  # convex
         assert scan_value_only.method == "grid"
+        grid = gj.sphere_grid(2, 8)
+        reference = _grid_minimum(value_only, np.eye(2), grid, grid, [0.1, 1.0])
+        bits = np.float64([scan_value_only.min_value, reference]).view(np.int64)
+        assert bits[0] == bits[1]
 
     def test_diagnose_matrix_valued_model(self):
         iso = gj.IsotropicThetaEnergy(gj.IsotropicParams(2, 1.0, (1, 0, -2, 0, 1)))
@@ -250,11 +255,34 @@ def _scale(model, f, scan):
 
 
 def _grid_minimum(model, f, us, vs, radii):
-    """Least excess over us x vs x radii through the stack form, the
-    reference that no closed form takes part in."""
+    """Least excess over us x vs x radii on (N, m, d) stacks of
+    ``value_many``, the reference that no closed form takes part in."""
     world = (np.asarray(radii)[None, :, None] * np.asarray(vs)[:, None, :]).reshape(-1, model.d)
-    excess = gj.EnergyModel.rank_one_excess(model, f[None])(world)
-    return min(float(np.min(excess(u, 1.0))) for u in us)
+    wbar, stress = model.value(f), model.gradient(f)
+    best = np.inf
+    for u in us:
+        lin = stress.T @ u
+        # (P, u (x) w) column by column, as the base-class grid forms it
+        dot = world[:, 0] * lin[0]
+        for k in range(1, model.d):
+            dot += world[:, k] * lin[k]
+        vals = model.value_many(f + u[None, :, None] * world[:, None, :]) - wbar - dot
+        best = min(best, float(np.min(vals)))
+    return best
+
+
+def _kernel_grid_minimum(model, f, radii, resolution):
+    """Least excess over the base-class grid sphere_grid(m) x
+    sphere_grid(d) x radii and its mirror image at -u, from the model's
+    closed-form kernel on both sides of F, which in 3-D costs a tenth of
+    the base class's (N, m, d) stacks."""
+    vs = gj.sphere_grid(model.d, resolution)
+    world = (radii[None, :, None] * vs[:, None, :]).reshape(-1, model.d)
+    return min(
+        float(np.min(side))
+        for u in gj.sphere_grid(model.m, resolution)
+        for side in model.rank_one_excess(f, f, u, 1.0)(world)
+    )
 
 
 def _around(w, delta):
@@ -279,8 +307,8 @@ class TestExactMinimum:
         assert scan.method == "exact"
         # a 3-D grid at resolution 64 has 688 million increments
         for res in (8, 16, 32, 64) if model.d < 3 else (8, 16, 32):
-            grid = gj.EnergyModel.rank_one_minimum(model, f, radii, res)
-            assert scan.min_value <= grid[0] + 1e-12 * _scale(model, f, scan)
+            grid = _kernel_grid_minimum(model, f, radii, res)
+            assert scan.min_value <= grid + 1e-12 * _scale(model, f, scan)
 
     def test_a_refined_grid_around_the_argmin_agrees(self, case):
         model, f, radii, scan = case

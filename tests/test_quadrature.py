@@ -318,10 +318,10 @@ class TestFusedPass:
         coords[:1000, 0] = -params.h
         _, g = fld.scalar_gradient(coords)
         f_minus_z, f_z = integrand(-coords, -g)
-        stage = model.rank_one_excess(np.stack([pair.fm, pair.fp]))(g @ fld.frame)
-        assert np.array_equal(f_z.view(np.int64), stage(pair.a, params.t, 0).view(np.int64))
-        assert np.array_equal(
-            f_minus_z.view(np.int64), stage(pair.a, -params.t, 1).view(np.int64))
+        ref_z, ref_minus_z = model.rank_one_excess(pair.fm, pair.fp, pair.a, params.t)(
+            g @ fld.frame)
+        assert np.array_equal(f_z.view(np.int64), ref_z.view(np.int64))
+        assert np.array_equal(f_minus_z.view(np.int64), ref_minus_z.view(np.int64))
 
     @pytest.mark.parametrize("sampler", ["rqmc", "mc"])
     @pytest.mark.parametrize("d", [2, 3])
@@ -1102,7 +1102,6 @@ class TestHalfDiskRule:
             "two-well": (model, pair, 64, None),
             "stack-form": (StackFormTwoWell(model.params), pair, 48, None),
             "value-only": (ValueOnlyQuadratic(1, 2), value_only, 16, None),
-            "isotropic-2d": (*TestCubature.general(2)[:2], *TestCubature.FINEST_3D),
             "isotropic-3d": (*TestCubature.SWEEP_3D.values(), *TestCubature.FINEST_3D),
         }
 
@@ -1128,9 +1127,9 @@ class TestHalfDiskRule:
     @pytest.mark.parametrize("d", [2, 3])
     @pytest.mark.parametrize("n", [4, 8, 12, 16, 32, 48, 64])
     def test_every_row_with_weight_has_positive_s_n(self, monkeypatch, n, d):
-        # what lets each block take one base per side, the + base for z and
-        # the - base for -z: every row, at w = 0 and in d = 3 in the shell,
-        # lies at s_n > 0.  No row carries weight 0 either: none sits at
+        # what lets each block take F+ for z and F- for -z in one kernel
+        # call: every row, at w = 0 and in d = 3 in the shell, lies at
+        # s_n > 0.  No row carries weight 0 either: none sits at
         # s_n = 0 where a piece's s_n interval has length 0 (at the s_nu
         # nodes that round onto 1 - sqrt(h) = 0.999 for h = 1e-6 and
         # n >= 16), nor, in d = 3, at w = 0 outside the core, where the
@@ -1161,29 +1160,6 @@ class TestHalfDiskRule:
                 blocks = quadrature._shell_blocks(h, *shell[:3], 6)
                 weights = np.concatenate([weights, *(w.ravel() for _, _, w in blocks)])
             assert 2 * weights.size == evals and np.all(weights > 0.0), h
-
-    @pytest.mark.parametrize("t", [1.0, 0.7])
-    @pytest.mark.parametrize("h", [0.1, 0.0125, 0.6, 1e-6])
-    @pytest.mark.parametrize(
-        "name", ["two-well", "stack-form", "value-only", "isotropic-2d", "isotropic-3d"])
-    def test_one_base_per_side_equals_per_row_sides(self, name, h, t):
-        # each row's sides read off its s_n, by one-sided calls on each base
-        # masked together, give the cubature's total bit for bit; at
-        # h = 1e-6 the rows of weight 0 at s_n = 0 take F- on both sides there
-        model, pair, n, n_w = self.cases()[name]
-        fld = InterchangeField(pair, gj.InterchangeParams(h=h, t=t))
-        kernel = model.rank_one_excess(np.stack([pair.fm, pair.fp]))
-
-        def per_row_sides(coords, g):
-            stage = kernel(g @ fld.frame)
-            s_n = coords[:, 0]
-            f_z = np.where(s_n > 0.0, stage(pair.a, t, 1), stage(pair.a, t, 0))
-            f_mirror = np.where(s_n < 0.0, stage(pair.a, -t, 1), stage(pair.a, -t, 0))
-            return f_z, f_mirror
-
-        integrand = quadrature._excess_integrand(model, pair, fld, t)
-        one_base = quadrature._cubature(fld, integrand, n, n_w)
-        assert one_base == quadrature._cubature(fld, per_row_sides, n, n_w)
 
 
 class TestSeriesFit:
