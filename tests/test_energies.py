@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -259,6 +260,39 @@ class TestRankOneExcess:
         "value-only-1x2": lambda: ValueOnlyQuadratic(1, 2),
     }
 
+    #: every kernel as (make model, kernel of model): the kinds above, the
+    #: base-class stack form on a closed-form model and on a subclass that
+    #: defines only value() with m = d = 2
+    EVERY_KERNEL = {
+        **{
+            kind: (make, lambda model: model.rank_one_excess)
+            for kind, make in KERNEL_KINDS.items()
+        },
+        "stack-form-isotropic-3": (
+            CLOSED_FORMS["isotropic-3"],
+            lambda model: functools.partial(gj.EnergyModel.rank_one_excess, model),
+        ),
+        "value-only-2x2": (lambda: ValueOnlyQuadratic(2, 2), lambda model: model.rank_one_excess),
+    }
+
+    @staticmethod
+    def three_wells(rng, model):
+        """Three gradients at |F|^2 of 0.1, 1.5 and 4, which puts them on
+        different wells of the min-of-quadratics models."""
+        dirs = rng.normal(size=(3, model.m, model.d))
+        return dirs * np.sqrt([0.1, 1.5, 4.0] / np.sum(dirs**2, axis=(1, 2)))[:, None, None]
+
+    @staticmethod
+    def block(rng, model, n):
+        """n vectors g with steps up to |g| ~ 6, which cross the wells of
+        ``three_wells``; the first tenth are zero, some of them signed."""
+        g = rng.normal(size=(n, model.d)) * rng.uniform(0.0, 3.0, size=(n, 1))
+        zero = n // 10
+        g[:zero] = 0.0
+        g[:zero:2, 0] = -0.0
+        g[:zero:3, -1] = -0.0
+        return g, zero
+
     @staticmethod
     def assert_same_bits(x, y):
         """Equal bit for bit, so -0.0 and 0.0 differ."""
@@ -392,6 +426,48 @@ class TestRankOneExcess:
         for _ in range(5):
             fp, fm = 0.4 * rng.normal(size=(2, d, d))
             self.assert_every_term_bits(model, fp, fm, rng.normal(size=d), t, g)
+
+    @pytest.mark.parametrize("kind", EVERY_KERNEL)
+    def test_each_side_reads_its_own_gradient(self, rng, kind):
+        # the + side depends on F+ alone and the - side on F- alone: the -
+        # side at t is the + side of F- at -t, bit for bit, whatever F+ is
+        make, kernel_of = self.EVERY_KERNEL[kind]
+        model = make()
+        kernel, fs = kernel_of(model), self.three_wells(rng, model)
+        for t in (0.8, -1.3, rng.uniform(-1.5, 1.5)):
+            a = rng.normal(size=model.m)
+            g, zero = self.block(rng, model, 300)
+            # every pair of gradients, one gradient on both sides among them
+            for i, j in itertools.product(range(3), repeat=2):
+                plus, minus = kernel(fs[i], fs[j], a, t)(g)
+                assert not np.shares_memory(plus, minus)
+                self.assert_same_bits(plus, kernel(fs[i], fs[i], a, t)(g)[0])
+                self.assert_same_bits(minus, kernel(fs[j], fs[j], a, -t)(g)[0])
+                assert np.all(plus[:zero] == 0.0) and np.all(minus[:zero] == 0.0)
+
+    @pytest.mark.parametrize("layout", ["C", "F"])
+    @pytest.mark.parametrize("kind", EVERY_KERNEL)
+    def test_one_kernel_serves_many_blocks(self, rng, kind, layout):
+        # energy_increment builds one kernel and calls it once per block of
+        # rows: each call on a block of either layout gives the bits of a
+        # fresh kernel on a row-major copy, and every result keeps them
+        # while later calls run
+        make, kernel_of = self.EVERY_KERNEL[kind]
+        model = make()
+        fs = self.three_wells(rng, model)
+        for t in (1.0, -0.7, rng.uniform(-1.5, 1.5)):
+            for i, j in itertools.product(range(3), repeat=2):
+                a = rng.normal(size=model.m)
+                kernel = kernel_of(model)(fs[i], fs[j], a, t)
+                returned = []
+                for n in (1, 200, 200):
+                    g, _ = self.block(rng, model, n)
+                    got = kernel(np.asarray(g, order=layout))
+                    fresh = kernel_of(model)(fs[i].copy(), fs[j].copy(), a.copy(), t)
+                    want = [side.copy() for side in fresh(g.copy())]
+                    returned.extend(zip(got, want, strict=True))
+                for got, want in returned:
+                    self.assert_same_bits(got, want)
 
     def test_branch_switch_is_seen(self):
         # from the stiff well at |F| = 1 a step to |F| = 3 ends on the soft

@@ -1095,13 +1095,14 @@ class TestHalfDiskRule:
     @staticmethod
     def cases():
         """The closed two-well kernel, its stack form, a value-only model in
-        d = 2 and the isotropic kind in d = 3."""
+        d = 2 and the isotropic kind in d = 2 and 3."""
         model, pair = TestTwoWellCubature.CRITERION_1.values()
         value_only = gj.InterfacePair.from_jump([[2.2, 0.3]], [-1.2], [1.0, 0.0])
         return {
             "two-well": (model, pair, 64, None),
             "stack-form": (StackFormTwoWell(model.params), pair, 48, None),
             "value-only": (ValueOnlyQuadratic(1, 2), value_only, 16, None),
+            "isotropic-2d": (*TestCubature.general(2)[:2], *TestCubature.FINEST_3D),
             "isotropic-3d": (*TestCubature.SWEEP_3D.values(), *TestCubature.FINEST_3D),
         }
 
@@ -1160,6 +1161,31 @@ class TestHalfDiskRule:
                 blocks = quadrature._shell_blocks(h, *shell[:3], 6)
                 weights = np.concatenate([weights, *(w.ravel() for _, _, w in blocks)])
             assert 2 * weights.size == evals and np.all(weights > 0.0), h
+
+    @pytest.mark.parametrize("t", [1.0, 0.7])
+    @pytest.mark.parametrize("h", [0.1, 0.0125, 0.6, 1e-6])
+    @pytest.mark.parametrize(
+        "name", ["two-well", "stack-form", "value-only", "isotropic-2d", "isotropic-3d"])
+    def test_one_kernel_call_equals_per_row_sides(self, name, h, t):
+        # each point's side read off its s_n, from the pair's kernel and
+        # the swapped pair's, gives the cubature's total bit for bit
+        model, pair, n, n_w = self.cases()[name]
+        fld = InterchangeField(pair, gj.InterchangeParams(h=h, t=t))
+        kernel = model.rank_one_excess(pair.fp, pair.fm, pair.a, t)
+        swapped = model.rank_one_excess(pair.fm, pair.fp, pair.a, t)
+
+        def per_row_sides(coords, g):
+            world = g @ fld.frame
+            # z on F+ or F- at +t; -z, whose gradient is -g, on either at -t
+            z_on_plus, mirror_on_minus = kernel(world)
+            z_on_minus, mirror_on_plus = swapped(world)
+            s_n = coords[:, 0]
+            return (np.where(s_n > 0.0, z_on_plus, z_on_minus),
+                    np.where(s_n < 0.0, mirror_on_plus, mirror_on_minus))
+
+        integrand = quadrature._excess_integrand(model, pair, fld, t)
+        one_call = quadrature._cubature(fld, integrand, n, n_w)
+        assert one_call == quadrature._cubature(fld, per_row_sides, n, n_w)
 
 
 class TestSeriesFit:
