@@ -139,7 +139,10 @@ def _mirrored_gradient(coords: np.ndarray, r: np.ndarray, h: float) -> np.ndarra
     pieces (its radial piece is even) at the folded point sigma (s_n, s_nu).
     So _plus_parts runs once, and the result equals the two-term sum.  The
     gradient is odd under z -> -z, bitwise: the fold maps z and -z to the
-    same point and only sigma changes sign.
+    same point and only sigma changes sign.  The sampler and
+    ``InterchangeField.scalar_gradient`` take it; the cubature forms the
+    same bits from its pieces (``quadrature._node_gradient`` and
+    ``quadrature._shell_blocks``), which the tests check against it.
     """
     s_n = coords[:, 0]
     s_nu = coords[:, 1]
@@ -244,6 +247,13 @@ class InterchangeField:
             rows.append(w / np.linalg.norm(w))
         self.frame = np.vstack(rows)  # rows are basis vectors
         self.nu = nu
+
+    def at(self, params: InterchangeParams) -> "InterchangeField":
+        """This field at the slab width of ``params``, whose t and nu are
+        this field's: the frame is shared, not built again."""
+        fld = object.__new__(InterchangeField)
+        fld.__dict__.update(self.__dict__, params=params, h=params.h)
+        return fld
 
     def scalar_gradient(self, coords: np.ndarray):
         """Scalar profile and frame-gradient vector at frame coordinates.

@@ -12,7 +12,7 @@ from scipy.stats._sobol import _initialize_v
 import gradjump as gj
 from gradjump import cli, quadrature
 from gradjump.errors import NonconvergenceError
-from gradjump.interchange import InterchangeField, classify_codes
+from gradjump.interchange import InterchangeField, _mirrored_gradient, classify_codes
 from gradjump.quadrature import REGION_KEYS, interface_profile
 
 from conftest import REF_PARAMS, ValueOnlyQuadratic, small_quad
@@ -200,7 +200,7 @@ def pointwise_residual(fld, integrand):
         _, g = fld.scalar_gradient(coords)
         below = coords[:, 0] < 0.0
         sign = np.where(below, -1.0, 1.0)[:, None]
-        f_z, f_mirror = integrand(sign * coords, sign * g)
+        f_z, f_mirror = integrand((sign * g).T)
         return np.where(below, f_mirror, f_z)
 
     return residual
@@ -294,7 +294,7 @@ class TestFusedPass:
         coords[:, 0] = np.abs(coords[:, 0])
         coords[:1000, 0] = rng.choice([0.0, params.h], size=1000)
         _, g = fld.scalar_gradient(coords)
-        f_z, f_mirror = integrand(coords, g)
+        f_z, f_mirror = integrand(g.T)
         # the closed-form kernel against the stack form, to a tolerance fixed from eps
         residual = reference_residual(model, pair, fld, params.t)
         np.testing.assert_allclose(
@@ -317,7 +317,7 @@ class TestFusedPass:
         coords[:, 0] = -np.abs(coords[:, 0])
         coords[:1000, 0] = -params.h
         _, g = fld.scalar_gradient(coords)
-        f_minus_z, f_z = integrand(-coords, -g)
+        f_minus_z, f_z = integrand(-g.T)
         ref_z, ref_minus_z = model.rank_one_excess(pair.fm, pair.fp, pair.a, params.t)(
             g @ fld.frame)
         assert np.array_equal(f_z.view(np.int64), ref_z.view(np.int64))
@@ -361,16 +361,23 @@ class TestFusedPass:
         # every pair reaches the integrand folded onto s_n >= 0, with the
         # field's gradient at the folded point, bit for bit
         model, pair, params, fld, integrand = self.case(d, sampler)
-        seen = []
+        seen, gradients = [], []
 
-        def recording(coords, g):
-            seen.append((coords.copy(), g.copy()))
-            return integrand(coords, g)
+        def recording(g):
+            gradients.append(g.T.copy())
+            return integrand(g)
 
-        assert energy_pass(fld, params.quad, recording) == energy_pass(
-            fld, params.quad, integrand)
-        coords = np.concatenate([c for c, _ in seen])
-        g = np.concatenate([grad for _, grad in seen])
+        # the folded rows reach the mixture pdf right after the integrand
+        estimate = quadrature._energy_estimate(fld, params.quad, recording)
+        pdf = estimate.pdf
+
+        def recording_pdf(z, r):
+            seen.append(z.copy())
+            return pdf(z, r)
+
+        estimate.pdf = recording_pdf
+        assert estimate.total() == energy_pass(fld, params.quad, integrand)
+        coords, g = np.concatenate(seen), np.concatenate(gradients)
         assert np.all(coords[:, 0] >= 0.0)
         assert np.array_equal(g, fld.scalar_gradient(coords)[1])
         assert np.all(np.any(g != 0.0, axis=1))
@@ -382,13 +389,13 @@ class TestFusedPass:
         coords = rng.uniform(-1.0, 1.0, size=(400, d))
         coords[:200, 0] = 0.0
         seen = []
+        estimate = quadrature._energy_estimate(fld, params.quad, integrand)
 
-        def recording(z, g):
+        def recording_pdf(z, r):
             seen.append(z.copy())
-            return integrand(z, g)
+            return estimate.pdf(z, r)
 
-        estimate = quadrature._energy_estimate(fld, params.quad, recording)
-        estimate.pair_estimates(coords, estimate.pdf)
+        estimate.pair_estimates(coords, recording_pdf)
         moving = coords[np.any(fld.scalar_gradient(coords)[1] != 0.0, axis=1)]
         assert np.sum(moving[:, 0] == 0.0) > 50
         folded = moving * np.where(moving[:, :1] < 0.0, -1.0, 1.0)
@@ -441,12 +448,12 @@ class TestFusedPass:
         _, g = fld.scalar_gradient(coords)
         still = ~np.any(g != 0.0, axis=1)
         assert 0 < still.sum() < coords.shape[0]
-        for f in integrand(coords[still], g[still]):
+        for f in integrand(g[still].T):
             assert np.all(f == 0.0)
         # signed zeros, as the mirror step -g produces
         g0 = np.zeros_like(coords)
         g0[::2] = -0.0
-        for f in integrand(coords, g0):
+        for f in integrand(g0.T):
             assert np.all(f == 0.0)
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -469,11 +476,10 @@ class TestEnergyIncrement:
         c_plus = fld.frame @ (pp.T @ noneq_pair.a)
         c_minus = fld.frame @ (pm.T @ noneq_pair.a)
 
-        def linear_term(coords, g):
-            return [
-                np.einsum("nd,nd->n", np.where(side, c_plus, c_minus), sign * g)
-                for sign, side in ((1.0, coords[:, 0:1] > 0), (-1.0, coords[:, 0:1] < 0))
-            ]
+        def linear_term(g):
+            # every row reaches the integrand folded onto s_n >= 0: z takes
+            # F+ and -z, whose gradient is -g, F-
+            return c_plus @ g, c_minus @ -g
 
         mean, err, _ = energy_pass(fld, params.quad, linear_term)
         frak_n = gj.interchange_force(antiplane, noneq_pair)
@@ -491,11 +497,10 @@ class TestEnergyIncrement:
         c_plus = fld.frame @ (model.gradient(pair.fp).T @ pair.a)
         c_minus = fld.frame @ (model.gradient(pair.fm).T @ pair.a)
 
-        def linear_term(coords, g):
-            return [
-                np.einsum("nd,nd->n", np.where(side, c_plus, c_minus), sign * g)
-                for sign, side in ((1.0, coords[:, 0:1] > 0), (-1.0, coords[:, 0:1] < 0))
-            ]
+        def linear_term(g):
+            # every row reaches the integrand folded onto s_n >= 0: z takes
+            # F+ and -z, whose gradient is -g, F-
+            return c_plus @ g, c_minus @ -g
 
         mean, err, _ = energy_pass(fld, params.quad, linear_term)
         exact = -gj.interchange_force(model, pair) * h * interface_profile(h, 3)
@@ -695,17 +700,11 @@ class TestCubature:
             assert repr(other.to_dict()) == repr(base.to_dict())
 
     def test_blocks_stay_within_the_block_rows(self, monkeypatch):
-        rows = []
-        real = quadrature._mirrored_gradient
-
-        def gradient(coords, r, h):
-            rows.append(coords.shape[0])
-            return real(coords, r, h)
-
-        monkeypatch.setattr(quadrature, "_mirrored_gradient", gradient)
+        blocks = watch_rows(monkeypatch)
         for case in (self.SWEEP_3D, TestTwoWellCubature.CRITERION_1):
-            rows.clear()
+            blocks.clear()
             res = gj.energy_increment(**case, params=gj.InterchangeParams(h=0.05))
+            rows = [block.size for block in blocks]
             assert max(rows) <= quadrature._BLOCK_ROWS
             assert 2 * sum(rows) == res.n_evals
 
@@ -817,6 +816,28 @@ class StackFormTwoWell(gj.AntiplaneDoubleWell):
     """The anti-plane two-well kind on the base-class stack-form kernel."""
 
     rank_one_excess = gj.EnergyModel.rank_one_excess
+
+
+def watch_rows(monkeypatch):
+    """The s_n of each block of cubature rows, recorded as its gradient is
+    formed, so in the order in which the blocks reach the integrand: the
+    rows at w = 0 through ``_node_gradient``, each shell row through
+    ``_shell_blocks`` (its node's s_n)."""
+    blocks = []
+    node_gradient, shell_blocks = quadrature._node_gradient, quadrature._shell_blocks
+
+    def watched_node_gradient(layout, piece, s_n, s_nu, d):
+        blocks.append(s_n.copy())
+        return node_gradient(layout, piece, s_n, s_nu, d)
+
+    def watched_shell_blocks(layout, s_n, s_nu, weight, piece, n_w):
+        for part, g, wts in shell_blocks(layout, s_n, s_nu, weight, piece, n_w):
+            blocks.append(np.repeat(s_n[part], wts.shape[1]))
+            yield part, g, wts
+
+    monkeypatch.setattr(quadrature, "_node_gradient", watched_node_gradient)
+    monkeypatch.setattr(quadrature, "_shell_blocks", watched_shell_blocks)
+    return blocks
 
 
 def _no_fork():
@@ -1136,16 +1157,13 @@ class TestHalfDiskRule:
         # n >= 16), nor, in d = 3, at w = 0 outside the core, where the
         # core's chord is 0.  The integrand is 1 at z on every row at
         # s_n <= 0 and 0 elsewhere, so the total is their summed weight.
-        s_n = []
+        s_n = watch_rows(monkeypatch)
 
-        def gradient(coords, r, h):
-            s_n.append(coords[:, 0].copy())
-            return np.zeros_like(coords)
+        def integrand(g):
+            rows = s_n[-1]  # the block whose gradient g is
+            assert rows.size == g.shape[1]
+            return (rows <= 0.0).astype(float), np.zeros(rows.size)
 
-        def integrand(coords, g):
-            return (coords[:, 0] <= 0.0).astype(float), np.zeros(len(coords))
-
-        monkeypatch.setattr(quadrature, "_mirrored_gradient", gradient)
         pair = (TestCubature.SWEEP_3D if d == 3 else TestTwoWellCubature.CRITERION_1)["pair"]
         for h in (1e-12, 1e-6, 0.0125, 0.1, 0.38, 0.6, 0.9):
             s_n.clear()
@@ -1158,7 +1176,7 @@ class TestHalfDiskRule:
             _, weights, _, shell = quadrature._half_disk_rows(
                 layout, n, np.arange(layout.flat.size), d)
             if d == 3:
-                blocks = quadrature._shell_blocks(h, *shell[:3], 6)
+                blocks = quadrature._shell_blocks(layout, *shell, 6)
                 weights = np.concatenate([weights, *(w.ravel() for _, _, w in blocks)])
             assert 2 * weights.size == evals and np.all(weights > 0.0), h
 
@@ -1166,26 +1184,156 @@ class TestHalfDiskRule:
     @pytest.mark.parametrize("h", [0.1, 0.0125, 0.6, 1e-6])
     @pytest.mark.parametrize(
         "name", ["two-well", "stack-form", "value-only", "isotropic-2d", "isotropic-3d"])
-    def test_one_kernel_call_equals_per_row_sides(self, name, h, t):
+    def test_one_kernel_call_equals_per_row_sides(self, monkeypatch, name, h, t):
         # each point's side read off its s_n, from the pair's kernel and
         # the swapped pair's, gives the cubature's total bit for bit
         model, pair, n, n_w = self.cases()[name]
         fld = InterchangeField(pair, gj.InterchangeParams(h=h, t=t))
         kernel = model.rank_one_excess(pair.fp, pair.fm, pair.a, t)
         swapped = model.rank_one_excess(pair.fm, pair.fp, pair.a, t)
+        blocks = watch_rows(monkeypatch)
 
-        def per_row_sides(coords, g):
-            world = g @ fld.frame
+        def per_row_sides(g):
+            world = g.T @ fld.frame
             # z on F+ or F- at +t; -z, whose gradient is -g, on either at -t
             z_on_plus, mirror_on_minus = kernel(world)
             z_on_minus, mirror_on_plus = swapped(world)
-            s_n = coords[:, 0]
+            s_n = blocks[-1]  # the s_n of the block whose gradient g is
             return (np.where(s_n > 0.0, z_on_plus, z_on_minus),
                     np.where(s_n < 0.0, mirror_on_plus, mirror_on_minus))
 
         integrand = quadrature._excess_integrand(model, pair, fld, t)
         one_call = quadrature._cubature(fld, integrand, n, n_w)
         assert one_call == quadrature._cubature(fld, per_row_sides, n, n_w)
+
+
+def reference_shell_blocks(h, s_n, s_nu, weight, n_w):
+    """(nodes, coords, weights) of the shell rows of the given nodes, d = 3:
+    ``_shell_blocks`` with each row's coordinates (rows, 3) in place of its
+    gradient, the same nodes in u and the same blocks."""
+    r1 = 1.0 - math.sqrt(h)
+    parts = max(1, math.ceil(math.acosh(1.0 / r1)))
+    t, wt = quadrature._gauss_legendre(n_w)
+    u_unit = ((np.arange(parts)[:, None] + 0.5 * (1.0 + t)) / parts).ravel()
+    u_weights = np.tile(0.5 * wt / parts, parts)
+    k = u_unit.size
+    rho2 = s_n * s_n + s_nu * s_nu
+    rho = np.sqrt(rho2)
+    sphere = quadrature._chord(1.0, s_nu)
+    u_lo = np.arcsinh(np.sqrt(np.maximum(r1 * r1 - rho2, 0.0)) / rho)
+    u_span = np.arcsinh(np.sqrt(np.maximum((sphere - s_n) * (sphere + s_n), 0.0)) / rho) - u_lo
+    shell = weight * u_span * rho
+    step = quadrature._BLOCK_ROWS // (2 * k)
+    for i in range(0, s_n.size, step):
+        part = slice(i, i + step)
+        u = u_lo[part, None] + u_span[part, None] * u_unit
+        w = rho[part, None] * np.sinh(u)
+        coords = np.empty((3, w.shape[0], 2, k))
+        coords[0] = s_n[part, None, None]
+        coords[1] = s_nu[part, None, None]
+        coords[2] = np.stack([w, -w], axis=1)
+        wts = np.tile(shell[part, None] * u_weights * np.cosh(u), 2)
+        yield part, coords.reshape(3, -1).T, wts
+
+
+def sign_fold_gradient(coords, h):
+    """The frame gradient at rows (N, d), by the sign fold of the sampler."""
+    return _mirrored_gradient(coords, quadrature._radius(coords), h)
+
+
+def reference_piece_integrals(fld, kernel, layout, nodes, pieces, n_w=quadrature._SHELL_NODES):
+    """``_piece_integrals`` by the sign-fold path: each row's coordinates,
+    their radius, the sign-fold gradient (``_mirrored_gradient``) and
+    G = g @ frame for the pair's kernel, block by block."""
+    h, d = fld.h, fld.pair.d
+
+    def pair_values(coords):
+        return np.add(*kernel(sign_fold_gradient(coords, h) @ fld.frame))
+
+    rules = [quadrature._half_disk_rows(layout, n, pieces, d) for n in nodes]
+    columns = np.concatenate([coords.T for coords, *_ in rules], axis=1)
+    columns = np.vstack([columns, np.zeros((d - 2, columns.shape[1]))])  # w = 0 in d = 3
+    weights = np.concatenate([w for _, w, _, _ in rules])
+    labels = [k * len(pieces) + piece for k, (_, _, piece, _) in enumerate(rules)]
+    values = np.empty(weights.size)
+    for i in range(0, weights.size, quadrature._BLOCK_ROWS):
+        values[i:i + quadrature._BLOCK_ROWS] = pair_values(
+            columns[:, i:i + quadrature._BLOCK_ROWS].T)
+    values *= weights
+    rows, sums = weights.size, [values]
+    if d == 3:
+        s_n, s_nu, weight, _ = (np.concatenate(a) for a in zip(*(s for *_, s in rules)))
+        shell = np.empty(s_n.size)
+        for part, coords, wts in reference_shell_blocks(h, s_n, s_nu, weight, n_w):
+            shell[part] = (wts * pair_values(coords).reshape(wts.shape)).sum(axis=1)
+            rows += wts.size
+        sums.append(shell)
+        labels += [k * len(pieces) + s[3] for k, (*_, s) in enumerate(rules)]
+    integrals = np.bincount(np.concatenate(labels), weights=np.concatenate(sums),
+                            minlength=len(nodes) * len(pieces))
+    return integrals.reshape(len(nodes), len(pieces)), 2 * rows
+
+
+def same_bits(a, b):
+    """Whether two float arrays hold the same bits, signs of zero included."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestRowGradients:
+    """The cubature forms each row's frame gradient from its piece's
+    kinematics, with the bits of the sign fold at the row's coordinates."""
+
+    @pytest.mark.parametrize("h", [0.9, 0.5, 0.1, 0.025, 0.0125, 1e-4, 1e-6])
+    @pytest.mark.parametrize("n", [8, 12, 16, 32, 48, 64])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_every_row_kind_is_the_sign_folds_gradient(self, d, n, h):
+        # every row at w = 0 (in d = 2 on every piece, in d = 3 on the core
+        # pieces and, at h = 1e-6, a ring piece's nodes whose core chord
+        # rounds above 0) and every shell row of every piece, sign bits
+        # included
+        layout = quadrature._half_disk_layout(h)
+        every = np.arange(layout.flat.size)
+        coords, _, piece, shell = quadrature._half_disk_rows(layout, n, every, d)
+        g = quadrature._node_gradient(layout, piece, coords[:, 0], coords[:, 1], d)
+        at_w0 = np.column_stack([coords, np.zeros((coords.shape[0], d - 2))])
+        assert same_bits(g.T, sign_fold_gradient(at_w0, h))
+        if d == 2:
+            assert np.array_equal(np.unique(piece), every)
+            return
+        assert np.array_equal(np.unique(shell[3]), every)
+        blocks = quadrature._shell_blocks(layout, *shell, quadrature._SHELL_NODES)
+        reference = reference_shell_blocks(h, *shell[:3], quadrature._SHELL_NODES)
+        for (part, g, wts), (ref_part, ref_coords, ref_wts) in zip(blocks, reference,
+                                                                   strict=True):
+            assert part == ref_part and same_bits(wts, ref_wts)
+            assert same_bits(g.T, sign_fold_gradient(ref_coords, h))
+
+    @staticmethod
+    def pairs():
+        """Both 3-D pairs of ``TestCubature`` and the six 2-D pairs of
+        ``TestTwoWellCubature``: (model, pair, nu)."""
+        out = {"sweep-3d": (*TestCubature.SWEEP_3D.values(), None),
+               "general-3d": TestCubature.general(3)}
+        out.update({name: (*case, None) for name, case in TestTwoWellCubature.pairs().items()})
+        return out
+
+    @pytest.mark.parametrize("t", [1.0, 0.7])
+    @pytest.mark.parametrize("name", ["sweep-3d", "general-3d", "maxwell", "criterion-1",
+                                      *(f"random-{k}" for k in range(4))])
+    def test_piece_integrals_are_the_sign_fold_paths(self, name, t):
+        # every piece at both rules of its d, bit for bit
+        model, pair, nu = self.pairs()[name]
+        kernel = model.rank_one_excess(pair.fp, pair.fm, pair.a, t)
+        for h in [0.5, *TestCubature.PINNED]:
+            fld = InterchangeField(pair, gj.InterchangeParams(h=h, t=t, nu=nu))
+            integrand = quadrature._excess_integrand(model, pair, fld, t)
+            layout = quadrature._half_disk_layout(h)
+            every = np.arange(layout.flat.size)
+            for nodes in quadrature._PIECE_RULES[pair.d]:
+                got, evals = quadrature._piece_integrals(fld, integrand, layout, nodes, every)
+                want, ref_evals = reference_piece_integrals(fld, kernel, layout, nodes, every)
+                assert same_bits(got, want) and evals == ref_evals, (h, nodes)
 
 
 class TestSeriesFit:
@@ -1386,6 +1534,31 @@ class TestSweepStream:
         sweep = quadrature.limit_sweep(model, pair, params, self.GRID)
         assert [h for h, _ in calls] == self.GRID
         assert sum(n for _, n in calls) == sweep.n_evals
+
+    def test_a_sweep_builds_its_pair_work_once(self, monkeypatch):
+        # the frame, the rank-one kernel and the interface force serve every
+        # h of a sweep, and each h keeps the bits of a call of its own
+        built = []
+        real = quadrature._PairWork.__init__
+
+        def init(work, model, pair, params):
+            built.append(params.h)
+            real(work, model, pair, params)
+
+        monkeypatch.setattr(quadrature._PairWork, "__init__", init)
+        model_3d, pair_3d, nu = TestCubature.general(3)
+        cases = [(*TestCubature.SWEEP_3D.values(), gj.InterchangeParams(h=0.1)),
+                 (model_3d, pair_3d, gj.InterchangeParams(h=0.1, t=0.7, nu=nu)),
+                 (*TestTwoWellCubature.CRITERION_1.values(), gj.InterchangeParams(h=0.1)),
+                 self.case()]
+        for model, pair, params in cases:
+            built.clear()
+            sweep = gj.limit_sweep(model, pair, params, self.GRID)
+            assert len(built) == 1 and quadrature._sweep_work is None
+            for h, value, error in sweep.rows():
+                res = gj.energy_increment(model, pair, params.with_h(h))
+                assert (res.delta_e / h, res.mc_error / h) == (value, error)
+            assert len(built) == 1 + len(self.GRID)
 
     def test_chi2_cap_applies_to_sampled_sweeps_only(self, monkeypatch):
         # with a cap of 0 any residual is a misfit; five points leave the
