@@ -11,14 +11,19 @@ with phi = 1 below the slab, 1 - s across it, 0 above; rho and zeta_h are
 linear ramps (only their endpoint values matter for the h -> 0 limits, the
 linear choice keeps gradients piecewise constant).  Since rho vanishes for
 negative arguments, at most one term of the mirror pair is nonzero, so the
-gradient is one evaluation of the + term at the sign-folded point
-sign(z.nu) (z.n, z.nu).  Everything here is exact pointwise kinematics;
-the integral of the energy increment over the ball, by the deterministic
-cubature or by sampling, lives in ``quadrature``.
+gradient is the + term's at the sign-folded point sign(z.nu) (z.n, z.nu),
+its tangential parts times sign(z.nu).  That is the one formula for the
+field's gradient (``_fold_factors``, then ``_radial_gradient``): the
+deterministic cubature feeds it each piece's fold side and ramp flag, and
+the sampler and ``InterchangeField.scalar_gradient`` each point's
+(``_mirrored_gradient``).  Everything here is exact pointwise kinematics;
+the integral of the energy increment over the ball, by the cubature or by
+sampling, lives in ``quadrature``.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -95,68 +100,69 @@ class InterchangeParams:
         return replace(self, h=h)
 
 
-def _plus_factors(s_n, s_nu, r, h):
-    """The cutoffs phi(s_n), rho(s_nu), zeta(r) of the unmirrored (+) term,
-    whose value is h phi rho zeta."""
-    sh = np.sqrt(h)
-    # the method skips np.clip's dispatch, a third of its cost on a block
-    phi = (1.0 - s_n / h).clip(0.0, 1.0)
-    rho = (s_nu / sh).clip(0.0, 1.0)
-    zeta = ((1.0 - r) / sh).clip(0.0, 1.0)
-    return phi, rho, zeta
-
-
-def _plus_value(s_n, s_nu, r, h):
-    """Scalar value h phi rho zeta of the unmirrored (+) term."""
-    phi, rho, zeta = _plus_factors(s_n, s_nu, r, h)
-    return h * phi * rho * zeta
-
-
-def _plus_parts(s_n, s_nu, r, h):
-    """Frame gradient pieces of the unmirrored (+) term.
-
-    Returns (g_n, g_nu, c_r) where the gradient of the + term is
-    a (x) (g_n n + g_nu nu + c_r z/|z|).  Derivatives at the kink sets are
-    one-sided; they sit on measure-zero sets.
-    """
-    sh = np.sqrt(h)
-    phi, rho, zeta = _plus_factors(s_n, s_nu, r, h)
-    dphi = np.where((s_n > 0.0) & (s_n < h), -1.0, 0.0)
-    drho = np.where((s_nu > 0.0) & (s_nu < sh), 1.0, 0.0)
-    dzeta = np.where((r > 1.0 - sh) & (r < 1.0), -1.0 / sh, 0.0)
-    g_n = dphi * rho * zeta
-    g_nu = sh * phi * drho * zeta
-    c_r = h * phi * rho * dzeta
-    return g_n, g_nu, c_r
-
-
-def _mirrored_gradient(coords: np.ndarray, r: np.ndarray, h: float) -> np.ndarray:
-    """Frame gradient of the mirrored field at radii r = |coords|, by a sign fold.
+def _fold_factors(h: float, sigma, ramp, s_n, s_nu):
+    """(gn, gnu, cr): the factors of the frame gradient at points whose
+    (s_n, s_nu) lie on the fold side ``sigma`` = sign(s_nu), with ``ramp``
+    true where the rho ramp acts, |s_nu| < sqrt(h).
 
     rho(s_nu) and rho(-s_nu) have disjoint supports, so of the two terms of
-    the mirror pair only the one with sigma s_nu > 0, sigma = sign(s_nu),
-    can be nonzero, and the gradient is sigma times the + term's tangential
-    pieces (its radial piece is even) at the folded point sigma (s_n, s_nu).
-    So _plus_parts runs once, and the result equals the two-term sum.  The
-    gradient is odd under z -> -z, bitwise: the fold maps z and -z to the
-    same point and only sigma changes sign.  The sampler and
-    ``InterchangeField.scalar_gradient`` take it; the cubature forms the
-    same bits from its pieces (``quadrature._node_gradient`` and
-    ``quadrature._shell_blocks``), which the tests check against it.
+    the mirror pair only the one with sigma s_nu > 0 can be nonzero, and
+    the gradient is sigma times the + term's tangential parts at the folded
+    point sigma (s_n, s_nu), plus its radial part, which is even.  With
+    zeta and dzeta the radial cutoff and its slope at r = |z|, it is
+
+        (c_r / r) z + zeta (gn, gnu, 0),  c_r = cr dzeta,
+
+    with gn = sigma dphi rho, gnu = sigma sqrt(h) phi drho and
+    cr = h phi rho, whose product with zeta is the profile.  Where the ramp
+    acts drho = 1, else 0; at sigma = 0 every factor is 0.  Derivatives at
+    the kink sets are one-sided; they sit on sets of measure zero.
     """
-    s_n = coords[:, 0]
-    s_nu = coords[:, 1]
+    sh = math.sqrt(h)
+    s_n = sigma * s_n
+    # the method skips np.clip's dispatch, a third of its cost on a block
+    phi = (1.0 - s_n / h).clip(0.0, 1.0)
+    rho = (sigma * s_nu / sh).clip(0.0, 1.0)
+    dphi = np.where((s_n > 0.0) & (s_n < h), -1.0, 0.0)
+    return sigma * (dphi * rho), sigma * (sh * phi * ramp), h * phi * rho
+
+
+def _radial_gradient(h: float, factors, s_n, s_nu, r, w):
+    """The frame gradient (g_n, g_nu, g_w) and the radial cutoff zeta at
+    points (s_n, s_nu, w) of radius r > 0 whose fold factors are
+    ``factors`` (``_fold_factors``).  The point at -w has the same r, and
+    its gradient differs only in g_w, which flips its sign.  Arguments
+    broadcast.
+    """
+    gn, gnu, cr = factors
+    sh = math.sqrt(h)
+    zeta = ((1.0 - r) / sh).clip(0.0, 1.0)
+    dzeta = np.where((r > 1.0 - sh) & (r < 1.0), -1.0 / sh, 0.0)
+    radial = cr * dzeta / r
+    return radial * s_n + gn * zeta, radial * s_nu + gnu * zeta, radial * w, zeta
+
+
+def _mirrored_gradient(coords: np.ndarray, r: np.ndarray, h: float):
+    """(g, profile): the frame gradient (N, d) and the scalar profile (N,) of
+    the mirrored field at frame points ``coords`` of radii r = |coords|.
+
+    Each point's fold side is sigma = sign(s_nu) and the rho ramp acts
+    where |s_nu| < sqrt(h) (``_fold_factors``).  The gradient is odd under
+    z -> -z, bitwise: z and -z fold to the same point and only sigma
+    changes sign.  r is 0 only where every coordinate's square underflows,
+    and there dzeta = 0: the smallest positive double stands in for it,
+    which keeps zeta = 1 and the radial part 0 without a division by 0.
+    """
+    s_n, s_nu = coords[:, 0], coords[:, 1]
     sigma = np.sign(s_nu)
-    g_n, g_nu, c_r = _plus_parts(sigma * s_n, sigma * s_nu, r, h)
-    radial = np.divide(c_r, r, out=np.zeros_like(r), where=r > 0.0)
-    # radial * coords column by column: the broadcast (N, 1) * (N, d)
-    # product costs twice as much
+    factors = _fold_factors(h, sigma, np.abs(s_nu) < math.sqrt(h), s_n, s_nu)
+    r = np.maximum(r, np.finfo(float).smallest_subnormal)
+    w = coords[:, 2] if coords.shape[1] == 3 else 0.0
+    *parts, zeta = _radial_gradient(h, factors, s_n, s_nu, r, w)
     g = np.empty(coords.shape)
     for k in range(coords.shape[1]):
-        np.multiply(radial, coords[:, k], out=g[:, k])
-    g[:, 0] += sigma * g_n
-    g[:, 1] += sigma * g_nu
-    return g
+        g[:, k] = parts[k]
+    return g, factors[2] * zeta
 
 
 def _moving_candidates(coords: np.ndarray, r: np.ndarray, h: float) -> np.ndarray:
@@ -167,7 +173,7 @@ def _moving_candidates(coords: np.ndarray, r: np.ndarray, h: float) -> np.ndarra
     derivative, and phi or its derivative, so it needs s_nu != 0, r < 1 and
     sigma s_n < h; and each piece carries one derivative, which needs
     sigma s_n > 0 (phi), |s_nu| < sqrt(h) (rho) or r > 1 - sqrt(h) (zeta).
-    The fold is formed as _mirrored_gradient forms it, sigma * s_n, so the
+    The fold is formed as _fold_factors forms it, sigma * s_n, so the
     mask tests the same bits.  A candidate's gradient is 0 only through
     underflow or rounding at the edge of a ramp.
     """
@@ -248,13 +254,6 @@ class InterchangeField:
         self.frame = np.vstack(rows)  # rows are basis vectors
         self.nu = nu
 
-    def at(self, params: InterchangeParams) -> "InterchangeField":
-        """This field at the slab width of ``params``, whose t and nu are
-        this field's: the frame is shared, not built again."""
-        fld = object.__new__(InterchangeField)
-        fld.__dict__.update(self.__dict__, params=params, h=params.h)
-        return fld
-
     def scalar_gradient(self, coords: np.ndarray):
         """Scalar profile and frame-gradient vector at frame coordinates.
 
@@ -262,11 +261,8 @@ class InterchangeField:
         is returned in frame components (shape (N, d)).
         """
         coords = np.atleast_2d(np.asarray(coords, dtype=float))
-        r = np.linalg.norm(coords, axis=1)
-        s_n, s_nu = coords[:, 0], coords[:, 1]
-        # the profile is the + term plus its mirror image
-        scalar = _plus_value(s_n, s_nu, r, self.h) + _plus_value(-s_n, -s_nu, r, self.h)
-        return scalar, _mirrored_gradient(coords, r, self.h)
+        g, scalar = _mirrored_gradient(coords, np.linalg.norm(coords, axis=1), self.h)
+        return scalar, g
 
 
 # -- interpolation landscape -------------------------------------------------

@@ -34,13 +34,15 @@ w, weighted by the core's chord through it, and the shell's rows in
 w = rho sinh(u) (``_shell_blocks``).  Seed, sampler and budgets play no
 part in the rule; every other model (non-isotropic, d = 3) is sampled.
 
-The rule forms no row's coordinates.  Each piece carries its kinematics
-(``_Layout``: its fold side sign(s_nu), whether the rho ramp acts, ring
-or core), and the frame gradient of each row comes from them: at w = 0
-from the node alone on a core piece and with the radius on a ring piece
-(``_node_gradient``); on a shell line from factors formed once per node
-and a radial part formed once per pair of rows at +-w (``_shell_blocks``).
-Each has the bits of the sign fold below at the row's coordinates.
+One formula in ``interchange`` gives the field's frame gradient to both
+the rule and the sampler: the factors of a point's fold side sign(s_nu)
+and of whether the rho ramp acts (``_fold_factors``), then the radial
+cutoff and the radial part at its radius (``_radial_gradient``).  The
+rule forms no row's coordinates in w.  Each piece carries its fold side
+and ramp flag (``_Layout``), so a row at w = 0 takes them from its piece
+and its radius from its node (``_node_gradient``), and a shell line takes
+the factors once per node and the radial part once per pair of rows at
++-w (``_shell_blocks``).
 
 The sampled remainder integrand is supported on thin sets, so sampling
 uses a deterministic mixture of uniform proposals: the whole ball, an
@@ -60,21 +62,21 @@ g = 0: its step t a (x) g and its linear term are then both zero.  It
 evaluates the gradient itself only on the rows that can move, a cheap
 superset of g != 0 read off the coordinates and the radius
 (``interchange._moving_candidates``), and keeps those of them where
-g != 0.  The sampler's gradient comes from one evaluation of the + term
-at sign-folded coordinates (``interchange._mirrored_gradient``), and the
-excess from the model's rank-one kernel ``EnergyModel.rank_one_excess``,
-a closed form in a.G, (F^T a).G and |G|^2 for the quadratic,
-min-of-quadratics and isotropic kinds and the (N, m, d) stack form for the
-rest; each is exactly 0 where g = 0.  Both paths hand the kernel
-G = frame^T g for a component-major block g.  One kernel call returns
-both sides of a block, z at step +t from F+ and -z at -t from F-, so the
-closed forms compute the parts that do not depend on the sign of the
-step once.  Every
-row of the cubature lies at s_n >= 0, and the sampler folds each pair onto
-that side, passing -z and -g for a row at s_n < 0 (the pair's two values
-only swap).  So every block is one kernel call.  Region codes are computed only by
-``estimate_region_measures``, which draws the same points from the same
-streams.
+g != 0.  The sampler's gradient comes from the same formula, each
+point's fold side and ramp flag read off its coordinates
+(``interchange._mirrored_gradient``), and the excess from the model's
+rank-one kernel ``EnergyModel.rank_one_excess``, a closed form in a.G,
+(F^T a).G and |G|^2 for the quadratic, min-of-quadratics and isotropic
+kinds and the (N, m, d) stack form for the rest; each is exactly 0 where
+g = 0.  Both paths hand the kernel G = frame^T g for a component-major
+block g.  One kernel call returns both sides of a block, z at step +t
+from F+ and -z at -t from F-, so the closed forms compute the parts that
+do not depend on the sign of the step once.  Every row of the cubature
+lies at s_n >= 0, and the sampler folds each pair onto that side,
+passing -z and -g for a row at s_n < 0 (the pair's two values only
+swap).  So every block is one kernel call.  Region codes are computed
+only by ``estimate_region_measures``, which draws the same points from
+the same streams.
 
 Each stratum draws N_SCRAMBLES batches, either scrambled Sobol points
 (default; the independent scrambles give an unbiased estimate with an
@@ -118,8 +120,10 @@ from .interchange import (
     InterchangeField,
     InterchangeParams,
     QuadratureConfig,
+    _fold_factors,
     _mirrored_gradient,
     _moving_candidates,
+    _radial_gradient,
     _region_codes,
 )
 from .jumps import InterfacePair, interchange_force
@@ -460,14 +464,14 @@ class _Estimate:
     positive measure in floating point.
     """
 
-    def __init__(self, fld: InterchangeField, quad: QuadratureConfig, pair_estimates):
-        self.h, self.d, self.quad, self.pair_estimates = fld.h, fld.pair.d, quad, pair_estimates
-        self.strata, budgets = _build_strata(fld.h, self.d, quad)
+    def __init__(self, h: float, d: int, quad: QuadratureConfig, pair_estimates):
+        self.h, self.d, self.quad, self.pair_estimates = h, d, quad, pair_estimates
+        self.strata, budgets = _build_strata(h, d, quad)
         for stratum in self.strata:
             if not (math.isfinite(stratum.measure) and stratum.measure > 0.0):
                 raise QuadratureError(
                     f"the {stratum.name} stratum has measure {stratum.measure!r} at "
-                    f"h = {fld.h!r}: h is too small for double precision"
+                    f"h = {h!r}: h is too small for double precision"
                 )
         self.per_scramble = [_pairs_per_scramble(b) for b in budgets]
         pair_counts = np.array([N_SCRAMBLES * p for p in self.per_scramble], dtype=float)
@@ -527,34 +531,32 @@ class _Estimate:
         return total_mean, np.sqrt(total_var), n_evals
 
 
-def _energy_estimate(fld: InterchangeField, quad: QuadratureConfig, integrand) -> _Estimate:
-    """The estimate of the energy pass: the sampled integral of a residual
-    over the ball.
+def _energy_estimate(h: float, d: int, quad: QuadratureConfig, integrand) -> _Estimate:
+    """The estimate of the energy pass at slab width h in d dimensions: the
+    sampled integral of a residual over the ball.
 
     ``integrand(g)`` returns the pair (f(z), f(-z)) of residual values for
     rows z at s_n >= 0 with frame gradient g (d, N), component-major, by
-    the sign fold (``_mirrored_gradient``); the gradient at -z is exactly
-    -g.  Each pair is folded onto the + side before the call, and the
-    folded z reaches the mixture pdf: a row with s_n < 0 passes -z and -g,
-    which is exact,
-    since 0.5 (f(z) + f(-z)) / q(z) is symmetric in z <-> -z, the gradient
-    is odd bit for bit and q reads only |z|.  Contract: the integrand
-    vanishes wherever g = 0.  The excess integrand meets it exactly, since
-    its step t a (x) g and its linear term are then both zero.  So the
-    integrand and the mixture pdf are evaluated only on the rows where the
-    field moves (g != 0), and every other pair contributes an exact zero.
-    The gradient is evaluated only on the rows that can move
-    (``_moving_candidates``); a second compaction drops any of them where
-    g = 0 after all.
+    the sign fold (``interchange._mirrored_gradient``); the gradient at -z
+    is exactly -g.  Each pair is folded onto the + side before the call,
+    and the folded z reaches the mixture pdf: a row with s_n < 0 passes -z
+    and -g, which is exact, since 0.5 (f(z) + f(-z)) / q(z) is symmetric in
+    z <-> -z, the gradient is odd bit for bit and q reads only |z|.
+    Contract: the integrand vanishes wherever g = 0.  The excess integrand
+    meets it exactly, since its step t a (x) g and its linear term are then
+    both zero.  So the integrand and the mixture pdf are evaluated only on
+    the rows where the field moves (g != 0), and every other pair
+    contributes an exact zero.  The gradient is evaluated only on the rows
+    that can move (``_moving_candidates``); a second compaction drops any
+    of them where g = 0 after all.
     """
-    h, d = fld.h, fld.pair.d
 
     def pair_estimates(coords: np.ndarray, pdf) -> np.ndarray:
         r = _radius(coords)
         # take() gathers rows several times faster than fancy indexing
         rows = np.flatnonzero(_moving_candidates(coords, r, h))
         z, r_z = coords.take(rows, axis=0), r.take(rows)
-        g = _mirrored_gradient(z, r_z, h)
+        g, _ = _mirrored_gradient(z, r_z, h)
         moved = g[:, 0] != 0.0
         for k in range(1, d):
             moved |= g[:, k] != 0.0
@@ -570,7 +572,7 @@ def _energy_estimate(fld: InterchangeField, quad: QuadratureConfig, integrand) -
         out[rows] = 0.5 * (f_z + f_mirror) / pdf(z, r_z)
         return out
 
-    return _Estimate(fld, quad, pair_estimates)
+    return _Estimate(h, d, quad, pair_estimates)
 
 
 @functools.lru_cache(maxsize=8)
@@ -598,13 +600,13 @@ def _chord(radius: float, x):
 class _Layout(NamedTuple):
     """The pieces of the half-disk rule at one h (``_half_disk_layout``):
     each piece's s_nu segment [a, b], the knots at its s_n ends (0: s_n = 0,
-    1: rho = 1, 2: rho = 1 - sqrt(h), 3: s_n = h) and its kinematics, from
-    which the cubature forms the frame gradient of each of its rows
-    (``_node_gradient``, ``_shell_blocks``): its fold side ``sigma``, the
-    sign of s_nu; whether the rho ramp acts (``ramp``, |s_nu| < sqrt(h));
-    whether it lies in the ring 1 - sqrt(h) < rho < 1 (``ring``) or in the
-    core; and whether it is ``flat``, a core piece off the corner, which
-    follows from the other three."""
+    1: rho = 1, 2: rho = 1 - sqrt(h), 3: s_n = h) and its kinematics: its
+    fold side ``sigma``, the sign of s_nu, and whether the rho ramp acts
+    (``ramp``, |s_nu| < sqrt(h)).  ``interchange._fold_factors`` takes both
+    for the frame gradient of each of the piece's rows (``_node_gradient``,
+    ``_shell_blocks``), where the sampler reads them off each point's
+    coordinates.  ``flat`` marks a piece of the core rho < 1 - sqrt(h) off
+    the corner, where one row stands for all."""
 
     h: float
     a: np.ndarray
@@ -613,7 +615,6 @@ class _Layout(NamedTuple):
     hi_knot: np.ndarray
     sigma: np.ndarray
     ramp: np.ndarray
-    ring: np.ndarray
     flat: np.ndarray
 
 
@@ -667,7 +668,7 @@ def _half_disk_layout(h: float) -> _Layout:
     mid, ring = 0.5 * (a + b), np.array(ring)
     sigma, ramp = np.where(mid > 0.0, 1.0, -1.0), np.abs(mid) < sh
     flat = ~ring & ~(ramp & (mid > 0.0))
-    return _Layout(h, a, b, np.array(lo_knot), np.array(hi_knot), sigma, ramp, ring, flat)
+    return _Layout(h, a, b, np.array(lo_knot), np.array(hi_knot), sigma, ramp, flat)
 
 
 def _half_disk_pieces(layout: _Layout, n: int, pieces: np.ndarray):
@@ -754,73 +755,17 @@ def _half_disk_rows(layout: _Layout, n: int, pieces: np.ndarray, d: int = 2):
     return columns.T, weights, np.concatenate([piece, np.flatnonzero(flat)]), shell
 
 
-def _fold_factors(h: float, sigma, ramp, s_n, s_nu):
-    """(gn, gnu, cr): the factors of the frame gradient at nodes (s_n, s_nu)
-    that do not depend on w, from their pieces' fold side ``sigma`` and
-    ``ramp`` flag (``_Layout``).
-
-    The field's gradient is sigma times the tangential parts of the + term
-    at the folded node sigma (s_n, s_nu), plus its radial part
-    (``interchange._mirrored_gradient``).  With zeta and dzeta the radial
-    cutoff and its slope at r = |z|, it is
-
-        (c_r / r) z + zeta (gn, gnu, 0),  c_r = cr dzeta,
-
-    gn = sigma dphi rho, gnu = sigma sqrt(h) phi drho and cr = h phi rho,
-    each formed as _plus_parts forms its products, so every bit is
-    _mirrored_gradient's: a factor sigma = +-1 may move along a product
-    without changing a bit.  Where the ramp acts drho = 1, else 0.
-    """
-    sh = math.sqrt(h)
-    s_n = sigma * s_n
-    phi = (1.0 - s_n / h).clip(0.0, 1.0)
-    rho = (sigma * s_nu / sh).clip(0.0, 1.0)
-    dphi = np.where((s_n > 0.0) & (s_n < h), -1.0, 0.0)
-    return sigma * (dphi * rho), sigma * (sh * phi * ramp), h * phi * rho
-
-
-def _radial_gradient(h: float, factors, s_n, s_nu, rho2, w):
-    """The frame gradient (g_n, g_nu, g_w) at points (s_n, s_nu, w) of
-    nodes with fold factors ``factors`` (``_fold_factors``) and
-    rho2 = s_n^2 + s_nu^2, where the radial cutoff may act: the ring
-    1 - sqrt(h) < r < 1 at w = 0 and the shell.  r = sqrt(rho2 + w^2) has
-    the bits of |z| and the same bits at -w, whose gradient differs from
-    that at w only in g_w, which flips its sign.  Arguments broadcast.
-    """
-    gn, gnu, cr = factors
-    sh = math.sqrt(h)
-    r = np.sqrt(rho2 + w * w)
-    zeta = ((1.0 - r) / sh).clip(0.0, 1.0)
-    dzeta = np.where((r > 1.0 - sh) & (r < 1.0), -1.0 / sh, 0.0)
-    radial = cr * dzeta / r
-    return radial * s_n + gn * zeta, radial * s_nu + gnu * zeta, radial * w
-
-
 def _node_gradient(layout: _Layout, piece, s_n, s_nu, d: int) -> np.ndarray:
     """The frame gradient (d, rows), component-major, at the rows
     (s_n, s_nu) at w = 0 of the pieces ``piece`` of ``layout``, from each
-    piece's kinematics.
-
-    On a core piece zeta = 1 and the radial part is 0, so the gradient is
-    (gn, gnu, 0) (``_fold_factors``) and needs no radius: the corner's is
-    (-s_nu / sqrt(h), sqrt(h) (1 - s_n / h)), every flat piece's its
-    constant.  Only the rows of ring pieces take r = |(s_n, s_nu)|
-    (``_radial_gradient``).  Every row lies at s_n > 0 with the sign of
-    its piece's s_nu, which fixes the signs of the zeros: the radial part
-    0 s_n is +0, and 0 s_nu has the sign of gnu.
+    piece's kinematics (``interchange._fold_factors``) and the row's radius
+    (``interchange._radial_gradient``).  Every row lies at s_n > 0, so
+    r > 0.
     """
-    factors = _fold_factors(layout.h, layout.sigma[piece], layout.ramp[piece], s_n, s_nu)
-    g = np.empty((d, s_n.size))
-    np.add(factors[0], 0.0, out=g[0])
-    g[1] = factors[1]
-    g[2:] = 0.0
-    ring = np.flatnonzero(layout.ring[piece])
-    if ring.size:
-        factors, s_n, s_nu = (a.take(ring) for a in factors), s_n.take(ring), s_nu.take(ring)
-        parts = _radial_gradient(layout.h, factors, s_n, s_nu, s_n * s_n + s_nu * s_nu, 0.0)
-        for k in range(d):
-            g[k, ring] = parts[k]
-    return g
+    h = layout.h
+    factors = _fold_factors(h, layout.sigma[piece], layout.ramp[piece], s_n, s_nu)
+    r = np.sqrt(s_n * s_n + s_nu * s_nu)
+    return np.stack(_radial_gradient(h, factors, s_n, s_nu, r, 0.0)[:d])
 
 
 def _shell_blocks(layout: _Layout, s_n, s_nu, weight, piece, n_w: int):
@@ -868,9 +813,9 @@ def _shell_blocks(layout: _Layout, s_n, s_nu, weight, piece, n_w: int):
         u = u_lo[part, None] + u_span[part, None] * u_unit
         w = rho[part, None] * np.sinh(u)
         g = buffer[:6 * w.size].reshape(3, -1, 2, k)
-        g_n, g_nu, g_w = _radial_gradient(
+        g_n, g_nu, g_w, _ = _radial_gradient(
             h, (f[part, None] for f in factors), s_n[part, None], s_nu[part, None],
-            rho2[part, None], w)
+            np.sqrt(rho2[part, None] + w * w), w)
         g[0] = g_n[:, None]
         g[1] = g_nu[:, None]
         g[2, :, 0] = g_w
@@ -888,8 +833,7 @@ def _rows_of(arrays, start: int, stop: int) -> np.ndarray:
     return np.concatenate(parts)
 
 
-def _piece_integrals(fld: InterchangeField, integrand, layout: _Layout, nodes, pieces,
-                     n_w: int = _SHELL_NODES):
+def _piece_integrals(d: int, integrand, layout: _Layout, nodes, pieces, n_w: int = _SHELL_NODES):
     """(integrals, evaluations): the excess over each chosen piece of
     ``layout`` at each node count of ``nodes`` (and in d = 3 n_w nodes per
     part in u), as an array (len(nodes), len(pieces)), from one pass over
@@ -903,7 +847,6 @@ def _piece_integrals(fld: InterchangeField, integrand, layout: _Layout, nodes, p
     over the ball.  Every row has s_n > 0, so each block is one kernel call
     with z on F+ and -z on F-.
     """
-    d = fld.pair.d
     rules = [_half_disk_rows(layout, n, pieces, d) for n in nodes]
     s_n, s_nu = np.concatenate([coords.T for coords, *_ in rules], axis=1)
     weights = np.concatenate([w for _, w, _, _ in rules])
@@ -934,8 +877,9 @@ def _piece_integrals(fld: InterchangeField, integrand, layout: _Layout, nodes, p
     return integrals.reshape(len(nodes), len(pieces)), 2 * rows
 
 
-def _piecewise_cubature(fld: InterchangeField, integrand):
-    """(integral, error bar, evaluations) of the excess over the ball.
+def _piecewise_cubature(h: float, d: int, integrand):
+    """(integral, error bar, evaluations) of the excess over the ball at
+    slab width h in d dimensions.
 
     Every piece of the rule is integrated at both node counts of the first
     rule of _PIECE_RULES[d] in one pass; the pieces whose two values differ
@@ -946,28 +890,18 @@ def _piecewise_cubature(fld: InterchangeField, integrand):
     ones where it took the finer rules, else the distance between its two
     values.
     """
-    coarse, fine = _PIECE_RULES[fld.pair.d]
-    layout = _half_disk_layout(fld.h)
+    coarse, fine = _PIECE_RULES[d]
+    layout = _half_disk_layout(h)
     (value, coarser), n_evals = _piece_integrals(
-        fld, integrand, layout, coarse, np.arange(layout.flat.size))
+        d, integrand, layout, coarse, np.arange(layout.flat.size))
     bar = np.abs(value - coarser)
     switch = np.flatnonzero(bar > _ESCALATION_TOL * np.abs(value))
     if switch.size:
-        integrals, more = _piece_integrals(fld, integrand, layout, fine, switch)
+        integrals, more = _piece_integrals(d, integrand, layout, fine, switch)
         value[switch] = integrals[0]
         bar[switch] = np.abs(integrals[0] - integrals[1:]).max(axis=0)
         n_evals += more
     return float(value.sum()), float(bar.sum()), n_evals
-
-
-def _cubature(fld: InterchangeField, integrand, n: int, n_w: int | None = _SHELL_NODES):
-    """(integral, evaluations) of the excess over the ball by the whole rule:
-    every piece of ``_piece_integrals`` at n nodes per axis in s_n and s_nu
-    and, in d = 3, n_w per part in u, summed."""
-    layout = _half_disk_layout(fld.h)
-    integrals, n_evals = _piece_integrals(
-        fld, integrand, layout, (n,), np.arange(layout.flat.size), n_w)
-    return float(integrals.sum()), n_evals
 
 
 def estimate_region_measures(pair: InterfacePair, params: InterchangeParams) -> dict:
@@ -978,7 +912,7 @@ def estimate_region_measures(pair: InterfacePair, params: InterchangeParams) -> 
     uniform sampling over the ball, the right oracle for leading-order
     checks whose error bars must dominate the O(h^{3/2}) corrections.
     """
-    fld = InterchangeField(pair, params)
+    InterchangeField(pair, params)  # refuses a d other than 2 or 3, and a nu off the plane
     h = params.h
 
     def pair_estimates(coords: np.ndarray, pdf) -> np.ndarray:
@@ -996,7 +930,7 @@ def estimate_region_measures(pair: InterfacePair, params: InterchangeParams) -> 
         out /= pdf(coords, r)[:, None]
         return out
 
-    mean, err, _ = _Estimate(fld, params.quad, pair_estimates).total()
+    mean, err, _ = _Estimate(h, pair.d, params.quad, pair_estimates).total()
     return {k: (float(mean[j]), float(err[j])) for j, k in enumerate(REGION_KEYS)}
 
 
@@ -1026,10 +960,11 @@ def _excess_integrand(model, pair, fld, t):
     on F+ at step +t and -z, whose gradient is -g, on F- at step -t.  No
     coordinate plays a part: the caller passes only rows at s_n >= 0, as
     the cubature's rows are and as the sampler folds its pairs.  A row at
-    s_n = 0 thus takes F+ for z and F- for -z.  Where the gradients come
-    from is the caller's: the cubature forms them from its pieces
-    (``_node_gradient``, ``_shell_blocks``), the sampler by the sign fold
-    (``interchange._mirrored_gradient``).
+    s_n = 0 thus takes F+ for z and F- for -z.  Both callers form the
+    gradients by one formula (``interchange._fold_factors`` and
+    ``interchange._radial_gradient``): the cubature from its pieces'
+    kinematics (``_node_gradient``, ``_shell_blocks``), the sampler from
+    each point's coordinates (``interchange._mirrored_gradient``).
     """
     kernel = model.rank_one_excess(pair.fp, pair.fm, pair.a, t)
     frame_t = fld.frame.T
@@ -1089,9 +1024,8 @@ def energy_increment(
     work = _sweep_work
     if work is None or not work.serves(model, pair, params):
         work = _PairWork(model, pair, params)
-    fld, integrand = work.fld.at(params), work.integrand
-    h, t = params.h, params.t
-    ff_exact = -work.frak_n * h * interface_profile(h, pair.d)
+    integrand, h, t, d = work.integrand, params.h, params.t, pair.d
+    ff_exact = -work.frak_n * h * interface_profile(h, d)
 
     if _takes_cubature(model):
         if not 1.0 - math.sqrt(h) < 1.0:
@@ -1099,12 +1033,12 @@ def energy_increment(
                 f"the shell 1 - sqrt(h) < |z| < 1 is empty at h = {h!r}: "
                 "h is too small for double precision"
             )
-        mean, mc_error, n_evals = _piecewise_cubature(fld, integrand)
+        mean, mc_error, n_evals = _piecewise_cubature(h, d, integrand)
         method = "cubature"
         if not (math.isfinite(mean) and math.isfinite(mc_error)):
             raise QuadratureError(f"the estimate at h = {h!r} is not finite")
     else:
-        mean, mc_error, n_evals = _energy_estimate(fld, params.quad, integrand).total()
+        mean, mc_error, n_evals = _energy_estimate(h, d, params.quad, integrand).total()
         method = params.quad.sampler
     delta_e, mc_error = t * ff_exact + float(mean), float(mc_error)
     if params.quad.max_error is not None and mc_error > params.quad.max_error:
@@ -1275,11 +1209,16 @@ def limit_sweep(
             n_evals += res.n_evals
     finally:
         _sweep_work = outer
-    scale = 1.0 + float(np.max(np.abs(values)))
-    sigma = np.maximum(errors, 1e-14 * scale)
+    # the fits take values / 2^k, whose largest magnitude lies below 2, so
+    # that the squares of their residuals and weights stay finite at any
+    # magnitude; a power of 2 scales exactly, and k = 0 below 2
+    k = max(0, math.frexp(float(np.max(np.abs(values))))[1] - 1)
+    scaled = np.ldexp(values, -k)
+    scale = 1.0 + float(np.max(np.abs(scaled)))
+    sigma = np.maximum(np.ldexp(errors, -k), 1e-14 * scale)
 
     def series_fit(order):
-        coef, cov, chi2 = _weighted_poly_fit(np.sqrt(h_grid), values, sigma, order)
+        coef, cov, chi2 = _weighted_poly_fit(np.sqrt(h_grid), scaled, sigma, order)
         dof = h_grid.size - order
         return coef, cov, (chi2 / dof if dof > 0 else 0.0), dof
 
@@ -1293,14 +1232,17 @@ def limit_sweep(
             f"sqrt(h)-series fit does not describe the data: chi2/dof = {chi2_red:.2f}"
         )
     inflate = max(1.0, math.sqrt(chi2_red))
-    limit = float(coef[0])
     limit_error = float(np.sqrt(cov[0, 0])) * inflate
+    model_error = abs(float(coef[0]) - float(fits[order - 1][0][0]))
 
-    rate, rate_error = _rate_fit(h_grid, values, sigma, limit, float(coef[1]))
+    rate, rate_error = _rate_fit(h_grid, scaled, sigma, float(coef[0]), float(coef[1]))
 
+    # scaled back by a float product, which overflows to inf, not to an error
+    limit, limit_error, model_error, slope, curvature = (
+        float(x) * 2.0**k for x in (coef[0], limit_error, model_error, coef[1], coef[2]))
     return SweepResult(
-        h_grid, values, errors, limit, limit_error, abs(limit - float(fits[order - 1][0][0])),
-        float(coef[1]), float(coef[2]), rate, rate_error, chi2_red, order, n_evals, res.method,
+        h_grid, values, errors, limit, limit_error, model_error, slope, curvature,
+        rate, rate_error, chi2_red, order, n_evals, res.method,
     )
 
 

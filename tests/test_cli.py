@@ -226,6 +226,39 @@ class TestSweepH:
         assert stdout == ""
         assert "too small" in error_line(err)
 
+    @staticmethod
+    def quadratic_sweep(tmp_path, capsys, a):
+        """(code, stdout, stderr) of sweep-h on the quadratic pair with jump
+        a e1 (x) e1, whose increments scale as a^2, with every warning an
+        error."""
+        cfg = write_config(tmp_path, {
+            "model": {"kind": "quadratic", "d": 2},
+            "pair": {"f_minus": [[0, 0]], "a": [a], "n": [1, 0]},
+            "h_grid": [0.1, 0.05, 0.025, 0.0125]})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return run(capsys, "sweep-h", "--config", cfg)
+
+    @pytest.mark.parametrize("a", [1e60, 1e80, 1e100, 1e150, 2.0**100])
+    def test_fit_is_scale_free(self, tmp_path, capsys, a):
+        # the fit takes the values over a power of 2, so squares of values
+        # near 1e300 do not overflow and the relative gap keeps its value
+        # at a = 1; a power of 2 moves no bit of it
+        code, stdout, _ = self.quadratic_sweep(tmp_path, capsys, 1.0)
+        assert code == 0
+        gap = json.loads(stdout)["relative_gap"]
+        code, stdout, err = self.quadratic_sweep(tmp_path, capsys, a)
+        assert (code, err) == (0, "")
+        scaled_gap = json.loads(stdout)["relative_gap"]
+        if a == 2.0**100:
+            assert scaled_gap == gap
+        assert abs(scaled_gap - gap) <= 1e-9
+
+    def test_slope_past_the_largest_double_is_one_error_line(self, tmp_path, capsys):
+        code, stdout, err = self.quadratic_sweep(tmp_path, capsys, 1e154)
+        assert (code, stdout) == (1, "")
+        assert "non-finite" in error_line(err)
+
 
 class TestPathDt:
     def test_isotropic_closed_form(self, tmp_path, capsys):

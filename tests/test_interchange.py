@@ -8,18 +8,20 @@ from gradjump.interchange import (
     InterchangeField,
     _mirrored_gradient,
     _moving_candidates,
-    _plus_parts,
-    _plus_value,
     classify_codes,
 )
 
 from conftest import small_quad
+from sign_fold import two_term_gradient, two_term_profile
 
 
-def plus_value(h, s_n, s_nu, r):
-    """Scalar value of the + term at one frame point, divided by h."""
-    val = _plus_value(np.array([s_n]), np.array([s_nu]), np.array([r]), h)
-    return val[0] / h
+def profile(h, *frame_point):
+    """The field's scalar profile at one frame point (s_n, s_nu[, w]),
+    divided by h."""
+    d = len(frame_point)
+    pair = gj.InterfacePair.from_jump(np.zeros((1, d)), [1.0], np.eye(d)[0])
+    scalar, _ = InterchangeField(pair, gj.InterchangeParams(h=h)).scalar_gradient(frame_point)
+    return scalar[0] / h
 
 
 def value_gradient(fld, z):
@@ -34,26 +36,36 @@ def region(fld, z) -> str:
 
 
 class TestCutoffs:
-    # each profile is read off the + term with the other two saturated at 1:
+    # each cutoff is read off the mirrored profile at s_nu > 0, where it is
+    # the + term's, with the other two saturated at 1 where they can be:
     # s_n <= 0 for phi, s_nu >= sqrt(h) for rho, r <= 1 - sqrt(h) for zeta
     def test_slab_profile(self):
         h = 0.04
-        assert plus_value(h, -h, 1.0, 0.0) == 1.0
-        assert plus_value(h, 0.5 * h, 1.0, 0.0) == 0.5
-        assert plus_value(h, 2.0 * h, 1.0, 0.0) == 0.0
+        assert profile(h, -h, 0.5) == 1.0
+        assert profile(h, 0.5 * h, 0.5) == 0.5
+        assert profile(h, 2.0 * h, 0.5) == 0.0
+        assert profile(h, 0.5 * h, 0.5, 0.3) == 0.5
 
     def test_radial_profile_endpoints(self):
+        # along the s_nu axis, where phi = 1 and r = s_nu: rho = 1 from
+        # sqrt(h) on, so zeta reads alone between sqrt(h) and 1
         for h in (0.04, 0.25, 0.9):
-            assert plus_value(h, -h, 1.0, 0.0) == 1.0
-            assert plus_value(h, -h, 1.0, 1.0) == 0.0
-            assert plus_value(h, -h, 1.0, 1.0 - np.sqrt(h)) == pytest.approx(1.0)
+            sh = np.sqrt(h)
+            assert profile(h, 0.0, 1.0) == 0.0
+            assert profile(h, 0.0, 0.6, 0.8) == pytest.approx(0.0, abs=1e-15)
+            assert profile(h, 0.0, 1.0 - sh) == pytest.approx(min(1.0, (1.0 - sh) / sh))
+            r = 0.5 * (1.0 + max(sh, 1.0 - sh))
+            assert profile(h, 0.0, r) == pytest.approx(min(1.0, (1.0 - r) / sh))
+        assert profile(0.04, -0.04, 0.5, 0.0) == 1.0
 
     def test_tangent_ramp_linear(self):
         h = 0.04
         sh = np.sqrt(h)
-        assert plus_value(h, -h, 0.5 * sh, 0.0) == 0.5
-        assert plus_value(h, -h, -0.2 * sh, 0.0) == 0.0
-        assert plus_value(h, -h, 1.3 * sh, 0.0) == 1.0
+        assert profile(h, -h, 0.5 * sh) == 0.5
+        assert profile(h, -h, 1.3 * sh) == 1.0
+        # the mirror term at s_nu < 0: the + term at -z, whose phi(h) = 0
+        assert profile(h, -h, -0.2 * sh) == 0.0
+        assert profile(h, h, -0.5 * sh) == 0.5
 
 
 class TestParams:
@@ -226,18 +238,6 @@ def mirror_test_points(h, d, rng):
     return np.vstack([random, on_slab, on_strip, corners, on_sphere, tilted, np.zeros((1, d))])
 
 
-def two_term_gradient(coords, r, h):
-    """The mirrored gradient as the sum of the + term and its mirror image."""
-    s_n, s_nu = coords[:, 0], coords[:, 1]
-    gn_p, gnu_p, cr_p = _plus_parts(s_n, s_nu, r, h)
-    gn_m, gnu_m, cr_m = _plus_parts(-s_n, -s_nu, r, h)
-    g = np.zeros_like(coords)
-    g[:, 0] = gn_p - gn_m
-    g[:, 1] = gnu_p - gnu_m
-    radial = np.divide(cr_p + cr_m, r, out=np.zeros_like(r), where=r > 0.0)
-    return g + radial[:, None] * coords
-
-
 class TestMirrorIdentities:
     @pytest.mark.parametrize("d", [2, 3])
     def test_gradient_odd_profile_even(self, rng, d):
@@ -253,10 +253,30 @@ class TestMirrorIdentities:
     @pytest.mark.parametrize("h", [0.1, 0.05, 0.0125])
     @pytest.mark.parametrize("d", [2, 3])
     def test_folded_gradient_is_two_term_sum(self, rng, d, h):
-        # rho(s_nu) and rho(-s_nu) have disjoint supports: one term is always 0
+        # rho(s_nu) and rho(-s_nu) have disjoint supports: one term is always
+        # 0, so the fold factors give the two-term sum's gradient and profile
+        pair = gj.InterfacePair.from_jump(np.zeros((1, d)), [1.0], np.eye(d)[0])
+        fld = InterchangeField(pair, gj.InterchangeParams(h=h))
         coords = mirror_test_points(h, d, rng)
         r = np.linalg.norm(coords, axis=1)
-        assert np.array_equal(_mirrored_gradient(coords, r, h), two_term_gradient(coords, r, h))
+        scalar, g = fld.scalar_gradient(coords)
+        assert np.array_equal(g, two_term_gradient(coords, r, h))
+        assert np.array_equal(scalar, two_term_profile(coords, r, h))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_radius_that_rounds_to_zero(self, d):
+        # every square underflows, so r = 0 off the origin too: zeta = 1 and
+        # the radial part 0 there, as at the origin, with no division by 0
+        h = 0.04
+        coords = np.zeros((6, d))
+        coords[:, :2] = [[0.0, 1e-200], [1e-200, 1e-200], [-1e-200, 1e-200],
+                         [1e-200, -5e-324], [0.0, 0.0], [-0.0, -0.0]]
+        r = np.linalg.norm(coords, axis=1)
+        assert np.all(r == 0.0)
+        g, scalar = _mirrored_gradient(coords, r, h)
+        assert np.array_equal(g, two_term_gradient(coords, r, h))
+        assert np.array_equal(scalar, two_term_profile(coords, r, h))
+        assert g[0, 1] == np.sqrt(h)
 
     @pytest.mark.parametrize("h", [0.1, 0.05, 0.0125])
     @pytest.mark.parametrize("d", [2, 3])
@@ -265,7 +285,7 @@ class TestMirrorIdentities:
         # a row with g != 0 outside them would be lost from the estimate
         coords = mirror_test_points(h, d, rng)
         r = np.linalg.norm(coords, axis=1)
-        moved = np.any(_mirrored_gradient(coords, r, h) != 0.0, axis=1)
+        moved = np.any(_mirrored_gradient(coords, r, h)[0] != 0.0, axis=1)
         candidates = _moving_candidates(coords, r, h)
         assert np.all(candidates[moved])
         # and no wider on these points, kink sets included: each extra

@@ -12,10 +12,11 @@ from scipy.stats._sobol import _initialize_v
 import gradjump as gj
 from gradjump import cli, quadrature
 from gradjump.errors import NonconvergenceError
-from gradjump.interchange import InterchangeField, _mirrored_gradient, classify_codes
+from gradjump.interchange import InterchangeField, classify_codes
 from gradjump.quadrature import REGION_KEYS, interface_profile
 
 from conftest import REF_PARAMS, ValueOnlyQuadratic, small_quad
+from sign_fold import sign_fold_gradient
 
 
 class TestInterfaceProfile:
@@ -165,7 +166,17 @@ class TestScrambleCache:
 
 def energy_pass(fld, quad, integrand):
     """(mean, error, n_evals) of the energy pass with the given integrand."""
-    return quadrature._energy_estimate(fld, quad, integrand).total()
+    return quadrature._energy_estimate(fld.h, fld.pair.d, quad, integrand).total()
+
+
+def cubature(fld, integrand, n, n_w=quadrature._SHELL_NODES):
+    """(integral, evaluations) of the excess over the ball by the whole rule:
+    every piece of ``_piece_integrals`` at n nodes per axis in s_n and s_nu
+    and, in d = 3, n_w per part in u, summed."""
+    layout = quadrature._half_disk_layout(fld.h)
+    integrals, n_evals = quadrature._piece_integrals(
+        fld.pair.d, integrand, layout, (n,), np.arange(layout.flat.size), n_w)
+    return float(integrals.sum()), n_evals
 
 
 def reference_residual(model, pair, fld, t):
@@ -368,7 +379,7 @@ class TestFusedPass:
             return integrand(g)
 
         # the folded rows reach the mixture pdf right after the integrand
-        estimate = quadrature._energy_estimate(fld, params.quad, recording)
+        estimate = quadrature._energy_estimate(fld.h, fld.pair.d, params.quad, recording)
         pdf = estimate.pdf
 
         def recording_pdf(z, r):
@@ -389,7 +400,7 @@ class TestFusedPass:
         coords = rng.uniform(-1.0, 1.0, size=(400, d))
         coords[:200, 0] = 0.0
         seen = []
-        estimate = quadrature._energy_estimate(fld, params.quad, integrand)
+        estimate = quadrature._energy_estimate(fld.h, fld.pair.d, params.quad, integrand)
 
         def recording_pdf(z, r):
             seen.append(z.copy())
@@ -664,7 +675,7 @@ class TestCubature:
         integrand = quadrature._excess_integrand(model, pair, fld, t)
         nodes, n_w = quadrature._PIECE_RULES[d][1][0], quadrature._SHELL_NODES if d == 3 else 0
         exact_part = t * (-gj.interchange_force(model, pair) * h * interface_profile(h, d))
-        finer = exact_part + quadrature._cubature(fld, integrand, 3 * nodes // 2, 3 * n_w // 2)[0]
+        finer = exact_part + cubature(fld, integrand, 3 * nodes // 2, 3 * n_w // 2)[0]
         assert abs(res.delta_e - finer) <= 1e-8 * abs(finer)
         assert res.mc_error >= abs(res.delta_e - finer)
 
@@ -771,7 +782,7 @@ class TestCubature:
             fld = InterchangeField(pair, params)
             integrand = quadrature._excess_integrand(model, pair, fld, t)
             exact_part = t * (-gj.interchange_force(model, pair) * h * interface_profile(h, 3))
-            finer = exact_part + quadrature._cubature(
+            finer = exact_part + cubature(
                 fld, integrand, 3 * nodes // 2, 3 * n_w // 2)[0]
             assert res.mc_error >= abs(res.delta_e - finer), h
 
@@ -789,11 +800,12 @@ class TestCubature:
         layout = quadrature._half_disk_layout(h)
         every = np.arange(layout.flat.size)
         coarse, fine = quadrature._PIECE_RULES[3]
-        (i12, i8), coarse_evals = quadrature._piece_integrals(fld, integrand, layout, coarse, every)
+        (i12, i8), coarse_evals = quadrature._piece_integrals(
+            pair.d, integrand, layout, coarse, every)
         switch = np.abs(i12 - i8) > quadrature._ESCALATION_TOL * np.abs(i12)
         assert switch.any() and not switch.all()
         (i16, i12_again), fine_evals = quadrature._piece_integrals(
-            fld, integrand, layout, fine, np.flatnonzero(switch))
+            pair.d, integrand, layout, fine, np.flatnonzero(switch))
         np.testing.assert_array_equal(i12_again, i12[switch])
         value, bar = i12.copy(), np.abs(i12 - i8)
         value[switch], bar[switch] = i16, np.abs(i16 - i12_again)
@@ -894,8 +906,8 @@ class TestTwoWellCubature:
             assert res.method == "cubature"
             fld = InterchangeField(pair, params)
             integrand = quadrature._excess_integrand(model, pair, fld, t)
-            exact_part = res.delta_e - quadrature._cubature(fld, integrand, 64)[0]
-            finer = exact_part + quadrature._cubature(fld, integrand, 512)[0]
+            exact_part = res.delta_e - cubature(fld, integrand, 64)[0]
+            finer = exact_part + cubature(fld, integrand, 512)[0]
             assert res.mc_error >= abs(res.delta_e - finer), h
 
     @pytest.mark.parametrize(
@@ -930,11 +942,11 @@ class TestTwoWellCubature:
         real = quadrature._piece_integrals
         finer = []
 
-        def piece_integrals(fld, integrand, layout, nodes, pieces):
+        def piece_integrals(d, integrand, layout, nodes, pieces):
             if nodes == quadrature._PIECE_RULES[2][1]:
                 finer.append(np.stack([layout.a[pieces], layout.b[pieces],
                                        layout.lo_knot[pieces], layout.hi_knot[pieces]], axis=1))
-            return real(fld, integrand, layout, nodes, pieces)
+            return real(d, integrand, layout, nodes, pieces)
 
         monkeypatch.setattr(quadrature, "_piece_integrals", piece_integrals)
         for h in self.H_GRID:
@@ -967,8 +979,9 @@ class TestTwoWellCubature:
         integrand = quadrature._excess_integrand(model, pair, fld, t)
         layout = quadrature._half_disk_layout(h)
         every = np.arange(layout.flat.size)
-        (i16, i12), _ = quadrature._piece_integrals(fld, integrand, layout, (16, 12), every)
-        (i64, i48, i32), _ = quadrature._piece_integrals(fld, integrand, layout, (64, 48, 32), every)
+        (i16, i12), _ = quadrature._piece_integrals(pair.d, integrand, layout, (16, 12), every)
+        (i64, i48, i32), _ = quadrature._piece_integrals(
+            pair.d, integrand, layout, (64, 48, 32), every)
         switch = np.abs(i16 - i12) > quadrature._ESCALATION_TOL * np.abs(i16)
         value = np.where(switch, i64, i16).sum()
         bar = np.where(switch, np.maximum(np.abs(i64 - i48), np.abs(i64 - i32)),
@@ -1063,7 +1076,7 @@ class TestHalfDiskRule:
         for p in np.flatnonzero(flat):
             coords = np.stack([s_n[p].ravel(), s_nu[p].ravel()], axis=1)
             r = np.linalg.norm(coords, axis=1)
-            g = quadrature._mirrored_gradient(coords, r, h)
+            g = sign_fold_gradient(coords, r, h)
             nu = s_nu[p, 0, 0]
             assert nu < 0.0 or nu > sh  # off the corner
             assert np.all(r < r1 + 1e-15)  # in the core
@@ -1134,7 +1147,7 @@ class TestHalfDiskRule:
         params = gj.InterchangeParams(h=h)
         fld = InterchangeField(pair, params)
         integrand = quadrature._excess_integrand(model, pair, fld, 1.0)
-        collapsed, collapsed_evals = quadrature._cubature(fld, integrand, n, n_w)
+        collapsed, collapsed_evals = cubature(fld, integrand, n, n_w)
         real = quadrature._half_disk_layout
 
         def no_flat_piece(h):
@@ -1142,7 +1155,7 @@ class TestHalfDiskRule:
             return layout._replace(flat=np.zeros_like(layout.flat))
 
         monkeypatch.setattr(quadrature, "_half_disk_layout", no_flat_piece)
-        full, full_evals = quadrature._cubature(fld, integrand, n, n_w)
+        full, full_evals = cubature(fld, integrand, n, n_w)
         assert abs(collapsed - full) <= 1e-13 * abs(full)
         assert collapsed_evals < full_evals
 
@@ -1168,7 +1181,7 @@ class TestHalfDiskRule:
         for h in (1e-12, 1e-6, 0.0125, 0.1, 0.38, 0.6, 0.9):
             s_n.clear()
             fld = InterchangeField(pair, gj.InterchangeParams(h=h))
-            total, evals = quadrature._cubature(fld, integrand, n, 6 if d == 3 else None)
+            total, evals = cubature(fld, integrand, n, 6 if d == 3 else None)
             rows = np.concatenate(s_n)
             assert 2 * rows.size == evals
             assert np.all(rows > 0.0) and total == 0.0, (h, np.sum(rows == 0.0))
@@ -1203,8 +1216,8 @@ class TestHalfDiskRule:
                     np.where(s_n < 0.0, mirror_on_plus, mirror_on_minus))
 
         integrand = quadrature._excess_integrand(model, pair, fld, t)
-        one_call = quadrature._cubature(fld, integrand, n, n_w)
-        assert one_call == quadrature._cubature(fld, per_row_sides, n, n_w)
+        one_call = cubature(fld, integrand, n, n_w)
+        assert one_call == cubature(fld, per_row_sides, n, n_w)
 
 
 def reference_shell_blocks(h, s_n, s_nu, weight, n_w):
@@ -1236,19 +1249,15 @@ def reference_shell_blocks(h, s_n, s_nu, weight, n_w):
         yield part, coords.reshape(3, -1).T, wts
 
 
-def sign_fold_gradient(coords, h):
-    """The frame gradient at rows (N, d), by the sign fold of the sampler."""
-    return _mirrored_gradient(coords, quadrature._radius(coords), h)
-
-
 def reference_piece_integrals(fld, kernel, layout, nodes, pieces, n_w=quadrature._SHELL_NODES):
     """``_piece_integrals`` by the sign-fold path: each row's coordinates,
-    their radius, the sign-fold gradient (``_mirrored_gradient``) and
-    G = g @ frame for the pair's kernel, block by block."""
+    their radius, the sign-fold gradient (``sign_fold.sign_fold_gradient``)
+    and G = g @ frame for the pair's kernel, block by block."""
     h, d = fld.h, fld.pair.d
 
     def pair_values(coords):
-        return np.add(*kernel(sign_fold_gradient(coords, h) @ fld.frame))
+        g = sign_fold_gradient(coords, quadrature._radius(coords), h)
+        return np.add(*kernel(g @ fld.frame))
 
     rules = [quadrature._half_disk_rows(layout, n, pieces, d) for n in nodes]
     columns = np.concatenate([coords.T for coords, *_ in rules], axis=1)
@@ -1297,7 +1306,7 @@ class TestRowGradients:
         coords, _, piece, shell = quadrature._half_disk_rows(layout, n, every, d)
         g = quadrature._node_gradient(layout, piece, coords[:, 0], coords[:, 1], d)
         at_w0 = np.column_stack([coords, np.zeros((coords.shape[0], d - 2))])
-        assert same_bits(g.T, sign_fold_gradient(at_w0, h))
+        assert same_bits(g.T, sign_fold_gradient(at_w0, quadrature._radius(at_w0), h))
         if d == 2:
             assert np.array_equal(np.unique(piece), every)
             return
@@ -1307,7 +1316,7 @@ class TestRowGradients:
         for (part, g, wts), (ref_part, ref_coords, ref_wts) in zip(blocks, reference,
                                                                    strict=True):
             assert part == ref_part and same_bits(wts, ref_wts)
-            assert same_bits(g.T, sign_fold_gradient(ref_coords, h))
+            assert same_bits(g.T, sign_fold_gradient(ref_coords, quadrature._radius(ref_coords), h))
 
     @staticmethod
     def pairs():
@@ -1331,7 +1340,7 @@ class TestRowGradients:
             layout = quadrature._half_disk_layout(h)
             every = np.arange(layout.flat.size)
             for nodes in quadrature._PIECE_RULES[pair.d]:
-                got, evals = quadrature._piece_integrals(fld, integrand, layout, nodes, every)
+                got, evals = quadrature._piece_integrals(pair.d, integrand, layout, nodes, every)
                 want, ref_evals = reference_piece_integrals(fld, kernel, layout, nodes, every)
                 assert same_bits(got, want) and evals == ref_evals, (h, nodes)
 
