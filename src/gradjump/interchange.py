@@ -165,31 +165,6 @@ def _mirrored_gradient(coords: np.ndarray, r: np.ndarray, h: float):
     return g, factors[2] * zeta
 
 
-def _moving_candidates(coords: np.ndarray, r: np.ndarray, h: float) -> np.ndarray:
-    """Rows where the mirrored gradient can be nonzero: a superset of g != 0.
-
-    At the folded point (sigma s_n, |s_nu|), sigma = sign(s_nu), every piece
-    of the + term's gradient carries rho or its derivative, zeta or its
-    derivative, and phi or its derivative, so it needs s_nu != 0, r < 1 and
-    sigma s_n < h; and each piece carries one derivative, which needs
-    sigma s_n > 0 (phi), |s_nu| < sqrt(h) (rho) or r > 1 - sqrt(h) (zeta).
-    The fold is formed as _fold_factors forms it, sigma * s_n, so the
-    mask tests the same bits.  A candidate's gradient is 0 only through
-    underflow or rounding at the edge of a ramp.
-    """
-    s_n, s_nu = coords[:, 0], coords[:, 1]
-    sh = np.sqrt(h)
-    folded = np.sign(s_nu) * s_n
-    abs_nu = np.abs(s_nu)  # contiguous, where the column is strided
-    mask = folded > 0.0
-    mask |= abs_nu < sh
-    mask |= r > 1.0 - sh
-    mask &= folded < h
-    mask &= abs_nu > 0.0
-    mask &= r < 1.0
-    return mask
-
-
 def _region_codes(s_n: np.ndarray, s_nu: np.ndarray, r: np.ndarray, h: float) -> np.ndarray:
     """Region codes from the frame coordinates s_n, s_nu and the radius r.
 

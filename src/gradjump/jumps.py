@@ -307,15 +307,17 @@ def diagnose(
     additionally scaled by the jump magnitude).
     """
     pp, pm = _stresses(model, pair)
-    scale = float(np.linalg.norm(pp) + np.linalg.norm(pm))
-    jnorm = float(np.linalg.norm(pair.jump))
-    tol = tol_abs + tol_rel * scale
-    tol_force = tol_abs + tol_rel * scale * max(jnorm, 1.0)
-
     p_star = _maxwell(model, pair, pp, pm)
     frak_n = _interchange(pair, pp, pm)
     tr = _traction(pair, pp, pm)
     rr = _roughening(pair, pp, pm)
+    # a norm whose square overflows is inf, which fails its verdict
+    with np.errstate(over="ignore"):
+        scale = float(np.linalg.norm(pp) + np.linalg.norm(pm))
+        jnorm = float(np.linalg.norm(pair.jump))
+        tr_norm, rr_norm = float(np.linalg.norm(tr)), float(np.linalg.norm(rr))
+    tol = tol_abs + tol_rel * scale
+    tol_force = tol_abs + tol_rel * scale * max(jnorm, 1.0)
     if scan_radii is None:
         scan_radii = default_radii(jnorm if jnorm > 0 else 1.0)
     scan_p = weierstrass_scan(model, pair.fp, scan_radii, scan_resolution)
@@ -334,8 +336,8 @@ def diagnose(
         stress_scale=scale,
         jump_norm=jnorm,
         maxwell_ok=abs(p_star) <= tol_force,
-        traction_ok=float(np.linalg.norm(tr)) <= tol,
-        roughening_ok=float(np.linalg.norm(rr)) <= tol * max(jnorm, 1.0),
+        traction_ok=tr_norm <= tol,
+        roughening_ok=rr_norm <= tol * max(jnorm, 1.0),
         interchange_ok=abs(frak_n) <= tol_force,
         weierstrass_ok=scan_p.min_value >= -tol_force and scan_m.min_value >= -tol_force,
     )

@@ -59,10 +59,8 @@ the world-space step negated for the mirror point.  The energy pass
 evaluates the pdf and the energy only on the rows where the field moves
 (g != 0).  That is exact because the excess integrand vanishes where
 g = 0: its step t a (x) g and its linear term are then both zero.  It
-evaluates the gradient itself only on the rows that can move, a cheap
-superset of g != 0 read off the coordinates and the radius
-(``interchange._moving_candidates``), and keeps those of them where
-g != 0.  The sampler's gradient comes from the same formula, each
+takes the gradient on every row and keeps the rows where g != 0 in one
+compaction.  The sampler's gradient comes from the same formula, each
 point's fold side and ramp flag read off its coordinates
 (``interchange._mirrored_gradient``), and the excess from the model's
 rank-one kernel ``EnergyModel.rank_one_excess``, a closed form in a.G,
@@ -89,17 +87,17 @@ Kuo's direction numbers, a random linear matrix scramble plus digital
 shift drawn from the child stream keyed (seed, stratum id, scramble id, 0),
 and the points in gray-code order as one running xor.  Its output is bit
 for bit that of scipy's ``qmc.Sobol(d, scramble=True)`` seeded with the
-(seed, stratum id, scramble id) stream, which the tests check; scipy is
-not imported at run time (only the rate fit's rarely taken fallback loads
-``scipy.optimize``).  The scramble does not depend on h or on the number
-of points, so it is built once per (d, seed, stratum id, scramble id) and
-kept in a small cache (``_sobol_scramble``, read-only arrays); a sweep
-builds each one at its first h and reuses it at its others.  A batch is
-evaluated in row blocks of _BLOCK_ROWS pairs, so the estimator's
-temporaries stay small enough for the allocator to reuse them instead of
-mapping fresh pages on every call.  rqmc carries each batch's row-order
-sum from block to block and mc writes every block into one array per
-stratum, so the totals do not depend on the block size.
+(seed, stratum id, scramble id) stream, which the tests check; numpy is
+the only run-time dependency, and scipy serves the tests alone.  The
+scramble does not depend on h or on the number of points, so it is built
+once per (d, seed, stratum id, scramble id) and kept in a small cache
+(``_sobol_scramble``, read-only arrays); a sweep builds each one at its
+first h and reuses it at its others.  A batch is evaluated in row blocks
+of _BLOCK_ROWS pairs, so the estimator's temporaries stay small enough
+for the allocator to reuse them instead of mapping fresh pages on every
+call.  rqmc carries each batch's row-order sum from block to block and mc
+writes every block into one array per stratum, so the totals do not
+depend on the block size.
 
 Every estimate, and every sweep of them, runs in the calling process.
 """
@@ -108,7 +106,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -122,7 +119,6 @@ from .interchange import (
     QuadratureConfig,
     _fold_factors,
     _mirrored_gradient,
-    _moving_candidates,
     _radial_gradient,
     _region_codes,
 )
@@ -544,26 +540,20 @@ def _energy_estimate(h: float, d: int, quad: QuadratureConfig, integrand) -> _Es
     z <-> -z, the gradient is odd bit for bit and q reads only |z|.
     Contract: the integrand vanishes wherever g = 0.  The excess integrand
     meets it exactly, since its step t a (x) g and its linear term are then
-    both zero.  So the integrand and the mixture pdf are evaluated only on
-    the rows where the field moves (g != 0), and every other pair
-    contributes an exact zero.  The gradient is evaluated only on the rows
-    that can move (``_moving_candidates``); a second compaction drops any
-    of them where g = 0 after all.
+    both zero.  So the gradient is taken on every row, and the integrand
+    and the mixture pdf only on the rows where the field moves (g != 0),
+    gathered in one compaction; every other pair contributes an exact zero.
     """
 
     def pair_estimates(coords: np.ndarray, pdf) -> np.ndarray:
         r = _radius(coords)
-        # take() gathers rows several times faster than fancy indexing
-        rows = np.flatnonzero(_moving_candidates(coords, r, h))
-        z, r_z = coords.take(rows, axis=0), r.take(rows)
-        g, _ = _mirrored_gradient(z, r_z, h)
+        g, _ = _mirrored_gradient(coords, r, h)
         moved = g[:, 0] != 0.0
         for k in range(1, d):
             moved |= g[:, k] != 0.0
-        if not moved.all():  # rare: a candidate whose gradient rounds to 0
-            keep = np.flatnonzero(moved)
-            rows, r_z = rows.take(keep), r_z.take(keep)
-            z, g = z.take(keep, axis=0), g.take(keep, axis=0)
+        # take() gathers rows several times faster than fancy indexing
+        rows = np.flatnonzero(moved)
+        z, g, r_z = coords.take(rows, axis=0), g.take(rows, axis=0), r.take(rows)
         below = (z[:, 0] < 0.0)[:, None]
         np.negative(z, out=z, where=below)
         np.negative(g, out=g, where=below)
@@ -1117,46 +1107,25 @@ def _weighted_poly_fit(x, y, sigma, order):
     return coef, cov, chi2
 
 
-def _rate_fit(h_grid, values, sigma, limit, slope_guess):
+def _rate_fit(h_grid, values, sigma, limit):
     """Measured decay exponent of the remainder values - limit.
 
     Fits log |values - limit| against log h where the remainder stands
-    clear of the noise; falls back to a three-parameter power-law fit when
-    too few points qualify.  Returns (None, None) when none does (t = 0, a
-    zero jump): there is no remainder to take a rate from.
+    clear of the noise (beyond 3 sigma).  Returns (None, None) when fewer
+    than two points do (t = 0, a zero jump): there is no remainder to take
+    a rate from.
     """
     resid = values - limit
     mask = np.abs(resid) > 3.0 * sigma
-    if not mask.any():
+    if int(mask.sum()) < 2:
         return None, None
-    if int(mask.sum()) >= 3:
-        x = np.log(h_grid[mask])
-        y = np.log(np.abs(resid[mask]))
-        s = sigma[mask] / np.abs(resid[mask])
-        coef, cov, chi2 = _weighted_poly_fit(x, y, s, 2)
-        dof = max(1, int(mask.sum()) - 2)
-        inflate = max(1.0, math.sqrt(chi2 / dof))
-        return float(coef[1]), float(np.sqrt(cov[1, 1])) * inflate
-    from scipy import optimize  # ~1 s to import; this branch is rarely taken
-
-    try:
-        with warnings.catch_warnings():
-            # curve_fit warns when its covariance comes out NaN and reports
-            # it as inf, which the rate error then carries
-            warnings.simplefilter("ignore", optimize.OptimizeWarning)
-            popt, pcov = optimize.curve_fit(
-                lambda hh, l0, c0, p0: l0 + c0 * hh**p0,
-                h_grid,
-                values,
-                sigma=sigma,
-                absolute_sigma=True,
-                p0=(limit, slope_guess, 0.5),
-                bounds=((-np.inf, -np.inf, 0.05), (np.inf, np.inf, 1.5)),
-                maxfev=20000,
-            )
-        return float(popt[2]), float(np.sqrt(max(pcov[2, 2], 0.0)))
-    except RuntimeError as exc:
-        raise NonconvergenceError(f"rate fit failed: {exc}") from None
+    x = np.log(h_grid[mask])
+    y = np.log(np.abs(resid[mask]))
+    s = sigma[mask] / np.abs(resid[mask])
+    coef, cov, chi2 = _weighted_poly_fit(x, y, s, 2)
+    dof = max(1, int(mask.sum()) - 2)
+    inflate = max(1.0, math.sqrt(chi2 / dof))
+    return float(coef[1]), float(np.sqrt(cov[1, 1])) * inflate
 
 
 def limit_sweep(
@@ -1171,9 +1140,10 @@ def limit_sweep(
     Delta E(h)/h is a series in sqrt(h).  The fit starts from
     L + C sqrt(h) + C2 h (a pure sqrt(h) model is grossly inadequate on
     practical grids) and escalates to the cubic term when the residuals
-    demand it; the reported rate exponent comes from a separate
-    three-parameter fit L + C h^p and should sit near 1/2 (it is None,
-    with its error, when no remainder stands clear of the noise).
+    demand it; the reported rate exponent is the slope of
+    log |Delta E(h)/h - L| against log h and should sit near 1/2 (it is
+    None, with its error, when fewer than two remainders stand clear of
+    the noise).
 
     ``limit_model_error`` is the truncation estimate |L_k - L_(k-1)|, the
     shift of the limit between the chosen fit order k and the one below
@@ -1185,10 +1155,10 @@ def limit_sweep(
     the grid.
 
     Raises NonconvergenceError when the fit's chi2/dof exceeds
-    ``_CHI2_CAP`` or the rate fit fails.  The cap tests the fit against
-    the sampling noise, so it applies to sampled sweeps only: a
-    cubature's values carry almost none, and their residual is
-    truncation, which ``limit_model_error`` reports.
+    ``_CHI2_CAP``.  The cap tests the fit against the sampling noise, so
+    it applies to sampled sweeps only: a cubature's values carry almost
+    none, and their residual is truncation, which ``limit_model_error``
+    reports.
     """
     h_grid = np.asarray(h_grid, dtype=float).reshape(-1)
     if h_grid.size < 4:
@@ -1235,7 +1205,7 @@ def limit_sweep(
     limit_error = float(np.sqrt(cov[0, 0])) * inflate
     model_error = abs(float(coef[0]) - float(fits[order - 1][0][0]))
 
-    rate, rate_error = _rate_fit(h_grid, scaled, sigma, float(coef[0]), float(coef[1]))
+    rate, rate_error = _rate_fit(h_grid, scaled, sigma, float(coef[0]))
 
     # scaled back by a float product, which overflows to inf, not to an error
     limit, limit_error, model_error, slope, curvature = (

@@ -37,7 +37,8 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
 
 def as_unit_vector(x, dim: int | None = None, tol: float = 1e-12) -> np.ndarray:
     v = as_vector(x, dim)
-    nrm = float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):  # an inf norm is refused below
+        nrm = float(np.linalg.norm(v))
     if abs(nrm - 1.0) > tol:
         raise DimensionError(f"expected a unit vector, |v| = {nrm}")
     return v

@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -30,6 +31,7 @@ SWEEP = {
 TWO_WELL_3D = {"model": dict(MODEL, d=3),
                "pair": {"f_plus": [[1.0, 0.0, 0.0]], "f_minus": [[2.2, 0.0, 0.0]]}}
 BENCH_CONFIGS = Path(__file__).resolve().parent.parent / "bench" / "configs"
+TOOLS_CONFIGS = Path(__file__).resolve().parent.parent / "tools" / "configs"
 ISOTROPIC_3D = {"kind": "isotropic_theta_model", "d": 3,
                 "params": {"mu": 1.0, "f_coeffs": [1, 0, -2, 0, 1]}}
 ISOTROPIC = {
@@ -779,6 +781,31 @@ class TestNumericFrontDoor:
         assert (code, stdout) == (2, "")
         assert error_line(err) == "pair: the energy at F+ is not finite (inf)"
 
+    def test_residual_whose_norm_overflows_fails_its_verdict(self, tmp_path, capsys):
+        # |[P]^T a| is about 1e160, whose square overflows in the norm: this
+        # printed a RuntimeWarning beside its report
+        payload = {"model": MODEL, "pair": {"f_plus": [[1e80, 0.0]], "f_minus": [[2.0, 0.0]]},
+                   "scan": {"resolution": 8, "radii": [0.5, 1.0]}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(capsys, "check", "--config", write_config(tmp_path, payload))
+        assert (code, err) == (1, "")
+        report = json.loads(stdout)
+        assert report["roughening_residual"] == [1e160, 0.0]
+        assert report["verdicts"] == {
+            "maxwell_ok": True, "traction_ok": False, "roughening_ok": False,
+            "interchange_ok": False, "weierstrass_ok": True, "all_ok": False,
+        }
+
+    def test_nu_whose_norm_overflows(self, tmp_path, capsys):
+        # this printed a RuntimeWarning before its error line
+        payload = {**SWEEP, "nu": [1e200, 1.0]}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(capsys, "sweep-h", "--config", write_config(tmp_path, payload))
+        assert (code, stdout) == (2, "")
+        assert error_line(err).endswith("expected a unit vector, |v| = inf")
+
     def test_negative_seed_flag(self, tmp_path, capsys):
         self.rejected(tmp_path, capsys, "sweep-h", SWEEP, "seed", "--seed", "-1")
 
@@ -974,7 +1001,10 @@ print(json.dumps(report))
 
 class TestScipyFreeRuntime:
     def test_no_scipy_module_after_import_and_sweeps(self):
-        sweeps = [str(BENCH_CONFIGS / "sweep_2d.json"), str(BENCH_CONFIGS / "sweep_3d.json")]
+        # every sweep config the benchmark and the output digests run
+        sweeps = [str(path) for folder in (BENCH_CONFIGS, TOOLS_CONFIGS)
+                  for path in sorted(folder.glob("sweep_*.json"))]
+        assert len(sweeps) == 4
         src = str(Path(gj.__file__).resolve().parent.parent)
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, PYTHONPATH=path)
@@ -985,3 +1015,17 @@ class TestScipyFreeRuntime:
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
         assert report == {"import": [], **{c: [0, []] for c in sweeps}}
+
+    def test_no_module_imports_scipy(self):
+        package = Path(gj.__file__).resolve().parent
+        found = []
+        for module in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(module.read_text(), str(module))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                found += [(module.name, name) for name in names if name.split(".")[0] == "scipy"]
+        assert found == []

@@ -7,7 +7,6 @@ from gradjump.interchange import (
     REGION_NAMES,
     InterchangeField,
     _mirrored_gradient,
-    _moving_candidates,
     classify_codes,
 )
 
@@ -277,20 +276,6 @@ class TestMirrorIdentities:
         assert np.array_equal(g, two_term_gradient(coords, r, h))
         assert np.array_equal(scalar, two_term_profile(coords, r, h))
         assert g[0, 1] == np.sqrt(h)
-
-    @pytest.mark.parametrize("h", [0.1, 0.05, 0.0125])
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_moving_candidates_cover_the_gradient_support(self, rng, d, h):
-        # the energy pass evaluates the gradient only on the candidates, so
-        # a row with g != 0 outside them would be lost from the estimate
-        coords = mirror_test_points(h, d, rng)
-        r = np.linalg.norm(coords, axis=1)
-        moved = np.any(_mirrored_gradient(coords, r, h)[0] != 0.0, axis=1)
-        candidates = _moving_candidates(coords, r, h)
-        assert np.all(candidates[moved])
-        # and no wider on these points, kink sets included: each extra
-        # candidate costs a gradient evaluation
-        assert np.array_equal(candidates, moved)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_regions_swap_r_plus_and_r_minus(self, rng, d):

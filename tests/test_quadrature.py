@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate, optimize
+from scipy import integrate
 from scipy.stats import qmc
 from scipy.stats._sobol import _initialize_v
 
@@ -428,18 +428,6 @@ class TestFusedPass:
         assert measures == {
             k: (float(ref_mean[1 + j]), float(ref_err[1 + j])) for j, k in enumerate(REGION_KEYS)
         }
-
-    @pytest.mark.parametrize("sampler", ["rqmc", "mc"])
-    @pytest.mark.parametrize("d", [2, 3])
-    def test_wider_candidate_masks_do_not_change_bits(self, monkeypatch, d, sampler):
-        # with every row a candidate, the rows whose gradient is 0 are
-        # dropped by the second compaction instead, with the same bits
-        model, pair, params, fld, integrand = self.case(d, sampler)
-        exact = energy_pass(fld, params.quad, integrand)
-        monkeypatch.setattr(
-            quadrature, "_moving_candidates", lambda coords, r, h: np.ones(len(r), dtype=bool)
-        )
-        assert repr(energy_pass(fld, params.quad, integrand)) == repr(exact)
 
     @pytest.mark.parametrize("kind", ["antiplane-2", "antiplane-3", "isotropic-3"])
     def test_excess_vanishes_where_field_does_not_move(self, rng, kind):
@@ -1380,37 +1368,32 @@ class TestSeriesFit:
 
 
 class TestRateFit:
-    """The three-parameter fallback of the rate fit, taken when at most two
-    remainders stand clear of the noise."""
+    """The log-log fit of the remainder, down to two points clear of the noise."""
 
     H_GRID = np.array([0.1, 0.05, 0.025, 0.0125])
 
-    def test_fallback_recovers_the_exponent(self):
+    def test_two_clear_remainders_give_the_exponent(self):
         values = -0.24 + 0.3 * np.sqrt(self.H_GRID)
         sigma = np.full(4, 0.02)
         # remainders 0.095, 0.067, 0.047, 0.034: two beyond 3 sigma
         assert int(np.sum(np.abs(values + 0.24) > 3.0 * sigma)) == 2
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rate, rate_error = quadrature._rate_fit(self.H_GRID, values, sigma, -0.24, 0.3)
-        assert math.isfinite(rate) and 0.05 <= rate <= 1.5
-        assert rate == pytest.approx(0.5, abs=1e-6)
-        assert math.isfinite(rate_error)
+            rate, rate_error = quadrature._rate_fit(self.H_GRID, values, sigma, -0.24)
+        assert rate == pytest.approx(0.5, abs=1e-12)
+        assert math.isfinite(rate_error) and rate_error > 0.0
 
-    @pytest.mark.parametrize("values", [np.zeros(4), np.full(4, 0.3)])
-    def test_no_rate_when_no_remainder_stands_clear(self, values):
-        # the fallback would return its starting guess 0.5 with error 0
-        sigma = np.full(4, 1e-14)
-        assert quadrature._rate_fit(self.H_GRID, values, sigma, values[0], 0.0) == (None, None)
-
-    def test_fit_failure_is_nonconvergence(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise RuntimeError("Optimal parameters not found")
-
-        monkeypatch.setattr(optimize, "curve_fit", fail)
-        values = -0.24 + 0.3 * np.sqrt(self.H_GRID)
-        with pytest.raises(NonconvergenceError, match="rate fit failed"):
-            quadrature._rate_fit(self.H_GRID, values, np.full(4, 0.02), -0.24, 0.3)
+    @pytest.mark.parametrize("values, sigma, clear", [
+        (np.zeros(4), 1e-14, 0),
+        (np.full(4, 0.3), 1e-14, 0),
+        # only the remainder 0.095 lies beyond 3 sigma = 0.09
+        (-0.24 + 0.3 * np.sqrt(H_GRID), 0.03, 1),
+    ])
+    def test_no_rate_below_two_clear_remainders(self, values, sigma, clear):
+        limit = values[0] if clear == 0 else -0.24
+        sigma = np.full(4, sigma)
+        assert int(np.sum(np.abs(values - limit) > 3.0 * sigma)) == clear
+        assert quadrature._rate_fit(self.H_GRID, values, sigma, limit) == (None, None)
 
 
 class TestLimitSweep:
