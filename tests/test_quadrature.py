@@ -12,11 +12,12 @@ from scipy.stats._sobol import _initialize_v
 import gradjump as gj
 from gradjump import cli, quadrature
 from gradjump.errors import NonconvergenceError
-from gradjump.interchange import InterchangeField, classify_codes
+from gradjump.interchange import InterchangeField, _mirrored_gradient, classify_codes
 from gradjump.quadrature import REGION_KEYS, interface_profile
 
 from conftest import REF_PARAMS, ValueOnlyQuadratic, small_quad
 from sign_fold import sign_fold_gradient
+from test_interchange import mirror_test_points
 
 
 class TestInterfaceProfile:
@@ -428,6 +429,36 @@ class TestFusedPass:
         assert measures == {
             k: (float(ref_mean[1 + j]), float(ref_err[1 + j])) for j, k in enumerate(REGION_KEYS)
         }
+
+    @pytest.mark.parametrize("h", [0.1, 0.05, 0.0125])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_pair_pass_evaluates_exactly_the_moving_rows(self, rng, d, h):
+        # on the kink sets of the cutoffs a row's gradient can round to 0:
+        # the integrand and the pdf see each row with g != 0 once, folded
+        # onto s_n >= 0, and every other row is an exact 0
+        coords = mirror_test_points(h, d, rng)
+        r = quadrature._radius(coords)
+        g, _ = _mirrored_gradient(coords, r, h)
+        moved = np.any(g != 0.0, axis=1)
+        assert moved.any() and not moved.all()
+        seen = {}
+
+        def integrand(g_t):
+            seen["g"] = g_t.T.copy()
+            return np.full(g_t.shape[1], 1.0), np.full(g_t.shape[1], 3.0)
+
+        def pdf(z, r_z):
+            seen["z"], seen["r"] = z.copy(), r_z.copy()
+            return 1.0 + r_z
+
+        estimate = quadrature._energy_estimate(h, d, small_quad(), integrand)
+        out = estimate.pair_estimates(coords, pdf)
+        side = np.where(coords[:, 0] < 0.0, -1.0, 1.0)[moved, None]
+        assert np.array_equal(seen["z"], side * coords[moved])
+        assert np.array_equal(seen["g"], side * g[moved])
+        assert np.array_equal(seen["r"], r[moved])
+        assert np.array_equal(out[moved], 2.0 / (1.0 + r[moved]))
+        assert np.all(out[~moved] == 0.0)
 
     @pytest.mark.parametrize("kind", ["antiplane-2", "antiplane-3", "isotropic-3"])
     def test_excess_vanishes_where_field_does_not_move(self, rng, kind):
@@ -1382,6 +1413,17 @@ class TestRateFit:
             rate, rate_error = quadrature._rate_fit(self.H_GRID, values, sigma, -0.24)
         assert rate == pytest.approx(0.5, abs=1e-12)
         assert math.isfinite(rate_error) and rate_error > 0.0
+
+    @pytest.mark.parametrize("p, c", [(0.25, 0.3), (0.5, -0.3), (1.0, 0.3)])
+    def test_power_law_remainder_gives_its_exponent(self, p, c):
+        # every remainder clear of the noise, of either sign
+        values = -0.24 + c * self.H_GRID**p
+        sigma = np.full(4, 1e-6)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rate, rate_error = quadrature._rate_fit(self.H_GRID, values, sigma, -0.24)
+        assert rate == pytest.approx(p, abs=1e-9)
+        assert math.isfinite(rate_error) and 0.0 < rate_error < 1e-3
 
     @pytest.mark.parametrize("values, sigma, clear", [
         (np.zeros(4), 1e-14, 0),
