@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -97,7 +98,33 @@ def cmd_check(cfg: RunConfig):
     return (0 if diag.all_ok else 1), diag.to_dict(), []
 
 
+#: glibc's mallopt parameter for the least free space at the top of the
+#: heap that it returns to the system
+_M_TRIM_THRESHOLD = -1
+
+
+@functools.cache
+def _keep_freed_heap() -> None:
+    """Let glibc keep up to 32 MiB of freed heap instead of returning it,
+    once per process.
+
+    Each h of a sweep frees about a megabyte of blocks at the top of the
+    heap.  With glibc's default trim threshold of 128 KiB that memory went
+    back to the system at every h and was faulted in again at the next:
+    300 to 1,900 minor faults per sweep of the bench's configs, which made
+    a sweep up to 1.8 times slower.  Without glibc nothing changes.
+    """
+    import ctypes
+
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt(_M_TRIM_THRESHOLD, 32 << 20)
+
+
 def cmd_sweep_h(cfg: RunConfig):
+    _keep_freed_heap()
     model = cfg.model()
     pair = cfg.pair(model)
     params = cfg.interchange_params(pair)

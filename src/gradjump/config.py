@@ -55,9 +55,9 @@ _KIND_KEYS = {
     "isotropic_theta_model": ({"mu", "f_coeffs"}, ("mu", "f_coeffs")),
 }
 
-#: caps on counts, checked before anything is allocated: sample budgets per
-#: stratum, scan resolutions (d = 3 scans resolution**2 directions) and
-#: other grids
+#: caps on counts, checked before anything is allocated: the sample budgets
+#: (validated, though they act on nothing), scan resolutions (d = 3 scans
+#: resolution**2 directions) and other grids
 MAX_SAMPLES = 2**24
 MAX_RESOLUTION = 256
 MAX_COUNT = 2**20

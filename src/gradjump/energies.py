@@ -284,7 +284,9 @@ class MinQuadraticsEnergy(EnergyModel):
     def branch_values(self, f) -> np.ndarray:
         f = self._check(f)
         s = float(np.sum(f * f))
-        return 0.5 * self._mus * s + self._ws
+        # a branch whose value overflows is inf, which the callers report
+        with np.errstate(over="ignore"):
+            return 0.5 * self._mus * s + self._ws
 
     def value(self, f) -> float:
         return float(np.min(self.branch_values(f)))
@@ -292,10 +294,12 @@ class MinQuadraticsEnergy(EnergyModel):
     def value_many(self, fs: np.ndarray) -> np.ndarray:
         fs = np.asarray(fs, dtype=float)
         s = np.sum(fs * fs, axis=(-2, -1))
-        # fold np.minimum over the branches: np.min over a short trailing axis is slow
-        vals = 0.5 * (s * self._mus[0]) + self._ws[0]
-        for mu, w in zip(self._mus[1:], self._ws[1:]):
-            vals = np.minimum(vals, 0.5 * (s * mu) + w)
+        # fold np.minimum over the branches: np.min over a short trailing axis
+        # is slow; a value that overflows is inf, as value's is
+        with np.errstate(over="ignore"):
+            vals = 0.5 * (s * self._mus[0]) + self._ws[0]
+            for mu, w in zip(self._mus[1:], self._ws[1:]):
+                vals = np.minimum(vals, 0.5 * (s * mu) + w)
         return vals
 
     def rank_one_excess(self, fp, fm, a, t):
@@ -318,7 +322,8 @@ class MinQuadraticsEnergy(EnergyModel):
         for f, s in ((fp, t), (fm, -t)):
             f = self._check(f)
             vals = self.branch_values(f)
-            lin = np.einsum("bmd,m->bd", self._mus[:, None, None] * f - self.gradient(f), a)
+            with np.errstate(over="ignore", invalid="ignore"):
+                lin = np.einsum("bmd,m->bd", self._mus[:, None, None] * f - self.gradient(f), a)
             # per branch: its offset e_b and the (column, coefficient) of
             # each nonzero linear term
             terms = [[(c, x) for c, x in enumerate(row) if x != 0.0] for row in lin.tolist()]
@@ -344,7 +349,10 @@ class MinQuadraticsEnergy(EnergyModel):
             # contiguous columns, read by several branches
             cols, quad = np.ascontiguousarray(g.T), half * row_sq_norms(g)
             mqs = [mu * quad for mu in self._mus]
-            plus, minus = (at_side(s, branches, cols, mqs) for s, branches in sides)
+            # a branch whose offset or step overflows gives inf or NaN, which
+            # the estimate reports as not finite
+            with np.errstate(over="ignore", invalid="ignore"):
+                plus, minus = (at_side(s, branches, cols, mqs) for s, branches in sides)
             # one branch with no offset or linear term on either side
             # leaves both sides mu quad itself
             return plus, (minus.copy() if minus is plus else minus)

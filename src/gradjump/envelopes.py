@@ -134,8 +134,12 @@ def directional_derivative(
         else:
             quotient = np.max((w[-1] - w[:-1]) / (1.0 - t[:-1]))
         if prev_q is not None:
-            rich = 2.0 * quotient - prev_q
-            if prev_rich is not None and abs(rich - prev_rich) <= rtol * (1.0 + abs(rich)):
+            # an extrapolant that overflows never converges, and says so below
+            with np.errstate(over="ignore", invalid="ignore"):
+                rich = 2.0 * quotient - prev_q
+                converged = prev_rich is not None and abs(rich - prev_rich) <= rtol * (
+                    1.0 + abs(rich))
+            if converged:
                 return float(rich)
             prev_rich = rich
         prev_q = quotient

@@ -14,11 +14,11 @@ negative arguments, at most one term of the mirror pair is nonzero, so the
 gradient is the + term's at the sign-folded point sign(z.nu) (z.n, z.nu),
 its tangential parts times sign(z.nu).  That is the one formula for the
 field's gradient (``_fold_factors``, then ``_radial_gradient``): the
-deterministic cubature feeds it each piece's fold side and ramp flag, and
-the sampler and ``InterchangeField.scalar_gradient`` each point's
-(``_mirrored_gradient``).  Everything here is exact pointwise kinematics;
-the integral of the energy increment over the ball, by the cubature or by
-sampling, lives in ``quadrature``.
+cubature feeds it each piece's fold side and ramp flag, and
+``InterchangeField.scalar_gradient`` each point's (``_mirrored_gradient``).
+Everything here is exact pointwise kinematics; the integral of the energy
+increment over the ball, and the measures of the regions that
+``classify_codes`` labels, live in ``quadrature``.
 """
 
 from __future__ import annotations
@@ -40,20 +40,14 @@ REGION_NAMES = ("support_complement", "R_plus", "R_minus", "Q", "Q_prime")
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Sampling budgets and seeding for the energy-increment estimator.
+    """The energy-increment estimator's settings.
 
-    Counts are integrand evaluations (antithetic pairs use two each);
-    samples_bulk budgets the whole-ball stratum, samples_slab each thin
-    stratum.  Counts round to power-of-two pairs per scramble.  Every
-    (stratum, scramble) pair draws from its own RNG stream keyed by
-    (seed, stratum id, scramble id), so totals are bitwise-reproducible
-    regardless of evaluation order.  sampler="rqmc" uses scrambled Sobol
-    points (default); "mc" uses plain pseudo-random points, with error
-    bars of classical 1/sqrt(N) size.  Seed, budgets, stratification and
-    sampler act only on the estimates and sweeps of non-isotropic models
-    in d = 3 and on ``quadrature.estimate_region_measures``: the isotropic
-    kind and every model in d = 2 take a deterministic rule
-    (``quadrature._takes_cubature``), which honours max_error alone.
+    Every model takes a deterministic rule, which honours max_error alone:
+    an estimate whose error bar exceeds it is refused.  seed, the sampling
+    budgets samples_bulk and samples_slab, stratification and sampler
+    ("rqmc" or "mc") configured the stratified sampler that the rule
+    replaced; they are still accepted and validated, so that such configs
+    still run, and act on nothing.
     """
 
     seed: int = 0

@@ -165,42 +165,35 @@ def test_criterion_6_interpolation_landscape():
 
 
 def test_criterion_7_region_geometry():
-    # leading-order slab measure with a plain uniform-ball oracle whose
-    # statistical error dominates the O(h^{3/2}) geometric corrections
-    h = 0.01
-    uniform = gj.QuadratureConfig(
-        seed=2, samples_bulk=4096, samples_slab=1024, stratification=(), sampler="mc"
-    )
-    measures = gj.estimate_region_measures(
-        EQ_PAIR, gj.InterchangeParams(h=h, quad=uniform)
-    )
-    target = h * OMEGA_1 / 2.0
-    slab_ok = True
-    slab_detail = []
-    for key in ("R_plus", "R_minus"):
-        est, err = measures[key]
-        slab_ok &= abs(est - target) <= 3.0 * err
-        slab_detail.append(f"{key}={est:.4f}+-{err:.4f}")
-
-    # decay exponents of the tangential and corner regions
+    # the measures are sums of the cubature's weights, exact to rounding:
+    # R+- against its closed form, int_0^h sqrt((1 - sqrt(h))^2 - s^2) ds
+    # - h^{3/2}, then the decay exponents of its distance to the leading
+    # order h omega_1 / 2 and of the tangential and corner regions
     hs = np.array([0.04, 0.02, 0.01, 0.005])
-    q_vals, qp_vals = [], []
-    for hv in hs:
-        quad = gj.QuadratureConfig(seed=3, samples_bulk=16384, samples_slab=65536)
-        m = gj.estimate_region_measures(
-            EQ_PAIR, gj.InterchangeParams(h=float(hv), quad=quad)
-        )
-        q_vals.append(m["Q"][0])
-        qp_vals.append(m["Q_prime"][0])
-    alpha_q = np.polyfit(np.log(hs), np.log(q_vals), 1)[0]
-    alpha_qp = np.polyfit(np.log(hs), np.log(qp_vals), 1)[0]
-    ok = slab_ok and abs(alpha_q - 0.5) <= 0.15 and abs(alpha_qp - 1.5) <= 0.2
+    measures = [gj.estimate_region_measures(EQ_PAIR, gj.InterchangeParams(h=float(h)))
+                for h in hs]
+    worst = 0.0
+    for h, m in zip(hs, measures):
+        r1 = 1.0 - np.sqrt(h)
+        exact = 0.5 * (h * np.sqrt(r1 * r1 - h * h) + r1 * r1 * np.arcsin(h / r1)) - h**1.5
+        for key in ("R_plus", "R_minus"):
+            worst = max(worst, abs(m[key][0] - exact) / exact)
+    slab_gap = [abs(m["R_plus"][0] - h * OMEGA_1 / 2.0) for h, m in zip(hs, measures)]
+    alpha_r = np.polyfit(np.log(hs), np.log(slab_gap), 1)[0]
+    alpha_q = np.polyfit(np.log(hs), np.log([m["Q"][0] for m in measures]), 1)[0]
+    alpha_qp = np.polyfit(np.log(hs), np.log([m["Q_prime"][0] for m in measures]), 1)[0]
+    ok = (
+        worst <= 1e-12
+        and abs(alpha_r - 1.5) <= 0.2
+        and abs(alpha_q - 0.5) <= 0.15
+        and abs(alpha_qp - 1.5) <= 0.2
+    )
     report(
         7,
         "region geometry",
         ok,
-        f"{', '.join(slab_detail)} vs {target}; "
-        f"exponents Q={alpha_q:.3f}, Q'={alpha_qp:.3f}",
+        f"R+-={measures[2]['R_plus'][0]:.4f} at h=0.01, closed form to {worst:.1e}; "
+        f"exponents |R+- - h w/2|={alpha_r:.3f}, Q={alpha_q:.3f}, Q'={alpha_qp:.3f}",
     )
 
 

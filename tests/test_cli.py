@@ -27,7 +27,7 @@ SWEEP = {
     "h_grid": [0.1, 0.05, 0.025, 0.0125],
     "quadrature": SMALL_QUAD,
 }
-#: the criterion-1 pair in d = 3, where the two-well kinds are sampled
+#: the criterion-1 pair in d = 3
 TWO_WELL_3D = {"model": dict(MODEL, d=3),
                "pair": {"f_plus": [[1.0, 0.0, 0.0]], "f_minus": [[2.2, 0.0, 0.0]]}}
 BENCH_CONFIGS = Path(__file__).resolve().parent.parent / "bench" / "configs"
@@ -135,30 +135,25 @@ class TestSweepH:
         run(capsys, "sweep-h", "--config", cfg, "--out", str(out2))
         assert (out1 / "sweep_h.csv").read_bytes() == (out2 / "sweep_h.csv").read_bytes()
 
-    def test_seed_override_changes_samples(self, tmp_path, capsys):
-        # the two-well kinds are sampled in d = 3
-        payload = dict(self.payload(), **TWO_WELL_3D)
-        cfg = write_config(tmp_path, payload)
-        _, s1, _ = run(capsys, "sweep-h", "--config", cfg)
-        _, s2, _ = run(capsys, "sweep-h", "--config", cfg, "--seed", "99")
-        assert json.loads(s1)["method"] == "rqmc"
-        assert json.loads(s1)["dE_over_h"] != json.loads(s2)["dE_over_h"]
-
-    def test_seed_sampler_and_budgets_change_nothing_in_2d(self, tmp_path, capsys):
-        # the 2-D two-well pair takes the cubature: only the summary's
-        # "seed" field can tell the runs apart
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_seed_sampler_and_budgets_change_nothing(self, tmp_path, capsys, d):
+        # the two-well pair takes the cubature in either d: only the
+        # summary's "seed" field can tell the runs apart, whether the seed
+        # comes from the config or from --seed
+        payload = self.payload() if d == 2 else dict(self.payload(), **TWO_WELL_3D)
+        mc = {"samples_bulk": 4096, "samples_slab": 16384, "stratification": ["slab"],
+              "sampler": "mc"}
         outputs = []
-        for seed, quad in ((3, SMALL_QUAD),
-                           (99, {"samples_bulk": 4096, "samples_slab": 16384,
-                                 "stratification": ["slab"], "sampler": "mc"})):
-            cfg = write_config(tmp_path, dict(self.payload(), seed=seed, quadrature=quad))
+        for seed, quad, argv in ((3, SMALL_QUAD, []), (99, mc, []),
+                                 (7, SMALL_QUAD, ["--seed", "7"])):
+            cfg = write_config(tmp_path, dict(payload, seed=3 if argv else seed, quadrature=quad))
             out = tmp_path / f"seed{seed}"
-            code, stdout, err = run(capsys, "sweep-h", "--config", cfg, "--out", str(out))
+            code, stdout, err = run(capsys, "sweep-h", "--config", cfg, "--out", str(out), *argv)
             summary = json.loads(stdout)
             assert code == 0 and err == "" and summary.pop("seed") == seed
             outputs.append((summary, (out / "sweep_h.csv").read_bytes()))
         assert outputs[0][0]["method"] == "cubature"
-        assert repr(outputs[1]) == repr(outputs[0])
+        assert repr(outputs[1]) == repr(outputs[0]) == repr(outputs[2])
 
     def test_csv_stdout_format(self, tmp_path, capsys):
         cfg = write_config(tmp_path, self.payload())
@@ -216,10 +211,27 @@ class TestSweepH:
             warnings.simplefilter("error")
             code, stdout, err = run(capsys, "sweep-h", "--config", cfg)
         assert (code, err) == (0, "")
-        assert json.loads(stdout)["method"] == "rqmc"
+        assert json.loads(stdout)["method"] == "cubature"
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc's heap")
+    def test_repeated_sweeps_keep_their_heap(self, tmp_path):
+        # each h frees about a megabyte at the top of the heap, which glibc
+        # gave back to the system and the next h faulted in again: with the
+        # bytecode cached, 1,300 to 1,900 minor faults per sweep of the
+        # bench's configs.  A fresh interpreter writes the bytecode, a second
+        # one reads it and counts the faults of five sweeps after two
+        src = str(Path(gj.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src, PYTHONPYCACHEPREFIX=str(tmp_path))
+        env.pop("PYTHONDONTWRITEBYTECODE", None)
+        for config in ("sweep_2d.json", "sweep_3d.json"):
+            argv = [sys.executable, "-c", HEAP_PROBE, str(BENCH_CONFIGS / config)]
+            for _ in range(2):
+                proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=300)
+                assert proc.returncode == 0, proc.stderr
+            assert float(proc.stdout) < 50, config
 
     def test_too_small_h_is_one_error_line(self, tmp_path, capsys):
-        # the shell stratum's measure 1 - (1 - sqrt(h))^d rounds to 0 here
+        # the shell 1 - sqrt(h) < |z| < 1 rounds to nothing here
         payload = self.payload()
         payload["h_grid"] = [1e-100, 5e-101, 2.5e-101, 1.25e-101]
         cfg = write_config(tmp_path, payload)
@@ -806,6 +818,38 @@ class TestNumericFrontDoor:
         assert (code, stdout) == (2, "")
         assert error_line(err).endswith("expected a unit vector, |v| = inf")
 
+    #: the anti-plane model with a stiff modulus whose branch value
+    #: overflows at every |F| >= 1
+    HUGE_MU = dict(MODEL, params=dict(REF_PARAMS, mu_plus=1.7e308))
+
+    def test_check_where_a_branch_overflows(self, tmp_path, capsys):
+        # this printed a RuntimeWarning beside its report
+        payload = {"model": self.HUGE_MU, "pair": EQ_PAIR}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(capsys, "check", "--config", write_config(tmp_path, payload))
+        assert (code, err) == (1, "")
+        assert json.loads(stdout)["verdicts"]["all_ok"] is False
+
+    def test_sweep_where_a_branch_overflows(self, tmp_path, capsys):
+        # this printed five RuntimeWarnings before its error line
+        payload = {**SWEEP, "model": self.HUGE_MU}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(capsys, "sweep-h", "--config", write_config(tmp_path, payload))
+        assert (code, stdout) == (1, "")
+        assert error_line(err) == "the estimate at h = 0.1 is not finite"
+
+    def test_envelope_whose_energy_overflows_on_its_grid(self, tmp_path, capsys):
+        # W at |F| = 1e154 overflows, and so does the Richardson step of the
+        # hull slope: this printed three RuntimeWarnings before its error line
+        payload = {"model": MODEL, "pair": {"f_plus": [[1e154, 0.0]], "f_minus": [[2.0, 0.0]]}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, stdout, err = run(capsys, "envelope", "--config", write_config(tmp_path, payload))
+        assert (code, stdout) == (1, "")
+        assert error_line(err) == "hull slope did not converge under grid refinement"
+
     def test_negative_seed_flag(self, tmp_path, capsys):
         self.rejected(tmp_path, capsys, "sweep-h", SWEEP, "seed", "--seed", "-1")
 
@@ -985,6 +1029,22 @@ class TestRunConfig:
 #: a fresh interpreter reports the scipy modules, and the process-pool modules
 #: the one-process estimator does without, that it holds after importing the
 #: CLI and after each sweep-h run given on its command line
+#: the minor faults per sweep of five in-process sweeps of argv[1], after two
+HEAP_PROBE = """
+import contextlib, io, resource, sys
+from gradjump.cli import main
+
+def sweep():
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["sweep-h", "--config", sys.argv[1]]) == 0
+
+sweep(); sweep()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(5):
+    sweep()
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
+"""
+
 SCIPY_PROBE = """
 import contextlib, io, json, sys
 roots = ("scipy", "multiprocessing", "concurrent")

@@ -46,10 +46,6 @@ POOL = ["x", "1", True, False, None, [], {}, [[1.0]], json.loads("[" * 40 + "1.0
         -1, 0, 1.5, float("nan"), float("inf"), float("-inf"), 10**400,
         2**24 + 1, 257, 2**20 + 1]
 
-#: keys whose default is a large sample budget, so dropping them is not cheap
-BUDGETS = {"quadrature", "samples_bulk", "samples_slab"}
-
-
 def paths(tree, prefix=()):
     """(path, node) of every node below the root, depth first."""
     items = tree.items() if isinstance(tree, dict) else enumerate(tree)
@@ -80,7 +76,7 @@ def mutants(draw, command):
         leaves = [p for p, node in nodes if not isinstance(node, (dict, list))]
         return edited(base, draw(st.sampled_from(leaves)), draw(st.sampled_from(POOL)))
     if edit == "drop":
-        keys = [p for p, _ in nodes if isinstance(p[-1], str) and p[-1] not in BUDGETS]
+        keys = [p for p, _ in nodes if isinstance(p[-1], str)]
         return edited(base, draw(st.sampled_from(keys)), drop=True)
     objects = [()] + [p for p, node in nodes if isinstance(node, dict)]
     return edited(base, draw(st.sampled_from(objects)) + ("bogus",), 1)

@@ -14,8 +14,8 @@ wrote the same bytes; ``diff`` the outputs to compare them.
 
 ``tools/configs`` holds configs that reach code no benchmark config
 reaches: ``sweep_two_well_3d.json`` is the criterion-1 pair in d = 3,
-whose sweep samples (rqmc at the default budgets, about 0.4 s a run)
-where every bench sweep takes the cubature, and
+where pieces of the cubature take its finer d = 3 rules at every h (the
+bench's 3-D sweep takes none), and
 ``sweep_iso_general_3d.json`` an isotropic pair in d = 3 whose normal is
 no axis, with an explicit tangent ``nu``, on a grid from h = 0.5, where
 pieces of the cubature take its finer rules (at h = 0.5 and 0.0125).
